@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
+from .metrics import midranks
+
 
 class InsufficientDataError(ValueError):
     """Not enough usable observations to compute the estimate."""
@@ -157,20 +159,8 @@ def kruskal_wallis(groups: list) -> KWResult:
     if n_total < 3:
         raise InsufficientDataError(f"Kruskal-Wallis needs N >= 3, got {n_total}")
 
-    pooled = np.concatenate(arrays)
-    order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(n_total, dtype=np.float64)
-    sorted_vals = pooled[order]
-    tie_term = 0.0
-    i = 0
-    while i < n_total:
-        j = i
-        while j + 1 < n_total and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        t = j - i + 1
-        tie_term += t ** 3 - t
-        i = j + 1
+    ranks, ties = midranks(np.concatenate(arrays))
+    tie_term = float((ties ** 3 - ties).sum())
 
     df = len(arrays) - 1
     denom = 1.0 - tie_term / (n_total ** 3 - n_total)

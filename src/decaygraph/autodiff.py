@@ -70,41 +70,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, tracked={self.tracked}, op={self._op!r})"
 
-    # -- operator sugar ------------------------------------------------
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], op: str) -> Tensor:
     tracked = any(p.tracked for p in parents)
@@ -301,11 +266,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
-
-
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = list(parts)
     if not parts:
@@ -413,7 +373,7 @@ def scatter_rows(base: Tensor, index: np.ndarray, rows: Tensor) -> Tensor:
     return out
 
 
-# -- norms and similarity ----------------------------------------------
+# -- norms -------------------------------------------------------------
 
 def l2_norm(a: Tensor, axis: int = -1, keepdims: bool = True) -> Tensor:
     axis = _check_axis(a, axis)
@@ -428,18 +388,6 @@ def l2_norm(a: Tensor, axis: int = -1, keepdims: bool = True) -> Tensor:
 
     out._backward = bw
     return out
-
-
-COSINE_EPS = 1e-12
-
-
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Rowwise cosine similarity with guarded denominators."""
-    if a.shape != b.shape:
-        raise ShapeError(f"cosine_similarity shapes differ: {a.shape} vs {b.shape}")
-    dots = tensor_sum(mul(a, b), axis=-1, keepdims=True)
-    denom = mul(add(l2_norm(a), Tensor(COSINE_EPS)), add(l2_norm(b), Tensor(COSINE_EPS)))
-    return div(dots, denom)
 
 
 # -- losses --------------------------------------------------------------

@@ -22,7 +22,7 @@ from .analysis import (InsufficientDataError, empirical_autocorr, fit_decay_rate
                        kruskal_wallis)
 from .data import (Dataset, DatasetSplits, SyntheticConfig, leave_variables_out,
                    load_dataset, load_split_manifest, normalize_splits,
-                   split_by_manifest, split_dataset, synthesize,
+                   split_by_manifest, split_dataset, synthesize, truncate_episodes,
                    write_labels_csv, write_observations_csv, write_splits_csv,
                    apply_normalization)
 from .model import (AblationFlags, DecayGraphClassifier, ModelConfig,
@@ -79,13 +79,7 @@ def _model_config(file_cfg: dict, args: argparse.Namespace, n_classes: int) -> M
 
 
 def _ablation_flags(file_cfg: dict, ablate: list[str]) -> AblationFlags:
-    section = dict(file_cfg.get("ablation", {}))
-    # long-form aliases for the codebook switches
-    if "codebook_enabled" in section:
-        section["use_cb"] = section.pop("codebook_enabled")
-    if "retrieval_enabled" in section:
-        section["use_mcv"] = section.pop("retrieval_enabled")
-    flags = AblationFlags(**section)
+    flags = AblationFlags(**file_cfg.get("ablation", {}))
     for name in ablate:
         if name not in ABLATION_NAMES:
             raise ValueError(f"--ablate must be one of {ABLATION_NAMES}, got {name!r}")
@@ -201,11 +195,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dataset, splits = _load_splits(data_section, seed, variables=model.variables)
     check_compatibility(model, dataset)
     if meta["norm_means"] is not None:
-        splits = DatasetSplits(
-            train=apply_normalization(splits.train, meta["norm_means"], meta["norm_stds"]),
-            val=apply_normalization(splits.val, meta["norm_means"], meta["norm_stds"]),
-            test=apply_normalization(splits.test, meta["norm_means"], meta["norm_stds"]),
-        )
+        splits = DatasetSplits(*(apply_normalization(ds, meta["norm_means"], meta["norm_stds"])
+                                 for ds in (splits.train, splits.val, splits.test)))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -311,21 +302,12 @@ GRADCHECK_MODEL_SEED = 2
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    from dataclasses import replace as dc_replace
-
-    from .data import _fill_delta_t
-
     config = SyntheticConfig(n_variables=3, n_episodes=2,
                              decay_rates=[0.5, 2.0, 0.1], obs_per_episode=4.0,
                              horizon=24.0, label_coeffs=[1.0, -1.0, 0.5],
                              seed=GRADCHECK_DATA_SEED)
     dataset = synthesize(config)
-    episodes = []
-    for ep in dataset.episodes:
-        k = min(4, ep.n_steps)
-        times, values, mask = ep.times[:k], ep.values[:k], ep.mask[:k]
-        episodes.append(dc_replace(ep, times=times, values=values, mask=mask,
-                                   delta_t=_fill_delta_t(times, mask, config.horizon)))
+    episodes = truncate_episodes(dataset.episodes, 4, config.horizon)
 
     model_config = ModelConfig(hidden_dim=8, codebook_size=8, n_layers=2,
                                batch_size=2, seed=GRADCHECK_MODEL_SEED,

@@ -9,15 +9,13 @@ but full gradient into the selected row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, Tensor
 
 FUSION_EPS = 1e-8  # residual-scale division guard
-COSINE_EPS = ad.COSINE_EPS
+COSINE_EPS = 1e-12  # cosine-similarity norm guard
 
 
 def _row_normalize(x: Tensor) -> Tensor:
@@ -28,7 +26,7 @@ def soft_fuse(g: Tensor, codebook: Tensor) -> tuple[Tensor, np.ndarray]:
     """Residual fusion of each row of ``g`` with the prototype mixture.
 
     Returns the fused rows and the softmax weight matrix (as plain data,
-    for the utilization diagnostic).
+    for the utilization diagnostic; read it, do not modify it).
     """
     sims = ad.matmul(_row_normalize(g), ad.transpose_last2(_row_normalize(codebook)))
     weights = ad.softmax(sims, axis=-1)
@@ -36,7 +34,7 @@ def soft_fuse(g: Tensor, codebook: Tensor) -> tuple[Tensor, np.ndarray]:
     scale = ad.div(ad.l2_norm(quantized, axis=-1, keepdims=True),
                    ad.add(ad.l2_norm(g, axis=-1, keepdims=True), Tensor(FUSION_EPS)))
     fused = ad.add(g, ad.mul(scale, quantized))
-    return fused, weights.data.copy()
+    return fused, weights.data
 
 
 def retrieve(g: Tensor, codebook: Tensor) -> tuple[np.ndarray, Tensor]:
@@ -54,25 +52,17 @@ def retrieve(g: Tensor, codebook: Tensor) -> tuple[np.ndarray, Tensor]:
     return indices, ad.gather_rows(codebook, indices)
 
 
-@dataclass
-class UtilizationReport:
-    mean_weights: np.ndarray  # per-prototype mean assignment weight
-    utilization: float        # fraction of prototypes above the uniform level
+def utilization(weight_sum: np.ndarray, n_rows: int) -> float:
+    """Fraction of prototypes whose mean weight exceeds uniform 1/K.
 
-
-def utilization(weights: np.ndarray) -> UtilizationReport:
-    """Fraction of prototypes whose mean weight exceeds uniform 1/K."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2 or weights.shape[0] == 0:
-        raise ContractError(f"utilization needs a non-empty 2-d weight matrix, "
-                            f"got shape {weights.shape}")
-    row_sums = weights.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6):
-        worst = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise ContractError(f"weight row {worst} sums to {row_sums[worst]}, not 1")
-    k = weights.shape[1]
-    mean_weights = weights.mean(axis=0)
-    return UtilizationReport(
-        mean_weights=mean_weights,
-        utilization=float((mean_weights > 1.0 / k).mean()),
-    )
+    ``weight_sum`` is the per-prototype sum of ``n_rows`` softmax weight
+    rows, so it must total ``n_rows``.
+    """
+    weight_sum = np.asarray(weight_sum, dtype=np.float64)
+    if weight_sum.ndim != 1 or n_rows < 1:
+        raise ContractError(f"utilization needs a 1-d weight sum over at least one row, "
+                            f"got shape {weight_sum.shape} over {n_rows} rows")
+    if abs(weight_sum.sum() - n_rows) > 1e-6 * n_rows:
+        raise ContractError(f"weight sum totals {weight_sum.sum()}, not {n_rows} "
+                            f"(one per normalized row)")
+    return float((weight_sum / n_rows > 1.0 / len(weight_sum)).mean())

@@ -51,14 +51,6 @@ class SyntheticConfigError(ValueError):
 
 
 @dataclass
-class Observation:
-    patient_id: str
-    time: float
-    variable_index: int
-    value: float
-
-
-@dataclass
 class Episode:
     patient_id: str
     times: np.ndarray     # (T,) strictly increasing
@@ -116,26 +108,14 @@ def delta_t_from_times(times: np.ndarray, t_max: float) -> np.ndarray:
     half the horizon.
     """
     times = np.asarray(times, dtype=np.float64)
-    n = len(times)
-    out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        has_prev = i > 0
-        has_next = i < n - 1
-        if has_prev and has_next:
-            out[i] = 0.5 * ((times[i] - times[i - 1]) + (times[i + 1] - times[i]))
-        elif has_prev:
-            out[i] = times[i] - times[i - 1]
-        elif has_next:
-            out[i] = times[i + 1] - times[i]
-        else:
-            out[i] = t_max / 2.0
+    if len(times) < 2:
+        return np.full(len(times), t_max / 2.0)
+    gaps = np.diff(times)
+    out = np.empty(len(times), dtype=np.float64)
+    out[0] = gaps[0]
+    out[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
+    out[-1] = gaps[-1]
     return out
-
-
-def compute_delta_t(episode: Episode, variable: int, t_max: float) -> np.ndarray:
-    """Elapsed intervals for one variable of one episode, in step order."""
-    obs_steps = np.flatnonzero(episode.mask[:, variable])
-    return delta_t_from_times(episode.times[obs_steps], t_max)
 
 
 def _fill_delta_t(times: np.ndarray, mask: np.ndarray, t_max: float) -> np.ndarray:
@@ -145,6 +125,18 @@ def _fill_delta_t(times: np.ndarray, mask: np.ndarray, t_max: float) -> np.ndarr
         if len(obs_steps):
             delta[obs_steps, v] = delta_t_from_times(times[obs_steps], t_max)
     return delta
+
+
+def truncate_episodes(episodes: Iterable[Episode], n_steps: int,
+                      t_max: float) -> list[Episode]:
+    """Keep each episode's first ``n_steps`` steps, recomputing intervals
+    from the kept timestamps alone."""
+    out = []
+    for ep in episodes:
+        times, mask = ep.times[:n_steps], ep.mask[:n_steps]
+        out.append(replace(ep, times=times, values=ep.values[:n_steps], mask=mask,
+                           delta_t=_fill_delta_t(times, mask, t_max)))
+    return out
 
 
 # -- loading -------------------------------------------------------------
@@ -209,7 +201,9 @@ def load_dataset(observations_path: str, labels_path: str,
     are a schema error; otherwise the variable list is the sorted set of
     names seen in the file. When ``t_max`` is omitted it defaults to the
     largest timestamp in the file (half of it is the elapsed-interval
-    fallback for isolated observations).
+    fallback for isolated observations). Labelled patients with no
+    observation have no episode: they are dropped with a warning that
+    gives their count.
     """
     rows = _read_rows(observations_path, "patient_id,time,variable,value")
     labels = load_labels(labels_path)
@@ -220,7 +214,10 @@ def load_dataset(observations_path: str, labels_path: str,
         names = list(variables)
     var_index = {name: i for i, name in enumerate(names)}
 
-    observations: list[Observation] = []
+    # patient -> time -> {variable index: value}; file order keeps the
+    # last duplicate row authoritative
+    per_patient: dict[str, dict[float, dict[int, float]]] = {}
+    max_time = 0.0
     for lineno, (pid, time_text, var_name, value_text) in rows:
         time = _parse_float(observations_path, lineno, time_text, "time")
         if time < 0:
@@ -230,16 +227,12 @@ def load_dataset(observations_path: str, labels_path: str,
         if var_name not in var_index:
             raise SchemaError(f"{observations_path}:{lineno}: unknown variable "
                               f"{var_name!r}")
-        observations.append(Observation(pid, time, var_index[var_name], value))
-
-    # patient -> time -> {variable index: value}; file order keeps the
-    # last duplicate row authoritative
-    per_patient: dict[str, dict[float, dict[int, float]]] = {}
-    max_time = 0.0
-    for obs in observations:
-        per_patient.setdefault(obs.patient_id, {}).setdefault(
-            obs.time, {})[obs.variable_index] = obs.value
-        max_time = max(max_time, obs.time)
+        per_patient.setdefault(pid, {}).setdefault(time, {})[var_index[var_name]] = value
+        max_time = max(max_time, time)
+    n_unobserved = len(labels.keys() - per_patient.keys())
+    if n_unobserved:
+        warnings.warn(f"{n_unobserved} labelled patients have no observations "
+                      f"and are dropped", stacklevel=2)
 
     if t_max is None:
         t_max = max_time if per_patient else 1.0
@@ -302,24 +295,11 @@ def apply_normalization(dataset: Dataset, means: np.ndarray, stds: np.ndarray) -
                    norm_stds=stds.copy())
 
 
-def denormalize(dataset: Dataset) -> Dataset:
-    if dataset.norm_means is None or dataset.norm_stds is None:
-        raise DataValidationError("dataset carries no normalization stats")
-    episodes = []
-    for ep in dataset.episodes:
-        values = (ep.values * dataset.norm_stds[None, :] + dataset.norm_means[None, :]) * ep.mask
-        episodes.append(replace(ep, values=values))
-    return replace(dataset, episodes=episodes, norm_means=None, norm_stds=None)
-
-
 def normalize_splits(splits: DatasetSplits) -> DatasetSplits:
     """Z-score every split with statistics computed on training only."""
     means, stds = training_stats(splits.train)
-    return DatasetSplits(
-        train=apply_normalization(splits.train, means, stds),
-        val=apply_normalization(splits.val, means, stds),
-        test=apply_normalization(splits.test, means, stds),
-    )
+    return DatasetSplits(*(apply_normalization(ds, means, stds)
+                           for ds in (splits.train, splits.val, splits.test)))
 
 
 # -- splitting -----------------------------------------------------------

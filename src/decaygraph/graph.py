@@ -128,30 +128,21 @@ def message_pass_layer(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
     w_edge = params[f"sage{layer}.edge_w"]
     b_edge = params[f"sage{layer}.edge_b"]
 
-    if step.n_edges:
-        var_src = ad.gather_rows(v_var, step.variable_idx)
-        msg_to_pat = ad.relu(_linear(ad.concat([var_src, e], axis=1), w_msg, b_msg))
-        agg_pat = ad.scatter_add_rows(step.n_patients, step.patient_idx, msg_to_pat)
+    var_src = ad.gather_rows(v_var, step.variable_idx)
+    msg_to_pat = ad.relu(_linear(ad.concat([var_src, e], axis=1), w_msg, b_msg))
+    agg_pat = ad.scatter_add_rows(step.n_patients, step.patient_idx, msg_to_pat)
 
-        pat_src = ad.gather_rows(v_pat, step.patient_idx)
-        msg_to_var = ad.relu(_linear(ad.concat([pat_src, e], axis=1), w_msg, b_msg))
-        agg_var = ad.scatter_add_rows(step.n_variables, step.variable_idx, msg_to_var)
-    else:
-        agg_pat = Tensor(np.zeros(v_pat.shape))
-        agg_var = Tensor(np.zeros(v_var.shape))
+    pat_src = ad.gather_rows(v_pat, step.patient_idx)
+    msg_to_var = ad.relu(_linear(ad.concat([pat_src, e], axis=1), w_msg, b_msg))
+    agg_var = ad.scatter_add_rows(step.n_variables, step.variable_idx, msg_to_var)
 
     v_pat_new = ad.relu(_linear(ad.concat([v_pat, agg_pat], axis=1), w_node, b_node))
     v_var_new = ad.relu(_linear(ad.concat([v_var, agg_var], axis=1), w_node, b_node))
 
-    if step.n_edges:
-        pat_end = ad.gather_rows(v_pat_new, step.patient_idx)
-        var_end = ad.gather_rows(v_var_new, step.variable_idx)
-        update = ad.relu(_linear(ad.concat([pat_end, var_end, e], axis=1),
-                                 w_edge, b_edge))
-        e_new = ad.add(e, update)
-    else:
-        e_new = e
-    return v_pat_new, v_var_new, e_new
+    pat_end = ad.gather_rows(v_pat_new, step.patient_idx)
+    var_end = ad.gather_rows(v_var_new, step.variable_idx)
+    update = ad.relu(_linear(ad.concat([pat_end, var_end, e], axis=1), w_edge, b_edge))
+    return v_pat_new, v_var_new, ad.add(e, update)
 
 
 def message_pass(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,

@@ -59,6 +59,21 @@ def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return scores, labels
 
 
+def midranks(values) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks with ties sharing their mean rank, and the size of
+    every tie group (singletons included) in ascending value order."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="mergesort")
+    sorted_values = values[order]
+    new_group = np.ones(len(values), dtype=bool)
+    new_group[1:] = sorted_values[1:] != sorted_values[:-1]
+    starts = np.flatnonzero(new_group)
+    sizes = np.diff(np.r_[starts, len(values)])
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (2 * starts + sizes - 1) + 1.0, sizes)
+    return ranks, sizes
+
+
 def auroc(scores, labels) -> float:
     """Probability a random positive outranks a random negative (ties half)."""
     scores, labels = _validate(scores, labels)
@@ -67,16 +82,7 @@ def auroc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError(f"AUROC needs both classes, got {n_pos} positive "
                                    f"and {n_neg} negative")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    ranks, _ = midranks(scores)
     rank_sum = ranks[labels == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

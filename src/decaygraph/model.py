@@ -37,7 +37,12 @@ class ModelConfigError(ValueError):
 
 
 class CompatibilityError(ValueError):
-    """Checkpoint and dataset disagree on variables or classes."""
+    """Checkpoint and dataset disagree on variables or classes, or the
+    checkpoint's parameters are missing, truncated or non-finite."""
+
+
+class NonFiniteLossError(ValueError):
+    """A training batch produced a NaN or infinite loss."""
 
 
 @dataclass
@@ -176,7 +181,10 @@ class DecayGraphClassifier:
         v_pat = gr.init_patient_states(batch, d)
         v_var = self.params["node.var_table"]
         h_bank = Tensor(np.zeros((batch * v_count, d)))
-        diagnostics: dict = {"fusion_weights": []} if collect_diagnostics else {}
+        # per-prototype sum of fusion weights over every fused row, for
+        # the utilization diagnostic
+        diagnostics: dict = ({"fusion_weight_sum": np.zeros(cfg.codebook_size),
+                              "fusion_rows": 0} if collect_diagnostics else {})
 
         for t in range(n_steps):
             step = gr.build_graph_step(episodes, t, v_count)
@@ -187,8 +195,9 @@ class DecayGraphClassifier:
                     v_pat, w_pat = cb.soft_fuse(v_pat, self.params["codebook"])
                     v_var, w_var = cb.soft_fuse(v_var, self.params["codebook"])
                     if collect_diagnostics:
-                        diagnostics["fusion_weights"].append(w_pat)
-                        diagnostics["fusion_weights"].append(w_var)
+                        for w in (w_pat, w_var):
+                            diagnostics["fusion_weight_sum"] += w.sum(axis=0)
+                            diagnostics["fusion_rows"] += w.shape[0]
                 if flags.use_sna:
                     bank3 = ad.reshape(h_bank, (batch, v_count, d))
                     v_pat = tp.node_attention(v_pat, bank3, self.params["attn.proj"])
@@ -201,7 +210,7 @@ class DecayGraphClassifier:
             h_rows = ad.gather_rows(h_bank, flat_idx)
             if flags.use_tde:
                 gamma = tp.decay_factor(e, step.delta_t, cfg.decay_kernel, self.params)
-                h_hat = tp.decay_state(h_rows, gamma)
+                h_hat = ad.mul(h_rows, gamma)
             else:
                 h_hat = h_rows
             h_new = tp.gated_update(e, h_hat, self.params)
@@ -211,10 +220,8 @@ class DecayGraphClassifier:
             diagnostics["hidden_bank"] = h_bank.data.reshape(batch, v_count, d).copy()
         parts = [v_pat]
         if flags.retrieval_active:
-            indices, rows = cb.retrieve(v_pat, self.params["codebook"])
+            _, rows = cb.retrieve(v_pat, self.params["codebook"])
             parts.append(rows)
-            if collect_diagnostics:
-                diagnostics["retrieved_indices"] = indices
         if flags.use_hvs:
             counts = np.stack([ep.variable_counts() for ep in episodes])
             parts.append(head_reweight(h_bank, counts, batch, v_count, d))
@@ -255,14 +262,16 @@ def evaluate(model: DecayGraphClassifier, dataset: Dataset,
     if not dataset.episodes:
         raise ModelConfigError("evaluate needs a non-empty dataset")
     probs_chunks = []
-    fusion_weights = []
+    weight_sum = np.zeros(model.config.codebook_size)
+    fused_rows = 0
     bs = model.config.batch_size
     for start in range(0, len(dataset.episodes), bs):
         chunk = dataset.episodes[start:start + bs]
         probs, diagnostics = model.predict_proba(chunk, collect_diagnostics)
         probs_chunks.append(probs)
-        if collect_diagnostics and diagnostics.get("fusion_weights"):
-            fusion_weights.extend(diagnostics["fusion_weights"])
+        if collect_diagnostics:
+            weight_sum += diagnostics["fusion_weight_sum"]
+            fused_rows += diagnostics["fusion_rows"]
     probs = np.concatenate(probs_chunks, axis=0)
     labels = np.asarray([ep.label for ep in dataset.episodes])
 
@@ -270,9 +279,8 @@ def evaluate(model: DecayGraphClassifier, dataset: Dataset,
         report = binary_report(probs[:, 1], labels).to_dict()
     else:
         report = multiclass_report(probs, labels)
-    if collect_diagnostics and fusion_weights:
-        report["codebook_utilization"] = cb.utilization(
-            np.concatenate(fusion_weights, axis=0)).utilization
+    if fused_rows:
+        report["codebook_utilization"] = cb.utilization(weight_sum, fused_rows)
     return report
 
 
@@ -283,7 +291,8 @@ def fit(model: DecayGraphClassifier, train: Dataset, val: Dataset) -> dict:
 
     The monitor is AUPRC for binary tasks and accuracy otherwise. The
     best-monitor parameter snapshot is restored into the model before
-    returning. Fully deterministic for a fixed config seed.
+    returning. Fully deterministic for a fixed config seed. A NaN or
+    infinite batch loss stops training with :class:`NonFiniteLossError`.
     """
     if not train.episodes or not val.episodes:
         raise ModelConfigError("training needs non-empty train and val splits")
@@ -306,6 +315,9 @@ def fit(model: DecayGraphClassifier, train: Dataset, val: Dataset) -> dict:
             chunk = [train.episodes[i] for i in order[start:start + cfg.batch_size]]
             optimizer.zero_grad()
             loss = batch_loss(model, chunk)
+            if not np.isfinite(loss.item()):
+                raise NonFiniteLossError(f"loss {loss.item()} at epoch {epoch}, batch "
+                                         f"{start // cfg.batch_size + 1}")
             ad.backward(loss)
             optimizer.step()
             losses.append(loss.item())
@@ -375,15 +387,24 @@ def load_checkpoint(path: str) -> tuple[DecayGraphClassifier, dict]:
     config = ModelConfig(**payload["config"])
     flags = AblationFlags(**payload["flags"])
     model = DecayGraphClassifier(config, flags, payload["variables"])
+    missing = sorted(set(model.params) - set(payload["params"]))
+    if missing:
+        raise CompatibilityError(f"checkpoint lacks parameters {missing}")
     for name, entry in payload["params"].items():
         if name not in model.params:
             raise CompatibilityError(f"checkpoint parameter {name!r} has no slot")
         shape = tuple(entry["shape"])
-        data = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").reshape(shape)
         if model.params[name].data.shape != shape:
             raise CompatibilityError(f"parameter {name!r} shape {shape} does not match "
                                      f"model shape {model.params[name].data.shape}")
-        model.params[name].data = data.astype(np.float64).copy()
+        raw = base64.b64decode(entry["data"])
+        if len(raw) != 8 * int(np.prod(shape)):
+            raise CompatibilityError(f"parameter {name!r} has {len(raw)} bytes, shape "
+                                     f"{shape} needs {8 * int(np.prod(shape))}")
+        data = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        if not np.all(np.isfinite(data)):
+            raise CompatibilityError(f"parameter {name!r} has non-finite values")
+        model.params[name].data = data.astype(np.float64)
     meta = {
         "t_max": payload.get("t_max"),
         "norm_means": None if payload.get("norm_means") is None

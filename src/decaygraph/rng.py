@@ -92,9 +92,3 @@ class SplitMix64:
         for i in range(out.size):
             out[i] = self.uniform(lo, hi)
         return out.reshape(shape)
-
-    def normal_array(self, shape, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(out.size):
-            out[i] = self.normal(mu, sigma)
-        return out.reshape(shape)

@@ -62,11 +62,6 @@ def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
     return ad.relu(ad.sub(Tensor(np.ones_like(delta_t)), scaled))
 
 
-def decay_state(h: Tensor, gamma: Tensor) -> Tensor:
-    """Elementwise discount, gamma broadcast over the feature axis."""
-    return ad.mul(h, gamma)
-
-
 def gated_update(e: Tensor, h_hat: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Sigmoid-gated convex combination of decayed state and new feature."""
     r = ad.sigmoid(ad.add(ad.matmul(ad.concat([e, h_hat], axis=1), params["gate.w"]),

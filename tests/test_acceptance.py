@@ -6,7 +6,6 @@ with ``pytest -s``). Criteria with runtime budgets assert them.
 
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from decaygraph.autodiff import Tensor
 from decaygraph.cli import main as cli_main
 from decaygraph.data import (DatasetSplits, SyntheticConfig, delta_t_from_times,
                              leave_variables_out, normalize_splits, split_dataset,
-                             synthesize, _fill_delta_t)
+                             synthesize, truncate_episodes)
 from decaygraph.model import (AblationFlags, DecayGraphClassifier, ModelConfig,
                               evaluate, fit, gradient_check)
 
@@ -39,12 +38,7 @@ def test_c01_full_model_gradient_fidelity():
                              obs_per_episode=4.0, horizon=24.0,
                              label_coeffs=[1.0, -1.0, 0.5], seed=3)
     dataset = synthesize(config)
-    episodes = []
-    for ep in dataset.episodes:
-        k = min(4, ep.n_steps)
-        times, values, mask = ep.times[:k], ep.values[:k], ep.mask[:k]
-        episodes.append(replace(ep, times=times, values=values, mask=mask,
-                                delta_t=_fill_delta_t(times, mask, 24.0)))
+    episodes = truncate_episodes(dataset.episodes, 4, 24.0)
     assert len(episodes) == 2
     assert max(ep.n_steps for ep in episodes) == 4
 

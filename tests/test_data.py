@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decaygraph import data as dg
 from decaygraph.data import (CompletenessError, DataValidationError, ParseError,
@@ -59,6 +61,48 @@ def test_delta_t_positive_and_bounded():
         assert np.all(out <= 48.0)
 
 
+def delta_t_loop_oracle(times, t_max):
+    """The per-element reading of the interval rule."""
+    n = len(times)
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        has_prev = i > 0
+        has_next = i < n - 1
+        if has_prev and has_next:
+            out[i] = 0.5 * ((times[i] - times[i - 1]) + (times[i + 1] - times[i]))
+        elif has_prev:
+            out[i] = times[i] - times[i - 1]
+        elif has_next:
+            out[i] = times[i + 1] - times[i]
+        else:
+            out[i] = t_max / 2.0
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1e6), max_size=40, unique=True),
+       st.floats(1e-3, 1e6))
+def test_delta_t_matches_loop_oracle_bitwise(raw, t_max):
+    times = np.sort(np.asarray(raw, dtype=np.float64))
+    np.testing.assert_array_equal(delta_t_from_times(times, t_max),
+                                  delta_t_loop_oracle(times, t_max))
+
+
+def test_truncate_episodes_recomputes_intervals():
+    cfg = SyntheticConfig(n_variables=2, n_episodes=3, decay_rates=[1.0, 0.5],
+                          obs_per_episode=6.0, horizon=24.0, seed=5,
+                          label_coeffs=[1.0, -1.0])
+    ds = synthesize(cfg)
+    for ep, cut in zip(ds.episodes, dg.truncate_episodes(ds.episodes, 3, 24.0)):
+        k = min(3, ep.n_steps)
+        assert cut.n_steps == k and cut.label == ep.label
+        np.testing.assert_array_equal(cut.values, ep.values[:k])
+        for v in range(2):
+            steps = np.flatnonzero(cut.mask[:, v])
+            np.testing.assert_array_equal(cut.delta_t[steps, v],
+                                          delta_t_from_times(cut.times[steps], 24.0))
+
+
 # -- loading ---------------------------------------------------------------------
 
 def test_load_two_patients(tmp_path):
@@ -80,6 +124,14 @@ def test_load_empty_observations(tmp_path):
     lab = write(tmp_path, "l.csv", LAB_HEADER)
     ds = load_dataset(obs, lab)
     assert len(ds) == 0
+
+
+def test_labelled_patients_without_observations_warn(tmp_path):
+    obs = write(tmp_path, "o.csv", OBS_HEADER + "pa,1.0,hr,5\n")
+    lab = write(tmp_path, "l.csv", LAB_HEADER + "pa,0\npb,1\npc,0\n")
+    with pytest.warns(UserWarning, match="2 labelled patients have no observations"):
+        ds = load_dataset(obs, lab)
+    assert [ep.patient_id for ep in ds.episodes] == ["pa"]
 
 
 def test_duplicate_rows_last_wins(tmp_path):
@@ -170,14 +222,6 @@ def test_normalize_unobserved_variable_identity():
     means, stds = dg.training_stats(
         dg.Dataset(["a"], [], t_max=10.0, n_classes=2))
     assert means[0] == 0.0 and stds[0] == 1.0
-
-
-def test_normalization_round_trip():
-    splits = make_synthetic_splits(seed=4)
-    normalized = normalize_splits(splits)
-    recovered = dg.denormalize(normalized.val)
-    for before, after in zip(splits.val.episodes, recovered.episodes):
-        np.testing.assert_allclose(after.values, before.values, atol=1e-9)
 
 
 # -- splitting -----------------------------------------------------------------------

@@ -6,6 +6,8 @@ numpy, independent of the tensor library.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decaygraph import autodiff as ad
 from decaygraph import graph as gr
@@ -188,6 +190,23 @@ def test_isolated_node_uses_empty_sum():
     expected = relu_np(np.concatenate([isolated, np.zeros(d)]) @ params["sage0.node_w"].data
                        + params["sage0.node_b"].data)
     np.testing.assert_allclose(out_var.data[1], expected, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 3), st.integers(0, 99))
+def test_zero_edge_layer_updates_every_node_from_empty_sums(d, v, b, seed):
+    params = tiny_params(d=d, v=v, seed=seed)
+    step = gr.build_graph_step([episode_from_mask(np.zeros((1, v)))] * b, 0, v)
+    assert step.n_edges == 0
+    e = gr.init_edge_embeddings(step, params)
+    v_pat = gr.init_patient_states(b, d)
+    v_var = params["node.var_table"]
+    out_pat, out_var, out_e = gr.message_pass_layer(step, v_pat, v_var, e, params, 0)
+    w, bias = params["sage0.node_w"].data, params["sage0.node_b"].data
+    for before, after in ((v_pat.data, out_pat.data), (v_var.data, out_var.data)):
+        expected = relu_np(np.concatenate([before, np.zeros_like(before)], axis=1) @ w + bias)
+        np.testing.assert_allclose(after, expected, atol=1e-12)
+    assert out_e.shape == (0, d)
 
 
 def test_edge_order_does_not_change_outputs():

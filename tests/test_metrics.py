@@ -7,6 +7,9 @@ and explicit bin membership for ECE.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from decaygraph import metrics as mx
 from decaygraph.metrics import MetricConfigError, MetricUndefinedError
@@ -208,3 +211,14 @@ def test_binary_report_fields_match_components():
     assert report.brier == mx.brier(scores, labels)
     assert report.mean_pos_prob == mx.mean_pos_prob(scores, labels)
     assert report.n_pos + report.n_neg == 12
+
+
+# -- midranks ---------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-4, 4).map(float) | st.floats(-1e3, 1e3), max_size=40))
+def test_midranks_match_scipy(raw):
+    values = np.asarray(raw, dtype=np.float64)
+    ranks, sizes = mx.midranks(values)
+    np.testing.assert_array_equal(ranks, rankdata(values, method="average"))
+    np.testing.assert_array_equal(sizes, np.unique(values, return_counts=True)[1])

@@ -1,18 +1,22 @@
 """Full-model behaviour: forward contracts, ablations, training loop,
 checkpoints and the finite-difference audit."""
 
+import base64
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from decaygraph import autodiff as ad
+from decaygraph import codebook as cb
 from decaygraph.autodiff import Tensor
-from decaygraph.data import (Episode, SyntheticConfig, _fill_delta_t,
-                             split_dataset, synthesize)
+from decaygraph.data import (Episode, SyntheticConfig, delta_t_from_times,
+                             split_dataset, synthesize, truncate_episodes)
 from decaygraph.model import (AblationFlags, CompatibilityError,
                               DecayGraphClassifier, ModelConfig,
-                              ModelConfigError, check_compatibility,
+                              ModelConfigError, NonFiniteLossError,
+                              check_compatibility,
                               evaluate, fit, gradient_check, head_reweight,
                               load_checkpoint, save_checkpoint)
 
@@ -33,22 +37,12 @@ def tiny_model(variables, d=8, k=8, layers=2, seed=0, flags=None, kernel="mlp_ex
     return DecayGraphClassifier(cfg, flags or AblationFlags(), variables)
 
 
-def trim(episodes, n_steps, t_max):
-    out = []
-    for ep in episodes:
-        k = min(n_steps, ep.n_steps)
-        times, values, mask = ep.times[:k], ep.values[:k], ep.mask[:k]
-        out.append(replace(ep, times=times, values=values, mask=mask,
-                           delta_t=_fill_delta_t(times, mask, t_max)))
-    return out
-
-
 # -- forward contracts ---------------------------------------------------------
 
 def test_logits_shape():
     ds = synth(n=2)
     model = tiny_model(ds.variables)
-    logits, _ = model.forward(trim(ds.episodes, 4, 24.0))
+    logits, _ = model.forward(truncate_episodes(ds.episodes, 4, 24.0))
     assert logits.shape == (2, 2)
 
 
@@ -274,6 +268,15 @@ def test_loss_decreases_early_for_most_seeds():
     assert wins >= 4
 
 
+def test_fit_stops_on_non_finite_loss():
+    ds = synth(n=12, seed=31)
+    splits = balanced_splits(ds, 6, 4, 2)
+    model = tiny_model(ds.variables, epochs=2)
+    model.params["head.b2"].data[0] = np.nan
+    with pytest.raises(NonFiniteLossError, match="epoch 1, batch 1"):
+        fit(model, splits.train, splits.val)
+
+
 def test_fit_rejects_empty_split():
     ds = synth(n=6, seed=43)
     model = tiny_model(ds.variables)
@@ -290,6 +293,28 @@ def test_evaluate_report_fields():
                 "n_pos", "n_neg", "codebook_utilization"):
         assert key in report
     assert 0.0 <= report["codebook_utilization"] <= 1.0
+
+
+def test_utilization_accumulates_over_steps_and_batches(monkeypatch):
+    """The streamed weight sums give the utilization of every fusion row
+    of every step and batch, kept and concatenated."""
+    ds = synth(n=10, seed=47)
+    kept = []
+    true_fuse = cb.soft_fuse
+
+    def keeping_fuse(g, book):
+        fused, weights = true_fuse(g, book)
+        kept.append(weights.copy())
+        return fused, weights
+
+    monkeypatch.setattr(cb, "soft_fuse", keeping_fuse)
+    for batch_size in (1, 3, 10):
+        kept.clear()
+        model = tiny_model(ds.variables, batch_size=batch_size)
+        report = evaluate(model, ds, collect_diagnostics=True)
+        rows = np.concatenate(kept)
+        expected = float((rows.mean(axis=0) > 1.0 / rows.shape[1]).mean())
+        assert report["codebook_utilization"] == expected
 
 
 def test_multiclass_evaluate():
@@ -332,13 +357,38 @@ def test_checkpoint_compatibility_check():
 
 
 def test_checkpoint_rejects_foreign_format(tmp_path):
-    import json
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format": "something-else", "version": 1}))
     with pytest.raises(CompatibilityError):
         load_checkpoint(str(path))
     path.write_text(json.dumps({"format": "decaygraph-checkpoint", "version": 99}))
     with pytest.raises(CompatibilityError):
+        load_checkpoint(str(path))
+
+
+def _drop_block(params, raw):
+    del params["codebook"]
+
+
+def _truncate_payload(params, raw):
+    params["codebook"]["data"] = base64.b64encode(raw[:-8]).decode("ascii")
+
+
+def _poison_value(params, raw):
+    data = np.frombuffer(raw, dtype="<f8").copy()
+    data[3] = np.nan
+    params["codebook"]["data"] = base64.b64encode(data.tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize("corrupt", [_drop_block, _truncate_payload, _poison_value])
+def test_checkpoint_rejects_corrupt_parameter(tmp_path, corrupt):
+    ds = synth(n=2, seed=53)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(str(path), tiny_model(ds.variables, seed=8))
+    payload = json.loads(path.read_text())
+    corrupt(payload["params"], base64.b64decode(payload["params"]["codebook"]["data"]))
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CompatibilityError, match="codebook"):
         load_checkpoint(str(path))
 
 
@@ -369,7 +419,7 @@ def test_two_step_forward_matches_numpy_oracle():
     times = np.array([1.5, 4.0])
     values = np.array([[0.7], [-1.2]])
     mask = np.ones((2, 1))
-    ep = Episode("p", times, values, mask, _fill_delta_t(times, mask, 24.0), 1)
+    ep = Episode("p", times, values, mask, delta_t_from_times(times, 24.0)[:, None], 1)
     config = ModelConfig(hidden_dim=d, codebook_size=1, n_layers=1,
                          batch_size=1, seed=13)
     model = DecayGraphClassifier(config, AblationFlags(), ["v"])
@@ -427,7 +477,7 @@ def test_two_step_forward_matches_numpy_oracle():
 
 def test_micro_gradient_check_all_kernels():
     ds = synth(n=2, seed=59, v=2, rates=(0.5, 2.0), coeffs=(1.0, -1.0))
-    episodes = trim(ds.episodes, 2, 24.0)
+    episodes = truncate_episodes(ds.episodes, 2, 24.0)
     for kernel in ("mlp_exp", "exp", "mlp_gaussian", "mlp_linear"):
         model = tiny_model(ds.variables[:2], d=4, k=4, layers=1, seed=61,
                            kernel=kernel)
@@ -437,7 +487,7 @@ def test_micro_gradient_check_all_kernels():
 
 def test_gradient_check_catches_corrupted_rule(monkeypatch):
     ds = synth(n=2, seed=59, v=2, rates=(0.5, 2.0), coeffs=(1.0, -1.0))
-    episodes = trim(ds.episodes, 2, 24.0)
+    episodes = truncate_episodes(ds.episodes, 2, 24.0)
 
     import decaygraph.autodiff as autodiff_module
     true_sigmoid = autodiff_module.sigmoid

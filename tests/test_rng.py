@@ -82,5 +82,3 @@ def test_array_helpers_shapes_and_bounds():
     u = rng.uniform_array((3, 4), -0.25, 0.25)
     assert u.shape == (3, 4)
     assert np.all((u >= -0.25) & (u < 0.25))
-    n = rng.normal_array((2, 5), mu=1.0, sigma=0.1)
-    assert n.shape == (2, 5)

@@ -88,16 +88,6 @@ def test_exp_and_gaussian_strictly_positive_at_huge_gap():
 
 # -- state decay and gate ----------------------------------------------------------
 
-def test_decay_state_identity_and_scaling():
-    h = Tensor(np.array([[2.0, 2.0]]))
-    np.testing.assert_array_equal(tp.decay_state(h, Tensor(np.array([[1.0]]))).data,
-                                  h.data)
-    np.testing.assert_array_equal(tp.decay_state(h, Tensor(np.array([[0.5]]))).data,
-                                  [[1.0, 1.0]])
-    np.testing.assert_array_equal(tp.decay_state(h, Tensor(np.array([[0.0]]))).data,
-                                  [[0.0, 0.0]])
-
-
 def test_gate_endpoints():
     params = params_for()
     params["gate.w"].data[:] = 0.0
@@ -167,7 +157,7 @@ def test_gradients_flow_through_decay_and_gate():
         e = Tensor(e_data, tracked=False)
         h = Tensor(np.random.default_rng(14).normal(size=(6, 4)))
         gamma = tp.decay_factor(e, np.full(6, 0.5), kernel, params)
-        out = tp.gated_update(e, tp.decay_state(h, gamma), params)
+        out = tp.gated_update(e, ad.mul(h, gamma), params)
         ad.backward(ad.tensor_sum(ad.mul(out, out)))
         touched = [name for name, p in params.items()
                    if p.grad is not None and np.any(p.grad != 0.0)]
