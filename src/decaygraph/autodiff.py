@@ -131,16 +131,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def neg(a: Tensor) -> Tensor:
-    out = _make(-a.data, (a,), "neg")
-
-    def bw(g):
-        _accumulate(a, -g)
-
-    out._backward = bw
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
@@ -149,6 +139,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
         _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+
+    out._backward = bw
+    return out
+
+
+def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
+    """``concatenate(parts, axis=1) @ w + b`` as one node. The backward pass
+    evaluates the same numpy expressions as separate matmul and add nodes
+    would, so results match that chain bit for bit."""
+    if (not parts or w.ndim != 2
+            or any(p.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts)
+            or sum(p.shape[1] for p in parts) != w.shape[0]):
+        raise ShapeError(f"linear shapes incompatible: {[p.shape for p in parts]} "
+                         f"@ {w.shape}")
+    widths = [p.shape[1] for p in parts]
+    x = np.concatenate([p.data for p in parts], axis=1)
+    out = _make(np.matmul(x, w.data) + b.data, (*parts, w, b), "linear")
+
+    def bw(g):
+        gx = np.matmul(g, w.data.T)
+        start = 0
+        for p, width in zip(parts, widths):
+            _accumulate(p, gx[:, start:start + width])
+            start += width
+        _accumulate(w, np.matmul(x.T, g))
+        _accumulate(b, _unbroadcast(g, b.shape))
 
     out._backward = bw
     return out
@@ -166,9 +182,14 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp of a non-positive argument only, so neither branch overflows
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    s = _sigmoid(a.data)
     out = _make(s, (a,), "sigmoid")
 
     def bw(g):
@@ -185,8 +206,7 @@ def softplus(a: Tensor) -> Tensor:
     out = _make(val, (a,), "softplus")
 
     def bw(g):
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        _accumulate(a, g * s)
+        _accumulate(a, g * _sigmoid(x))
 
     out._backward = bw
     return out
@@ -261,33 +281,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if not keepdims:
             gg = np.expand_dims(gg, axis)
         _accumulate(a, np.broadcast_to(gg, a.shape).copy())
-
-    out._backward = bw
-    return out
-
-
-def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise ShapeError("concat needs at least one tensor")
-    axis = _check_axis(parts[0], axis)
-    for p in parts[1:]:
-        if p.ndim != parts[0].ndim:
-            raise ShapeError(f"concat rank mismatch: {parts[0].shape} vs {p.shape}")
-        for ax in range(p.ndim):
-            if ax != axis and p.shape[ax] != parts[0].shape[ax]:
-                raise ShapeError(f"concat shapes incompatible on axis {ax}: "
-                                 f"{parts[0].shape} vs {p.shape}")
-    out = _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), "concat")
-    sizes = [p.shape[axis] for p in parts]
-
-    def bw(g):
-        start = 0
-        for p, size in zip(parts, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + size)
-            _accumulate(p, g[tuple(sl)])
-            start += size
 
     out._backward = bw
     return out

@@ -88,7 +88,7 @@ def time_embedding(times: np.ndarray, freq: Tensor, phase: Tensor) -> Tensor:
     sin(freq[k] * t + phase[k]).
     """
     t_col = Tensor(times.reshape(-1, 1))
-    raw = ad.add(ad.matmul(t_col, freq), phase)
+    raw = ad.linear([t_col], freq, phase)
     dim = freq.shape[1]
     linear_mask = np.zeros((1, dim))
     linear_mask[0, 0] = 1.0
@@ -101,16 +101,12 @@ def init_edge_embeddings(step: GraphStep, params: dict[str, Tensor],
                          use_time_embedding: bool = True) -> Tensor:
     """Per-edge features: value projection + time embedding + type embedding."""
     value_col = Tensor(step.values.reshape(-1, 1))
-    e = ad.add(ad.matmul(value_col, params["edge.value_w"]), params["edge.value_b"])
+    e = ad.linear([value_col], params["edge.value_w"], params["edge.value_b"])
     if use_time_embedding:
         e = ad.add(e, time_embedding(step.times, params["edge.time_freq"],
                                      params["edge.time_phase"]))
     e = ad.add(e, ad.gather_rows(params["edge.var_table"], step.variable_idx))
     return e
-
-
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, w), b)
 
 
 def message_pass_layer(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
@@ -129,19 +125,19 @@ def message_pass_layer(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
     b_edge = params[f"sage{layer}.edge_b"]
 
     var_src = ad.gather_rows(v_var, step.variable_idx)
-    msg_to_pat = ad.relu(_linear(ad.concat([var_src, e], axis=1), w_msg, b_msg))
+    msg_to_pat = ad.relu(ad.linear([var_src, e], w_msg, b_msg))
     agg_pat = ad.scatter_add_rows(step.n_patients, step.patient_idx, msg_to_pat)
 
     pat_src = ad.gather_rows(v_pat, step.patient_idx)
-    msg_to_var = ad.relu(_linear(ad.concat([pat_src, e], axis=1), w_msg, b_msg))
+    msg_to_var = ad.relu(ad.linear([pat_src, e], w_msg, b_msg))
     agg_var = ad.scatter_add_rows(step.n_variables, step.variable_idx, msg_to_var)
 
-    v_pat_new = ad.relu(_linear(ad.concat([v_pat, agg_pat], axis=1), w_node, b_node))
-    v_var_new = ad.relu(_linear(ad.concat([v_var, agg_var], axis=1), w_node, b_node))
+    v_pat_new = ad.relu(ad.linear([v_pat, agg_pat], w_node, b_node))
+    v_var_new = ad.relu(ad.linear([v_var, agg_var], w_node, b_node))
 
     pat_end = ad.gather_rows(v_pat_new, step.patient_idx)
     var_end = ad.gather_rows(v_var_new, step.variable_idx)
-    update = ad.relu(_linear(ad.concat([pat_end, var_end, e], axis=1), w_edge, b_edge))
+    update = ad.relu(ad.linear([pat_end, var_end, e], w_edge, b_edge))
     return v_pat_new, v_var_new, ad.add(e, update)
 
 

@@ -25,14 +25,15 @@ class MetricConfigError(ValueError):
 
 @dataclass
 class MetricsReport:
-    auroc: float
-    auprc: float
+    """Binary metrics; an undefined one is None, its reason in ``undefined``."""
+    auroc: float | None
+    auprc: float | None
     ece: float
     brier: float
-    mean_pos_prob: float
+    mean_pos_prob: float | None
     n_pos: int
     n_neg: int
-    extras: dict = field(default_factory=dict)
+    undefined: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {
@@ -44,7 +45,8 @@ class MetricsReport:
             "n_pos": self.n_pos,
             "n_neg": self.n_neg,
         }
-        out.update(self.extras)
+        if self.undefined:
+            out["undefined"] = self.undefined
         return out
 
 
@@ -95,25 +97,12 @@ def auprc(scores, labels) -> float:
         raise MetricUndefinedError("AUPRC needs at least one positive sample")
     order = np.argsort(-scores, kind="mergesort")
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    ap = 0.0
-    tp = 0
-    fp = 0
-    prev_recall = 0.0
-    i = 0
-    n = len(sorted_scores)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        tp += int((sorted_labels[i:j + 1] == 1).sum())
-        fp += (j - i + 1) - int((sorted_labels[i:j + 1] == 1).sum())
-        precision = tp / (tp + fp)
-        recall = tp / n_pos
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return float(ap)
+    ends = np.flatnonzero(np.r_[sorted_scores[1:] != sorted_scores[:-1], True])
+    tp = np.cumsum(labels[order] == 1)[ends]
+    precision = tp / (ends + 1)
+    recall = tp / n_pos
+    # cumsum adds left to right, the order of the step-wise sum
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def ece(scores, labels, bins: int = 10) -> float:
@@ -158,14 +147,21 @@ def mean_pos_prob(scores, labels) -> float:
 
 def binary_report(scores, labels, bins: int = 10) -> MetricsReport:
     scores, labels = _validate(scores, labels)
+    values, undefined = {}, {}
+    for name, metric in (("auroc", auroc), ("auprc", auprc),
+                         ("mean_pos_prob", mean_pos_prob)):
+        try:
+            values[name] = metric(scores, labels)
+        except MetricUndefinedError as exc:
+            values[name] = None
+            undefined[name] = str(exc)
     return MetricsReport(
-        auroc=auroc(scores, labels),
-        auprc=auprc(scores, labels),
+        **values,
         ece=ece(scores, labels, bins=bins),
         brier=brier(scores, labels),
-        mean_pos_prob=mean_pos_prob(scores, labels),
         n_pos=int((labels == 1).sum()),
         n_neg=int((labels == 0).sum()),
+        undefined=undefined,
     )
 
 

@@ -225,11 +225,8 @@ class DecayGraphClassifier:
         if flags.use_hvs:
             counts = np.stack([ep.variable_counts() for ep in episodes])
             parts.append(head_reweight(h_bank, counts, batch, v_count, d))
-        z = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
-        hidden = ad.relu(ad.add(ad.matmul(z, self.params["head.w1"]),
-                                self.params["head.b1"]))
-        logits = ad.add(ad.matmul(hidden, self.params["head.w2"]),
-                        self.params["head.b2"])
+        hidden = ad.relu(ad.linear(parts, self.params["head.w1"], self.params["head.b1"]))
+        logits = ad.linear([hidden], self.params["head.w2"], self.params["head.b2"])
         return logits, diagnostics
 
     def predict_proba(self, episodes: list[Episode],
@@ -293,11 +290,16 @@ def fit(model: DecayGraphClassifier, train: Dataset, val: Dataset) -> dict:
     best-monitor parameter snapshot is restored into the model before
     returning. Fully deterministic for a fixed config seed. A NaN or
     infinite batch loss stops training with :class:`NonFiniteLossError`.
+    A binary validation split with no positive episode is refused (AUPRC
+    is undefined); one with no negative trains, recording ``val_auroc`` None.
     """
     if not train.episodes or not val.episodes:
         raise ModelConfigError("training needs non-empty train and val splits")
     cfg = model.config
     monitor_key = "auprc" if cfg.n_classes == 2 else "accuracy"
+    if monitor_key == "auprc" and not any(ep.label == 1 for ep in val.episodes):
+        raise ModelConfigError(f"validation split has no positive episode among "
+                               f"{len(val.episodes)}, so its AUPRC monitor is undefined")
     optimizer = Adam(model.params, lr=cfg.lr)
     shuffle_rng = SplitMix64(cfg.seed).fork("batch-order")
 

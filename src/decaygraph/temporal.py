@@ -32,9 +32,8 @@ def decay_rate(e: Tensor, kernel: str, params: dict[str, Tensor]) -> Tensor:
         raw = params["decay.rate_raw"]
         ones = Tensor(np.ones((e.shape[0], 1)))
         return ad.softplus(ad.matmul(ones, raw))
-    hidden = ad.relu(ad.add(ad.matmul(e, params["decay.w1"]), params["decay.b1"]))
-    raw = ad.add(ad.matmul(hidden, params["decay.w2"]), params["decay.b2"])
-    return ad.softplus(raw)
+    hidden = ad.relu(ad.linear([e], params["decay.w1"], params["decay.b1"]))
+    return ad.softplus(ad.linear([hidden], params["decay.w2"], params["decay.b2"]))
 
 
 # keeps the exponential kernels strictly positive where float64 exp
@@ -54,18 +53,18 @@ def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
     if np.any(delta_t < 0):
         raise ContractError(f"delta_t must be non-negative, got min {delta_t.min()}")
     rate = decay_rate(e, kernel, params)
-    scaled = ad.mul(rate, Tensor(delta_t))
-    if kernel in ("mlp_exp", "exp"):
-        return ad.add(ad.exp(ad.neg(scaled)), Tensor(UNDERFLOW_FLOOR))
+    # the sign sits in the constant: rate * (-dt) rounds exactly as -(rate * dt)
+    neg_scaled = ad.mul(rate, Tensor(-delta_t))
+    if kernel == "mlp_linear":
+        return ad.relu(ad.add(neg_scaled, Tensor(1.0)))
     if kernel == "mlp_gaussian":
-        return ad.add(ad.exp(ad.neg(ad.mul(scaled, scaled))), Tensor(UNDERFLOW_FLOOR))
-    return ad.relu(ad.sub(Tensor(np.ones_like(delta_t)), scaled))
+        neg_scaled = ad.mul(neg_scaled, ad.mul(rate, Tensor(delta_t)))
+    return ad.add(ad.exp(neg_scaled), Tensor(UNDERFLOW_FLOOR))
 
 
 def gated_update(e: Tensor, h_hat: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Sigmoid-gated convex combination of decayed state and new feature."""
-    r = ad.sigmoid(ad.add(ad.matmul(ad.concat([e, h_hat], axis=1), params["gate.w"]),
-                          params["gate.b"]))
+    r = ad.sigmoid(ad.linear([e, h_hat], params["gate.w"], params["gate.b"]))
     one_minus = ad.sub(Tensor(np.ones(r.shape)), r)
     return ad.add(ad.mul(one_minus, h_hat), ad.mul(r, e))
 

@@ -7,6 +7,8 @@ no reuse of the backward rules under test).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decaygraph import autodiff as ad
 from decaygraph.autodiff import ContractError, ShapeError, Tensor
@@ -105,9 +107,16 @@ def test_softmax_invalid_axis():
         ad.softmax(Tensor(np.zeros((2, 2))), axis=5)
 
 
-def test_concat_shape_error():
+def test_linear_shape_error():
+    w, b = Tensor(np.zeros((7, 2))), Tensor(np.zeros(2))
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 4\).*\(7, 2\)"):
+        ad.linear([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))], w, b)
     with pytest.raises(ShapeError):
-        ad.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))], axis=1)
+        ad.linear([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3)))], w, b)
+    with pytest.raises(ShapeError):
+        ad.linear([Tensor(np.zeros(7))], w, b)
+    with pytest.raises(ShapeError):
+        ad.linear([], w, b)
 
 
 def test_finite_outputs_on_extreme_inputs():
@@ -198,7 +207,8 @@ def test_unary_op_gradients():
         (ad.softplus, rand((3, 4), 12)),
         (ad.exp, rand((3, 4), 13, lo=-1.5, hi=1.0)),
         (ad.sin, rand((3, 4), 14)),
-        (ad.neg, rand((3, 4), 15)),
+        (lambda t: ad.linear([t], Tensor(rand((4, 2), 15)), Tensor(rand((2,), 19))),
+         rand((3, 4), 15)),
         (lambda t: ad.softmax(t, axis=1), rand((3, 4), 16)),
         (lambda t: ad.log_softmax(t, axis=1), rand((3, 4), 17)),
         (lambda t: ad.tensor_sum(t, axis=0), rand((3, 4), 18)),
@@ -240,11 +250,14 @@ def test_binary_op_gradients_with_broadcasting():
         check_grads(loss, [a, b])
 
 
-def test_concat_and_indexing_gradients():
+def test_linear_and_indexing_gradients():
     a = Tensor(rand((3, 4), 40), tracked=True)
-    b = Tensor(rand((2, 4), 41), tracked=True)
-    w = Tensor(rand((5, 4), 42))
-    check_grads(lambda: ad.tensor_sum(ad.mul(ad.concat([a, b], axis=0), w)), [a, b])
+    b = Tensor(rand((3, 2), 41), tracked=True)
+    w = Tensor(rand((6, 5), 42), tracked=True)
+    bias = Tensor(rand((1, 5), 39), tracked=True)
+    out_w = Tensor(rand((3, 5), 38))
+    check_grads(lambda: ad.tensor_sum(ad.mul(ad.linear([a, b], w, bias), out_w)),
+                [a, b, w, bias])
 
     table = Tensor(rand((6, 3), 43), tracked=True)
     idx = np.array([0, 2, 2, 5])
@@ -273,3 +286,25 @@ def test_matmul_grad_matches_fd_example():
     a = Tensor(rand((3, 4), 50), tracked=True)
     b = Tensor(rand((4, 2), 51))
     check_grads(lambda: ad.tensor_sum(ad.matmul(a, b)), [a], rtol=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 4), widths=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       out=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_linear_matches_concat_matmul_add(rows, widths, out, seed):
+    parts = [Tensor(rand((rows, width), seed + i), tracked=True)
+             for i, width in enumerate(widths)]
+    w = Tensor(rand((sum(widths), out), seed + 10), tracked=True)
+    b = Tensor(rand((out,), seed + 11), tracked=True)
+    expected = np.concatenate([p.data for p in parts], axis=1) @ w.data + b.data
+    np.testing.assert_array_equal(ad.linear(parts, w, b).data, expected)
+
+    out_w = Tensor(rand((rows, out), seed + 12))
+    check_grads(lambda: ad.tensor_sum(ad.mul(ad.linear(parts, w, b), out_w)),
+                [*parts, w, b])
+
+    extra_row = Tensor(np.zeros((rows + 1, 1)))
+    with pytest.raises(ShapeError):
+        ad.linear([*parts, extra_row], Tensor(np.zeros((sum(widths) + 1, out))), b)
+    with pytest.raises(ShapeError):
+        ad.linear(parts, Tensor(np.zeros((sum(widths) + 1, out))), b)

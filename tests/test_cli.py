@@ -276,18 +276,18 @@ def test_gradcheck_passes_and_lists_blocks(capsys):
     assert "codebook" in names and "head.w1" in names
 
 
-def test_gradcheck_fails_on_corrupted_rule(monkeypatch):
+@pytest.mark.parametrize("op", ["sigmoid", "linear"])
+def test_gradcheck_fails_on_corrupted_rule(monkeypatch, op):
     import decaygraph.autodiff as autodiff_module
-    import decaygraph.temporal as temporal_module
-    true_sigmoid = autodiff_module.sigmoid
+    true_op = getattr(autodiff_module, op)
 
-    def corrupted(a):
-        out = true_sigmoid(a)
+    def corrupted(*args):
+        out = true_op(*args)
         inner = out._backward
         out._backward = lambda g: inner(g * 1.5)
         return out
 
-    monkeypatch.setattr(temporal_module.ad, "sigmoid", corrupted)
+    monkeypatch.setattr(autodiff_module, op, corrupted)
     assert run("gradcheck") != 0
 
 

@@ -222,3 +222,57 @@ def test_midranks_match_scipy(raw):
     ranks, sizes = mx.midranks(values)
     np.testing.assert_array_equal(ranks, rankdata(values, method="average"))
     np.testing.assert_array_equal(sizes, np.unique(values, return_counts=True)[1])
+
+
+# -- auprc against the tie-group loop it replaced -----------------------------------
+
+def auprc_loop(scores, labels):
+    """Average precision summed one tie group at a time."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    order = np.argsort(-scores, kind="mergesort")
+    sorted_scores, sorted_labels = scores[order], labels[order]
+    ap, tp, fp, prev_recall, i, n = 0.0, 0, 0, 0.0, 0, len(scores)
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        group_tp = int((sorted_labels[i:j + 1] == 1).sum())
+        tp += group_tp
+        fp += (j - i + 1) - group_tp
+        recall = tp / n_pos
+        ap += (recall - prev_recall) * (tp / (tp + fp))
+        prev_recall = recall
+        i = j + 1
+    return ap
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6).map(lambda k: k / 6.0) | st.floats(0.0, 1.0),
+                          st.integers(0, 1)), min_size=1, max_size=60))
+def test_auprc_equals_tie_group_loop_exactly(pairs):
+    scores = np.array([p[0] for p in pairs])
+    labels = np.array([p[1] for p in pairs])
+    labels[0] = 1
+    assert mx.auprc(scores, labels) == auprc_loop(scores, labels)
+
+
+# -- single-class splits --------------------------------------------------------------
+
+@pytest.mark.parametrize("labels, undefined", [
+    ([1, 1, 1], {"auroc"}),
+    ([0, 0, 0], {"auroc", "auprc", "mean_pos_prob"}),
+])
+def test_binary_report_single_class_gives_nulls_with_reasons(labels, undefined):
+    scores = [0.2, 0.5, 0.9]
+    report = mx.binary_report(scores, labels).to_dict()
+    assert set(report["undefined"]) == undefined
+    for name in ("auroc", "auprc", "mean_pos_prob"):
+        assert (report[name] is None) == (name in undefined)
+    assert "both classes" in report["undefined"]["auroc"]
+    assert report["brier"] == mx.brier(scores, labels)
+
+
+def test_binary_report_omits_undefined_key_when_all_defined():
+    assert "undefined" not in mx.binary_report([0.2, 0.9], [0, 1]).to_dict()

@@ -285,6 +285,21 @@ def test_fit_rejects_empty_split():
         fit(model, ds, empty)
 
 
+def test_fit_single_class_validation_split():
+    ds = synth(n=30, seed=1)
+    splits = balanced_splits(ds, 20, 0, 0)
+    positives = [replace(ep, label=1) for ep in ds.episodes[20:26]]
+    model = tiny_model(ds.variables, epochs=2)
+    history = fit(model, splits.train, replace(ds, episodes=positives))["history"]
+    assert [record["val_auroc"] for record in history] == [None, None]
+    assert history[0]["val_auprc"] == 1.0
+
+    negatives = [replace(ep, label=0) for ep in ds.episodes[20:26]]
+    with pytest.raises(ModelConfigError, match="validation split has no positive"):
+        fit(tiny_model(ds.variables, epochs=2), splits.train,
+            replace(ds, episodes=negatives))
+
+
 def test_evaluate_report_fields():
     ds = synth(n=10, seed=47)
     model = tiny_model(ds.variables)
