@@ -10,7 +10,12 @@ fixed matrix of commands, each tree importing its own ``src/``:
 3. the ``eval-k4096`` benchmark config: ``synth`` and 1-epoch ``train`` of
    a 32-episode checkpoint, ``synth`` of a 320-episode set, and ``eval``
    with leave-out rates 0.2 and 0.5;
-4. ``gradcheck`` for each decay kernel (its stdout is the output file).
+4. ``gradcheck`` for each decay kernel (its stdout is the output file);
+5. the ``train-k32`` benchmark config at seed 10: ``synth`` of the C8 set
+   (6 variables, 200 episodes, synthetic seed 201) and 12-epoch ``train``
+   with K=32 and batch 64. Training amplifies a last-bit change, which a
+   3-epoch run can miss; on this seed one grew to a 1.8e-4 loss
+   difference by epoch 12.
 
 The SHA-256 of every output file is printed for both trees. The exit
 status is 0 when every file matches, and 1 when a file differs, exists
@@ -29,6 +34,13 @@ from pathlib import Path
 
 KERNELS = ("mlp_exp", "exp", "mlp_gaussian", "mlp_linear")
 T_MAX = "48"
+C8_SYNTHETIC = {
+    "n_variables": 6, "n_episodes": 200,
+    "decay_rates": [4.0, 4.0, 4.0, 0.05, 0.05, 0.05],
+    "obs_per_episode": 6.0, "missing_prob": 0.0, "horizon": 48.0,
+    "label_coeffs": [2.0, -2.0, 2.0, 0.0, 0.0, 0.0],
+    "label_summary": "decay_mean",
+}
 
 
 class CommandFailed(RuntimeError):
@@ -72,6 +84,13 @@ def run_matrix(tree: Path, work: Path) -> None:
     for kernel in KERNELS:
         out = _run(tree, work, "gradcheck", "--kernel", kernel)
         (work / "gradcheck" / f"{kernel}.txt").write_text(out, encoding="utf-8")
+
+    c8_data = _synth(tree, work, "c8_data",
+                     {"synthetic": C8_SYNTHETIC,
+                      "data": {"split_ratios": [0.7, 0.15, 0.15]}}, 201)
+    _run(tree, work, "train", *c8_data, "--codebook-size", "32", "--batch-size", "64",
+         "--lr", "0.01", "--epochs", "12", "--patience", "12", "--seed", "10",
+         "--out", "train_k32")
 
 
 def digests(work: Path) -> dict[str, str]:

@@ -1,11 +1,13 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-Every value the model touches lives in a :class:`Tensor`. Operations
-record their inputs and a local gradient rule on the produced tensor;
-``backward`` on a scalar loss walks that record once in reverse
-topological order and accumulates gradients into every tracked tensor
-reachable from the loss. Gradients from multiple uses sum; clearing them
-between optimizer steps is the caller's job (see ``zero_grad``).
+Every value the model touches lives in a :class:`Tensor`. An operation
+with a tracked input records its inputs and a local gradient rule on the
+produced tensor; under :func:`no_grad` it records nothing. ``backward``
+on a scalar loss walks that record once in reverse topological order,
+accumulates gradients into every tracked leaf reachable from the loss,
+and releases each interior node once its rule has run, so a graph can
+be differentiated only once. Gradients from multiple uses sum; clearing
+them between optimizer steps is the caller's job (see ``zero_grad``).
 
 Only the operations the model actually needs are provided. Broadcasting
 follows standard dense-array semantics.
@@ -13,7 +15,8 @@ follows standard dense-array semantics.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -48,13 +51,13 @@ class Tensor:
 
     __slots__ = ("data", "grad", "tracked", "_parents", "_backward", "_op")
 
-    def __init__(self, data, tracked: bool = False, _parents: tuple = (), _op: str = ""):
+    def __init__(self, data, tracked: bool = False):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.tracked = bool(tracked)
-        self._parents = _parents
+        self._parents: tuple = ()
         self._backward = None
-        self._op = _op
+        self._op = ""
 
     @property
     def shape(self) -> tuple:
@@ -71,77 +74,94 @@ class Tensor:
         return f"Tensor(shape={self.shape}, tracked={self.tracked}, op={self._op!r})"
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], op: str) -> Tensor:
-    tracked = any(p.tracked for p in parents)
-    out = Tensor(data, tracked=tracked, _parents=tuple(parents), _op=op)
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph in the block: op outputs are untracked and keep no inputs
+    or rule. Process-wide; the previous mode returns on exit or exception."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def _make(data: np.ndarray, parents: Sequence[Tensor], op: str, rule: Callable) -> Tensor:
+    """One op's output; it keeps its parents and gradient rule only if tracked."""
+    out = Tensor(data)
+    out._op = op
+    if _grad_enabled and any(p.tracked for p in parents):
+        out.tracked, out._parents, out._backward = True, tuple(parents), rule
     return out
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
-    if not t.tracked:
-        return
+    """Add ``grad`` into ``t.grad``; callers pass only tracked tensors."""
+    if grad.shape != t.shape:
+        raise ShapeError(f"gradient shape {grad.shape} does not match tensor shape {t.shape}")
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad
+        # the bits and memory layout of zeros_like(t.data) + grad, without the fill
+        t.grad = np.add(grad, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += grad
 
 
 # -- arithmetic --------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data + b.data, (a, b), "add")
-
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.tracked:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.tracked:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
-    out._backward = bw
-    return out
+    return _make(a.data + b.data, (a, b), "add", bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data - b.data, (a, b), "sub")
-
     def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        if a.tracked:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.tracked:
+            _accumulate(b, _unbroadcast(-g, b.shape))
 
-    out._backward = bw
-    return out
+    return _make(a.data - b.data, (a, b), "sub", bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data * b.data, (a, b), "mul")
-
     def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.tracked:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.tracked:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-    out._backward = bw
-    return out
+    return _make(a.data * b.data, (a, b), "mul", bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data / b.data, (a, b), "div")
-
     def bw(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.tracked:
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
+        if b.tracked:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    out._backward = bw
-    return out
+    return _make(a.data / b.data, (a, b), "div", bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    out = _make(np.matmul(a.data, b.data), (a, b), "matmul")
 
     def bw(g):
-        _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        if a.tracked:
+            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        if b.tracked:
+            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
-    out._backward = bw
-    return out
+    return _make(np.matmul(a.data, b.data), (a, b), "matmul", bw)
 
 
 def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
@@ -155,31 +175,30 @@ def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
                          f"@ {w.shape}")
     widths = [p.shape[1] for p in parts]
     x = np.concatenate([p.data for p in parts], axis=1)
-    out = _make(np.matmul(x, w.data) + b.data, (*parts, w, b), "linear")
 
     def bw(g):
-        gx = np.matmul(g, w.data.T)
-        start = 0
-        for p, width in zip(parts, widths):
-            _accumulate(p, gx[:, start:start + width])
-            start += width
-        _accumulate(w, np.matmul(x.T, g))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if any(p.tracked for p in parts):
+            gx = np.matmul(g, w.data.T)
+            start = 0
+            for p, width in zip(parts, widths):
+                if p.tracked:
+                    _accumulate(p, gx[:, start:start + width])
+                start += width
+        if w.tracked:
+            _accumulate(w, np.matmul(x.T, g))
+        if b.tracked:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
-    out._backward = bw
-    return out
+    return _make(np.matmul(x, w.data) + b.data, (*parts, w, b), "linear", bw)
 
 
 # -- elementwise nonlinearities ----------------------------------------
 
 def relu(a: Tensor) -> Tensor:
-    out = _make(np.maximum(a.data, 0.0), (a,), "relu")
-
     def bw(g):
         _accumulate(a, g * (a.data > 0.0))
 
-    out._backward = bw
-    return out
+    return _make(np.maximum(a.data, 0.0), (a,), "relu", bw)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -190,47 +209,38 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     s = _sigmoid(a.data)
-    out = _make(s, (a,), "sigmoid")
 
     def bw(g):
         _accumulate(a, g * s * (1.0 - s))
 
-    out._backward = bw
-    return out
+    return _make(s, (a,), "sigmoid", bw)
 
 
 def softplus(a: Tensor) -> Tensor:
     # ln(1 + e^x) without overflow: x + log1p(e^-x) on the positive branch
     x = a.data
     val = np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(-np.abs(x))))
-    out = _make(val, (a,), "softplus")
 
     def bw(g):
         _accumulate(a, g * _sigmoid(x))
 
-    out._backward = bw
-    return out
+    return _make(val, (a,), "softplus", bw)
 
 
 def exp(a: Tensor) -> Tensor:
     e = np.exp(a.data)
-    out = _make(e, (a,), "exp")
 
     def bw(g):
         _accumulate(a, g * e)
 
-    out._backward = bw
-    return out
+    return _make(e, (a,), "exp", bw)
 
 
 def sin(a: Tensor) -> Tensor:
-    out = _make(np.sin(a.data), (a,), "sin")
-
     def bw(g):
         _accumulate(a, g * np.cos(a.data))
 
-    out._backward = bw
-    return out
+    return _make(np.sin(a.data), (a,), "sin", bw)
 
 
 def _check_axis(a: Tensor, axis: int) -> int:
@@ -244,14 +254,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = _make(s, (a,), "softmax")
 
     def bw(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
         _accumulate(a, s * (g - dot))
 
-    out._backward = bw
-    return out
+    return _make(s, (a,), "softmax", bw)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -259,53 +267,39 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - lse
-    out = _make(y, (a,), "log_softmax")
 
     def bw(g):
         _accumulate(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
-    out._backward = bw
-    return out
+    return _make(y, (a,), "log_softmax", bw)
 
 
 # -- shape manipulation ------------------------------------------------
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum")
-
     def bw(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accumulate(a, np.broadcast_to(gg, a.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
-    out._backward = bw
-    return out
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum", bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = _make(a.data.reshape(shape), (a,), "reshape")
-
     def bw(g):
         _accumulate(a, g.reshape(a.shape))
 
-    out._backward = bw
-    return out
+    return _make(a.data.reshape(shape), (a,), "reshape", bw)
 
 
 def transpose_last2(a: Tensor) -> Tensor:
     if a.ndim < 2:
         raise ShapeError(f"transpose_last2 needs rank >= 2, got shape {a.shape}")
-    out = _make(np.swapaxes(a.data, -1, -2), (a,), "transpose_last2")
 
     def bw(g):
         _accumulate(a, np.swapaxes(g, -1, -2))
 
-    out._backward = bw
-    return out
+    return _make(np.swapaxes(a.data, -1, -2), (a,), "transpose_last2", bw)
 
 
 # -- indexed row access -------------------------------------------------
@@ -313,15 +307,13 @@ def transpose_last2(a: Tensor) -> Tensor:
 def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     """Select rows ``a[index]``; duplicate indices are allowed."""
     index = np.asarray(index, dtype=np.int64)
-    out = _make(a.data[index], (a,), "gather_rows")
 
     def bw(g):
         ga = np.zeros_like(a.data)
         np.add.at(ga, index, g)
         _accumulate(a, ga)
 
-    out._backward = bw
-    return out
+    return _make(a.data[index], (a,), "gather_rows", bw)
 
 
 def scatter_add_rows(n_rows: int, index: np.ndarray, rows: Tensor) -> Tensor:
@@ -335,13 +327,11 @@ def scatter_add_rows(n_rows: int, index: np.ndarray, rows: Tensor) -> Tensor:
         raise ShapeError(f"scatter_add_rows expects 2-d rows, got {rows.shape}")
     data = np.zeros((n_rows, rows.shape[1]), dtype=np.float64)
     np.add.at(data, index, rows.data)
-    out = _make(data, (rows,), "scatter_add_rows")
 
     def bw(g):
         _accumulate(rows, g[index])
 
-    out._backward = bw
-    return out
+    return _make(data, (rows,), "scatter_add_rows", bw)
 
 
 def scatter_rows(base: Tensor, index: np.ndarray, rows: Tensor) -> Tensor:
@@ -354,16 +344,16 @@ def scatter_rows(base: Tensor, index: np.ndarray, rows: Tensor) -> Tensor:
         raise ContractError("scatter_rows requires unique indices")
     data = base.data.copy()
     data[index] = rows.data
-    out = _make(data, (base, rows), "scatter_rows")
 
     def bw(g):
-        gb = g.copy()
-        gb[index] = 0.0
-        _accumulate(base, gb)
-        _accumulate(rows, g[index])
+        if base.tracked:
+            gb = g.copy()
+            gb[index] = 0.0
+            _accumulate(base, gb)
+        if rows.tracked:
+            _accumulate(rows, g[index])
 
-    out._backward = bw
-    return out
+    return _make(data, (base, rows), "scatter_rows", bw)
 
 
 # -- norms -------------------------------------------------------------
@@ -371,7 +361,6 @@ def scatter_rows(base: Tensor, index: np.ndarray, rows: Tensor) -> Tensor:
 def l2_norm(a: Tensor, axis: int = -1, keepdims: bool = True) -> Tensor:
     axis = _check_axis(a, axis)
     n = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=keepdims))
-    out = _make(n, (a,), "l2_norm")
 
     def bw(g):
         gg = g if keepdims else np.expand_dims(g, axis)
@@ -379,8 +368,7 @@ def l2_norm(a: Tensor, axis: int = -1, keepdims: bool = True) -> Tensor:
         # subgradient 0 at the origin keeps zero rows finite
         _accumulate(a, gg * a.data / np.maximum(nn, 1e-300))
 
-    out._backward = bw
-    return out
+    return _make(n, (a,), "l2_norm", bw)
 
 
 # -- losses --------------------------------------------------------------
@@ -405,11 +393,14 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # -- backward pass -------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/dx into ``.grad`` of every tracked tensor."""
+    """Accumulate d(loss)/dx into ``.grad`` of every tracked leaf, releasing
+    each interior node (``grad`` None, no rule, no inputs) once its rule has
+    run. An untracked loss or an already released graph is refused."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.tracked:
-        return
+        raise ContractError("backward needs a loss that depends on a tracked tensor; "
+                            "this one is untracked (built from constants or under no_grad)")
 
     # iterative post-order DFS: inputs appear before consumers in `order`
     order: list[Tensor] = []
@@ -423,15 +414,21 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        if node._op and not node._parents:
+            raise ContractError(f"backward over a released graph: the {node._op!r} node "
+                                f"was freed by an earlier backward")
         stack.append((node, True))
         for parent in node._parents:
             if parent.tracked and id(parent) not in seen:
                 stack.append((parent, False))
 
     _accumulate(loss, np.ones_like(loss.data))
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    # popping drops this list's reference, so released nodes free their arrays
+    while order:
+        node = order.pop()
+        if node._backward is not None:
             node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, None, ()
 
 
 def zero_grad(params: Iterable[Tensor]) -> None:

@@ -231,7 +231,9 @@ class DecayGraphClassifier:
 
     def predict_proba(self, episodes: list[Episode],
                       collect_diagnostics: bool = False) -> tuple[np.ndarray, dict]:
-        logits, diagnostics = self.forward(episodes, collect_diagnostics)
+        """Class probabilities; builds no autodiff graph."""
+        with ad.no_grad():
+            logits, diagnostics = self.forward(episodes, collect_diagnostics)
         shifted = logits.data - logits.data.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=1, keepdims=True), diagnostics
@@ -436,29 +438,29 @@ def gradient_check(model: DecayGraphClassifier, episodes: list[Episode],
 
     Returns one entry per parameter block. Coordinates where both the
     analytic and numeric gradients are below ``skip_below`` are skipped.
+    Only the analytic pass builds an autodiff graph.
     """
-    for p in model.params.values():
-        p.grad = None
-    loss = batch_loss(model, episodes)
-    ad.backward(loss)
+    ad.zero_grad(model.params.values())
+    ad.backward(batch_loss(model, episodes))
     analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
                 for name, p in model.params.items()}
 
     errors: dict[str, float] = {}
-    for name, p in model.params.items():
-        worst = 0.0
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + step
-            f_plus = batch_loss(model, episodes).item()
-            flat[i] = original - step
-            f_minus = batch_loss(model, episodes).item()
-            flat[i] = original
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            a = analytic[name].reshape(-1)[i]
-            if abs(a) < skip_below and abs(numeric) < skip_below:
-                continue
-            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric)))
-        errors[name] = worst
+    with ad.no_grad():
+        for name, p in model.params.items():
+            worst = 0.0
+            flat = p.data.reshape(-1)
+            for i in range(flat.size):
+                original = flat[i]
+                flat[i] = original + step
+                f_plus = batch_loss(model, episodes).item()
+                flat[i] = original - step
+                f_minus = batch_loss(model, episodes).item()
+                flat[i] = original
+                numeric = (f_plus - f_minus) / (2.0 * step)
+                a = analytic[name].reshape(-1)[i]
+                if abs(a) < skip_below and abs(numeric) < skip_below:
+                    continue
+                worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric)))
+            errors[name] = worst
     return errors

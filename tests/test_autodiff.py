@@ -197,6 +197,76 @@ def test_reuse_accumulates():
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
+def test_no_grad_records_nothing_and_restores_mode():
+    x = Tensor([[0.5, -1.0]], tracked=True)
+    w = Tensor([[1.0], [2.0]], tracked=True)
+
+    def graph():
+        return ad.sigmoid(ad.linear([x], w, Tensor([0.25])))
+
+    tracked = graph()
+    with ad.no_grad():
+        untracked = graph()
+        with ad.no_grad():
+            assert not graph().tracked
+        # leaving the inner block keeps the outer one in force
+        assert not graph().tracked
+    np.testing.assert_array_equal(untracked.data, tracked.data)
+    assert not untracked.tracked
+    assert untracked._parents == () and untracked._backward is None
+    assert tracked.tracked and tracked._backward is not None
+
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside no_grad")
+    assert graph().tracked
+
+
+def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
+    x = Tensor([0.5, -1.5, 2.0], tracked=True)
+    squared = ad.mul(x, x)
+    gated = ad.sigmoid(squared)
+    loss = ad.tensor_sum(gated)
+    ad.backward(loss)
+    for node in (squared, gated, loss):
+        assert node.grad is None
+        assert node._parents == () and node._backward is None
+    s = 1.0 / (1.0 + np.exp(-x.data * x.data))
+    g = s * (1.0 - s)
+    np.testing.assert_array_equal(x.grad, g * x.data + g * x.data)
+
+
+def test_backward_refuses_untracked_loss_and_released_graph():
+    x = Tensor([1.0, 2.0], tracked=True)
+    with pytest.raises(ContractError, match="untracked"):
+        ad.backward(ad.tensor_sum(Tensor([1.0, 2.0])))
+    with ad.no_grad():
+        loss = ad.tensor_sum(ad.mul(x, x))
+    with pytest.raises(ContractError, match="untracked"):
+        ad.backward(loss)
+
+    loss = ad.tensor_sum(ad.mul(x, x))
+    ad.backward(loss)
+    with pytest.raises(ContractError, match="released"):
+        ad.backward(loss)
+    # a new loss over an interior node of the released graph is refused too
+    shared = ad.mul(x, x)
+    ad.backward(ad.tensor_sum(shared))
+    with pytest.raises(ContractError, match="released"):
+        ad.backward(ad.tensor_sum(ad.sigmoid(shared)))
+
+
+def test_first_gradient_is_a_fresh_array_with_zeros_plus_grad_bits():
+    t = Tensor([1.0, 2.0], tracked=True)
+    grad = np.array([-0.0, 3.0])
+    ad._accumulate(t, grad)
+    grad[1] = 7.0
+    np.testing.assert_array_equal(t.grad, [0.0, 3.0])
+    assert not np.signbit(t.grad[0])
+    with pytest.raises(ShapeError, match="gradient shape"):
+        ad._accumulate(t, np.ones(1))
+
+
 # -- finite-difference sweep over every operation -----------------------------
 
 

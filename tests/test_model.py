@@ -3,6 +3,7 @@ checkpoints and the finite-difference audit."""
 
 import base64
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -127,6 +128,37 @@ def test_padding_depth_is_invisible():
                      delta_t=np.vstack([ep.delta_t, np.zeros(3)]))
     out, _ = model.forward([padded] + list(ds.episodes[1:]))
     np.testing.assert_array_equal(out.data, base.data)
+
+
+@pytest.mark.parametrize("kernel", ["mlp_exp", "exp", "mlp_gaussian", "mlp_linear"])
+def test_no_grad_forward_is_bit_identical_and_untracked(kernel):
+    ds = synth(n=4, seed=7)
+    model = tiny_model(ds.variables, kernel=kernel)
+    tracked, _ = model.forward(ds.episodes)
+    with ad.no_grad():
+        untracked, _ = model.forward(ds.episodes)
+    assert untracked.data.tobytes() == tracked.data.tobytes()
+    assert tracked.tracked and not untracked.tracked
+    assert untracked._parents == () and untracked._backward is None
+
+
+def test_predict_proba_keeps_no_graph_alive():
+    # a graph-building forward holds every step's arrays until it returns;
+    # predict_proba holds only the current step's
+    ds = synth(n=32, seed=0)
+    model = tiny_model(ds.variables, d=16, k=256)
+
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    forward_peak = peak_bytes(lambda: model.forward(ds.episodes))
+    predict_peak = peak_bytes(lambda: model.predict_proba(ds.episodes))
+    assert predict_peak <= forward_peak / 3, (predict_peak, forward_peak)
 
 
 # -- ablation mechanics -----------------------------------------------------------
