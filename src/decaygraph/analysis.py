@@ -56,6 +56,8 @@ def empirical_autocorr(series: list[tuple[np.ndarray, np.ndarray]],
     Bins with fewer than ``min_pairs`` pairs, or with zero variance on
     either side, are excluded and counted in ``n_excluded_bins``.
     """
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     lag_list: list[np.ndarray] = []
     left_list: list[np.ndarray] = []
     right_list: list[np.ndarray] = []
@@ -130,8 +132,7 @@ def fit_decay_rate(estimate: AutocorrEstimate, min_corr: float = 0.01) -> DecayF
         raise InsufficientDataError(
             f"decay fit needs >= 2 usable lag bins, got {len(lags)}")
     log_corr = np.log(corrs)
-    rate = -float((lags * log_corr).sum() / (lags * lags).sum())
-    rate = max(rate, 0.0)
+    rate = max(-float((lags * log_corr).sum() / (lags * lags).sum()), 0.0)
     residual = float(np.sqrt(np.mean((log_corr + rate * lags) ** 2)))
     return DecayFit(decay_rate=rate, residual=residual, n_bins=int(len(lags)))
 

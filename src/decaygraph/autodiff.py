@@ -9,8 +9,9 @@ and releases each interior node once its rule has run, so a graph can
 be differentiated only once. Gradients from multiple uses sum; clearing
 them between optimizer steps is the caller's job (see ``zero_grad``).
 
-Only the operations the model actually needs are provided. Broadcasting
-follows standard dense-array semantics.
+Only the operations the model actually needs are provided, plus
+``tensor_sum``, which the gradient tests use to reduce an op's output to
+a scalar loss. Broadcasting follows standard dense-array semantics.
 """
 
 from __future__ import annotations
@@ -219,7 +220,8 @@ def sigmoid(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     # ln(1 + e^x) without overflow: x + log1p(e^-x) on the positive branch
     x = a.data
-    val = np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(-np.abs(x))))
+    tail = np.log1p(np.exp(-np.abs(x)))
+    val = np.where(x > 0, x + tail, tail)
 
     def bw(g):
         _accumulate(a, g * _sigmoid(x))
@@ -243,46 +245,27 @@ def sin(a: Tensor) -> Tensor:
     return _make(np.sin(a.data), (a,), "sin", bw)
 
 
-def _check_axis(a: Tensor, axis: int) -> int:
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"axis {axis} invalid for shape {a.shape}")
-    return axis % a.ndim
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    axis = _check_axis(a, axis)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         _accumulate(a, s * (g - dot))
 
     return _make(s, (a,), "softmax", bw)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    axis = _check_axis(a, axis)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
-
-    def bw(g):
-        _accumulate(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True))
-
-    return _make(y, (a,), "log_softmax", bw)
-
-
 # -- shape manipulation ------------------------------------------------
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(a: Tensor) -> Tensor:
+    """Sum of every element, as a 0-d tensor."""
     def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.shape))
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum", bw)
+    return _make(a.data.sum(), (a,), "sum", bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -358,15 +341,13 @@ def scatter_rows(base: Tensor, index: np.ndarray, rows: Tensor) -> Tensor:
 
 # -- norms -------------------------------------------------------------
 
-def l2_norm(a: Tensor, axis: int = -1, keepdims: bool = True) -> Tensor:
-    axis = _check_axis(a, axis)
-    n = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=keepdims))
+def l2_norm(a: Tensor) -> Tensor:
+    """Euclidean norm over the last axis, kept as a size-1 axis."""
+    n = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
 
     def bw(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        nn = n if keepdims else np.expand_dims(n, axis)
         # subgradient 0 at the origin keeps zero rows finite
-        _accumulate(a, gg * a.data / np.maximum(nn, 1e-300))
+        _accumulate(a, g * a.data / np.maximum(n, 1e-300))
 
     return _make(n, (a,), "l2_norm", bw)
 
@@ -374,7 +355,8 @@ def l2_norm(a: Tensor, axis: int = -1, keepdims: bool = True) -> Tensor:
 # -- losses --------------------------------------------------------------
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log likelihood of integer class labels."""
+    """Mean negative log likelihood of integer class labels, as one node whose
+    numpy steps round as separate log-softmax, pick, sum and scale ops would."""
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy expects 2-d logits, got {logits.shape}")
@@ -386,8 +368,14 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
             raise ContractError(f"label {lab} at index {i} outside [0, {c})")
     onehot = np.zeros((n, c), dtype=np.float64)
     onehot[np.arange(n), labels] = 1.0
-    picked = tensor_sum(mul(log_softmax(logits, axis=1), Tensor(onehot)))
-    return mul(picked, Tensor(-1.0 / n))
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    def bw(g):
+        g_rows = np.broadcast_to(g * (-1.0 / n), (n, c)) * onehot
+        _accumulate(logits, g_rows - np.exp(log_probs) * g_rows.sum(axis=1, keepdims=True))
+
+    return _make((log_probs * onehot).sum() * (-1.0 / n), (logits,), "cross_entropy", bw)
 
 
 # -- backward pass -------------------------------------------------------

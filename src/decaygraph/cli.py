@@ -20,11 +20,11 @@ import numpy as np
 
 from .analysis import (InsufficientDataError, empirical_autocorr, fit_decay_rate,
                        kruskal_wallis)
-from .data import (Dataset, DatasetSplits, SyntheticConfig, leave_variables_out,
-                   load_dataset, load_split_manifest, normalize_splits,
-                   split_by_manifest, split_dataset, synthesize, truncate_episodes,
-                   write_labels_csv, write_observations_csv, write_splits_csv,
-                   apply_normalization)
+from .data import (DataValidationError, Dataset, DatasetSplits, SyntheticConfig,
+                   apply_normalization, leave_variables_out, load_dataset,
+                   load_split_manifest, normalize_splits, split_by_manifest,
+                   split_dataset, synthesize, truncate_episodes, write_labels_csv,
+                   write_observations_csv, write_splits_csv)
 from .model import (AblationFlags, DecayGraphClassifier, ModelConfig,
                     check_compatibility, evaluate, fit, gradient_check,
                     load_checkpoint, save_checkpoint)
@@ -73,7 +73,7 @@ def _model_config(file_cfg: dict, args: argparse.Namespace, n_classes: int) -> M
     for key, value in overrides.items():
         if value is not None:
             section[key] = value
-    section["seed"] = args.seed if args.seed is not None else file_cfg.get("seed", 0)
+    section["seed"] = _seed_of(file_cfg, args)
     section["n_classes"] = n_classes
     return ModelConfig(**section)
 
@@ -188,6 +188,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     file_cfg = _load_config_file(args.config)
     seed = _seed_of(file_cfg, args)
+    reports = _eval_report_names(args.leave_out) or {"eval.json": 0.0}
     model, meta = load_checkpoint(args.checkpoint)
     data_section = _data_paths(file_cfg, args)
     if meta["t_max"] is not None and "t_max" not in data_section:
@@ -200,22 +201,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rates = args.leave_out if args.leave_out else [None]
-    for rate in rates:
-        if rate is None or rate == 0.0:
-            eval_splits, hidden = splits, []
-            effective_rate = 0.0
-            name = "eval.json" if rate is None else "eval_leave00.json"
+    for name, rate in reports.items():
+        if rate == 0.0:
+            eval_splits, hidden, rate = splits, [], 0.0
         else:
             eval_splits, hidden = leave_variables_out(splits, rate, seed=seed)
-            effective_rate = rate
-            name = f"eval_leave{int(round(rate * 100)):02d}.json"
         target = getattr(eval_splits, args.split)
         report = {
             "command": "eval",
             "seed": seed,
             "split": args.split,
-            "leave_out_rate": effective_rate,
+            "leave_out_rate": rate,
             "hidden_variables": hidden,
             "config": asdict(model.config),
             "ablation": asdict(model.flags),
@@ -225,6 +221,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"report: {out / name}")
     print(f"wall_clock_seconds={time.perf_counter() - start:.3f}")
     return 0
+
+
+def _eval_report_names(rates: list[float]) -> dict[str, float]:
+    """Report file name -> leave-out rate; the whole sweep is checked first."""
+    names: dict[str, float] = {}
+    for rate in rates:
+        if not 0.0 <= rate < 1.0:
+            raise DataValidationError(f"leave-out rate {rate} must be 0 or in (0, 1)")
+        name = f"eval_leave{int(round(rate * 100)):02d}.json"
+        if name in names:
+            raise DataValidationError(f"leave-out rates {names[name]} and {rate} "
+                                      f"would both write {name}")
+        names[name] = rate
+    return names
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -302,6 +312,8 @@ GRADCHECK_MODEL_SEED = 2
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if not args.tolerance > 0:
+        raise ValueError(f"--tolerance must be positive, got {args.tolerance}")
     config = SyntheticConfig(n_variables=3, n_episodes=2,
                              decay_rates=[0.5, 2.0, 0.1], obs_per_episode=4.0,
                              horizon=24.0, label_coeffs=[1.0, -1.0, 0.5],

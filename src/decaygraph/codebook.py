@@ -19,7 +19,7 @@ COSINE_EPS = 1e-12  # cosine-similarity norm guard
 
 
 def _row_normalize(x: Tensor) -> Tensor:
-    return ad.div(x, ad.add(ad.l2_norm(x, axis=-1, keepdims=True), Tensor(COSINE_EPS)))
+    return ad.div(x, ad.add(ad.l2_norm(x), Tensor(COSINE_EPS)))
 
 
 def soft_fuse(g: Tensor, codebook: Tensor) -> tuple[Tensor, np.ndarray]:
@@ -29,10 +29,9 @@ def soft_fuse(g: Tensor, codebook: Tensor) -> tuple[Tensor, np.ndarray]:
     for the utilization diagnostic; read it, do not modify it).
     """
     sims = ad.matmul(_row_normalize(g), ad.transpose_last2(_row_normalize(codebook)))
-    weights = ad.softmax(sims, axis=-1)
+    weights = ad.softmax(sims)
     quantized = ad.matmul(weights, codebook)
-    scale = ad.div(ad.l2_norm(quantized, axis=-1, keepdims=True),
-                   ad.add(ad.l2_norm(g, axis=-1, keepdims=True), Tensor(FUSION_EPS)))
+    scale = ad.div(ad.l2_norm(quantized), ad.add(ad.l2_norm(g), Tensor(FUSION_EPS)))
     fused = ad.add(g, ad.mul(scale, quantized))
     return fused, weights.data
 

@@ -139,6 +139,22 @@ def truncate_episodes(episodes: Iterable[Episode], n_steps: int,
     return out
 
 
+def _episode(pid: str, by_time: dict[float, dict[int, float]], n_variables: int,
+             t_max: float, label: int) -> Episode:
+    """Episode from ``{time: {variable index: value}}``; one step per time."""
+    times = np.asarray(sorted(by_time), dtype=np.float64)
+    if np.any(times > t_max):
+        raise DataValidationError(f"patient {pid!r} observed at t={times[-1]} "
+                                  f"beyond t_max={t_max}")
+    values = np.zeros((len(times), n_variables), dtype=np.float64)
+    mask = np.zeros((len(times), n_variables), dtype=np.float64)
+    for step, t in enumerate(times):
+        for v, x in by_time[t].items():
+            values[step, v] = x
+            mask[step, v] = 1.0
+    return Episode(pid, times, values, mask, _fill_delta_t(times, mask, t_max), label)
+
+
 # -- loading -------------------------------------------------------------
 
 def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
@@ -244,21 +260,8 @@ def load_dataset(observations_path: str, labels_path: str,
     for pid in sorted(per_patient):
         if pid not in labels:
             raise CompletenessError(f"no label for patient {pid!r}")
-        by_time = per_patient[pid]
-        times = np.asarray(sorted(by_time), dtype=np.float64)
-        if times[-1] > t_max:
-            raise DataValidationError(f"patient {pid!r} observed at t={times[-1]} "
-                                      f"beyond t_max={t_max}")
-        values = np.zeros((len(times), len(names)), dtype=np.float64)
-        mask = np.zeros((len(times), len(names)), dtype=np.float64)
-        for step, t in enumerate(times):
-            for v, x in by_time[t].items():
-                values[step, v] = x
-                mask[step, v] = 1.0
-        delta = _fill_delta_t(times, mask, t_max)
-        label = labels[pid]
-        n_classes = max(n_classes, label + 1)
-        episodes.append(Episode(pid, times, values, mask, delta, label))
+        episodes.append(_episode(pid, per_patient[pid], len(names), t_max, labels[pid]))
+        n_classes = max(n_classes, labels[pid] + 1)
     return Dataset(variables=names, episodes=episodes, t_max=float(t_max),
                    n_classes=n_classes)
 
@@ -527,15 +530,8 @@ def synthesize(config: SyntheticConfig) -> Dataset:
         for v, obs in enumerate(observed):
             for t, x in obs:
                 by_time.setdefault(t, {})[v] = x
-        times_arr = np.asarray(sorted(by_time), dtype=np.float64)
-        values = np.zeros((len(times_arr), config.n_variables))
-        mask = np.zeros_like(values)
-        for step, t in enumerate(times_arr):
-            for v, x in by_time[t].items():
-                values[step, v] = x
-                mask[step, v] = 1.0
-        delta = _fill_delta_t(times_arr, mask, config.horizon)
-        episodes.append(Episode(f"synth{e:05d}", times_arr, values, mask, delta, label))
+        episodes.append(_episode(f"synth{e:05d}", by_time, config.n_variables,
+                                 config.horizon, label))
 
     return Dataset(variables=[f"var{v}" for v in range(config.n_variables)],
                    episodes=episodes, t_max=config.horizon, n_classes=config.n_classes)

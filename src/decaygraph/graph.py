@@ -105,8 +105,7 @@ def init_edge_embeddings(step: GraphStep, params: dict[str, Tensor],
     if use_time_embedding:
         e = ad.add(e, time_embedding(step.times, params["edge.time_freq"],
                                      params["edge.time_phase"]))
-    e = ad.add(e, ad.gather_rows(params["edge.var_table"], step.variable_idx))
-    return e
+    return ad.add(e, ad.gather_rows(params["edge.var_table"], step.variable_idx))
 
 
 def message_pass_layer(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,

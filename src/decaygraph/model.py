@@ -234,15 +234,13 @@ class DecayGraphClassifier:
         """Class probabilities; builds no autodiff graph."""
         with ad.no_grad():
             logits, diagnostics = self.forward(episodes, collect_diagnostics)
-        shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True), diagnostics
+            return ad.softmax(logits).data, diagnostics
 
 
 def head_reweight(h_bank: Tensor, counts: np.ndarray, batch: int,
                   v_count: int, dim: int) -> Tensor:
     """Boost each variable's state by its softmax-normalized observation count."""
-    weights = ad.softmax(Tensor(counts.astype(np.float64)), axis=1)
+    weights = ad.softmax(Tensor(counts.astype(np.float64)))
     bank3 = ad.reshape(h_bank, (batch, v_count, dim))
     boosted = ad.add(bank3, ad.mul(bank3, ad.reshape(weights, (batch, v_count, 1))))
     return ad.reshape(boosted, (batch, v_count * dim))
@@ -317,7 +315,7 @@ def fit(model: DecayGraphClassifier, train: Dataset, val: Dataset) -> dict:
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             chunk = [train.episodes[i] for i in order[start:start + cfg.batch_size]]
-            optimizer.zero_grad()
+            ad.zero_grad(model.params.values())
             loss = batch_loss(model, chunk)
             if not np.isfinite(loss.item()):
                 raise NonFiniteLossError(f"loss {loss.item()} at epoch {epoch}, batch "
@@ -440,6 +438,8 @@ def gradient_check(model: DecayGraphClassifier, episodes: list[Episode],
     analytic and numeric gradients are below ``skip_below`` are skipped.
     Only the analytic pass builds an autodiff graph.
     """
+    if not step > 0:
+        raise ModelConfigError(f"finite-difference step must be positive, got {step}")
     ad.zero_grad(model.params.values())
     ad.backward(batch_loss(model, episodes))
     analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())

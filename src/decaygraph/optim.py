@@ -46,7 +46,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None

@@ -43,11 +43,9 @@ class SplitMix64:
         return SplitMix64(_mix64(self.seed ^ _fnv1a64(label)))
 
     def next_u64(self) -> int:
+        z = _mix64(self._state)
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return z
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         # 53 high bits give a uniform double in [0, 1)

@@ -29,9 +29,8 @@ def decay_rate(e: Tensor, kernel: str, params: dict[str, Tensor]) -> Tensor:
         raise KernelConfigError(f"decay kernel must be one of {DECAY_KERNELS}, "
                                 f"got {kernel!r}")
     if kernel == "exp":
-        raw = params["decay.rate_raw"]
         ones = Tensor(np.ones((e.shape[0], 1)))
-        return ad.softplus(ad.matmul(ones, raw))
+        return ad.softplus(ad.matmul(ones, params["decay.rate_raw"]))
     hidden = ad.relu(ad.linear([e], params["decay.w1"], params["decay.b1"]))
     return ad.softplus(ad.linear([hidden], params["decay.w2"], params["decay.b2"]))
 
@@ -65,7 +64,7 @@ def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
 def gated_update(e: Tensor, h_hat: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Sigmoid-gated convex combination of decayed state and new feature."""
     r = ad.sigmoid(ad.linear([e, h_hat], params["gate.w"], params["gate.b"]))
-    one_minus = ad.sub(Tensor(np.ones(r.shape)), r)
+    one_minus = ad.sub(Tensor(1.0), r)
     return ad.add(ad.mul(one_minus, h_hat), ad.mul(r, e))
 
 
@@ -80,6 +79,6 @@ def node_attention(v_pat: Tensor, h_bank: Tensor, w_proj: Tensor) -> Tensor:
     query = ad.reshape(v_pat, (b, 1, d))
     scores = ad.mul(ad.matmul(query, ad.transpose_last2(h_bank)),
                     Tensor(1.0 / np.sqrt(d)))
-    weights = ad.softmax(scores, axis=-1)
+    weights = ad.softmax(scores)
     attended = ad.reshape(ad.matmul(weights, h_bank), (b, d))
     return ad.matmul(attended, w_proj)

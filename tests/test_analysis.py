@@ -76,6 +76,15 @@ def test_constant_values_are_excluded_as_degenerate():
         empirical_autocorr(series, n_bins=4, max_lag=3.0)
 
 
+@pytest.mark.parametrize("n_bins", [0, -3])
+def test_no_lag_bins_is_a_plain_value_error(n_bins):
+    # not InsufficientDataError: analyze swallows that one per variable
+    series = [(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 4.0]))] * 10
+    with pytest.raises(ValueError, match=f"n_bins must be >= 1, got {n_bins}") as info:
+        empirical_autocorr(series, n_bins=n_bins, max_lag=3.0)
+    assert not isinstance(info.value, InsufficientDataError)
+
+
 def test_sparse_bins_are_excluded_and_counted():
     rng = np.random.default_rng(4)
     # plenty of short-lag pairs, a single long-lag pair

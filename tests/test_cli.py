@@ -1,6 +1,7 @@
 """End-to-end command line behaviour and output reproducibility."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,19 @@ def test_train_byte_identical_reruns(synth_dir, tmp_path):
     assert (out_a / "checkpoint.json").read_bytes() == (out_b / "checkpoint.json").read_bytes()
 
 
+def test_train_float_seed_in_config_equals_int_seed_flag(synth_dir, tmp_path):
+    config = write_config(tmp_path, {**SMALL_MODEL, "seed": 3.0}, name="float_seed.json")
+    plain = write_config(tmp_path, SMALL_MODEL, name="train.json")
+    out_a, out_b = tmp_path / "float_seed", tmp_path / "int_seed"
+    assert run("train", "--config", config, *data_args(synth_dir), "--out", str(out_a)) == 0
+    assert run("train", "--config", plain, *data_args(synth_dir), "--out", str(out_b),
+               "--seed", "3") == 0
+    report = json.loads((out_a / "report.json").read_text())
+    assert report["seed"] == 3 and report["config"]["seed"] == 3
+    assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
+    assert (out_a / "checkpoint.json").read_bytes() == (out_b / "checkpoint.json").read_bytes()
+
+
 # -- eval ---------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -199,6 +213,24 @@ def test_eval_sweep_emits_five_reports(trained, synth_dir, tmp_path):
     report = json.loads((out / "eval_leave30.json").read_text())
     assert report["leave_out_rate"] == 0.3
     assert len(report["hidden_variables"]) == 0 or report["hidden_variables"]
+
+
+@pytest.mark.parametrize("rates, message", [
+    (("0.125", "0.12"), r"0\.125 and 0\.12 would both write eval_leave12\.json"),
+    (("0", "0.001"), r"0\.0 and 0\.001 would both write eval_leave00\.json"),
+    (("0.2", "0.2"), r"0\.2 and 0\.2 would both write eval_leave20\.json"),
+    (("0.2", "1.5"), r"leave-out rate 1\.5 must be 0 or in \(0, 1\)"),
+    (("-0.1",), r"leave-out rate -0\.1 must be 0 or in \(0, 1\)"),
+])
+def test_eval_refuses_bad_sweep_before_writing(trained, synth_dir, tmp_path, capsys,
+                                               rates, message):
+    out = tmp_path / "bad_sweep"
+    argv = ["eval", "--checkpoint", str(trained), *data_args(synth_dir), "--out", str(out)]
+    for rate in rates:
+        argv += ["--leave-out", rate]
+    assert run(*argv) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_eval_reproducible(trained, synth_dir, tmp_path):
@@ -263,6 +295,13 @@ def test_analyze_single_variable_refuses_kw(tmp_path, capsys):
     assert (out / "decay_rates.csv").exists()
 
 
+def test_analyze_refuses_zero_lag_bins(synth_dir, tmp_path, capsys):
+    out = tmp_path / "no_bins"
+    assert run("analyze", *data_args(synth_dir), "--out", str(out), "--lag-bins", "0") == 1
+    assert "n_bins must be >= 1, got 0" in capsys.readouterr().err
+    assert not (out / "decay_rates.csv").exists()
+
+
 # -- gradcheck ------------------------------------------------------------------------
 
 def test_gradcheck_passes_and_lists_blocks(capsys):
@@ -289,6 +328,16 @@ def test_gradcheck_fails_on_corrupted_rule(monkeypatch, op):
 
     monkeypatch.setattr(autodiff_module, op, corrupted)
     assert run("gradcheck") != 0
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--step", "0", "step must be positive, got 0.0"),
+    ("--step", "-1e-5", "step must be positive, got -1e-05"),
+    ("--tolerance", "0", "--tolerance must be positive, got 0.0"),
+])
+def test_gradcheck_refuses_non_positive_numbers(capsys, flag, value, message):
+    assert run("gradcheck", f"{flag}={value}") == 1
+    assert message in capsys.readouterr().err
 
 
 # -- error paths -----------------------------------------------------------------------

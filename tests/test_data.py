@@ -174,7 +174,8 @@ def test_missing_label_is_completeness_error(tmp_path):
 def test_time_beyond_horizon_rejected(tmp_path):
     obs = write(tmp_path, "o.csv", OBS_HEADER + "pa,50.0,hr,70\n")
     lab = write(tmp_path, "l.csv", LAB_HEADER + "pa,0\n")
-    with pytest.raises(DataValidationError):
+    with pytest.raises(DataValidationError,
+                       match=r"patient 'pa' observed at t=50\.0 beyond t_max=48\.0"):
         load_dataset(obs, lab, t_max=48.0)
 
 
@@ -384,3 +385,4 @@ def test_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(ea.times, eb.times)
         np.testing.assert_array_equal(ea.values, eb.values)
         np.testing.assert_array_equal(ea.mask, eb.mask)
+        np.testing.assert_array_equal(ea.delta_t, eb.delta_t)

@@ -532,6 +532,14 @@ def test_micro_gradient_check_all_kernels():
         assert max(errors.values()) < 1e-4, f"{kernel}: {max(errors.values()):.2e}"
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-5, float("nan")])
+def test_gradient_check_refuses_non_positive_step(step):
+    ds = synth(n=2, seed=59, v=2, rates=(0.5, 2.0), coeffs=(1.0, -1.0))
+    model = tiny_model(ds.variables[:2], d=4, k=4, layers=1, seed=61)
+    with pytest.raises(ModelConfigError, match="step must be positive"):
+        gradient_check(model, ds.episodes, step=step)
+
+
 def test_gradient_check_catches_corrupted_rule(monkeypatch):
     ds = synth(n=2, seed=59, v=2, rates=(0.5, 2.0), coeffs=(1.0, -1.0))
     episodes = truncate_episodes(ds.episodes, 2, 24.0)

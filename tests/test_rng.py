@@ -2,8 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from decaygraph.rng import SplitMix64
+
+MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def test_splitmix64_known_answers():
+    # the reference splitmix64 outputs for seed 0
+    rng = SplitMix64(0)
+    assert [rng.next_u64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+@given(state=st.integers(0, MASK64))
+def test_next_u64_equals_inline_splitmix64_step(state):
+    rng = SplitMix64(state)
+    for _ in range(3):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        assert rng.next_u64() == z ^ (z >> 31)
 
 
 def test_same_seed_same_stream():
