@@ -6,8 +6,10 @@ A and B are checkouts (each with a ``src/`` directory). Both run the same
 fixed matrix of commands, each tree importing its own ``src/``:
 
 1. ``synth`` of the default synthetic set;
-2. ``train`` at the default model config (K=4096) for 3 epochs on it, and
-   ``analyze`` of it (``decay_rates.csv`` and ``kw_summary.csv``);
+2. ``train`` at the default model config (K=4096) for 3 epochs on it, the
+   same config for 2 epochs with ``--ablate mcv`` (fusion without
+   retrieval) and with ``--ablate cb`` (no codebook), and ``analyze`` of
+   it (``decay_rates.csv`` and ``kw_summary.csv``);
 3. the ``eval-k4096`` benchmark config: ``synth`` and 1-epoch ``train`` of
    a 32-episode checkpoint, ``synth`` of a 320-episode set, and ``eval``
    with leave-out rates 0.2 and 0.5;
@@ -70,6 +72,9 @@ def _synth(tree: Path, work: Path, name: str, config: dict, seed: int) -> list[s
 def run_matrix(tree: Path, work: Path) -> None:
     data = _synth(tree, work, "data", {}, 0)
     _run(tree, work, "train", *data, "--epochs", "3", "--seed", "0", "--out", "train")
+    for ablation in ("mcv", "cb"):
+        _run(tree, work, "train", *data, "--epochs", "2", "--seed", "0",
+             "--ablate", ablation, "--out", f"train_no_{ablation}")
     _run(tree, work, "analyze", *data, "--out", "analyze")
 
     ckpt_data = _synth(tree, work, "ckpt_data",

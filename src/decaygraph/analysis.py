@@ -54,10 +54,15 @@ def empirical_autocorr(series: list[tuple[np.ndarray, np.ndarray]],
     this). Every within-episode observation pair (i, j) with i < j
     contributes the value pair (x_i, x_j) to the bin holding t_j - t_i.
     Bins with fewer than ``min_pairs`` pairs, or with zero variance on
-    either side, are excluded and counted in ``n_excluded_bins``.
+    either side, are excluded and counted in ``n_excluded_bins``. A given
+    ``max_lag`` that is not positive and finite raises a plain
+    ``ValueError``; by default it is the largest pair lag, and a zero one
+    raises :class:`InsufficientDataError`.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    if max_lag is not None and not 0 < max_lag < np.inf:
+        raise ValueError(f"max_lag must be positive and finite, got {max_lag}")
     lag_list: list[np.ndarray] = []
     left_list: list[np.ndarray] = []
     right_list: list[np.ndarray] = []

@@ -142,16 +142,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b), "mul", bw)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        if a.tracked:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.tracked:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(a.data / b.data, (a, b), "div", bw)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
@@ -337,19 +327,6 @@ def scatter_rows(base: Tensor, index: np.ndarray, rows: Tensor) -> Tensor:
             _accumulate(rows, g[index])
 
     return _make(data, (base, rows), "scatter_rows", bw)
-
-
-# -- norms -------------------------------------------------------------
-
-def l2_norm(a: Tensor) -> Tensor:
-    """Euclidean norm over the last axis, kept as a size-1 axis."""
-    n = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
-
-    def bw(g):
-        # subgradient 0 at the origin keeps zero rows finite
-        _accumulate(a, g * a.data / np.maximum(n, 1e-300))
-
-    return _make(n, (a,), "l2_norm", bw)
 
 
 # -- losses --------------------------------------------------------------

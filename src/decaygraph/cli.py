@@ -112,7 +112,13 @@ def _load_splits(section: dict, seed: int,
 
 
 def _seed_of(file_cfg: dict, args: argparse.Namespace) -> int:
-    return args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
+    if args.seed is not None:
+        return args.seed
+    seed = file_cfg.get("seed", 0)
+    integral = isinstance(seed, int) or isinstance(seed, float) and seed.is_integer()
+    if isinstance(seed, bool) or not integral:
+        raise ValueError(f"config seed must be an integral number, got {seed!r}")
+    return int(seed)
 
 
 # -- commands -----------------------------------------------------------------
@@ -246,7 +252,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     max_lag = args.max_lag if args.max_lag is not None else dataset.t_max / 4.0
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["variable,lambda,residual,n_bins"]
     groups = []
     group_names = []
@@ -263,6 +268,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if per_episode:
             groups.append(per_episode)
             group_names.append(name)
+    out.mkdir(parents=True, exist_ok=True)
     table_path = out / "decay_rates.csv"
     with open(table_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -180,6 +180,9 @@ class DecayGraphClassifier:
         n_steps = max((ep.n_steps for ep in episodes), default=0)
         v_pat = gr.init_patient_states(batch, d)
         v_var = self.params["node.var_table"]
+        book = self.params["codebook"]
+        # normalized once, shared by every fusion and the retrieval below
+        unit_book = cb.unit_rows(book.data) if flags.use_cb else None
         h_bank = Tensor(np.zeros((batch * v_count, d)))
         # per-prototype sum of fusion weights over every fused row, for
         # the utilization diagnostic
@@ -192,8 +195,8 @@ class DecayGraphClassifier:
                 continue
             if t >= 1:
                 if flags.use_cb:
-                    v_pat, w_pat = cb.soft_fuse(v_pat, self.params["codebook"])
-                    v_var, w_var = cb.soft_fuse(v_var, self.params["codebook"])
+                    v_pat, w_pat = cb.soft_fuse(v_pat, book, unit_book)
+                    v_var, w_var = cb.soft_fuse(v_var, book, unit_book)
                     if collect_diagnostics:
                         for w in (w_pat, w_var):
                             diagnostics["fusion_weight_sum"] += w.sum(axis=0)
@@ -220,7 +223,7 @@ class DecayGraphClassifier:
             diagnostics["hidden_bank"] = h_bank.data.reshape(batch, v_count, d).copy()
         parts = [v_pat]
         if flags.retrieval_active:
-            _, rows = cb.retrieve(v_pat, self.params["codebook"])
+            _, rows = cb.retrieve(v_pat, book, unit_book)
             parts.append(rows)
         if flags.use_hvs:
             counts = np.stack([ep.variable_counts() for ep in episodes])

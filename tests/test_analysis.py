@@ -85,6 +85,21 @@ def test_no_lag_bins_is_a_plain_value_error(n_bins):
     assert not isinstance(info.value, InsufficientDataError)
 
 
+@pytest.mark.parametrize("max_lag", [0.0, -5.0, float("nan"), float("inf")])
+def test_given_max_lag_that_is_not_positive_and_finite_is_a_plain_value_error(max_lag):
+    # not InsufficientDataError: analyze swallows that one per variable
+    series = [(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 4.0]))] * 10
+    with pytest.raises(ValueError, match=f"max_lag must be positive and finite, got {max_lag}") as info:
+        empirical_autocorr(series, n_bins=4, max_lag=max_lag)
+    assert not isinstance(info.value, InsufficientDataError)
+
+
+def test_data_derived_zero_lag_stays_insufficient_data():
+    series = [(np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 4.0]))] * 10
+    with pytest.raises(InsufficientDataError, match="all pair lags are zero"):
+        empirical_autocorr(series, n_bins=4)
+
+
 def test_sparse_bins_are_excluded_and_counted():
     rng = np.random.default_rng(4)
     # plenty of short-lag pairs, a single long-lag pair

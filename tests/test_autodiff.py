@@ -315,7 +315,6 @@ def test_unary_op_gradients():
         (ad.softmax, rand((3, 4), 16)),
         (lambda t: ad.reshape(t, (4, 3)), rand((3, 4), 20)),
         (ad.transpose_last2, rand((3, 4), 21)),
-        (ad.l2_norm, rand((3, 4), 22)),
     ]
     for op, data in cases:
         x = Tensor(data, tracked=True)
@@ -333,15 +332,12 @@ def test_binary_op_gradients_with_broadcasting():
         (ad.add, (3, 4), (4,)),
         (ad.sub, (3, 4), (1, 4)),
         (ad.mul, (3, 4), (3, 1)),
-        (ad.div, (3, 4), (3, 4)),
         (ad.matmul, (3, 4), (4, 2)),
         (ad.matmul, (2, 3, 4), (2, 4, 2)),
     ]
     for i, (op, sa, sb) in enumerate(cases):
         a = Tensor(rand(sa, 30 + i), tracked=True)
         b_data = rand(sb, 60 + i)
-        if op is ad.div:
-            b_data = np.where(np.abs(b_data) < 0.3, b_data + 0.5, b_data)
         b = Tensor(b_data, tracked=True)
         w = Tensor(rand(op(Tensor(a.data), Tensor(b.data)).shape, 90 + i))
 

@@ -178,6 +178,16 @@ def test_train_float_seed_in_config_equals_int_seed_flag(synth_dir, tmp_path):
     assert (out_a / "checkpoint.json").read_bytes() == (out_b / "checkpoint.json").read_bytes()
 
 
+@pytest.mark.parametrize("seed", [3.5, True, "3"])
+def test_train_refuses_config_seed_that_is_not_an_integral_number(synth_dir, tmp_path,
+                                                                 capsys, seed):
+    config = write_config(tmp_path, {**SMALL_MODEL, "seed": seed})
+    out = tmp_path / "o"
+    assert run("train", "--config", config, *data_args(synth_dir), "--out", str(out)) == 1
+    assert f"config seed must be an integral number, got {seed!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- eval ---------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -302,6 +312,16 @@ def test_analyze_refuses_zero_lag_bins(synth_dir, tmp_path, capsys):
     assert not (out / "decay_rates.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+def test_analyze_refuses_max_lag_that_is_not_positive_and_finite(synth_dir, tmp_path,
+                                                                capsys, value):
+    out = tmp_path / "no_lag"
+    assert run("analyze", *data_args(synth_dir), "--out", str(out),
+               f"--max-lag={value}") == 1
+    assert "max_lag must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- gradcheck ------------------------------------------------------------------------
 
 def test_gradcheck_passes_and_lists_blocks(capsys):
@@ -315,18 +335,22 @@ def test_gradcheck_passes_and_lists_blocks(capsys):
     assert "codebook" in names and "head.w1" in names
 
 
-@pytest.mark.parametrize("op", ["sigmoid", "linear"])
+@pytest.mark.parametrize("op", ["sigmoid", "linear", "soft_fuse"])
 def test_gradcheck_fails_on_corrupted_rule(monkeypatch, op):
+    # each op is patched on the module every caller reads it from
     import decaygraph.autodiff as autodiff_module
-    true_op = getattr(autodiff_module, op)
+    import decaygraph.codebook as codebook_module
+    owner = codebook_module if op == "soft_fuse" else autodiff_module
+    true_op = getattr(owner, op)
 
     def corrupted(*args):
         out = true_op(*args)
-        inner = out._backward
-        out._backward = lambda g: inner(g * 1.5)
+        node = out[0] if isinstance(out, tuple) else out  # soft_fuse also returns weights
+        inner = node._backward
+        node._backward = lambda g: inner(g * 1.5)
         return out
 
-    monkeypatch.setattr(autodiff_module, op, corrupted)
+    monkeypatch.setattr(owner, op, corrupted)
     assert run("gradcheck") != 0
 
 

@@ -349,8 +349,8 @@ def test_utilization_accumulates_over_steps_and_batches(monkeypatch):
     kept = []
     true_fuse = cb.soft_fuse
 
-    def keeping_fuse(g, book):
-        fused, weights = true_fuse(g, book)
+    def keeping_fuse(g, book, unit_book):
+        fused, weights = true_fuse(g, book, unit_book)
         kept.append(weights.copy())
         return fused, weights
 
