@@ -9,9 +9,18 @@ and releases each interior node once its rule has run, so a graph can
 be differentiated only once. Gradients from multiple uses sum; clearing
 them between optimizer steps is the caller's job (see ``zero_grad``).
 
-Only the operations the model actually needs are provided, plus
-``tensor_sum``, which the gradient tests use to reduce an op's output to
-a scalar loss. Broadcasting follows standard dense-array semantics.
+Only the generic operations the model needs are provided. Broadcasting
+follows standard dense-array semantics.
+
+The model's per-step layers are fused nodes built on ``_make`` in the
+modules that use them (``graph``, ``temporal``, ``codebook``). Each
+replaces a chain of these ops and keeps its bits: the backward rule
+evaluates the chain's numpy expressions and adds each term in the
+chain's order. A fused node must also list its parents so that
+``backward``'s depth-first search, which explores the last parent first,
+reaches the non-leaf ones in the order the chain reached them. That
+search fixes the order in which a tensor with three or more consumers
+sums its gradient, so another parent order changes the last bits.
 """
 
 from __future__ import annotations
@@ -122,16 +131,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), "add", bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        if a.tracked:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.tracked:
-            _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(a.data - b.data, (a, b), "sub", bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         if a.tracked:
@@ -140,19 +139,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(a.data * b.data, (a, b), "mul", bw)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-
-    def bw(g):
-        if a.tracked:
-            _accumulate(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        if b.tracked:
-            _accumulate(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
-
-    return _make(np.matmul(a.data, b.data), (a, b), "matmul", bw)
 
 
 def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
@@ -192,49 +178,6 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.maximum(a.data, 0.0), (a,), "relu", bw)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument only, so neither branch overflows
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
-
-    def bw(g):
-        _accumulate(a, g * s * (1.0 - s))
-
-    return _make(s, (a,), "sigmoid", bw)
-
-
-def softplus(a: Tensor) -> Tensor:
-    # ln(1 + e^x) without overflow: x + log1p(e^-x) on the positive branch
-    x = a.data
-    tail = np.log1p(np.exp(-np.abs(x)))
-    val = np.where(x > 0, x + tail, tail)
-
-    def bw(g):
-        _accumulate(a, g * _sigmoid(x))
-
-    return _make(val, (a,), "softplus", bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-
-    def bw(g):
-        _accumulate(a, g * e)
-
-    return _make(e, (a,), "exp", bw)
-
-
-def sin(a: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(a, g * np.cos(a.data))
-
-    return _make(np.sin(a.data), (a,), "sin", bw)
-
-
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
@@ -250,29 +193,11 @@ def softmax(a: Tensor) -> Tensor:
 
 # -- shape manipulation ------------------------------------------------
 
-def tensor_sum(a: Tensor) -> Tensor:
-    """Sum of every element, as a 0-d tensor."""
-    def bw(g):
-        _accumulate(a, np.broadcast_to(g, a.shape))
-
-    return _make(a.data.sum(), (a,), "sum", bw)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     def bw(g):
         _accumulate(a, g.reshape(a.shape))
 
     return _make(a.data.reshape(shape), (a,), "reshape", bw)
-
-
-def transpose_last2(a: Tensor) -> Tensor:
-    if a.ndim < 2:
-        raise ShapeError(f"transpose_last2 needs rank >= 2, got shape {a.shape}")
-
-    def bw(g):
-        _accumulate(a, np.swapaxes(g, -1, -2))
-
-    return _make(np.swapaxes(a.data, -1, -2), (a,), "transpose_last2", bw)
 
 
 # -- indexed row access -------------------------------------------------
@@ -287,24 +212,6 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
         _accumulate(a, ga)
 
     return _make(a.data[index], (a,), "gather_rows", bw)
-
-
-def scatter_add_rows(n_rows: int, index: np.ndarray, rows: Tensor) -> Tensor:
-    """Sum ``rows`` into an ``n_rows`` output at positions ``index``.
-
-    Rows of the output not named by any index are zero (the empty-sum
-    convention used for isolated graph nodes).
-    """
-    index = np.asarray(index, dtype=np.int64)
-    if rows.ndim != 2:
-        raise ShapeError(f"scatter_add_rows expects 2-d rows, got {rows.shape}")
-    data = np.zeros((n_rows, rows.shape[1]), dtype=np.float64)
-    np.add.at(data, index, rows.data)
-
-    def bw(g):
-        _accumulate(rows, g[index])
-
-    return _make(data, (rows,), "scatter_add_rows", bw)
 
 
 def scatter_rows(base: Tensor, index: np.ndarray, rows: Tensor) -> Tensor:

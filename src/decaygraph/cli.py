@@ -402,8 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--max-lag", type=float, dest="max_lag")
     p_analyze.set_defaults(func=cmd_analyze)
 
+    # gradcheck audits fixed built-in data, so argparse refuses --config and
+    # --seed by name; --out stays, unused, because perfbench/run.py passes it
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    _add_shared(p_grad)
+    p_grad.add_argument("--out", help="ignored: gradcheck writes no file")
     p_grad.add_argument("--kernel", choices=DECAY_KERNELS)
     p_grad.add_argument("--ablate", action="append", default=[],
                         choices=ABLATION_NAMES)

@@ -43,37 +43,39 @@ class GraphStep:
         return len(self.patient_idx)
 
 
-def build_graph_step(episodes: list[Episode], step: int, n_variables: int) -> GraphStep:
-    """Edges for one positional step across the batch.
+def build_graph_steps(episodes: list[Episode], n_variables: int) -> list[GraphStep]:
+    """Edges of every positional step across the batch, one list per step.
 
-    Episodes shorter than the requested step contribute no edges. The
-    edge list order is lexicographic in (patient, variable), which makes
-    every downstream aggregation deterministic.
+    One ``nonzero`` over the stacked (step, patient, variable) masks gives
+    every edge, in an order that is lexicographic in (patient, variable)
+    within each step, which makes every downstream aggregation
+    deterministic. Episodes shorter than a step contribute no edges to it;
+    a step no episode observes gets an empty edge list.
     """
-    patients, variables, values, times, deltas = [], [], [], [], []
+    batch = len(episodes)
+    n_steps = max((ep.n_steps for ep in episodes), default=0)
+    mask = np.zeros((n_steps, batch, n_variables))
+    values = np.zeros((n_steps, batch, n_variables))
+    deltas = np.zeros((n_steps, batch, n_variables))
+    times = np.zeros((n_steps, batch))
     for p, ep in enumerate(episodes):
-        if step >= ep.n_steps:
-            continue
-        t_abs = float(ep.times[step])
-        for n in np.flatnonzero(ep.mask[step]):
-            x = ep.values[step, n]
-            if not np.isfinite(x):
-                raise GraphDataError(f"non-finite value on edge (patient={p}, "
-                                     f"variable={n}, step={step})")
-            patients.append(p)
-            variables.append(int(n))
-            values.append(float(x))
-            times.append(t_abs)
-            deltas.append(float(ep.delta_t[step, n]))
-    return GraphStep(
-        n_patients=len(episodes),
-        n_variables=n_variables,
-        patient_idx=np.asarray(patients, dtype=np.int64),
-        variable_idx=np.asarray(variables, dtype=np.int64),
-        values=np.asarray(values, dtype=np.float64),
-        times=np.asarray(times, dtype=np.float64),
-        delta_t=np.asarray(deltas, dtype=np.float64),
-    )
+        mask[:ep.n_steps, p] = ep.mask
+        values[:ep.n_steps, p] = ep.values
+        deltas[:ep.n_steps, p] = ep.delta_t
+        times[:ep.n_steps, p] = ep.times
+    step_idx, patient_idx, variable_idx = np.nonzero(mask)
+    edge_values = values[step_idx, patient_idx, variable_idx]
+    bad = np.flatnonzero(~np.isfinite(edge_values))
+    if len(bad):
+        i = bad[0]
+        raise GraphDataError(f"non-finite value on edge (patient={patient_idx[i]}, "
+                             f"variable={variable_idx[i]}, step={step_idx[i]})")
+    edge_times = times[step_idx, patient_idx]
+    edge_deltas = deltas[step_idx, patient_idx, variable_idx]
+    bounds = np.searchsorted(step_idx, np.arange(n_steps + 1))
+    return [GraphStep(batch, n_variables, patient_idx[a:b], variable_idx[a:b],
+                      edge_values[a:b], edge_times[a:b], edge_deltas[a:b])
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def init_patient_states(n_patients: int, dim: int) -> Tensor:
@@ -81,31 +83,108 @@ def init_patient_states(n_patients: int, dim: int) -> Tensor:
     return Tensor(np.full((n_patients, dim), 1.0 / np.sqrt(dim)))
 
 
-def time_embedding(times: np.ndarray, freq: Tensor, phase: Tensor) -> Tensor:
-    """One linear component plus dim-1 sinusoidal components.
-
-    Component 0 is freq[0] * t + phase[0]; component k >= 1 is
-    sin(freq[k] * t + phase[k]).
-    """
-    t_col = Tensor(times.reshape(-1, 1))
-    raw = ad.linear([t_col], freq, phase)
-    dim = freq.shape[1]
-    linear_mask = np.zeros((1, dim))
-    linear_mask[0, 0] = 1.0
-    sine_mask = 1.0 - linear_mask
-    return ad.add(ad.mul(raw, Tensor(linear_mask)),
-                  ad.mul(ad.sin(raw), Tensor(sine_mask)))
-
-
 def init_edge_embeddings(step: GraphStep, params: dict[str, Tensor],
                          use_time_embedding: bool = True) -> Tensor:
-    """Per-edge features: value projection + time embedding + type embedding."""
-    value_col = Tensor(step.values.reshape(-1, 1))
-    e = ad.linear([value_col], params["edge.value_w"], params["edge.value_b"])
+    """Per-edge features: value projection + time embedding + type embedding.
+
+    The time embedding has one linear component plus dim-1 sinusoidal
+    ones: component 0 is freq[0] * t + phase[0]; component k >= 1 is
+    sin(freq[k] * t + phase[k]). One autodiff node.
+    """
+    value_w, value_b = params["edge.value_w"], params["edge.value_b"]
+    freq, phase = params["edge.time_freq"], params["edge.time_phase"]
+    table = params["edge.var_table"]
+    # (E, 1) copies, as the chain's linear made: the step's arrays are
+    # slices of the batch's edge arrays
+    x_value = np.concatenate([step.values.reshape(-1, 1)], axis=1)
+    e = np.matmul(x_value, value_w.data) + value_b.data
     if use_time_embedding:
-        e = ad.add(e, time_embedding(step.times, params["edge.time_freq"],
-                                     params["edge.time_phase"]))
-    return ad.add(e, ad.gather_rows(params["edge.var_table"], step.variable_idx))
+        x_time = np.concatenate([step.times.reshape(-1, 1)], axis=1)
+        raw = np.matmul(x_time, freq.data) + phase.data
+        linear_mask = np.zeros((1, freq.shape[1]))
+        linear_mask[0, 0] = 1.0
+        sine_mask = 1.0 - linear_mask
+        e = e + (raw * linear_mask + np.sin(raw) * sine_mask)
+
+    def bw(g):
+        if value_w.tracked:
+            ad._accumulate(value_w, np.matmul(x_value.T, g))
+        if value_b.tracked:
+            ad._accumulate(value_b, ad._unbroadcast(g, value_b.shape))
+        if use_time_embedding and (freq.tracked or phase.tracked):
+            g_raw = g * linear_mask + g * sine_mask * np.cos(raw)
+            if freq.tracked:
+                ad._accumulate(freq, np.matmul(x_time.T, g_raw))
+            if phase.tracked:
+                ad._accumulate(phase, ad._unbroadcast(g_raw, phase.shape))
+        if table.tracked:
+            ad._accumulate(table, _scatter_add(table.shape, step.variable_idx, g))
+
+    parents = (value_w, value_b, freq, phase, table) if use_time_embedding else \
+        (value_w, value_b, table)
+    return ad._make(e + table.data[step.variable_idx], parents, "edge_init", bw)
+
+
+def _scatter_add(shape: tuple, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    out = np.zeros(shape)
+    np.add.at(out, index, rows)
+    return out
+
+
+def _message(v_src: Tensor, src_idx: np.ndarray, e: Tensor, dst_idx: np.ndarray,
+             n_dst: int, w: Tensor, b: Tensor) -> Tensor:
+    """Sum over edges of relu([v_src[src]; e] @ w + b) into the ``n_dst``
+    destination rows, as one node; a row no edge names gets zero."""
+    x = np.concatenate([v_src.data[src_idx], e.data], axis=1)
+    pre = np.matmul(x, w.data) + b.data
+    width = v_src.shape[1]
+
+    def bw(g):
+        g_pre = g[dst_idx] * (pre > 0.0)
+        if v_src.tracked or e.tracked:
+            g_x = np.matmul(g_pre, w.data.T)
+            if e.tracked:
+                ad._accumulate(e, g_x[:, width:])
+        if w.tracked:
+            ad._accumulate(w, np.matmul(x.T, g_pre))
+        if b.tracked:
+            ad._accumulate(b, ad._unbroadcast(g_pre, b.shape))
+        if v_src.tracked:
+            ad._accumulate(v_src, _scatter_add(v_src.shape, src_idx, g_x[:, :width]))
+
+    out = _scatter_add((n_dst, pre.shape[1]), dst_idx, np.maximum(pre, 0.0))
+    return ad._make(out, (v_src, e, w, b), "message", bw)
+
+
+def _edge_update(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
+                 w: Tensor, b: Tensor) -> Tensor:
+    """e + relu([v_pat[p]; v_var[n]; e] @ w + b) per edge (p, n), as one node."""
+    x = np.concatenate([v_pat.data[step.patient_idx], v_var.data[step.variable_idx],
+                        e.data], axis=1)
+    pre = np.matmul(x, w.data) + b.data
+    d_pat, d_var = v_pat.shape[1], v_var.shape[1]
+
+    def bw(g):
+        if e.tracked:
+            ad._accumulate(e, g)
+        g_pre = g * (pre > 0.0)
+        if v_pat.tracked or v_var.tracked or e.tracked:
+            g_x = np.matmul(g_pre, w.data.T)
+            if e.tracked:
+                ad._accumulate(e, g_x[:, d_pat + d_var:])
+        if w.tracked:
+            ad._accumulate(w, np.matmul(x.T, g_pre))
+        if b.tracked:
+            ad._accumulate(b, ad._unbroadcast(g_pre, b.shape))
+        if v_pat.tracked:
+            ad._accumulate(v_pat, _scatter_add(v_pat.shape, step.patient_idx,
+                                               g_x[:, :d_pat]))
+        if v_var.tracked:
+            ad._accumulate(v_var, _scatter_add(v_var.shape, step.variable_idx,
+                                               g_x[:, d_pat:d_pat + d_var]))
+
+    return ad._make(e.data + np.maximum(pre, 0.0), (v_pat, v_var, e, w, b),
+                    "edge_update", bw)
 
 
 def message_pass_layer(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
@@ -120,24 +199,16 @@ def message_pass_layer(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
     b_msg = params[f"sage{layer}.msg_b"]
     w_node = params[f"sage{layer}.node_w"]
     b_node = params[f"sage{layer}.node_b"]
-    w_edge = params[f"sage{layer}.edge_w"]
-    b_edge = params[f"sage{layer}.edge_b"]
 
-    var_src = ad.gather_rows(v_var, step.variable_idx)
-    msg_to_pat = ad.relu(ad.linear([var_src, e], w_msg, b_msg))
-    agg_pat = ad.scatter_add_rows(step.n_patients, step.patient_idx, msg_to_pat)
-
-    pat_src = ad.gather_rows(v_pat, step.patient_idx)
-    msg_to_var = ad.relu(ad.linear([pat_src, e], w_msg, b_msg))
-    agg_var = ad.scatter_add_rows(step.n_variables, step.variable_idx, msg_to_var)
-
+    agg_pat = _message(v_var, step.variable_idx, e, step.patient_idx, step.n_patients,
+                       w_msg, b_msg)
+    agg_var = _message(v_pat, step.patient_idx, e, step.variable_idx, step.n_variables,
+                       w_msg, b_msg)
     v_pat_new = ad.relu(ad.linear([v_pat, agg_pat], w_node, b_node))
     v_var_new = ad.relu(ad.linear([v_var, agg_var], w_node, b_node))
-
-    pat_end = ad.gather_rows(v_pat_new, step.patient_idx)
-    var_end = ad.gather_rows(v_var_new, step.variable_idx)
-    update = ad.relu(ad.linear([pat_end, var_end, e], w_edge, b_edge))
-    return v_pat_new, v_var_new, ad.add(e, update)
+    return v_pat_new, v_var_new, _edge_update(step, v_pat_new, v_var_new, e,
+                                              params[f"sage{layer}.edge_w"],
+                                              params[f"sage{layer}.edge_b"])
 
 
 def message_pass(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,

@@ -1,12 +1,12 @@
 """Full classifier assembly, training loop, evaluation and checkpoints.
 
-The forward pass walks the batch's positional time steps. Steps with no
-observed edge anywhere in the batch are skipped outright, so padding
-depth never influences the output. From the second step on, node
-embeddings are optionally fused with the codebook and patient states
-optionally attend over their stored per-variable hidden states; the
-step's bipartite graph is then built, its edge features initialized and
-message passed, and each observed (patient, variable) pair's hidden
+The forward pass builds the bipartite graph of every positional time
+step of the batch at once, then walks the steps. Steps with no observed
+edge anywhere in the batch are skipped outright, so padding depth never
+influences the output. From the second step on, node embeddings are
+optionally fused with the codebook and patient states optionally attend
+over their stored per-variable hidden states; the step's edge features
+are then initialized and message passed, and each observed (patient, variable) pair's hidden
 state is decayed and gate-merged with the fresh edge feature. The head
 consumes the final patient embedding, the retrieved prototype, and the
 mask-reweighted flattened hidden bank.
@@ -177,7 +177,6 @@ class DecayGraphClassifier:
                 raise ModelConfigError(f"episode {ep.patient_id!r} has "
                                        f"{ep.mask.shape[1]} variables, model expects {v_count}")
 
-        n_steps = max((ep.n_steps for ep in episodes), default=0)
         v_pat = gr.init_patient_states(batch, d)
         v_var = self.params["node.var_table"]
         book = self.params["codebook"]
@@ -189,8 +188,7 @@ class DecayGraphClassifier:
         diagnostics: dict = ({"fusion_weight_sum": np.zeros(cfg.codebook_size),
                               "fusion_rows": 0} if collect_diagnostics else {})
 
-        for t in range(n_steps):
-            step = gr.build_graph_step(episodes, t, v_count)
+        for t, step in enumerate(gr.build_graph_steps(episodes, v_count)):
             if step.n_edges == 0:
                 continue
             if t >= 1:
@@ -202,8 +200,7 @@ class DecayGraphClassifier:
                             diagnostics["fusion_weight_sum"] += w.sum(axis=0)
                             diagnostics["fusion_rows"] += w.shape[0]
                 if flags.use_sna:
-                    bank3 = ad.reshape(h_bank, (batch, v_count, d))
-                    v_pat = tp.node_attention(v_pat, bank3, self.params["attn.proj"])
+                    v_pat = tp.node_attention(v_pat, h_bank, self.params["attn.proj"])
 
             e = gr.init_edge_embeddings(step, self.params, use_time_embedding=flags.use_te)
             v_pat, v_var, e = gr.message_pass(step, v_pat, v_var, e,
@@ -258,7 +255,13 @@ def batch_loss(model: DecayGraphClassifier, episodes: list[Episode]) -> Tensor:
 
 def evaluate(model: DecayGraphClassifier, dataset: Dataset,
              collect_diagnostics: bool = False) -> dict:
-    """Metrics over a dataset, batched in deterministic order."""
+    """Metrics over a dataset, batched in deterministic order.
+
+    A patient's probability depends on the other episodes in its batch,
+    since every step's variable nodes are shared by the whole batch (the
+    bipartite design). A score is therefore defined by the model's
+    ``batch_size`` and the order of ``dataset.episodes``.
+    """
     if not dataset.episodes:
         raise ModelConfigError("evaluate needs a non-empty dataset")
     probs_chunks = []

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from decaygraph import autodiff as ad
 from decaygraph.autodiff import ContractError, ShapeError, Tensor
 
+import chain_ops as co
+
 
 def numeric_grad(make_loss, tensor, step=1e-5):
     """Central finite differences of a scalar loss wrt one tensor."""
@@ -58,34 +60,34 @@ def rand(shape, seed, lo=-2.0, hi=2.0, avoid_kink=True):
 
 def test_matmul_identity():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = ad.matmul(Tensor(np.eye(2)), a)
+    out = co.matmul(Tensor(np.eye(2)), a)
     np.testing.assert_array_equal(out.data, a.data)
 
 
 def test_matmul_selector_row():
-    out = ad.matmul(Tensor([[1.0, 0.0]]), Tensor([[5.0], [7.0]]))
+    out = co.matmul(Tensor([[1.0, 0.0]]), Tensor([[5.0], [7.0]]))
     np.testing.assert_array_equal(out.data, [[5.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        co.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
 def test_softplus_values():
-    assert ad.softplus(Tensor(0.0)).item() == pytest.approx(np.log(2.0), abs=1e-12)
-    assert ad.softplus(Tensor(100.0)).item() == pytest.approx(100.0, abs=1e-12)
+    assert co.softplus(Tensor(0.0)).item() == pytest.approx(np.log(2.0), abs=1e-12)
+    assert co.softplus(Tensor(100.0)).item() == pytest.approx(100.0, abs=1e-12)
 
 
 def test_softplus_gradient_is_sigmoid():
     x = Tensor(1.0, tracked=True)
-    ad.backward(ad.softplus(x))
+    ad.backward(co.softplus(x))
     assert x.grad[()] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), rel=1e-12)
-    check_grads(lambda: ad.softplus(x), [x], rtol=1e-6)
+    check_grads(lambda: co.softplus(x), [x], rtol=1e-6)
 
 
 def test_sigmoid_zero():
-    assert ad.sigmoid(Tensor(0.0)).item() == 0.5
+    assert co.sigmoid(Tensor(0.0)).item() == 0.5
 
 
 def test_softmax_symmetry():
@@ -115,8 +117,8 @@ def test_linear_shape_error():
 
 
 def test_finite_outputs_on_extreme_inputs():
-    assert np.isfinite(ad.softplus(Tensor([1e3, -1e3])).data).all()
-    assert np.isfinite(ad.exp(Tensor(-1e3)).data).all()
+    assert np.isfinite(co.softplus(Tensor([1e3, -1e3])).data).all()
+    assert np.isfinite(co.exp(Tensor(-1e3)).data).all()
     assert np.isfinite(ad.softmax(Tensor([[50.0, -50.0, 0.0]])).data).all()
 
 
@@ -188,13 +190,13 @@ def test_cross_entropy_is_one_node_with_the_chain_bits(n, c, bound, seed):
 
 def test_backward_sum_gives_ones():
     x = Tensor([1.0, 2.0, 3.0], tracked=True)
-    ad.backward(ad.tensor_sum(x))
+    ad.backward(co.tensor_sum(x))
     np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
 
 def test_backward_elementwise_square():
     x = Tensor([1.0, 2.0, 3.0], tracked=True)
-    ad.backward(ad.tensor_sum(ad.mul(x, x)))
+    ad.backward(co.tensor_sum(ad.mul(x, x)))
     np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
 
 
@@ -208,10 +210,10 @@ def test_gradient_additivity():
     x = Tensor([0.5, -1.5, 2.0], tracked=True)
 
     def loss_a():
-        return ad.tensor_sum(ad.mul(x, x))
+        return co.tensor_sum(ad.mul(x, x))
 
     def loss_b():
-        return ad.tensor_sum(ad.sigmoid(x))
+        return co.tensor_sum(co.sigmoid(x))
 
     ad.zero_grad([x])
     ad.backward(loss_a())
@@ -226,7 +228,7 @@ def test_gradient_additivity():
 def test_reuse_accumulates():
     x = Tensor([1.0, 2.0], tracked=True)
     y = ad.add(x, x)
-    ad.backward(ad.tensor_sum(y))
+    ad.backward(co.tensor_sum(y))
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
 
@@ -235,7 +237,7 @@ def test_no_grad_records_nothing_and_restores_mode():
     w = Tensor([[1.0], [2.0]], tracked=True)
 
     def graph():
-        return ad.sigmoid(ad.linear([x], w, Tensor([0.25])))
+        return co.sigmoid(ad.linear([x], w, Tensor([0.25])))
 
     tracked = graph()
     with ad.no_grad():
@@ -258,8 +260,8 @@ def test_no_grad_records_nothing_and_restores_mode():
 def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
     x = Tensor([0.5, -1.5, 2.0], tracked=True)
     squared = ad.mul(x, x)
-    gated = ad.sigmoid(squared)
-    loss = ad.tensor_sum(gated)
+    gated = co.sigmoid(squared)
+    loss = co.tensor_sum(gated)
     ad.backward(loss)
     for node in (squared, gated, loss):
         assert node.grad is None
@@ -272,21 +274,21 @@ def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
 def test_backward_refuses_untracked_loss_and_released_graph():
     x = Tensor([1.0, 2.0], tracked=True)
     with pytest.raises(ContractError, match="untracked"):
-        ad.backward(ad.tensor_sum(Tensor([1.0, 2.0])))
+        ad.backward(co.tensor_sum(Tensor([1.0, 2.0])))
     with ad.no_grad():
-        loss = ad.tensor_sum(ad.mul(x, x))
+        loss = co.tensor_sum(ad.mul(x, x))
     with pytest.raises(ContractError, match="untracked"):
         ad.backward(loss)
 
-    loss = ad.tensor_sum(ad.mul(x, x))
+    loss = co.tensor_sum(ad.mul(x, x))
     ad.backward(loss)
     with pytest.raises(ContractError, match="released"):
         ad.backward(loss)
     # a new loss over an interior node of the released graph is refused too
     shared = ad.mul(x, x)
-    ad.backward(ad.tensor_sum(shared))
+    ad.backward(co.tensor_sum(shared))
     with pytest.raises(ContractError, match="released"):
-        ad.backward(ad.tensor_sum(ad.sigmoid(shared)))
+        ad.backward(co.tensor_sum(co.sigmoid(shared)))
 
 
 def test_first_gradient_is_a_fresh_array_with_zeros_plus_grad_bits():
@@ -306,22 +308,22 @@ def test_first_gradient_is_a_fresh_array_with_zeros_plus_grad_bits():
 def test_unary_op_gradients():
     cases = [
         (ad.relu, rand((3, 4), 10)),
-        (ad.sigmoid, rand((3, 4), 11)),
-        (ad.softplus, rand((3, 4), 12)),
-        (ad.exp, rand((3, 4), 13, lo=-1.5, hi=1.0)),
-        (ad.sin, rand((3, 4), 14)),
+        (co.sigmoid, rand((3, 4), 11)),
+        (co.softplus, rand((3, 4), 12)),
+        (co.exp, rand((3, 4), 13, lo=-1.5, hi=1.0)),
+        (co.sin, rand((3, 4), 14)),
         (lambda t: ad.linear([t], Tensor(rand((4, 2), 15)), Tensor(rand((2,), 19))),
          rand((3, 4), 15)),
         (ad.softmax, rand((3, 4), 16)),
         (lambda t: ad.reshape(t, (4, 3)), rand((3, 4), 20)),
-        (ad.transpose_last2, rand((3, 4), 21)),
+        (co.transpose_last2, rand((3, 4), 21)),
     ]
     for op, data in cases:
         x = Tensor(data, tracked=True)
         w = Tensor(rand(op(Tensor(data)).shape, 99))
 
         def loss():
-            return ad.tensor_sum(ad.mul(op(x), w))
+            return co.tensor_sum(ad.mul(op(x), w))
 
         check_grads(loss, [x])
 
@@ -330,10 +332,10 @@ def test_binary_op_gradients_with_broadcasting():
     cases = [
         (ad.add, (3, 4), (3, 4)),
         (ad.add, (3, 4), (4,)),
-        (ad.sub, (3, 4), (1, 4)),
+        (co.sub, (3, 4), (1, 4)),
         (ad.mul, (3, 4), (3, 1)),
-        (ad.matmul, (3, 4), (4, 2)),
-        (ad.matmul, (2, 3, 4), (2, 4, 2)),
+        (co.matmul, (3, 4), (4, 2)),
+        (co.matmul, (2, 3, 4), (2, 4, 2)),
     ]
     for i, (op, sa, sb) in enumerate(cases):
         a = Tensor(rand(sa, 30 + i), tracked=True)
@@ -342,7 +344,7 @@ def test_binary_op_gradients_with_broadcasting():
         w = Tensor(rand(op(Tensor(a.data), Tensor(b.data)).shape, 90 + i))
 
         def loss():
-            return ad.tensor_sum(ad.mul(op(a, b), w))
+            return co.tensor_sum(ad.mul(op(a, b), w))
 
         check_grads(loss, [a, b])
 
@@ -353,23 +355,23 @@ def test_linear_and_indexing_gradients():
     w = Tensor(rand((6, 5), 42), tracked=True)
     bias = Tensor(rand((1, 5), 39), tracked=True)
     out_w = Tensor(rand((3, 5), 38))
-    check_grads(lambda: ad.tensor_sum(ad.mul(ad.linear([a, b], w, bias), out_w)),
+    check_grads(lambda: co.tensor_sum(ad.mul(ad.linear([a, b], w, bias), out_w)),
                 [a, b, w, bias])
 
     table = Tensor(rand((6, 3), 43), tracked=True)
     idx = np.array([0, 2, 2, 5])
     w2 = Tensor(rand((4, 3), 44))
-    check_grads(lambda: ad.tensor_sum(ad.mul(ad.gather_rows(table, idx), w2)), [table])
+    check_grads(lambda: co.tensor_sum(ad.mul(ad.gather_rows(table, idx), w2)), [table])
 
     rows = Tensor(rand((4, 3), 45), tracked=True)
     w3 = Tensor(rand((5, 3), 46))
-    check_grads(lambda: ad.tensor_sum(ad.mul(
-        ad.scatter_add_rows(5, np.array([1, 1, 3, 0]), rows), w3)), [rows])
+    check_grads(lambda: co.tensor_sum(ad.mul(
+        co.scatter_add_rows(5, np.array([1, 1, 3, 0]), rows), w3)), [rows])
 
     base = Tensor(rand((5, 3), 47), tracked=True)
     new_rows = Tensor(rand((2, 3), 48), tracked=True)
     w4 = Tensor(rand((5, 3), 49))
-    check_grads(lambda: ad.tensor_sum(ad.mul(
+    check_grads(lambda: co.tensor_sum(ad.mul(
         ad.scatter_rows(base, np.array([1, 4]), new_rows), w4)), [base, new_rows])
 
 
@@ -382,7 +384,7 @@ def test_scatter_rows_rejects_duplicate_indices():
 def test_matmul_grad_matches_fd_example():
     a = Tensor(rand((3, 4), 50), tracked=True)
     b = Tensor(rand((4, 2), 51))
-    check_grads(lambda: ad.tensor_sum(ad.matmul(a, b)), [a], rtol=1e-6)
+    check_grads(lambda: co.tensor_sum(co.matmul(a, b)), [a], rtol=1e-6)
 
 
 @settings(max_examples=40, deadline=None)
@@ -397,7 +399,7 @@ def test_linear_matches_concat_matmul_add(rows, widths, out, seed):
     np.testing.assert_array_equal(ad.linear(parts, w, b).data, expected)
 
     out_w = Tensor(rand((rows, out), seed + 12))
-    check_grads(lambda: ad.tensor_sum(ad.mul(ad.linear(parts, w, b), out_w)),
+    check_grads(lambda: co.tensor_sum(ad.mul(ad.linear(parts, w, b), out_w)),
                 [*parts, w, b])
 
     extra_row = Tensor(np.zeros((rows + 1, 1)))

@@ -9,6 +9,8 @@ import pytest
 from decaygraph.cli import main
 from decaygraph.data import load_dataset, synthesize, SyntheticConfig
 
+import chain_ops as co
+
 
 def run(*argv):
     return main(list(argv))
@@ -335,23 +337,19 @@ def test_gradcheck_passes_and_lists_blocks(capsys):
     assert "codebook" in names and "head.w1" in names
 
 
-@pytest.mark.parametrize("op", ["sigmoid", "linear", "soft_fuse"])
-def test_gradcheck_fails_on_corrupted_rule(monkeypatch, op):
-    # each op is patched on the module every caller reads it from
-    import decaygraph.autodiff as autodiff_module
-    import decaygraph.codebook as codebook_module
-    owner = codebook_module if op == "soft_fuse" else autodiff_module
-    true_op = getattr(owner, op)
-
-    def corrupted(*args):
-        out = true_op(*args)
-        node = out[0] if isinstance(out, tuple) else out  # soft_fuse also returns weights
-        inner = node._backward
-        node._backward = lambda g: inner(g * 1.5)
-        return out
-
-    monkeypatch.setattr(owner, op, corrupted)
+@pytest.mark.parametrize("node", sorted(co.FUSED_NODES))
+def test_gradcheck_fails_on_corrupted_rule(monkeypatch, node):
+    co.corrupt(monkeypatch, node)
     assert run("gradcheck") != 0
+
+
+@pytest.mark.parametrize("flag, value", [("--config", "c8.json"), ("--seed", "99")])
+def test_gradcheck_refuses_config_and_seed(capsys, flag, value):
+    # it audits fixed built-in data, so it would ignore both
+    with pytest.raises(SystemExit) as exit_info:
+        run("gradcheck", flag, value, "--step", "0")
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from decaygraph import autodiff as ad
 from decaygraph import codebook as cb
 from decaygraph.autodiff import ContractError, Tensor
+import chain_ops as co
 from test_autodiff import check_grads
 
 
@@ -113,9 +114,9 @@ def _row_normalize(x):
 
 
 def chain_soft_fuse(g, codebook):
-    sims = ad.matmul(_row_normalize(g), ad.transpose_last2(_row_normalize(codebook)))
+    sims = co.matmul(_row_normalize(g), co.transpose_last2(_row_normalize(codebook)))
     weights = ad.softmax(sims)
-    quantized = ad.matmul(weights, codebook)
+    quantized = co.matmul(weights, codebook)
     scale = div(l2_norm(quantized), ad.add(l2_norm(g), Tensor(cb.FUSION_EPS)))
     return ad.add(g, ad.mul(scale, quantized)), weights.data
 
@@ -139,7 +140,7 @@ def run_fusion(make_fuse, g0, book0, out_weights, track):
         x, w = fuse(x, book)
         outs.append(x)
         weights.append(w.copy())
-    terms = [ad.tensor_sum(ad.mul(out, Tensor(r))) for out, r in zip(outs, out_weights)]
+    terms = [co.tensor_sum(ad.mul(out, Tensor(r))) for out, r in zip(outs, out_weights)]
     loss = terms[-1]
     for term in reversed(terms[:-1]):
         loss = ad.add(loss, term)
@@ -203,7 +204,7 @@ def test_soft_fuse_gradients_match_finite_differences():
         unit_book = cb.unit_rows(book.data)
         once, _ = cb.soft_fuse(g, book, unit_book)
         twice, _ = cb.soft_fuse(once, book, unit_book)
-        return ad.tensor_sum(ad.mul(twice, r))
+        return co.tensor_sum(ad.mul(twice, r))
 
     check_grads(loss, [g, book], rtol=1e-5)
 
@@ -244,7 +245,7 @@ def test_retrieve_gradient_goes_to_selected_row_only():
     from decaygraph import autodiff as ad
     book = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]), tracked=True)
     idx, rows = cb.retrieve(Tensor([[2.0, 0.1]]), book, cb.unit_rows(book.data))
-    ad.backward(ad.tensor_sum(rows))
+    ad.backward(co.tensor_sum(rows))
     assert list(idx) == [0]
     np.testing.assert_array_equal(book.grad, [[1.0, 1.0], [0.0, 0.0]])
 

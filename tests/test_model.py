@@ -11,6 +11,7 @@ import pytest
 
 from decaygraph import autodiff as ad
 from decaygraph import codebook as cb
+from decaygraph import graph as gr
 from decaygraph.autodiff import Tensor
 from decaygraph.data import (Episode, SyntheticConfig, delta_t_from_times,
                              split_dataset, synthesize, truncate_episodes)
@@ -20,6 +21,8 @@ from decaygraph.model import (AblationFlags, CompatibilityError,
                               check_compatibility,
                               evaluate, fit, gradient_check, head_reweight,
                               load_checkpoint, save_checkpoint)
+
+import chain_ops as co
 
 
 def synth(seed=0, n=8, v=3, rates=(0.5, 2.0, 0.1), obs=5.0, horizon=24.0,
@@ -540,26 +543,60 @@ def test_gradient_check_refuses_non_positive_step(step):
         gradient_check(model, ds.episodes, step=step)
 
 
-def test_gradient_check_catches_corrupted_rule(monkeypatch):
+@pytest.mark.parametrize("node", sorted(co.FUSED_NODES))
+def test_gradient_check_catches_corrupted_rule(monkeypatch, node):
     ds = synth(n=2, seed=59, v=2, rates=(0.5, 2.0), coeffs=(1.0, -1.0))
     episodes = truncate_episodes(ds.episodes, 2, 24.0)
-
-    import decaygraph.autodiff as autodiff_module
-    true_sigmoid = autodiff_module.sigmoid
-
-    def corrupted_sigmoid(a):
-        out = true_sigmoid(a)
-        inner = out._backward
-
-        def wrong(g):
-            inner(g * 1.5)
-
-        out._backward = wrong
-        return out
-
-    monkeypatch.setattr(autodiff_module, "sigmoid", corrupted_sigmoid)
-    import decaygraph.temporal as temporal_module
-    monkeypatch.setattr(temporal_module.ad, "sigmoid", corrupted_sigmoid)
+    co.corrupt(monkeypatch, node)
     model = tiny_model(ds.variables[:2], d=4, k=4, layers=1, seed=61)
     errors = gradient_check(model, episodes)
     assert max(errors.values()) > 1e-4
+
+
+# -- fused nodes ---------------------------------------------------------------------
+
+ABLATION_SETS = [(), ("tde",), ("te",), ("sna",), ("cb",), ("hvs", "mcv"), ("tde", "sna")]
+
+
+@pytest.mark.parametrize("kernel", ["mlp_exp", "exp", "mlp_gaussian", "mlp_linear"])
+@pytest.mark.parametrize("ablate", ABLATION_SETS, ids="-".join)
+def test_forward_and_gradients_keep_the_chain_bits(monkeypatch, kernel, ablate):
+    """Logits and every parameter gradient of a ragged batch are the bytes the
+    chains of small ops gave, which also pins each fused node's parent order."""
+    ds = synth(n=6, seed=83, obs=4.0)
+    flags = AblationFlags(**{f"use_{name}": False for name in ablate})
+
+    def run():
+        model = tiny_model(ds.variables, d=4, k=4, seed=7, flags=flags, kernel=kernel)
+        logits = model.forward(ds.episodes)[0]
+        ad.backward(ad.cross_entropy(logits, [ep.label for ep in ds.episodes]))
+        return [logits.data] + [p.grad for p in model.params.values()]
+
+    fused = run()
+    with monkeypatch.context() as patch:
+        co.install(patch)
+        chain = run()
+    for a, b in zip(fused, chain):
+        assert (a is None) == (b is None)
+        assert a is None or a.tobytes() == b.tobytes()
+
+
+def test_c8_forward_builds_at_most_25_tracked_nodes_per_step(monkeypatch):
+    """One training forward at the C8 config (K=32, batch 64, d=16, 2 layers)."""
+    cfg = SyntheticConfig(n_variables=6, n_episodes=64, decay_rates=[4.0] * 3 + [0.05] * 3,
+                          obs_per_episode=6.0, horizon=48.0, seed=201,
+                          label_coeffs=[2.0, -2.0, 2.0, 0.0, 0.0, 0.0])
+    episodes = synthesize(cfg).episodes
+    model = tiny_model([f"v{i}" for i in range(6)], d=16, k=32, batch_size=64, seed=10)
+    made = []
+    true_make = ad._make
+
+    def counting_make(*args):
+        out = true_make(*args)
+        made.append(out.tracked)
+        return out
+
+    monkeypatch.setattr(ad, "_make", counting_make)
+    model.forward(episodes)
+    steps = sum(step.n_edges > 0 for step in gr.build_graph_steps(episodes, 6))
+    assert sum(made) / steps <= 25

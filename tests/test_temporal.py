@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decaygraph import autodiff as ad
 from decaygraph import temporal as tp
 from decaygraph.autodiff import ContractError, Tensor
 from decaygraph.model import AblationFlags, DecayGraphClassifier, ModelConfig
+
+import chain_ops as co
+from test_autodiff import check_grads
 
 
 def params_for(d=4, seed=0):
@@ -158,7 +163,7 @@ def test_gradients_flow_through_decay_and_gate():
         h = Tensor(np.random.default_rng(14).normal(size=(6, 4)))
         gamma = tp.decay_factor(e, np.full(6, 0.5), kernel, params)
         out = tp.gated_update(e, ad.mul(h, gamma), params)
-        ad.backward(ad.tensor_sum(ad.mul(out, out)))
+        ad.backward(co.tensor_sum(ad.mul(out, out)))
         touched = [name for name, p in params.items()
                    if p.grad is not None and np.any(p.grad != 0.0)]
         assert "gate.w" in touched
@@ -166,3 +171,110 @@ def test_gradients_flow_through_decay_and_gate():
             assert "decay.rate_raw" in touched
         else:
             assert "decay.w1" in touched and "decay.w2" in touched
+
+
+# -- fused nodes against the chains they replace --------------------------------
+
+DECAY_PARAMS = {"exp": ("decay.rate_raw",),
+                "mlp": ("decay.w1", "decay.b1", "decay.w2", "decay.b2")}
+GATE_PARAMS = ("gate.w", "gate.b")
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 5), n=st.integers(1, 6), kernel=st.sampled_from(tp.DECAY_KERNELS),
+       data=st.data(), direct=st.booleans(), seed=st.integers(0, 2**16))
+def test_decay_factor_is_one_node_with_the_chain_bits(d, n, kernel, data, direct, seed):
+    rng = np.random.default_rng(seed)
+    params = params_for(d=d, seed=seed % 97)
+    names = DECAY_PARAMS["exp" if kernel == "exp" else "mlp"]
+    arrays = {name: params[name].data for name in names}
+    arrays["decay.rate_raw"] = rng.normal(size=(1, 1))
+    arrays["e"] = rng.normal(size=(n, d))
+    # zero gaps, gaps past the linear kernel's zero, and ordinary ones
+    dt = rng.choice([0.0, 0.3, 1.7, 40.0], size=n)
+    untracked = data.draw(st.sets(st.sampled_from(sorted(arrays)), max_size=2))
+
+    def runner(decay):
+        def build(e, **p):
+            return decay(e, dt, kernel, p)
+        return co.differentiate(build, arrays, leaves=names, untracked=untracked,
+                                direct=direct, seed=seed)
+
+    co.assert_same_bits(runner(tp.decay_factor), runner(co.decay_factor))
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 5), n=st.integers(1, 6), data=st.data(), direct=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_gated_update_is_one_node_with_the_chain_bits(d, n, data, direct, seed):
+    rng = np.random.default_rng(seed)
+    params = params_for(d=d, seed=seed % 97)
+    arrays = {name: params[name].data for name in GATE_PARAMS}
+    arrays.update(e=rng.normal(size=(n, d)), h_hat=rng.normal(size=(n, d)))
+    untracked = data.draw(st.sets(st.sampled_from(sorted(arrays)), max_size=3))
+
+    def runner(gate):
+        def build(e, h_hat, **p):
+            return gate(e, h_hat, p)
+        return co.differentiate(build, arrays, leaves=GATE_PARAMS, untracked=untracked,
+                                direct=direct, seed=seed)
+
+    co.assert_same_bits(runner(tp.gated_update), runner(co.gated_update))
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 5), b=st.integers(1, 4), v=st.integers(1, 5), data=st.data(),
+       direct=st.booleans(), seed=st.integers(0, 2**16))
+def test_node_attention_is_one_node_with_the_chain_bits(d, b, v, data, direct, seed):
+    rng = np.random.default_rng(seed)
+    arrays = {"v_pat": rng.normal(size=(b, d)), "h_bank": rng.normal(size=(b * v, d)),
+              "w_proj": rng.normal(size=(d, d))}
+    untracked = data.draw(st.sets(st.sampled_from(sorted(arrays)), max_size=2))
+
+    def runner(attention):
+        return co.differentiate(attention, arrays, leaves=("w_proj",),
+                                untracked=untracked, direct=direct, seed=seed)
+
+    co.assert_same_bits(runner(tp.node_attention), runner(co.node_attention))
+
+
+def test_fused_temporal_nodes_record_one_node_each():
+    params = params_for()
+    e = Tensor(np.ones((3, 4)), tracked=True)
+    h_hat = Tensor(np.ones((3, 4)), tracked=True)
+    for kernel in tp.DECAY_KERNELS:
+        gamma = tp.decay_factor(e, np.ones(3), kernel, params)
+        names = DECAY_PARAMS["exp" if kernel == "exp" else "mlp"]
+        assert gamma._op == "decay_factor"
+        assert gamma._parents == (() if kernel == "exp" else (e,)) + tuple(
+            params[name] for name in names)
+    # backward must reach e before h_hat, as the chain's did
+    out = tp.gated_update(e, h_hat, params)
+    assert out._op == "gate" and out._parents == (h_hat, e, params["gate.w"],
+                                                  params["gate.b"])
+    v_pat, bank = Tensor(np.ones((2, 4)), tracked=True), Tensor(np.ones((4, 4)), tracked=True)
+    out = tp.node_attention(v_pat, bank, params["attn.proj"])
+    assert out._op == "attention" and out._parents == (v_pat, bank, params["attn.proj"])
+
+
+@pytest.mark.parametrize("kernel", tp.DECAY_KERNELS)
+@pytest.mark.parametrize("use_tde", [True, False])
+def test_fused_temporal_nodes_match_finite_differences(kernel, use_tde):
+    rng = np.random.default_rng(21)
+    params = params_for(seed=21)
+    params["decay.rate_raw"].data[:] = 0.3
+    e = Tensor(rng.normal(size=(4, 4)), tracked=True)
+    h = Tensor(rng.normal(size=(4, 4)), tracked=True)
+    v_pat = Tensor(rng.normal(size=(2, 4)), tracked=True)
+    dt = np.array([0.1, 0.4, 0.25, 0.05])  # rate * dt < 1: off the linear kernel's kink
+    w = Tensor(rng.normal(size=(2, 4)))
+
+    def loss():
+        h_hat = ad.mul(h, tp.decay_factor(e, dt, kernel, params)) if use_tde else h
+        bank = tp.gated_update(e, h_hat, params)
+        return co.tensor_sum(ad.mul(tp.node_attention(v_pat, bank, params["attn.proj"]), w))
+
+    names = ["gate.w", "gate.b", "attn.proj"]
+    if use_tde:
+        names += DECAY_PARAMS["exp" if kernel == "exp" else "mlp"]
+    check_grads(loss, [e, h, v_pat, *(params[name] for name in names)])
