@@ -9,7 +9,8 @@ fixed matrix of commands, each tree importing its own ``src/``:
 2. ``train`` at the default model config (K=4096) for 3 epochs on it; the
    same config for 2 epochs with each of ``--ablate mcv`` (fusion without
    retrieval), ``cb`` (no codebook), ``tde`` (no decay), ``te`` (no time
-   embedding) and ``sna`` (no attention), and with each non-default decay
+   embedding), ``sna`` (no attention) and ``hvs`` (no hidden variable
+   states in the classifier input), and with each non-default decay
    kernel (``exp``, ``mlp_gaussian``, ``mlp_linear``); and ``analyze`` of
    it (``decay_rates.csv`` and ``kw_summary.csv``);
 3. the ``eval-k4096`` benchmark config: ``synth`` and 1-epoch ``train`` of
@@ -75,7 +76,7 @@ def _synth(tree: Path, work: Path, name: str, config: dict, seed: int) -> list[s
 def run_matrix(tree: Path, work: Path) -> None:
     data = _synth(tree, work, "data", {}, 0)
     _run(tree, work, "train", *data, "--epochs", "3", "--seed", "0", "--out", "train")
-    for ablation in ("mcv", "cb", "tde", "te", "sna"):
+    for ablation in ("mcv", "cb", "tde", "te", "sna", "hvs"):
         _run(tree, work, "train", *data, "--epochs", "2", "--seed", "0",
              "--ablate", ablation, "--out", f"train_no_{ablation}")
     for kernel in KERNELS[1:]:

@@ -12,6 +12,13 @@ them between optimizer steps is the caller's job (see ``zero_grad``).
 Only the generic operations the model needs are provided. Broadcasting
 follows standard dense-array semantics.
 
+Every backward rule follows one idiom. It hands each input its gradient
+through ``_accumulate``, which ignores an untracked input, so a rule
+never tests ``.tracked`` itself. The weight, bias and input gradients of
+``x @ w + b`` go through ``_linear_grads``; row sums by index go through
+``_scatter_add``. ``_softmax`` is the one numpy softmax, for fused nodes
+and for constants.
+
 The model's per-step layers are fused nodes built on ``_make`` in the
 modules that use them (``graph``, ``temporal``, ``codebook``). Each
 replaces a chain of these ops and keeps its bits: the backward rule
@@ -109,7 +116,9 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], op: str, rule: Callable) 
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
-    """Add ``grad`` into ``t.grad``; callers pass only tracked tensors."""
+    """Add ``grad`` into ``t.grad``; an untracked ``t`` takes no gradient."""
+    if not t.tracked:
+        return
     if grad.shape != t.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match tensor shape {t.shape}")
     if t.grad is None:
@@ -119,24 +128,43 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
         t.grad += grad
 
 
+def _linear_grads(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray) -> np.ndarray:
+    """Add the gradients of ``x @ w + b`` into ``w`` and ``b``, given the
+    output gradient ``g``; return the input gradient ``g @ w.T``."""
+    _accumulate(w, np.matmul(x.T, g))
+    _accumulate(b, _unbroadcast(g, b.shape))
+    return np.matmul(g, w.data.T)
+
+
+def _scatter_add(shape: tuple, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` with each row of ``rows`` added at its ``index`` row."""
+    out = np.zeros(shape)
+    np.add.at(out, index, rows)
+    return out
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in place in ``x``, which it returns."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
 # -- arithmetic --------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
-        if a.tracked:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.tracked:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        _accumulate(a, _unbroadcast(g, a.shape))
+        _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(a.data + b.data, (a, b), "add", bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
-        if a.tracked:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.tracked:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(a.data * b.data, (a, b), "mul", bw)
 
@@ -154,17 +182,11 @@ def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
     x = np.concatenate([p.data for p in parts], axis=1)
 
     def bw(g):
-        if any(p.tracked for p in parts):
-            gx = np.matmul(g, w.data.T)
-            start = 0
-            for p, width in zip(parts, widths):
-                if p.tracked:
-                    _accumulate(p, gx[:, start:start + width])
-                start += width
-        if w.tracked:
-            _accumulate(w, np.matmul(x.T, g))
-        if b.tracked:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        gx = _linear_grads(x, w, b, g)
+        start = 0
+        for p, width in zip(parts, widths):
+            _accumulate(p, gx[:, start:start + width])
+            start += width
 
     return _make(np.matmul(x, w.data) + b.data, (*parts, w, b), "linear", bw)
 
@@ -176,19 +198,6 @@ def relu(a: Tensor) -> Tensor:
         _accumulate(a, g * (a.data > 0.0))
 
     return _make(np.maximum(a.data, 0.0), (a,), "relu", bw)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        _accumulate(a, s * (g - dot))
-
-    return _make(s, (a,), "softmax", bw)
 
 
 # -- shape manipulation ------------------------------------------------
@@ -207,9 +216,7 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     index = np.asarray(index, dtype=np.int64)
 
     def bw(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, index, g)
-        _accumulate(a, ga)
+        _accumulate(a, _scatter_add(a.shape, index, g))
 
     return _make(a.data[index], (a,), "gather_rows", bw)
 
@@ -226,12 +233,10 @@ def scatter_rows(base: Tensor, index: np.ndarray, rows: Tensor) -> Tensor:
     data[index] = rows.data
 
     def bw(g):
-        if base.tracked:
-            gb = g.copy()
-            gb[index] = 0.0
-            _accumulate(base, gb)
-        if rows.tracked:
-            _accumulate(rows, g[index])
+        gb = g.copy()
+        gb[index] = 0.0
+        _accumulate(base, gb)
+        _accumulate(rows, g[index])
 
     return _make(data, (base, rows), "scatter_rows", bw)
 

@@ -46,10 +46,7 @@ def soft_fuse(g: Tensor, codebook: Tensor,
     x, c = g.data, codebook.data
     c_norm, c_unit = unit_book
     g_norm, g_unit = unit_rows(x)
-    w = np.matmul(g_unit, c_unit.T)
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    w = ad._softmax(np.matmul(g_unit, c_unit.T))
     q = np.matmul(w, c)
     q_norm = np.sqrt((q * q).sum(axis=-1, keepdims=True))
     a_m = g_norm + FUSION_EPS
@@ -61,32 +58,27 @@ def soft_fuse(g: Tensor, codebook: Tensor,
         # expression; the chain's `+ 0.0` first writes are left out, since
         # they change only the sign of a zero and every term ends in
         # _accumulate, which drops that sign.
-        if g.tracked:
-            ad._accumulate(g, grad)
+        ad._accumulate(g, grad)
         d_scale = ad._unbroadcast(grad * q, scale.shape)
         d_q = grad * scale
         d_q += d_scale / a_m * q / np.maximum(q_norm, 1e-300)
-        if g.tracked:
-            d_gnorm = -d_scale * q_norm / (a_m * a_m)
-            ad._accumulate(g, d_gnorm * x / np.maximum(g_norm, 1e-300))
+        d_gnorm = -d_scale * q_norm / (a_m * a_m)
+        ad._accumulate(g, d_gnorm * x / np.maximum(g_norm, 1e-300))
         d_w = np.matmul(d_q, c.T)
-        if codebook.tracked:
-            ad._accumulate(codebook, np.matmul(w.T, d_q))
+        ad._accumulate(codebook, np.matmul(w.T, d_q))
         d_w -= (d_w * w).sum(axis=-1, keepdims=True)
         d_w *= w  # softmax backward, in place
-        if g.tracked:
-            a_g = g_norm + COSINE_EPS
-            d_gunit = np.matmul(d_w, c_unit)
-            ad._accumulate(g, d_gunit / a_g)
-            d_gnorm = ad._unbroadcast(-d_gunit * x / (a_g * a_g), g_norm.shape)
-            ad._accumulate(g, d_gnorm * x / np.maximum(g_norm, 1e-300))
-        if codebook.tracked:
-            a_c = c_norm + COSINE_EPS
-            # in the chain's C order: the row sum below rounds by memory layout
-            d_cunit = np.add(np.matmul(g_unit.T, d_w).T, 0.0, out=np.empty_like(c_unit))
-            ad._accumulate(codebook, d_cunit / a_c)
-            d_cnorm = ad._unbroadcast(-d_cunit * c / (a_c * a_c), c_norm.shape)
-            ad._accumulate(codebook, d_cnorm * c / np.maximum(c_norm, 1e-300))
+        a_g = g_norm + COSINE_EPS
+        d_gunit = np.matmul(d_w, c_unit)
+        ad._accumulate(g, d_gunit / a_g)
+        d_gnorm = ad._unbroadcast(-d_gunit * x / (a_g * a_g), g_norm.shape)
+        ad._accumulate(g, d_gnorm * x / np.maximum(g_norm, 1e-300))
+        a_c = c_norm + COSINE_EPS
+        # in the chain's C order: the row sum below rounds by memory layout
+        d_cunit = np.add(np.matmul(g_unit.T, d_w).T, 0.0, out=np.empty_like(c_unit))
+        ad._accumulate(codebook, d_cunit / a_c)
+        d_cnorm = ad._unbroadcast(-d_cunit * c / (a_c * a_c), c_norm.shape)
+        ad._accumulate(codebook, d_cnorm * c / np.maximum(c_norm, 1e-300))
 
     return ad._make(x + scale * q, (g, codebook), "soft_fuse", bw), w
 

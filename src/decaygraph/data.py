@@ -252,8 +252,8 @@ def load_dataset(observations_path: str, labels_path: str,
 
     if t_max is None:
         t_max = max_time if per_patient else 1.0
-    if t_max <= 0:
-        raise DataValidationError(f"t_max must be positive, got {t_max}")
+    if not (np.isfinite(t_max) and t_max > 0):
+        raise DataValidationError(f"t_max must be positive and finite, got {t_max}")
 
     episodes = []
     n_classes = 2
@@ -310,6 +310,9 @@ def normalize_splits(splits: DatasetSplits) -> DatasetSplits:
 def split_dataset(dataset: Dataset, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
                   seed: int = 0) -> DatasetSplits:
     """Seeded patient-level partition into train/val/test."""
+    if len(ratios) != 3:
+        raise SizingError(f"split ratios must be three numbers (train, val, test), "
+                          f"got {ratios}")
     if any(r <= 0 for r in ratios):
         raise SizingError(f"split ratios must be positive, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
@@ -335,6 +338,9 @@ def split_by_manifest(dataset: Dataset, manifest: dict[str, str]) -> DatasetSpli
         if ep.patient_id not in manifest:
             raise CompletenessError(f"patient {ep.patient_id!r} missing from splits manifest")
         buckets[manifest[ep.patient_id]].append(ep)
+    for name, part in buckets.items():
+        if not part:
+            raise SizingError(f"the splits manifest leaves the {name} split empty")
     return DatasetSplits(*(replace(dataset, episodes=buckets[k])
                            for k in ("train", "val", "test")))
 
@@ -415,10 +421,12 @@ class SyntheticConfig:
             raise SyntheticConfigError("decay rates must be positive")
         if not 0.0 <= self.missing_prob < 1.0:
             raise SyntheticConfigError(f"missing_prob must be in [0, 1), got {self.missing_prob}")
-        if self.horizon <= 0:
-            raise SyntheticConfigError(f"horizon must be positive, got {self.horizon}")
-        if self.obs_per_episode <= 0:
-            raise SyntheticConfigError("obs_per_episode must be positive")
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise SyntheticConfigError(f"horizon must be positive and finite, "
+                                       f"got {self.horizon}")
+        if not (np.isfinite(self.obs_per_episode) and self.obs_per_episode > 0):
+            raise SyntheticConfigError(f"obs_per_episode must be positive and finite, "
+                                       f"got {self.obs_per_episode}")
         if self.label_summary not in ("mean", "last", "decay_mean"):
             raise SyntheticConfigError(f"unknown label summary {self.label_summary!r}")
         if self.n_classes < 2:

@@ -107,28 +107,17 @@ def init_edge_embeddings(step: GraphStep, params: dict[str, Tensor],
         e = e + (raw * linear_mask + np.sin(raw) * sine_mask)
 
     def bw(g):
-        if value_w.tracked:
-            ad._accumulate(value_w, np.matmul(x_value.T, g))
-        if value_b.tracked:
-            ad._accumulate(value_b, ad._unbroadcast(g, value_b.shape))
-        if use_time_embedding and (freq.tracked or phase.tracked):
+        ad._accumulate(value_w, np.matmul(x_value.T, g))
+        ad._accumulate(value_b, ad._unbroadcast(g, value_b.shape))
+        if use_time_embedding:
             g_raw = g * linear_mask + g * sine_mask * np.cos(raw)
-            if freq.tracked:
-                ad._accumulate(freq, np.matmul(x_time.T, g_raw))
-            if phase.tracked:
-                ad._accumulate(phase, ad._unbroadcast(g_raw, phase.shape))
-        if table.tracked:
-            ad._accumulate(table, _scatter_add(table.shape, step.variable_idx, g))
+            ad._accumulate(freq, np.matmul(x_time.T, g_raw))
+            ad._accumulate(phase, ad._unbroadcast(g_raw, phase.shape))
+        ad._accumulate(table, ad._scatter_add(table.shape, step.variable_idx, g))
 
     parents = (value_w, value_b, freq, phase, table) if use_time_embedding else \
         (value_w, value_b, table)
     return ad._make(e + table.data[step.variable_idx], parents, "edge_init", bw)
-
-
-def _scatter_add(shape: tuple, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    out = np.zeros(shape)
-    np.add.at(out, index, rows)
-    return out
 
 
 def _message(v_src: Tensor, src_idx: np.ndarray, e: Tensor, dst_idx: np.ndarray,
@@ -140,19 +129,11 @@ def _message(v_src: Tensor, src_idx: np.ndarray, e: Tensor, dst_idx: np.ndarray,
     width = v_src.shape[1]
 
     def bw(g):
-        g_pre = g[dst_idx] * (pre > 0.0)
-        if v_src.tracked or e.tracked:
-            g_x = np.matmul(g_pre, w.data.T)
-            if e.tracked:
-                ad._accumulate(e, g_x[:, width:])
-        if w.tracked:
-            ad._accumulate(w, np.matmul(x.T, g_pre))
-        if b.tracked:
-            ad._accumulate(b, ad._unbroadcast(g_pre, b.shape))
-        if v_src.tracked:
-            ad._accumulate(v_src, _scatter_add(v_src.shape, src_idx, g_x[:, :width]))
+        g_x = ad._linear_grads(x, w, b, g[dst_idx] * (pre > 0.0))
+        ad._accumulate(e, g_x[:, width:])
+        ad._accumulate(v_src, ad._scatter_add(v_src.shape, src_idx, g_x[:, :width]))
 
-    out = _scatter_add((n_dst, pre.shape[1]), dst_idx, np.maximum(pre, 0.0))
+    out = ad._scatter_add((n_dst, pre.shape[1]), dst_idx, np.maximum(pre, 0.0))
     return ad._make(out, (v_src, e, w, b), "message", bw)
 
 
@@ -165,23 +146,13 @@ def _edge_update(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
     d_pat, d_var = v_pat.shape[1], v_var.shape[1]
 
     def bw(g):
-        if e.tracked:
-            ad._accumulate(e, g)
-        g_pre = g * (pre > 0.0)
-        if v_pat.tracked or v_var.tracked or e.tracked:
-            g_x = np.matmul(g_pre, w.data.T)
-            if e.tracked:
-                ad._accumulate(e, g_x[:, d_pat + d_var:])
-        if w.tracked:
-            ad._accumulate(w, np.matmul(x.T, g_pre))
-        if b.tracked:
-            ad._accumulate(b, ad._unbroadcast(g_pre, b.shape))
-        if v_pat.tracked:
-            ad._accumulate(v_pat, _scatter_add(v_pat.shape, step.patient_idx,
-                                               g_x[:, :d_pat]))
-        if v_var.tracked:
-            ad._accumulate(v_var, _scatter_add(v_var.shape, step.variable_idx,
-                                               g_x[:, d_pat:d_pat + d_var]))
+        ad._accumulate(e, g)
+        g_x = ad._linear_grads(x, w, b, g * (pre > 0.0))
+        ad._accumulate(e, g_x[:, d_pat + d_var:])
+        ad._accumulate(v_pat, ad._scatter_add(v_pat.shape, step.patient_idx,
+                                              g_x[:, :d_pat]))
+        ad._accumulate(v_var, ad._scatter_add(v_var.shape, step.variable_idx,
+                                              g_x[:, d_pat:d_pat + d_var]))
 
     return ad._make(e.data + np.maximum(pre, 0.0), (v_pat, v_var, e, w, b),
                     "edge_update", bw)

@@ -63,8 +63,8 @@ class ModelConfig:
                      "epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ModelConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ModelConfigError(f"lr must be positive, got {self.lr}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ModelConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.n_classes < 2:
             raise ModelConfigError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.decay_kernel not in DECAY_KERNELS:
@@ -234,15 +234,15 @@ class DecayGraphClassifier:
         """Class probabilities; builds no autodiff graph."""
         with ad.no_grad():
             logits, diagnostics = self.forward(episodes, collect_diagnostics)
-            return ad.softmax(logits).data, diagnostics
+            return ad._softmax(logits.data), diagnostics
 
 
 def head_reweight(h_bank: Tensor, counts: np.ndarray, batch: int,
                   v_count: int, dim: int) -> Tensor:
     """Boost each variable's state by its softmax-normalized observation count."""
-    weights = ad.softmax(Tensor(counts.astype(np.float64)))
+    weights = ad._softmax(counts.astype(np.float64)).reshape(batch, v_count, 1)
     bank3 = ad.reshape(h_bank, (batch, v_count, dim))
-    boosted = ad.add(bank3, ad.mul(bank3, ad.reshape(weights, (batch, v_count, 1))))
+    boosted = ad.add(bank3, ad.mul(bank3, Tensor(weights)))
     return ad.reshape(boosted, (batch, v_count * dim))
 
 

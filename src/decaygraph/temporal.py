@@ -91,18 +91,8 @@ def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
         if kernel == "exp":
             ad._accumulate(rate_raw, np.matmul(ones.T, g_pre))
             return
-        if w2.tracked:
-            ad._accumulate(w2, np.matmul(hidden.T, g_pre))
-        if b2.tracked:
-            ad._accumulate(b2, ad._unbroadcast(g_pre, b2.shape))
-        if e.tracked or w1.tracked or b1.tracked:
-            g_pre1 = np.matmul(g_pre, w2.data.T) * (pre1 > 0.0)
-            if e.tracked:
-                ad._accumulate(e, np.matmul(g_pre1, w1.data.T))
-            if w1.tracked:
-                ad._accumulate(w1, np.matmul(e.data.T, g_pre1))
-            if b1.tracked:
-                ad._accumulate(b1, ad._unbroadcast(g_pre1, b1.shape))
+        g_pre1 = ad._linear_grads(hidden, w2, b2, g_pre) * (pre1 > 0.0)
+        ad._accumulate(e, ad._linear_grads(e.data, w1, b1, g_pre1))
 
     return ad._make(out, parents, "decay_factor", bw)
 
@@ -119,22 +109,12 @@ def gated_update(e: Tensor, h_hat: Tensor, params: dict[str, Tensor]) -> Tensor:
     def bw(g):
         # the chain's order: (1 - r) * h_hat, 1 - r, r * e, sigmoid, linear
         g_one_minus = g * h_hat.data
-        if h_hat.tracked:
-            ad._accumulate(h_hat, g * one_minus)
+        ad._accumulate(h_hat, g * one_minus)
         g_r = -g_one_minus + g * e.data
-        if e.tracked:
-            ad._accumulate(e, g * r)
-        g_pre = g_r * r * one_minus
-        if e.tracked or h_hat.tracked:
-            g_x = np.matmul(g_pre, w.data.T)
-            if e.tracked:
-                ad._accumulate(e, g_x[:, :width])
-            if h_hat.tracked:
-                ad._accumulate(h_hat, g_x[:, width:])
-        if w.tracked:
-            ad._accumulate(w, np.matmul(x.T, g_pre))
-        if b.tracked:
-            ad._accumulate(b, ad._unbroadcast(g_pre, b.shape))
+        ad._accumulate(e, g * r)
+        g_x = ad._linear_grads(x, w, b, g_r * r * one_minus)
+        ad._accumulate(e, g_x[:, :width])
+        ad._accumulate(h_hat, g_x[:, width:])
 
     # backward must reach e before h_hat, as it did through the chain
     return ad._make(one_minus * h_hat.data + r * e.data, (h_hat, e, w, b), "gate", bw)
@@ -153,28 +133,21 @@ def node_attention(v_pat: Tensor, h_bank: Tensor, w_proj: Tensor) -> Tensor:
     query = v_pat.data.reshape(b, 1, d)
     scale = 1.0 / np.sqrt(d)
     scores = np.matmul(query, np.swapaxes(bank, -1, -2)) * scale
-    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = weights / weights.sum(axis=-1, keepdims=True)
+    weights = ad._softmax(scores)
     attended = np.matmul(weights, bank).reshape(b, d)
 
     def bw(g):
         # the chain's order: projection, mixture, softmax, scale, scores; the
         # bank sums its mixture term, then its transposed scores term
-        if w_proj.tracked:
-            ad._accumulate(w_proj, np.matmul(attended.T, g))
-        if not (v_pat.tracked or h_bank.tracked):
-            return
+        ad._accumulate(w_proj, np.matmul(attended.T, g))
         g_mix = np.matmul(g, w_proj.data.T).reshape(b, 1, d)
         g_weights = np.matmul(g_mix, np.swapaxes(bank, -1, -2))
-        if h_bank.tracked:
-            g_bank = np.matmul(np.swapaxes(weights, -1, -2), g_mix)
+        g_bank = np.matmul(np.swapaxes(weights, -1, -2), g_mix)
         dot = (g_weights * weights).sum(axis=-1, keepdims=True)
         g_scores = weights * (g_weights - dot) * scale
-        if v_pat.tracked:
-            ad._accumulate(v_pat, np.matmul(g_scores, bank).reshape(b, d))
-        if h_bank.tracked:
-            g_bank += np.swapaxes(np.matmul(np.swapaxes(query, -1, -2), g_scores), -1, -2)
-            ad._accumulate(h_bank, g_bank.reshape(h_bank.shape))
+        ad._accumulate(v_pat, np.matmul(g_scores, bank).reshape(b, d))
+        g_bank += np.swapaxes(np.matmul(np.swapaxes(query, -1, -2), g_scores), -1, -2)
+        ad._accumulate(h_bank, g_bank.reshape(h_bank.shape))
 
     return ad._make(np.matmul(attended, w_proj.data), (v_pat, h_bank, w_proj),
                     "attention", bw)

@@ -27,10 +27,8 @@ from decaygraph.autodiff import ShapeError, Tensor
 
 def sub(a, b):
     def bw(g):
-        if a.tracked:
-            ad._accumulate(a, ad._unbroadcast(g, a.shape))
-        if b.tracked:
-            ad._accumulate(b, ad._unbroadcast(-g, b.shape))
+        ad._accumulate(a, ad._unbroadcast(g, a.shape))
+        ad._accumulate(b, ad._unbroadcast(-g, b.shape))
 
     return ad._make(a.data - b.data, (a, b), "sub", bw)
 
@@ -40,12 +38,8 @@ def matmul(a, b):
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
 
     def bw(g):
-        if a.tracked:
-            ad._accumulate(a, ad._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
-                                              a.shape))
-        if b.tracked:
-            ad._accumulate(b, ad._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
-                                              b.shape))
+        ad._accumulate(a, ad._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        ad._accumulate(b, ad._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return ad._make(np.matmul(a.data, b.data), (a, b), "matmul", bw)
 
@@ -76,6 +70,19 @@ def exp(a):
         ad._accumulate(a, g * e)
 
     return ad._make(e, (a,), "exp", bw)
+
+
+def softmax(a):
+    """Softmax over the last axis as one op; the oracle for ``autodiff._softmax``."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        ad._accumulate(a, s * (g - dot))
+
+    return ad._make(s, (a,), "softmax", bw)
 
 
 def sin(a):
@@ -217,7 +224,7 @@ def node_attention(v_pat, h_bank, w_proj):
     bank3 = ad.reshape(h_bank, (b, h_bank.data.size // (b * d), d))
     query = ad.reshape(v_pat, (b, 1, d))
     scores = ad.mul(matmul(query, transpose_last2(bank3)), Tensor(1.0 / np.sqrt(d)))
-    weights = ad.softmax(scores)
+    weights = softmax(scores)
     attended = ad.reshape(matmul(weights, bank3), (b, d))
     return matmul(attended, w_proj)
 

@@ -190,6 +190,59 @@ def test_train_refuses_config_seed_that_is_not_an_integral_number(synth_dir, tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_train_refuses_manifest_that_leaves_a_split_empty(synth_dir, tmp_path, capsys,
+                                                          split):
+    other = "test" if split == "train" else "train"
+    rows = (synth_dir / "splits.csv").read_text(encoding="utf-8").splitlines()
+    manifest = tmp_path / "splits.csv"
+    manifest.write_text("\n".join([rows[0]] + [row.replace(f",{split}", f",{other}")
+                                               for row in rows[1:]]) + "\n",
+                        encoding="utf-8")
+    config = write_config(tmp_path, SMALL_MODEL)
+    out = tmp_path / "o"
+    assert run("train", "--config", config, *data_args(synth_dir)[:4],
+               "--splits", str(manifest), "--out", str(out)) == 1
+    assert f"the splits manifest leaves the {split} split empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_refuses_split_ratios_that_are_not_three_numbers(synth_dir, tmp_path, capsys):
+    config = write_config(tmp_path, {**SMALL_MODEL,
+                                     "data": {"split_ratios": [0.25, 0.25, 0.25, 0.25]}})
+    out = tmp_path / "o"
+    assert run("train", "--config", config, *data_args(synth_dir)[:4], "--out", str(out)) == 1
+    assert "split ratios must be three numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--t-max", "inf", "t_max must be positive and finite, got inf"),
+    ("--t-max", "nan", "t_max must be positive and finite, got nan"),
+    ("--lr", "nan", "lr must be positive and finite, got nan"),
+    ("--lr", "inf", "lr must be positive and finite, got inf"),
+])
+def test_train_refuses_non_finite_numbers(synth_dir, tmp_path, capsys, flag, value, message):
+    config = write_config(tmp_path, SMALL_MODEL)
+    out = tmp_path / "o"
+    assert run("train", "--config", config, *data_args(synth_dir), flag, value,
+               "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("horizon", float("nan")), ("horizon", float("inf")),
+                                       ("obs_per_episode", float("nan")),
+                                       ("obs_per_episode", float("inf"))])
+def test_synth_refuses_non_finite_numbers(tmp_path, capsys, key, value):
+    config = write_config(tmp_path, {**SMALL_SYNTH,
+                                     "synthetic": {**SMALL_SYNTH["synthetic"], key: value}})
+    out = tmp_path / "data"
+    assert run("synth", "--config", config, "--out", str(out)) == 1
+    assert f"{key} must be positive and finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- eval ---------------------------------------------------------------------------
 
 @pytest.fixture()

@@ -115,7 +115,7 @@ def _row_normalize(x):
 
 def chain_soft_fuse(g, codebook):
     sims = co.matmul(_row_normalize(g), co.transpose_last2(_row_normalize(codebook)))
-    weights = ad.softmax(sims)
+    weights = co.softmax(sims)
     quantized = co.matmul(weights, codebook)
     scale = div(l2_norm(quantized), ad.add(l2_norm(g), Tensor(cb.FUSION_EPS)))
     return ad.add(g, ad.mul(scale, quantized)), weights.data

@@ -263,6 +263,20 @@ def test_split_ratio_validation():
                                     label_coeffs=[1.0]))
     with pytest.raises(SizingError):
         split_dataset(ds, ratios=(0.5, 0.2, 0.2), seed=0)
+    for ratios in ((0.25, 0.25, 0.25, 0.25), (0.5, 0.5)):
+        with pytest.raises(SizingError, match="three numbers"):
+            split_dataset(ds, ratios=ratios, seed=0)
+
+
+@pytest.mark.parametrize("empty", ["train", "val", "test"])
+def test_split_by_manifest_refuses_an_empty_split(empty):
+    ds = synthesize(SyntheticConfig(n_variables=1, n_episodes=6, decay_rates=[1.0],
+                                    obs_per_episode=3.0, horizon=10.0, seed=0,
+                                    label_coeffs=[1.0]))
+    names = [name for name in ("train", "val", "test") if name != empty]
+    manifest = {ep.patient_id: names[i % 2] for i, ep in enumerate(ds.episodes)}
+    with pytest.raises(SizingError, match=f"leaves the {empty} split empty"):
+        dg.split_by_manifest(ds, manifest)
 
 
 # -- leave variables out ----------------------------------------------------------------
