@@ -11,8 +11,11 @@ fixed matrix of commands, each tree importing its own ``src/``:
    retrieval), ``cb`` (no codebook), ``tde`` (no decay), ``te`` (no time
    embedding), ``sna`` (no attention) and ``hvs`` (no hidden variable
    states in the classifier input), and with each non-default decay
-   kernel (``exp``, ``mlp_gaussian``, ``mlp_linear``); and ``analyze`` of
-   it (``decay_rates.csv`` and ``kw_summary.csv``);
+   kernel (``exp``, ``mlp_gaussian``, ``mlp_linear``), and with
+   ``--batch-size 6``, where a batch has as many patient rows as there
+   are variables, so both fusion calls of a step share one weight
+   buffer; and ``analyze`` of it (``decay_rates.csv`` and
+   ``kw_summary.csv``);
 3. the ``eval-k4096`` benchmark config: ``synth`` and 1-epoch ``train`` of
    a 32-episode checkpoint, ``synth`` of a 320-episode set, and ``eval``
    with leave-out rates 0.2 and 0.5;
@@ -82,6 +85,8 @@ def run_matrix(tree: Path, work: Path) -> None:
     for kernel in KERNELS[1:]:
         _run(tree, work, "train", *data, "--epochs", "2", "--seed", "0",
              "--kernel", kernel, "--out", f"train_{kernel}")
+    _run(tree, work, "train", *data, "--epochs", "2", "--seed", "0",
+         "--batch-size", "6", "--out", "train_batch6")
     _run(tree, work, "analyze", *data, "--out", "analyze")
 
     ckpt_data = _synth(tree, work, "ckpt_data",

@@ -4,13 +4,15 @@ Every command is a pure function of its input files, flags and seed;
 re-running an invocation reproduces its output files byte for byte.
 Reports are JSON with sorted keys, tabular outputs are CSV. Flags
 mirror config-file keys one to one and override them. Wall-clock time
-is printed to stdout rather than stored, so reports stay reproducible.
+and peak memory are printed to stdout rather than stored, so reports
+stay reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -123,6 +125,13 @@ def _seed_of(file_cfg: dict, args: argparse.Namespace) -> int:
 
 # -- commands -----------------------------------------------------------------
 
+def _print_usage(start: float) -> None:
+    """Wall time since ``start`` and this process's peak resident set size."""
+    print(f"wall_clock_seconds={time.perf_counter() - start:.3f}")
+    # ru_maxrss is in KiB on Linux
+    print(f"peak_rss_mb={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f}")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     section = dict(DEFAULT_SYNTHETIC)
@@ -186,7 +195,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_json(out / "report.json", report)
     print(f"checkpoint: {out / 'checkpoint.json'}")
     print(f"report: {out / 'report.json'}")
-    print(f"wall_clock_seconds={time.perf_counter() - start:.3f}")
+    _print_usage(start)
     return 0
 
 
@@ -225,7 +234,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         }
         _write_json(out / name, report)
         print(f"report: {out / name}")
-    print(f"wall_clock_seconds={time.perf_counter() - start:.3f}")
+    _print_usage(start)
     return 0
 
 
@@ -284,7 +293,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             fh.write("H,df,p\n")
             fh.write(f"{kw.statistic!r},{kw.df},{kw.p_value!r}\n")
         print(f"kw summary: {kw_path} (groups: {','.join(group_names)})")
-    print(f"wall_clock_seconds={time.perf_counter() - start:.3f}")
+    _print_usage(start)
     return 0
 
 

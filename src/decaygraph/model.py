@@ -181,24 +181,28 @@ class DecayGraphClassifier:
         v_var = self.params["node.var_table"]
         book = self.params["codebook"]
         # normalized once, shared by every fusion and the retrieval below
-        unit_book = cb.unit_rows(book.data) if flags.use_cb else None
+        unit_book = cb.UnitBook(book.data) if flags.use_cb else None
         h_bank = Tensor(np.zeros((batch * v_count, d)))
         # per-prototype sum of fusion weights over every fused row, for
         # the utilization diagnostic
         diagnostics: dict = ({"fusion_weight_sum": np.zeros(cfg.codebook_size),
                               "fusion_rows": 0} if collect_diagnostics else {})
 
+        def fuse(rows: Tensor) -> Tensor:
+            # the weights are read here, before the next call reuses their buffer
+            fused, weights = cb.soft_fuse(rows, book, unit_book)
+            if collect_diagnostics:
+                diagnostics["fusion_weight_sum"] += weights.sum(axis=0)
+                diagnostics["fusion_rows"] += weights.shape[0]
+            return fused
+
         for t, step in enumerate(gr.build_graph_steps(episodes, v_count)):
             if step.n_edges == 0:
                 continue
             if t >= 1:
                 if flags.use_cb:
-                    v_pat, w_pat = cb.soft_fuse(v_pat, book, unit_book)
-                    v_var, w_var = cb.soft_fuse(v_var, book, unit_book)
-                    if collect_diagnostics:
-                        for w in (w_pat, w_var):
-                            diagnostics["fusion_weight_sum"] += w.sum(axis=0)
-                            diagnostics["fusion_rows"] += w.shape[0]
+                    v_pat = fuse(v_pat)
+                    v_var = fuse(v_var)
                 if flags.use_sna:
                     v_pat = tp.node_attention(v_pat, h_bank, self.params["attn.proj"])
 

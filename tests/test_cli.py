@@ -94,12 +94,16 @@ def test_synth_variable_count_matches_config(synth_dir):
 
 # -- train -------------------------------------------------------------------------
 
-def test_train_writes_report_and_checkpoint(synth_dir, tmp_path):
+def test_train_writes_report_and_checkpoint(synth_dir, tmp_path, capsys):
     config = write_config(tmp_path, SMALL_MODEL, name="train.json")
     out = tmp_path / "run"
     code = run("train", "--config", config, *data_args(synth_dir),
                "--out", str(out), "--seed", "0")
     assert code == 0
+    # peak memory goes to stdout only, never into the report
+    peak = re.search(r"^peak_rss_mb=(\S+)$", capsys.readouterr().out, re.MULTILINE)
+    assert peak and float(peak.group(1)) > 0.0
+    assert "peak_rss" not in (out / "report.json").read_text()
     report = json.loads((out / "report.json").read_text())
     assert len(report["history"]) == 2
     assert {"epoch", "train_loss", "val_auprc"} <= set(report["history"][0])

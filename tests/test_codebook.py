@@ -28,7 +28,7 @@ def fuse_oracle(g, book):
 def test_single_prototype_degenerate_softmax():
     g = np.array([[1.0, 2.0]])
     book = np.array([[3.0, -1.0]])
-    fused, weights = cb.soft_fuse(Tensor(g), Tensor(book), cb.unit_rows(book))
+    fused, weights = cb.soft_fuse(Tensor(g), Tensor(book), cb.UnitBook(book))
     np.testing.assert_allclose(weights, [[1.0]], atol=1e-15)
     alpha = np.linalg.norm(book[0]) / (np.linalg.norm(g[0]) + cb.FUSION_EPS)
     np.testing.assert_allclose(fused.data, g + alpha * book, atol=1e-12)
@@ -38,7 +38,7 @@ def test_identical_prototypes_mix_to_that_prototype():
     c = np.array([0.5, -0.25, 1.0])
     book = np.tile(c, (6, 1))
     g = np.array([[2.0, 0.0, -1.0]])
-    fused, weights = cb.soft_fuse(Tensor(g), Tensor(book), cb.unit_rows(book))
+    fused, weights = cb.soft_fuse(Tensor(g), Tensor(book), cb.UnitBook(book))
     quant = weights[0] @ book
     np.testing.assert_allclose(quant, c, atol=1e-12)
     alpha = np.linalg.norm(c) / (np.linalg.norm(g[0]) + cb.FUSION_EPS)
@@ -48,7 +48,7 @@ def test_identical_prototypes_mix_to_that_prototype():
 def test_hand_expanded_two_prototype_case():
     g = np.array([[1.0, 0.5]])
     book = np.array([[2.0, 0.0], [0.0, 1.0]])
-    fused, weights = cb.soft_fuse(Tensor(g), Tensor(book), cb.unit_rows(book))
+    fused, weights = cb.soft_fuse(Tensor(g), Tensor(book), cb.UnitBook(book))
     expected, w_expected = fuse_oracle(g[0], book)
     np.testing.assert_allclose(weights[0], w_expected, atol=1e-9)
     np.testing.assert_allclose(fused.data[0], expected, atol=1e-9)
@@ -58,7 +58,7 @@ def test_fusion_weights_positive_and_normalized():
     rng = np.random.default_rng(0)
     g = Tensor(rng.normal(size=(7, 5)))
     book = Tensor(rng.normal(size=(12, 5)))
-    _, weights = cb.soft_fuse(g, book, cb.unit_rows(book.data))
+    _, weights = cb.soft_fuse(g, book, cb.UnitBook(book.data))
     assert np.all(weights > 0.0)
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
@@ -67,7 +67,7 @@ def test_quantized_vector_in_convex_hull():
     rng = np.random.default_rng(1)
     g = rng.normal(size=(4, 3))
     book = rng.normal(size=(5, 3))
-    _, weights = cb.soft_fuse(Tensor(g), Tensor(book), cb.unit_rows(book))
+    _, weights = cb.soft_fuse(Tensor(g), Tensor(book), cb.UnitBook(book))
     # membership certificate: the weights themselves are the hull coefficients
     quant = weights @ book
     for i in range(4):
@@ -82,8 +82,8 @@ def test_fusion_equivariant_under_rotation():
     g = rng.normal(size=(3, 3))
     book = rng.normal(size=(6, 3))
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    base, _ = cb.soft_fuse(Tensor(g), Tensor(book), cb.unit_rows(book))
-    rotated, _ = cb.soft_fuse(Tensor(g @ q), Tensor(book @ q), cb.unit_rows(book @ q))
+    base, _ = cb.soft_fuse(Tensor(g), Tensor(book), cb.UnitBook(book))
+    rotated, _ = cb.soft_fuse(Tensor(g @ q), Tensor(book @ q), cb.UnitBook(book @ q))
     np.testing.assert_allclose(rotated.data, base.data @ q, atol=1e-9)
 
 
@@ -122,7 +122,7 @@ def chain_soft_fuse(g, codebook):
 
 
 def fused_soft_fuse(book):
-    unit_book = cb.unit_rows(book.data)  # once for every call, as in the model
+    unit_book = cb.UnitBook(book.data)  # once for every call, as in the model
     return lambda g, codebook: cb.soft_fuse(g, codebook, unit_book)
 
 
@@ -190,7 +190,7 @@ def test_soft_fuse_keeps_the_chain_bits_at_model_size():
 def test_soft_fuse_records_one_node():
     g = Tensor(np.ones((2, 3)), tracked=True)
     book = Tensor(np.eye(3), tracked=True)
-    fused, _ = cb.soft_fuse(g, book, cb.unit_rows(book.data))
+    fused, _ = cb.soft_fuse(g, book, cb.UnitBook(book.data))
     assert fused._op == "soft_fuse" and fused._parents == (g, book)
 
 
@@ -201,7 +201,7 @@ def test_soft_fuse_gradients_match_finite_differences():
     r = Tensor(rng.normal(size=(3, 4)))
 
     def loss():
-        unit_book = cb.unit_rows(book.data)
+        unit_book = cb.UnitBook(book.data)
         once, _ = cb.soft_fuse(g, book, unit_book)
         twice, _ = cb.soft_fuse(once, book, unit_book)
         return co.tensor_sum(ad.mul(twice, r))
@@ -211,22 +211,22 @@ def test_soft_fuse_gradients_match_finite_differences():
 
 def test_retrieve_self_match():
     book = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    idx, rows = cb.retrieve(Tensor([[0.0, 2.0, 0.0]]), Tensor(book), cb.unit_rows(book))
+    idx, rows = cb.retrieve(Tensor([[0.0, 2.0, 0.0]]), Tensor(book), cb.UnitBook(book))
     assert list(idx) == [1]
     np.testing.assert_array_equal(rows.data, [[0.0, 1.0, 0.0]])
 
 
 def test_retrieve_tie_breaks_low_index():
     book = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # identical best rows
-    idx, _ = cb.retrieve(Tensor([[3.0, 0.0]]), Tensor(book), cb.unit_rows(book))
+    idx, _ = cb.retrieve(Tensor([[3.0, 0.0]]), Tensor(book), cb.UnitBook(book))
     assert list(idx) == [0]
 
 
 def test_retrieve_antisymmetric_under_negation():
     u = np.array([0.6, -0.8])
     book = Tensor(np.stack([u, -u]))
-    idx_pos, _ = cb.retrieve(Tensor(u[None, :]), book, cb.unit_rows(book.data))
-    idx_neg, _ = cb.retrieve(Tensor(-u[None, :]), book, cb.unit_rows(book.data))
+    idx_pos, _ = cb.retrieve(Tensor(u[None, :]), book, cb.UnitBook(book.data))
+    idx_neg, _ = cb.retrieve(Tensor(-u[None, :]), book, cb.UnitBook(book.data))
     assert list(idx_pos) == [0]
     assert list(idx_neg) == [1]
 
@@ -235,16 +235,16 @@ def test_retrieve_scale_invariant():
     rng = np.random.default_rng(3)
     g = rng.normal(size=(5, 4))
     book = Tensor(rng.normal(size=(9, 4)))
-    base, _ = cb.retrieve(Tensor(g), book, cb.unit_rows(book.data))
+    base, _ = cb.retrieve(Tensor(g), book, cb.UnitBook(book.data))
     for scale in (0.01, 3.0, 1e4):
-        scaled, _ = cb.retrieve(Tensor(scale * g), book, cb.unit_rows(book.data))
+        scaled, _ = cb.retrieve(Tensor(scale * g), book, cb.UnitBook(book.data))
         np.testing.assert_array_equal(scaled, base)
 
 
 def test_retrieve_gradient_goes_to_selected_row_only():
     from decaygraph import autodiff as ad
     book = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]), tracked=True)
-    idx, rows = cb.retrieve(Tensor([[2.0, 0.1]]), book, cb.unit_rows(book.data))
+    idx, rows = cb.retrieve(Tensor([[2.0, 0.1]]), book, cb.UnitBook(book.data))
     ad.backward(co.tensor_sum(rows))
     assert list(idx) == [0]
     np.testing.assert_array_equal(book.grad, [[1.0, 1.0], [0.0, 0.0]])

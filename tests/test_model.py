@@ -164,6 +164,31 @@ def test_predict_proba_keeps_no_graph_alive():
     assert predict_peak <= forward_peak / 3, (predict_peak, forward_peak)
 
 
+def test_training_peak_does_not_grow_by_a_fusion_array_per_step():
+    # a soft_fuse node keeps no B×K array from forward to backward, so three
+    # times the steps add less than one such array to the training peak
+    ds = synth(n=4, seed=0, obs=12.0)
+    model = tiny_model(ds.variables, d=4, k=16384)
+
+    def train_peak(n_steps):
+        episodes = truncate_episodes(ds.episodes, n_steps, 24.0)
+        ad.zero_grad(model.params.values())
+        tracemalloc.start()
+        try:
+            logits, _ = model.forward(episodes)
+            ad.backward(ad.cross_entropy(logits, [ep.label for ep in episodes]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, sum(step.n_edges > 0 for step in gr.build_graph_steps(episodes, 3))
+
+    train_peak(3)  # first-call allocations stay out of the comparison
+    (short, short_steps), (long, long_steps) = train_peak(3), train_peak(9)
+    assert long_steps >= 3 * short_steps
+    fusion_array = len(ds.episodes) * model.config.codebook_size * 8
+    assert long - short < fusion_array, (short, long, fusion_array)
+
+
 # -- ablation mechanics -----------------------------------------------------------
 
 def perturb_and_compare(flags, param_names, seed=19):
@@ -562,23 +587,27 @@ ABLATION_SETS = [(), ("tde",), ("te",), ("sna",), ("cb",), ("hvs", "mcv"), ("tde
 @pytest.mark.parametrize("ablate", ABLATION_SETS, ids="-".join)
 def test_forward_and_gradients_keep_the_chain_bits(monkeypatch, kernel, ablate):
     """Logits and every parameter gradient of a ragged batch are the bytes the
-    chains of small ops gave, which also pins each fused node's parent order."""
+    chains of small ops gave, which also pins each fused node's parent order.
+    The second batch has as many patients as variables, so a step's patient
+    and variable fusions share their scratch buffers. Fusion runs fused on
+    both sides; ``test_codebook`` compares it with its chain."""
     ds = synth(n=6, seed=83, obs=4.0)
     flags = AblationFlags(**{f"use_{name}": False for name in ablate})
 
-    def run():
+    def run(episodes):
         model = tiny_model(ds.variables, d=4, k=4, seed=7, flags=flags, kernel=kernel)
-        logits = model.forward(ds.episodes)[0]
-        ad.backward(ad.cross_entropy(logits, [ep.label for ep in ds.episodes]))
+        logits = model.forward(episodes)[0]
+        ad.backward(ad.cross_entropy(logits, [ep.label for ep in episodes]))
         return [logits.data] + [p.grad for p in model.params.values()]
 
-    fused = run()
-    with monkeypatch.context() as patch:
-        co.install(patch)
-        chain = run()
-    for a, b in zip(fused, chain):
-        assert (a is None) == (b is None)
-        assert a is None or a.tobytes() == b.tobytes()
+    for episodes in (ds.episodes, ds.episodes[:3]):
+        fused = run(episodes)
+        with monkeypatch.context() as patch:
+            co.install(patch)
+            chain = run(episodes)
+        for a, b in zip(fused, chain):
+            assert (a is None) == (b is None)
+            assert a is None or a.tobytes() == b.tobytes()
 
 
 def test_c8_forward_builds_at_most_25_tracked_nodes_per_step(monkeypatch):
