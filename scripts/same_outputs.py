@@ -27,16 +27,22 @@ fixed matrix of commands, each tree importing its own ``src/``:
    3-epoch run can miss; on this seed one grew to a 1.8e-4 loss
    difference by epoch 12.
 
-The SHA-256 of every output file is printed for both trees. The exit
+The SHA-256 of every output file is printed for both trees. For a JSON
+or CSV file that differs, the largest relative difference over its
+numeric values is printed too (a checkpoint parameter's base64 float64
+data counts as its values), or why the values do not pair up. The exit
 status is 0 when every file matches, and 1 when a file differs, exists
 in only one tree, or a command fails.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -117,6 +123,56 @@ def digests(work: Path) -> dict[str, str]:
             for p in sorted(work.rglob("*")) if p.is_file()}
 
 
+def numbers(path: Path) -> list[float]:
+    """The numeric values of a JSON or CSV file, in a fixed order."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".csv":
+        values = []
+        for field in text.replace("\n", ",").split(","):
+            try:
+                values.append(float(field))
+            except ValueError:
+                pass
+        return values
+    values = []
+
+    def walk(node) -> None:
+        if isinstance(node, dict):
+            if set(node) == {"shape", "data"} and isinstance(node["data"], str):
+                raw = base64.b64decode(node["data"])
+                values.extend(struct.unpack(f"<{len(raw) // 8}d", raw))
+                return
+            for key in sorted(node):
+                walk(node[key])
+        elif isinstance(node, list):
+            for item in node:
+                walk(item)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            values.append(float(node))
+
+    walk(json.loads(text))
+    return values
+
+
+def max_relative_difference(a: Path, b: Path) -> str:
+    """The largest |x - y| / max(|x|, |y|) over the paired numeric values of
+    two JSON or CSV files, or why they do not pair up."""
+    try:
+        xs, ys = numbers(a), numbers(b)
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        return f"unreadable: {exc}"
+    if len(xs) != len(ys):
+        return f"{len(xs)} and {len(ys)} numeric values"
+    worst = 0.0
+    for x, y in zip(xs, ys):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return f"max_rel_diff=inf ({x} against {y})"
+        worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return f"max_rel_diff={worst:.3g}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -124,8 +180,8 @@ def main(argv: list[str]) -> int:
     trees = [Path(a).resolve() for a in argv]
     results = []
     with tempfile.TemporaryDirectory() as tmp:
-        for i, tree in enumerate(trees):
-            work = Path(tmp) / str(i)
+        works = [Path(tmp) / str(i) for i in range(len(trees))]
+        for tree, work in zip(trees, works):
             work.mkdir()
             try:
                 run_matrix(tree, work)
@@ -133,13 +189,16 @@ def main(argv: list[str]) -> int:
                 print(exc, file=sys.stderr)
                 return 1
             results.append(digests(work))
-    a, b = results
-    same = True
-    for name in sorted(set(a) | set(b)):
-        ha, hb = a.get(name, "missing"), b.get(name, "missing")
-        verdict = "same" if ha == hb else "DIFFERENT"
-        same &= ha == hb
-        print(f"{verdict:9s} {name}  {ha[:16]}  {hb[:16]}")
+        a, b = results
+        same = True
+        for name in sorted(set(a) | set(b)):
+            ha, hb = a.get(name, "missing"), b.get(name, "missing")
+            verdict = "same" if ha == hb else "DIFFERENT"
+            same &= ha == hb
+            detail = ""
+            if ha != hb and name in a and name in b and name.endswith((".json", ".csv")):
+                detail = "  " + max_relative_difference(works[0] / name, works[1] / name)
+            print(f"{verdict:9s} {name}  {ha[:16]}  {hb[:16]}{detail}")
     print("identical" if same else "outputs differ")
     return 0 if same else 1
 

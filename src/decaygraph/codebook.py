@@ -9,21 +9,36 @@ but full gradient into the selected row.
 A forward pass builds one :class:`UnitBook` of the codebook and hands it
 to every ``soft_fuse`` and to ``retrieve``. It normalizes the codebook
 once, holds the per-codebook constants of the fusion backward, and owns
-the scratch buffers that every fusion call and its backward rule write
-with ``out=``: the B×K arrays (B rows, K prototypes) and the K×d
-codebook-gradient terms. Fusion is one autodiff node that keeps only its
-(B, d) arrays. Its forward computes the softmax in place in a B×K
-buffer; its hand-written backward recomputes that softmax with the
-forward's own expression, so no B×K array lives from forward to
-backward. The backward evaluates the numpy expressions of the node chain
-it replaces (row normalization, cosine matmul, softmax, prototype
-mixture, residual scale) and adds each gradient term in that chain's
-order; each call still adds its own three codebook terms (mixture, unit
-rows, row norms). With patient attention on, backward in
-``model.forward`` reaches every call's input before the call itself, so
-values and gradients keep the chain's bits; with it ablated (``--ablate
-sna``) the codebook gradient sums in another order than the chain's and
-differs in its last bits.
+the scratch buffers that fusion writes with ``out=``: the forward's B×K
+similarities (B rows, K prototypes), the backward's B×``TILE`` tiles and
+its K×d codebook-gradient terms. Fusion is one autodiff node that keeps
+only its (B, d) arrays and, for a large codebook, its (B, 1) softmax row
+sums; its hand-written backward recomputes the softmax weights, so no
+B×K array lives from forward to backward.
+
+The node has two cores, chosen by codebook size; they share the backward's
+prologue (residual scale and the mixture's gradient ``d_q``) and epilogue
+(the row and codebook normalization terms).
+
+- K ≤ ``TILE``: the numpy expressions of the node chain it replaces (row
+  normalization, cosine matmul, max-shifted softmax, prototype mixture,
+  residual scale), each gradient term added in that chain's order. With
+  patient attention on, backward in ``model.forward`` reaches every
+  call's input before the call itself, so values and gradients keep the
+  chain's bits; with it ablated (``--ablate sna``) the codebook gradient
+  sums in another order than the chain's and differs in its last bits.
+  A 12-epoch K=32 training run amplifies a last-bit change past the
+  benchmark's stored reference losses, so this core stays until those
+  are regenerated.
+- K > ``TILE``: cosines lie in [-1, 1], so the forward takes ``exp`` of
+  the similarities with no max shift, keeps their row sum ``l``, and
+  mixes ``q = (exp(S) @ c) / l``. The backward recomputes ``exp(S)`` one
+  tile of ``TILE`` prototypes at a time and divides the (B, d) mixture
+  gradient by ``l`` in place of the tile. It uses the row term
+  ``D = (d_q * q).sum(-1)`` in place of the B×K ``sum(d_w * w)``
+  (FlashAttention's backward, Dao et al., arXiv:2205.14135). Values and
+  gradients differ from the chain's by rounding only, about 1e-15
+  relative.
 """
 
 from __future__ import annotations
@@ -35,6 +50,7 @@ from .autodiff import ContractError, Tensor
 
 FUSION_EPS = 1e-8  # residual-scale division guard
 COSINE_EPS = 1e-12  # cosine-similarity norm guard
+TILE = 1024  # prototypes per backward tile; larger codebooks take the tiled core
 
 
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,59 +83,98 @@ class UnitBook:
             buf = self._buffers[name, shape] = np.empty(shape)
         return buf
 
-    def similarities(self, rows: np.ndarray, name: str) -> np.ndarray:
+    def similarities(self, rows: np.ndarray) -> np.ndarray:
         """Cosine similarities of the unit ``rows`` to every prototype, written
-        into the ``name`` buffer."""
-        out = self.buffer(name, (rows.shape[0], self.unit.shape[0]))
+        into the B×K similarity buffer."""
+        out = self.buffer("sims", (rows.shape[0], self.unit.shape[0]))
         return np.matmul(rows, self.unit.T, out=out)
 
 
-def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook) -> tuple[Tensor, np.ndarray]:
+def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
+              weight_sum: np.ndarray | None = None) -> Tensor:
     """Residual fusion of each row of ``g`` with the prototype mixture.
 
-    ``unit_book`` is the forward's ``UnitBook(codebook.data)``. Returns the
-    fused rows and the softmax weight matrix, as plain data for the
-    utilization diagnostic. The weights live in a buffer of ``unit_book``:
-    read them before the next call with as many rows, and do not modify
-    them. The backward rule recomputes them.
+    ``unit_book`` is the forward's ``UnitBook(codebook.data)``. When
+    ``weight_sum`` (K,) is given, the call adds each prototype's softmax
+    weight, summed over the rows of ``g``, into it: the utilization
+    diagnostic.
     """
     x, c = g.data, codebook.data
     g_norm, g_unit = unit_rows(x)
-    w = ad._softmax(unit_book.similarities(g_unit, "w"))
-    q = np.matmul(w, c)
+    n_rows, n_protos = x.shape[0], c.shape[0]
+    tiled = n_protos > TILE
+    weights = unit_book.similarities(g_unit)
+    if tiled:
+        # the weights times their row sum; cosines lie in [-1, 1], so exp
+        # needs no max shift
+        np.exp(weights, out=weights)
+        row_sum = weights.sum(axis=-1, keepdims=True)
+        q = np.matmul(weights, c)
+        q /= row_sum
+        if weight_sum is not None:
+            weight_sum += np.matmul(1.0 / row_sum[:, 0], weights)
+    else:
+        ad._softmax(weights)
+        q = np.matmul(weights, c)
+        if weight_sum is not None:
+            weight_sum += weights.sum(axis=0)
     q_norm = np.sqrt((q * q).sum(axis=-1, keepdims=True))
     a_m = g_norm + FUSION_EPS
     scale = q_norm / a_m
 
+    def chain_core(d_q):
+        # the chain's softmax backward; its B×K arrays are freed on return
+        w = ad._softmax(np.matmul(g_unit, unit_book.unit.T))  # the forward's weights
+        d_w = np.matmul(d_q, c.T)
+        ad._accumulate(codebook, np.matmul(w.T, d_q))
+        d_w -= (d_w * w).sum(axis=-1, keepdims=True)
+        d_w *= w
+        # in the chain's C order: the epilogue's row sum rounds by memory layout
+        d_cunit = np.add(np.matmul(g_unit.T, d_w).T, 0.0,
+                         out=unit_book.buffer("d_cunit", c.shape))
+        return np.matmul(d_w, unit_book.unit), d_cunit
+
+    def tiled_core(d_q):
+        # the weights are exp(S) / l; the division moves onto the (B, d) d_q.
+        # sum_k w_k * d_w_k over a row is d_q . q, so no pass needs all K at once
+        d_q = d_q / row_sum
+        d_rowterm = (d_q * q).sum(axis=-1, keepdims=True)
+        mixture = unit_book.buffer("book_term", c.shape)
+        d_cunit = unit_book.buffer("d_cunit", c.shape)
+        d_gunit = np.zeros_like(x)
+        for lo in range(0, n_protos, TILE):
+            hi = min(lo + TILE, n_protos)
+            unit = unit_book.unit[lo:hi]
+            e = np.matmul(g_unit, unit.T, out=unit_book.buffer("tile", (n_rows, hi - lo)))
+            np.exp(e, out=e)
+            np.matmul(e.T, d_q, out=mixture[lo:hi])
+            d_s = np.matmul(d_q, c[lo:hi].T, out=unit_book.buffer("d_tile", (n_rows, hi - lo)))
+            d_s -= d_rowterm
+            d_s *= e
+            d_gunit += np.matmul(d_s, unit)
+            np.matmul(d_s.T, g_unit, out=d_cunit[lo:hi])
+        ad._accumulate(codebook, mixture)
+        return d_gunit, d_cunit
+
     def bw(grad):
         # g gets: output, scale norm, unit rows, unit-row norm; the codebook
-        # gets: mixture, unit rows, row norms. Each term is the chain's
-        # expression; the chain's `+ 0.0` first writes are left out, since
-        # they change only the sign of a zero and every term ends in
-        # _accumulate, which drops that sign. Every B×K and K×d array is a
-        # reused buffer of unit_book, and each is read before it is reused.
-        rows = (x.shape[0], c.shape[0])
-        w = ad._softmax(unit_book.similarities(g_unit, "w_bw"))  # the forward's weights
+        # gets: mixture, unit rows, row norms, in the chain's order. Outside
+        # the tiled core each term is the chain's expression; the chain's
+        # `+ 0.0` first writes are left out, since they change only the
+        # sign of a zero and every term ends in _accumulate, which drops
+        # that sign. Each buffer of unit_book is read before it is reused.
         ad._accumulate(g, grad)
         d_scale = ad._unbroadcast(grad * q, scale.shape)
         d_q = grad * scale
         d_q += d_scale / a_m * q / np.maximum(q_norm, 1e-300)
         d_gnorm = -d_scale * q_norm / (a_m * a_m)
         ad._accumulate(g, d_gnorm * x / np.maximum(g_norm, 1e-300))
-        d_w = np.matmul(d_q, c.T, out=unit_book.buffer("d_w", rows))
-        term = unit_book.buffer("book_term", c.shape)
-        ad._accumulate(codebook, np.matmul(w.T, d_q, out=term))
-        d_w_w = np.multiply(d_w, w, out=unit_book.buffer("d_w_w", rows))
-        d_w -= d_w_w.sum(axis=-1, keepdims=True)
-        d_w *= w  # softmax backward, in place
+        d_gunit, d_cunit = (tiled_core if tiled else chain_core)(d_q)
         a_g = g_norm + COSINE_EPS
-        d_gunit = np.matmul(d_w, unit_book.unit)
         ad._accumulate(g, d_gunit / a_g)
         d_gnorm = ad._unbroadcast(-d_gunit * x / (a_g * a_g), g_norm.shape)
         ad._accumulate(g, d_gnorm * x / np.maximum(g_norm, 1e-300))
-        # in the chain's C order: the row sum below rounds by memory layout
-        d_cunit_t = np.matmul(g_unit.T, d_w, out=unit_book.buffer("d_cunit_t", c.shape[::-1]))
-        d_cunit = np.add(d_cunit_t.T, 0.0, out=unit_book.buffer("d_cunit", c.shape))
+        term = unit_book.buffer("book_term", c.shape)
         ad._accumulate(codebook, np.divide(d_cunit, unit_book.norm_eps, out=term))
         np.negative(d_cunit, out=term)
         term *= c
@@ -128,17 +183,18 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook) -> tuple[Tensor,
         np.multiply(d_cnorm, c, out=term)
         ad._accumulate(codebook, np.divide(term, unit_book.norm_safe, out=term))
 
-    return ad._make(x + scale * q, (g, codebook), "soft_fuse", bw), w
+    return ad._make(x + scale * q, (g, codebook), "soft_fuse", bw)
 
 
 def retrieve(g: Tensor, codebook: Tensor, unit_book: UnitBook) -> tuple[np.ndarray, Tensor]:
     """Most-similar prototype per row by cosine; ties go to the lowest index.
 
     ``unit_book`` is the forward's ``UnitBook(codebook.data)``; the
-    similarities overwrite its fusion-weight buffer. The argmax is not
-    differentiated; gradients flow only into the selected codebook rows.
+    similarities overwrite its B×K buffer, which fusion also uses. The
+    argmax is not differentiated; gradients flow only into the selected
+    codebook rows.
     """
-    indices = unit_book.similarities(unit_rows(g.data)[1], "w").argmax(axis=1)
+    indices = unit_book.similarities(unit_rows(g.data)[1]).argmax(axis=1)
     return indices, ad.gather_rows(codebook, indices)
 
 

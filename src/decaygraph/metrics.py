@@ -166,11 +166,30 @@ def binary_report(scores, labels, bins: int = 10) -> MetricsReport:
 
 
 def multiclass_report(probs, labels) -> dict:
-    """Accuracy plus macro precision/recall/F1 for C > 2 tasks."""
+    """Accuracy plus macro precision/recall/F1 for C > 2 tasks.
+
+    ``probs`` is (n, C) with n >= 1 and C >= 2; ``labels`` holds one class
+    in [0, C) per row.
+    """
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    pred = probs.argmax(axis=1)
+    values = np.asarray(labels, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] < 2:
+        raise MetricConfigError(f"probs must be a 2-d (rows, classes) array with at least "
+                                f"one row and two classes, got shape {probs.shape}")
+    if not np.all(np.isfinite(probs)):
+        raise MetricConfigError("probs must be finite")
+    if values.shape != probs.shape[:1]:
+        raise MetricConfigError(f"labels must be 1-d with one entry per row of probs, "
+                                f"got shape {values.shape} for {probs.shape[0]} rows")
+    if not np.all(np.isfinite(values) & (values == np.floor(values))):
+        raise MetricConfigError("labels must be integer class indices")
+    labels = values.astype(np.int64)
     n_classes = probs.shape[1]
+    outside = labels[(labels < 0) | (labels >= n_classes)]
+    if outside.size:
+        raise MetricConfigError(f"labels must lie in [0, {n_classes}), got "
+                                f"{sorted(set(outside.tolist()))}")
+    pred = probs.argmax(axis=1)
     precisions, recalls, f1s = [], [], []
     for c in range(n_classes):
         tp = int(((pred == c) & (labels == c)).sum())

@@ -189,12 +189,9 @@ class DecayGraphClassifier:
                               "fusion_rows": 0} if collect_diagnostics else {})
 
         def fuse(rows: Tensor) -> Tensor:
-            # the weights are read here, before the next call reuses their buffer
-            fused, weights = cb.soft_fuse(rows, book, unit_book)
             if collect_diagnostics:
-                diagnostics["fusion_weight_sum"] += weights.sum(axis=0)
-                diagnostics["fusion_rows"] += weights.shape[0]
-            return fused
+                diagnostics["fusion_rows"] += rows.shape[0]
+            return cb.soft_fuse(rows, book, unit_book, diagnostics.get("fusion_weight_sum"))
 
         for t, step in enumerate(gr.build_graph_steps(episodes, v_count)):
             if step.n_edges == 0:

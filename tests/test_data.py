@@ -1,5 +1,7 @@
 """Dataset loading, elapsed intervals, splitting and synthesis."""
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -400,3 +402,43 @@ def test_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(ea.values, eb.values)
         np.testing.assert_array_equal(ea.mask, eb.mask)
         np.testing.assert_array_equal(ea.delta_t, eb.delta_t)
+
+
+csv_names = st.text(alphabet="abcdefghijXYZ0123456789_-.", min_size=1, max_size=6)
+
+
+@st.composite
+def csv_datasets(draw):
+    """A dataset whose every step observes at least one variable, the
+    episodes in patient order: what the CSV writers and the loader keep."""
+    variables = draw(st.lists(csv_names, min_size=1, max_size=4, unique=True))
+    t_max = draw(st.floats(0.5, 100.0))
+    n_classes = draw(st.integers(2, 4))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    episodes = []
+    for pid in sorted(draw(st.lists(csv_names, min_size=1, max_size=5, unique=True))):
+        times = draw(st.lists(st.floats(0.0, t_max), min_size=1, max_size=5, unique=True))
+        by_time = {t: {v: draw(values) for v in draw(st.lists(
+                       st.integers(0, len(variables) - 1), min_size=1, unique=True))}
+                   for t in times}
+        label = draw(st.integers(0, n_classes - 1))
+        episodes.append(dg._episode(pid, by_time, len(variables), t_max, label))
+    n_classes = max(2, max(ep.label for ep in episodes) + 1)
+    return dg.Dataset(variables, episodes, t_max, n_classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=csv_datasets())
+def test_csv_round_trip_over_random_datasets(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        obs_path, lab_path = f"{tmp}/obs.csv", f"{tmp}/lab.csv"
+        dg.write_observations_csv(ds, obs_path)
+        dg.write_labels_csv(ds, lab_path)
+        reloaded = load_dataset(obs_path, lab_path, t_max=ds.t_max, variables=ds.variables)
+    assert reloaded.variables == ds.variables
+    assert (reloaded.t_max, reloaded.n_classes) == (ds.t_max, ds.n_classes)
+    assert len(reloaded) == len(ds)
+    for ea, eb in zip(ds.episodes, reloaded.episodes):
+        assert (ea.patient_id, ea.label) == (eb.patient_id, eb.label)
+        for name in ("times", "values", "mask", "delta_t"):
+            assert getattr(ea, name).tobytes() == getattr(eb, name).tobytes(), name

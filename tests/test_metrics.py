@@ -200,6 +200,60 @@ def test_multiclass_report_perfect_predictions():
     assert report["f1_macro"] == 1.0
 
 
+def multiclass_oracle(probs, labels):
+    """Accuracy and macro precision, recall and F1 by a loop over rows per class."""
+    n, n_classes = len(probs), len(probs[0])
+    pred = [max(range(n_classes), key=lambda c: (probs[i][c], -c)) for i in range(n)]
+    per_class = []
+    for c in range(n_classes):
+        tp = sum(1 for i in range(n) if pred[i] == c and labels[i] == c)
+        predicted = sum(1 for i in range(n) if pred[i] == c)
+        actual = sum(1 for i in range(n) if labels[i] == c)
+        precision = tp / predicted if predicted else 0.0
+        recall = tp / actual if actual else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_class.append((precision, recall, f1))
+    return {
+        "accuracy": sum(1 for i in range(n) if pred[i] == labels[i]) / n,
+        "precision_macro": sum(p for p, _, _ in per_class) / n_classes,
+        "recall_macro": sum(r for _, r, _ in per_class) / n_classes,
+        "f1_macro": sum(f for _, _, f in per_class) / n_classes,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), n_classes=st.integers(2, 6))
+def test_multiclass_report_matches_per_class_loop(data, n, n_classes):
+    # probabilities from a small grid, so argmax ties occur and go to the lower class
+    grid = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])
+    probs = data.draw(st.lists(st.lists(grid, min_size=n_classes, max_size=n_classes),
+                               min_size=n, max_size=n))
+    labels = data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    report = mx.multiclass_report(np.array(probs), labels)
+    expected = multiclass_oracle(probs, labels)
+    assert report.keys() == expected.keys()
+    for key, value in expected.items():
+        assert report[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
+
+
+@pytest.mark.parametrize("probs, labels, problem", [
+    (np.eye(3)[[0, 1, 2, 1]], [1], "one entry per row"),
+    (np.eye(3)[[0, 1, 2, 1]], [[0, 1, 2, 1]], "one entry per row"),
+    (np.eye(3)[[0, 1, 2, 1]], [0, 1, 5, 1], r"\[0, 3\), got \[5\]"),
+    (np.eye(3)[[0, 1, 2, 1]], [0, -1, 2, 1], r"\[0, 3\), got \[-1\]"),
+    (np.eye(3)[[0, 1, 2, 1]], [0, 1.5, 2, 1], "integer"),
+    (np.eye(3)[[0, 1, 2, 1]], [0, np.nan, 2, 1], "integer"),
+    (np.array([0.2, 0.8]), [1], "2-d"),
+    (np.ones((3, 1)), [0, 0, 0], "two classes"),
+    (np.ones((0, 3)), [], "at least one row"),
+    (np.array([[0.5, np.nan], [0.5, 0.5]]), [0, 1], "finite"),
+    (np.array([[np.inf, 0.0], [0.5, 0.5]]), [0, 1], "finite"),
+])
+def test_multiclass_report_refuses_bad_input(probs, labels, problem):
+    with pytest.raises(MetricConfigError, match=problem):
+        mx.multiclass_report(probs, labels)
+
+
 def test_binary_report_fields_match_components():
     rng = np.random.default_rng(5)
     scores, labels = rng.uniform(size=12), rng.integers(0, 2, 12)

@@ -377,10 +377,9 @@ def test_utilization_accumulates_over_steps_and_batches(monkeypatch):
     kept = []
     true_fuse = cb.soft_fuse
 
-    def keeping_fuse(g, book, unit_book):
-        fused, weights = true_fuse(g, book, unit_book)
-        kept.append(weights.copy())
-        return fused, weights
+    def keeping_fuse(g, book, unit_book, weight_sum=None):
+        kept.append(ad._softmax(np.matmul(cb.unit_rows(g.data)[1], unit_book.unit.T)))
+        return true_fuse(g, book, unit_book, weight_sum)
 
     monkeypatch.setattr(cb, "soft_fuse", keeping_fuse)
     for batch_size in (1, 3, 10):
@@ -390,6 +389,17 @@ def test_utilization_accumulates_over_steps_and_batches(monkeypatch):
         rows = np.concatenate(kept)
         expected = float((rows.mean(axis=0) > 1.0 / rows.shape[1]).mean())
         assert report["codebook_utilization"] == expected
+
+
+def test_tiled_fusion_gives_the_same_evaluation(monkeypatch):
+    ds = synth(n=10, seed=47)
+    model = tiny_model(ds.variables)
+    base = evaluate(model, ds, collect_diagnostics=True)
+    monkeypatch.setattr(cb, "TILE", 3)  # K=8 in tiles of 3, 3 and 2 prototypes
+    tiled = evaluate(model, ds, collect_diagnostics=True)
+    assert tiled.keys() == base.keys()
+    for key, value in base.items():
+        assert tiled[key] == pytest.approx(value, rel=1e-12), key
 
 
 def test_multiclass_evaluate():

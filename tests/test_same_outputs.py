@@ -1,0 +1,48 @@
+"""The numeric comparison of ``scripts/same_outputs.py``."""
+
+import base64
+import importlib.util
+import json
+import struct
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
+spec = importlib.util.spec_from_file_location("same_outputs", SCRIPT)
+so = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(so)
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def param(*values):
+    return {"shape": [len(values)],
+            "data": base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")}
+
+
+def test_json_numbers_include_checkpoint_parameters(tmp_path):
+    a = write(tmp_path, "a.json", json.dumps(
+        {"loss": [0.5, 2], "ok": True, "name": "x", "params": {"w": param(1.0, -4.0)}}))
+    b = write(tmp_path, "b.json", json.dumps(
+        {"loss": [0.5, 2], "ok": True, "name": "y", "params": {"w": param(1.0, -4.000004)}}))
+    assert so.numbers(a) == [0.5, 2.0, 1.0, -4.0]
+    assert so.max_relative_difference(a, b) == "max_rel_diff=1e-06"
+    assert so.max_relative_difference(a, a) == "max_rel_diff=0"
+
+
+def test_csv_numbers_skip_text_fields(tmp_path):
+    a = write(tmp_path, "a.csv", "patient_id,time,value\np1,0.5,3.0\np2,1.0,-2.0\n")
+    b = write(tmp_path, "b.csv", "patient_id,time,value\np1,0.5,3.0\np2,1.0,-1.0\n")
+    assert so.numbers(a) == [0.5, 3.0, 1.0, -2.0]
+    assert so.max_relative_difference(a, b) == "max_rel_diff=0.5"
+
+
+def test_values_that_do_not_pair_up_are_named(tmp_path):
+    a = write(tmp_path, "a.json", json.dumps({"x": [1.0, 2.0]}))
+    b = write(tmp_path, "b.json", json.dumps({"x": [1.0]}))
+    c = write(tmp_path, "c.json", "{not json")
+    assert so.max_relative_difference(a, b) == "2 and 1 numeric values"
+    assert so.max_relative_difference(a, c).startswith("unreadable")
