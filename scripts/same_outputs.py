@@ -30,9 +30,12 @@ fixed matrix of commands, each tree importing its own ``src/``:
 The SHA-256 of every output file is printed for both trees. For a JSON
 or CSV file that differs, the largest relative difference over its
 numeric values is printed too (a checkpoint parameter's base64 float64
-data counts as its values), or why the values do not pair up. The exit
-status is 0 when every file matches, and 1 when a file differs, exists
-in only one tree, or a command fails.
+data counts as its values), or why the values do not pair up. Then the
+``peak_rss_mb=`` line that each ``train``, ``eval`` and ``analyze``
+command prints is shown for both trees, named by the command's output
+directory, so a memory change shows command by command. The exit status
+is 0 when every file matches, and 1 when a file differs, exists in only
+one tree, or a command fails; the memory figures do not change it.
 """
 
 from __future__ import annotations
@@ -73,6 +76,15 @@ def _run(tree: Path, work: Path, *argv: str) -> str:
     return proc.stdout
 
 
+def peak_rss_mb(stdout: str) -> float | None:
+    """The value of the last ``peak_rss_mb=`` line in a command's stdout,
+    or None when it printed none."""
+    for line in reversed(stdout.splitlines()):
+        if line.startswith("peak_rss_mb="):
+            return float(line.split("=", 1)[1])
+    return None
+
+
 def _synth(tree: Path, work: Path, name: str, config: dict, seed: int) -> list[str]:
     config_path = work / f"{name}.config.json"
     config_path.write_text(json.dumps(config, sort_keys=True), encoding="utf-8")
@@ -82,28 +94,35 @@ def _synth(tree: Path, work: Path, name: str, config: dict, seed: int) -> list[s
             f"{name}/labels.csv", "--splits", f"{name}/splits.csv", "--t-max", T_MAX]
 
 
-def run_matrix(tree: Path, work: Path) -> None:
+def run_matrix(tree: Path, work: Path) -> dict[str, float | None]:
+    """Run every command; return the peak RSS of each ``train``, ``eval``
+    and ``analyze`` command, keyed by its output directory."""
+    peaks: dict[str, float | None] = {}
+
+    def measured(*argv: str) -> None:
+        peaks[argv[argv.index("--out") + 1]] = peak_rss_mb(_run(tree, work, *argv))
+
     data = _synth(tree, work, "data", {}, 0)
-    _run(tree, work, "train", *data, "--epochs", "3", "--seed", "0", "--out", "train")
+    measured("train", *data, "--epochs", "3", "--seed", "0", "--out", "train")
     for ablation in ("mcv", "cb", "tde", "te", "sna", "hvs"):
-        _run(tree, work, "train", *data, "--epochs", "2", "--seed", "0",
-             "--ablate", ablation, "--out", f"train_no_{ablation}")
+        measured("train", *data, "--epochs", "2", "--seed", "0",
+                 "--ablate", ablation, "--out", f"train_no_{ablation}")
     for kernel in KERNELS[1:]:
-        _run(tree, work, "train", *data, "--epochs", "2", "--seed", "0",
-             "--kernel", kernel, "--out", f"train_{kernel}")
-    _run(tree, work, "train", *data, "--epochs", "2", "--seed", "0",
-         "--batch-size", "6", "--out", "train_batch6")
-    _run(tree, work, "analyze", *data, "--out", "analyze")
+        measured("train", *data, "--epochs", "2", "--seed", "0",
+                 "--kernel", kernel, "--out", f"train_{kernel}")
+    measured("train", *data, "--epochs", "2", "--seed", "0",
+             "--batch-size", "6", "--out", "train_batch6")
+    measured("analyze", *data, "--out", "analyze")
 
     ckpt_data = _synth(tree, work, "ckpt_data",
                        {"synthetic": {"n_episodes": 32},
                         "data": {"split_ratios": [0.5, 0.25, 0.25]}}, 0)
-    _run(tree, work, "train", *ckpt_data, "--epochs", "1", "--seed", "0", "--out", "ckpt")
+    measured("train", *ckpt_data, "--epochs", "1", "--seed", "0", "--out", "ckpt")
     eval_data = _synth(tree, work, "eval_data",
                        {"synthetic": {"n_episodes": 320},
                         "data": {"split_ratios": [0.1, 0.1, 0.8]}}, 1)
-    _run(tree, work, "eval", "--checkpoint", "ckpt/checkpoint.json", *eval_data,
-         "--seed", "0", "--leave-out", "0.2", "--leave-out", "0.5", "--out", "eval")
+    measured("eval", "--checkpoint", "ckpt/checkpoint.json", *eval_data,
+             "--seed", "0", "--leave-out", "0.2", "--leave-out", "0.5", "--out", "eval")
 
     (work / "gradcheck").mkdir()
     for kernel in KERNELS:
@@ -113,9 +132,10 @@ def run_matrix(tree: Path, work: Path) -> None:
     c8_data = _synth(tree, work, "c8_data",
                      {"synthetic": C8_SYNTHETIC,
                       "data": {"split_ratios": [0.7, 0.15, 0.15]}}, 201)
-    _run(tree, work, "train", *c8_data, "--codebook-size", "32", "--batch-size", "64",
-         "--lr", "0.01", "--epochs", "12", "--patience", "12", "--seed", "10",
-         "--out", "train_k32")
+    measured("train", *c8_data, "--codebook-size", "32", "--batch-size", "64",
+             "--lr", "0.01", "--epochs", "12", "--patience", "12", "--seed", "10",
+             "--out", "train_k32")
+    return peaks
 
 
 def digests(work: Path) -> dict[str, str]:
@@ -173,18 +193,29 @@ def max_relative_difference(a: Path, b: Path) -> str:
     return f"max_rel_diff={worst:.3g}"
 
 
+def peak_lines(a: dict[str, float | None], b: dict[str, float | None]) -> list[str]:
+    """One line per measured command: its peak RSS in MB in each tree."""
+    def shown(value: float | None) -> str:
+        return "-" if value is None else f"{value:.1f}"
+
+    names = sorted(set(a) | set(b))
+    width = max(map(len, names), default=0)
+    return [f"peak_rss_mb {name:{width}s} {shown(a.get(name)):>8s} {shown(b.get(name)):>8s}"
+            for name in names]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
     trees = [Path(a).resolve() for a in argv]
-    results = []
+    results, peaks = [], []
     with tempfile.TemporaryDirectory() as tmp:
         works = [Path(tmp) / str(i) for i in range(len(trees))]
         for tree, work in zip(trees, works):
             work.mkdir()
             try:
-                run_matrix(tree, work)
+                peaks.append(run_matrix(tree, work))
             except CommandFailed as exc:
                 print(exc, file=sys.stderr)
                 return 1
@@ -199,6 +230,8 @@ def main(argv: list[str]) -> int:
             if ha != hb and name in a and name in b and name.endswith((".json", ".csv")):
                 detail = "  " + max_relative_difference(works[0] / name, works[1] / name)
             print(f"{verdict:9s} {name}  {ha[:16]}  {hb[:16]}{detail}")
+    for line in peak_lines(*peaks):
+        print(line)
     print("identical" if same else "outputs differ")
     return 0 if same else 1
 

@@ -6,6 +6,9 @@ to its lag-binned autocorrelation, assuming Corr(dt) = exp(-rate * dt).
 Pairs are formed only within an episode; cross-patient pairs carry no
 temporal information. The fit is a through-origin least squares of
 log-correlation against lag, so Corr(0) = 1 is forced by the model.
+
+SciPy is imported on the first :func:`chi2_sf` call, not with this
+module, so the commands that never compute a p-value do not load it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .metrics import midranks
 
@@ -146,6 +148,8 @@ def chi2_sf(x: float, df: int) -> float:
     """Chi-squared survival function via the regularized upper incomplete gamma."""
     if x < 0:
         return 1.0
+    # imported on first use so that only ``analyze`` pays SciPy's load
+    from scipy.special import gammaincc
     return float(gammaincc(df / 2.0, x / 2.0))
 
 

@@ -28,6 +28,14 @@ chain's order. A fused node must also list its parents so that
 reaches the non-leaf ones in the order the chain reached them. That
 search fixes the order in which a tensor with three or more consumers
 sums its gradient, so another parent order changes the last bits.
+
+A node keeps alive until backward only what its backward cannot rebuild
+from its parents. ``linear`` and the fused nodes that concatenate their
+inputs keep no copy of that concatenation: the backward evaluates the
+forward's own expression again on the parents' ``.data``, which the
+parents keep anyway, so it gets the same values and the same bits. A
+ReLU mask is kept as the ``bool`` array ``pre > 0.0``, not as the
+float64 pre-activation it came from.
 """
 
 from __future__ import annotations
@@ -179,16 +187,18 @@ def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear shapes incompatible: {[p.shape for p in parts]} "
                          f"@ {w.shape}")
     widths = [p.shape[1] for p in parts]
-    x = np.concatenate([p.data for p in parts], axis=1)
+
+    def inputs():
+        return np.concatenate([p.data for p in parts], axis=1)
 
     def bw(g):
-        gx = _linear_grads(x, w, b, g)
+        gx = _linear_grads(inputs(), w, b, g)
         start = 0
         for p, width in zip(parts, widths):
             _accumulate(p, gx[:, start:start + width])
             start += width
 
-    return _make(np.matmul(x, w.data) + b.data, (*parts, w, b), "linear", bw)
+    return _make(np.matmul(inputs(), w.data) + b.data, (*parts, w, b), "linear", bw)
 
 
 # -- elementwise nonlinearities ----------------------------------------

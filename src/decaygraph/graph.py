@@ -124,12 +124,15 @@ def _message(v_src: Tensor, src_idx: np.ndarray, e: Tensor, dst_idx: np.ndarray,
              n_dst: int, w: Tensor, b: Tensor) -> Tensor:
     """Sum over edges of relu([v_src[src]; e] @ w + b) into the ``n_dst``
     destination rows, as one node; a row no edge names gets zero."""
-    x = np.concatenate([v_src.data[src_idx], e.data], axis=1)
-    pre = np.matmul(x, w.data) + b.data
+    def inputs():
+        return np.concatenate([v_src.data[src_idx], e.data], axis=1)
+
+    pre = np.matmul(inputs(), w.data) + b.data
+    active = pre > 0.0
     width = v_src.shape[1]
 
     def bw(g):
-        g_x = ad._linear_grads(x, w, b, g[dst_idx] * (pre > 0.0))
+        g_x = ad._linear_grads(inputs(), w, b, g[dst_idx] * active)
         ad._accumulate(e, g_x[:, width:])
         ad._accumulate(v_src, ad._scatter_add(v_src.shape, src_idx, g_x[:, :width]))
 
@@ -140,14 +143,17 @@ def _message(v_src: Tensor, src_idx: np.ndarray, e: Tensor, dst_idx: np.ndarray,
 def _edge_update(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
                  w: Tensor, b: Tensor) -> Tensor:
     """e + relu([v_pat[p]; v_var[n]; e] @ w + b) per edge (p, n), as one node."""
-    x = np.concatenate([v_pat.data[step.patient_idx], v_var.data[step.variable_idx],
-                        e.data], axis=1)
-    pre = np.matmul(x, w.data) + b.data
+    def inputs():
+        return np.concatenate([v_pat.data[step.patient_idx], v_var.data[step.variable_idx],
+                               e.data], axis=1)
+
+    pre = np.matmul(inputs(), w.data) + b.data
+    active = pre > 0.0
     d_pat, d_var = v_pat.shape[1], v_var.shape[1]
 
     def bw(g):
         ad._accumulate(e, g)
-        g_x = ad._linear_grads(x, w, b, g * (pre > 0.0))
+        g_x = ad._linear_grads(inputs(), w, b, g * active)
         ad._accumulate(e, g_x[:, d_pat + d_var:])
         ad._accumulate(v_pat, ad._scatter_add(v_pat.shape, step.patient_idx,
                                               g_x[:, :d_pat]))

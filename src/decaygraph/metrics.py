@@ -50,15 +50,27 @@ class MetricsReport:
         return out
 
 
+def _class_labels(values: np.ndarray, n_classes: int) -> np.ndarray:
+    """Float ``values`` as int64 class indices; labels that are not integers,
+    or lie outside [0, n_classes), are refused rather than cast."""
+    if not np.all(np.isfinite(values) & (values == np.floor(values))):
+        raise MetricConfigError("labels must be integer class indices")
+    outside = values[(values < 0) | (values >= n_classes)]
+    if outside.size:
+        raise MetricConfigError(f"labels must lie in [0, {n_classes}), got "
+                                f"{sorted({int(v) for v in outside.tolist()})}")
+    return values.astype(np.int64)
+
+
 def _validate(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise MetricConfigError(f"scores {scores.shape} and labels {labels.shape} "
+    values = np.asarray(labels, dtype=np.float64)
+    if scores.shape != values.shape or scores.ndim != 1:
+        raise MetricConfigError(f"scores {scores.shape} and labels {values.shape} "
                                 "must be matching 1-d arrays")
     if not np.all(np.isfinite(scores)):
         raise MetricConfigError("scores must be finite")
-    return scores, labels
+    return scores, _class_labels(values, 2)
 
 
 def midranks(values) -> tuple[np.ndarray, np.ndarray]:
@@ -181,14 +193,8 @@ def multiclass_report(probs, labels) -> dict:
     if values.shape != probs.shape[:1]:
         raise MetricConfigError(f"labels must be 1-d with one entry per row of probs, "
                                 f"got shape {values.shape} for {probs.shape[0]} rows")
-    if not np.all(np.isfinite(values) & (values == np.floor(values))):
-        raise MetricConfigError("labels must be integer class indices")
-    labels = values.astype(np.int64)
     n_classes = probs.shape[1]
-    outside = labels[(labels < 0) | (labels >= n_classes)]
-    if outside.size:
-        raise MetricConfigError(f"labels must lie in [0, {n_classes}), got "
-                                f"{sorted(set(outside.tolist()))}")
+    labels = _class_labels(values, n_classes)
     pred = probs.argmax(axis=1)
     precisions, recalls, f1s = [], [], []
     for c in range(n_classes):

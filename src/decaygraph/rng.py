@@ -14,10 +14,13 @@ import math
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+def _mix64(z):
+    """The splitmix64 output function of an int, or elementwise of a
+    ``uint64`` array, whose arithmetic wraps modulo 2**64 as the masks do."""
+    z = (z + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -44,7 +47,7 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         z = _mix64(self._state)
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         return z
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -86,7 +89,10 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def uniform_array(self, shape, lo: float, hi: float) -> np.ndarray:
-        out = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(out.size):
-            out[i] = self.uniform(lo, hi)
-        return out.reshape(shape)
+        """``uniform(lo, hi)`` drawn once per element in C order, with the
+        same bits and the same stream position as that loop."""
+        n = int(np.prod(shape))
+        z = _mix64(self._state + np.arange(n, dtype=np.uint64) * _GAMMA)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        u = (z >> 11).astype(np.float64) * (1.0 / (1 << 53))
+        return (lo + (hi - lo) * u).reshape(shape)

@@ -60,6 +60,7 @@ def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
         w2, b2 = params["decay.w2"], params["decay.b2"]
         parents = (e, w1, b1, w2, b2)
         pre1 = np.matmul(e.data, w1.data) + b1.data
+        active1 = pre1 > 0.0
         hidden = np.maximum(pre1, 0.0)
         pre = np.matmul(hidden, w2.data) + b2.data
     # softplus: ln(1 + e^x) without overflow, x + log1p(e^-x) when positive
@@ -91,7 +92,7 @@ def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
         if kernel == "exp":
             ad._accumulate(rate_raw, np.matmul(ones.T, g_pre))
             return
-        g_pre1 = ad._linear_grads(hidden, w2, b2, g_pre) * (pre1 > 0.0)
+        g_pre1 = ad._linear_grads(hidden, w2, b2, g_pre) * active1
         ad._accumulate(e, ad._linear_grads(e.data, w1, b1, g_pre1))
 
     return ad._make(out, parents, "decay_factor", bw)
@@ -101,8 +102,11 @@ def gated_update(e: Tensor, h_hat: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Sigmoid-gated convex combination of decayed state and new feature:
     (1 - r) * h_hat + r * e with r = sigmoid([e; h_hat] @ w + b), one node."""
     w, b = params["gate.w"], params["gate.b"]
-    x = np.concatenate([e.data, h_hat.data], axis=1)
-    r = _sigmoid(np.matmul(x, w.data) + b.data)
+
+    def inputs():
+        return np.concatenate([e.data, h_hat.data], axis=1)
+
+    r = _sigmoid(np.matmul(inputs(), w.data) + b.data)
     one_minus = 1.0 - r
     width = e.shape[1]
 
@@ -112,7 +116,7 @@ def gated_update(e: Tensor, h_hat: Tensor, params: dict[str, Tensor]) -> Tensor:
         ad._accumulate(h_hat, g * one_minus)
         g_r = -g_one_minus + g * e.data
         ad._accumulate(e, g * r)
-        g_x = ad._linear_grads(x, w, b, g_r * r * one_minus)
+        g_x = ad._linear_grads(inputs(), w, b, g_r * r * one_minus)
         ad._accumulate(e, g_x[:, :width])
         ad._accumulate(h_hat, g_x[:, width:])
 

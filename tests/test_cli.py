@@ -1,11 +1,16 @@
 """End-to-end command line behaviour and output reproducibility."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import decaygraph
 from decaygraph.cli import main
 from decaygraph.data import load_dataset, synthesize, SyntheticConfig
 
@@ -443,3 +448,17 @@ def test_incompatible_checkpoint_rejected(trained, tmp_path):
     lab.write_text("patient_id,label\npa,0\n")
     assert run("eval", "--checkpoint", str(trained), "--observations", str(obs),
                "--labels", str(lab), "--out", str(tmp_path / "x")) == 1
+
+
+def test_only_a_p_value_loads_scipy():
+    # a fresh interpreter, since this one may have imported SciPy already
+    probe = ("import sys, decaygraph.cli, decaygraph.model\n"
+             "print('scipy' in sys.modules)\n"
+             "from decaygraph.analysis import chi2_sf\n"
+             "chi2_sf(3.0, 2)\n"
+             "print('scipy' in sys.modules)\n")
+    src = str(Path(decaygraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["False", "True"]

@@ -330,3 +330,27 @@ def test_binary_report_single_class_gives_nulls_with_reasons(labels, undefined):
 
 def test_binary_report_omits_undefined_key_when_all_defined():
     assert "undefined" not in mx.binary_report([0.2, 0.9], [0, 1]).to_dict()
+
+
+# -- label validation -------------------------------------------------------------------
+
+BINARY_METRICS = (mx.binary_report, mx.auroc, mx.auprc, mx.ece, mx.brier, mx.mean_pos_prob)
+
+
+@pytest.mark.parametrize("metric", BINARY_METRICS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("labels, problem", [
+    ([0.7, 1, 1.9], "integer class indices"),
+    ([0, np.nan, 1], "integer class indices"),
+    ([0, np.inf, 1], "integer class indices"),
+    ([0, 1, 2], r"\[0, 2\), got \[2\]"),
+    ([-1, 1, 0], r"\[0, 2\), got \[-1\]"),
+])
+def test_binary_metrics_refuse_labels_that_are_not_0_or_1(metric, labels, problem):
+    with pytest.raises(MetricConfigError, match=problem):
+        metric([0.2, 0.9, 0.4], labels)
+
+
+def test_binary_labels_as_bool_or_float_score_as_integers():
+    expected = mx.binary_report([0.2, 0.9, 0.4], [0, 1, 1]).to_dict()
+    assert mx.binary_report([0.2, 0.9, 0.4], [False, True, True]).to_dict() == expected
+    assert mx.binary_report([0.2, 0.9, 0.4], [0.0, 1.0, 1.0]).to_dict() == expected

@@ -189,6 +189,24 @@ def test_training_peak_does_not_grow_by_a_fusion_array_per_step():
     assert long - short < fusion_array, (short, long, fusion_array)
 
 
+def test_graph_keeps_no_concatenated_inputs_or_float_masks():
+    # the nodes rebuild their concatenated inputs in backward and keep ReLU
+    # masks as bool, so a tracked forward keeps fewer than 60 float64 rows of
+    # width hidden_dim per edge alive until backward (75 when they kept both)
+    ds = synth(n=32, seed=0, obs=8.0)
+    model = tiny_model(ds.variables, d=16, k=32)
+    edges = sum(step.n_edges for step in gr.build_graph_steps(ds.episodes, 3))
+    model.forward(ds.episodes)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        logits, _ = model.forward(ds.episodes)
+        alive = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert logits.tracked
+    assert alive < 60 * edges * model.config.hidden_dim * 8, (alive, edges)
+
+
 # -- ablation mechanics -----------------------------------------------------------
 
 def perturb_and_compare(flags, param_names, seed=19):

@@ -103,3 +103,19 @@ def test_array_helpers_shapes_and_bounds():
     u = rng.uniform_array((3, 4), -0.25, 0.25)
     assert u.shape == (3, 4)
     assert np.all((u >= -0.25) & (u < 0.25))
+
+
+@given(seed=st.integers(0, MASK64), skip=st.integers(0, 3),
+       shape=st.lists(st.integers(0, 5), max_size=3).map(tuple),
+       bounds=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+def test_uniform_array_equals_the_scalar_loop(seed, skip, shape, bounds):
+    lo, hi = bounds
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(skip):
+        fast.next_u64(), slow.next_u64()
+    expected = np.array([slow.uniform(lo, hi) for _ in range(int(np.prod(shape)))],
+                        dtype=np.float64).reshape(shape)
+    drawn = fast.uniform_array(shape, lo, hi)
+    assert drawn.shape == expected.shape and drawn.dtype == np.float64
+    assert drawn.tobytes() == expected.tobytes()
+    assert fast.next_u64() == slow.next_u64()

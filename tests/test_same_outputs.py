@@ -46,3 +46,17 @@ def test_values_that_do_not_pair_up_are_named(tmp_path):
     c = write(tmp_path, "c.json", "{not json")
     assert so.max_relative_difference(a, b) == "2 and 1 numeric values"
     assert so.max_relative_difference(a, c).startswith("unreadable")
+
+
+def test_peak_rss_is_read_from_the_last_usage_line():
+    stdout = "epoch 1 loss 0.5\npeak_rss_mb=12.0\nwall_clock_seconds=1.2\npeak_rss_mb=99.6\n"
+    assert so.peak_rss_mb(stdout) == 99.6
+    assert so.peak_rss_mb("wall_clock_seconds=1.2\n") is None
+
+
+def test_peak_lines_pair_commands_across_trees():
+    assert so.peak_lines({"train": 152.04, "eval": None}, {"train": 99.6, "analyze": 60.0}) == [
+        "peak_rss_mb analyze        -     60.0",
+        "peak_rss_mb eval           -        -",
+        "peak_rss_mb train      152.0     99.6",
+    ]
