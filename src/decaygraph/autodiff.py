@@ -9,8 +9,8 @@ and releases each interior node once its rule has run, so a graph can
 be differentiated only once. Gradients from multiple uses sum; clearing
 them between optimizer steps is the caller's job (see ``zero_grad``).
 
-Only the generic operations the model needs are provided. Broadcasting
-follows standard dense-array semantics.
+The public ops are ``linear`` (with an optional ReLU), ``gather_rows``
+and ``cross_entropy``; every other model layer is a fused node.
 
 Every backward rule follows one idiom. It hands each input its gradient
 through ``_accumulate``, which ignores an untracked input, so a rule
@@ -19,15 +19,16 @@ never tests ``.tracked`` itself. The weight, bias and input gradients of
 ``_scatter_add``. ``_softmax`` is the one numpy softmax, for fused nodes
 and for constants.
 
-The model's per-step layers are fused nodes built on ``_make`` in the
-modules that use them (``graph``, ``temporal``, ``codebook``). Each
-replaces a chain of these ops and keeps its bits: the backward rule
-evaluates the chain's numpy expressions and adds each term in the
-chain's order. A fused node must also list its parents so that
-``backward``'s depth-first search, which explores the last parent first,
-reaches the non-leaf ones in the order the chain reached them. That
-search fixes the order in which a tensor with three or more consumers
-sums its gradient, so another parent order changes the last bits.
+The model's layers are fused nodes built on ``_make`` in the modules
+that use them (``graph``, ``temporal``, ``codebook``, ``model``). Each
+replaces a chain of small ops, kept in the tests as its oracle, and
+keeps its bits: the backward rule evaluates the chain's numpy
+expressions and adds each term in the chain's order. A fused node must
+also list its parents so that ``backward``'s depth-first search, which
+explores the last parent first, reaches the non-leaf ones in the order
+the chain reached them. That search fixes the order in which a tensor
+with three or more consumers sums its gradient, so another parent order
+changes the last bits.
 
 A node keeps alive until backward only what its backward cannot rebuild
 from its parents. ``linear`` and the fused nodes that concatenate their
@@ -35,7 +36,8 @@ inputs keep no copy of that concatenation: the backward evaluates the
 forward's own expression again on the parents' ``.data``, which the
 parents keep anyway, so it gets the same values and the same bits. A
 ReLU mask is kept as the ``bool`` array ``pre > 0.0``, not as the
-float64 pre-activation it came from.
+float64 pre-activation it came from; ``linear``, whose output is the
+ReLU's, reads the same mask from it as ``out > 0.0``.
 """
 
 from __future__ import annotations
@@ -159,28 +161,13 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return x
 
 
-# -- arithmetic --------------------------------------------------------
+# -- ops -----------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _make(a.data + b.data, (a, b), "add", bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _make(a.data * b.data, (a, b), "mul", bw)
-
-
-def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
-    """``concatenate(parts, axis=1) @ w + b`` as one node. The backward pass
-    evaluates the same numpy expressions as separate matmul and add nodes
-    would, so results match that chain bit for bit."""
+def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """``concatenate(parts, axis=1) @ w + b``, then ``max(., 0)`` if ``relu``,
+    as one node. The backward pass evaluates the same numpy expressions as
+    separate matmul, add and relu nodes would, so results match that chain
+    bit for bit."""
     if (not parts or w.ndim != 2
             or any(p.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts)
             or sum(p.shape[1] for p in parts) != w.shape[0]):
@@ -192,34 +179,20 @@ def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor) -> Tensor:
         return np.concatenate([p.data for p in parts], axis=1)
 
     def bw(g):
+        if relu:
+            # out > 0 exactly where the pre-activation was; the relu node's first write
+            g = np.add(g * (out > 0.0), 0.0)
         gx = _linear_grads(inputs(), w, b, g)
         start = 0
         for p, width in zip(parts, widths):
             _accumulate(p, gx[:, start:start + width])
             start += width
 
-    return _make(np.matmul(inputs(), w.data) + b.data, (*parts, w, b), "linear", bw)
+    out = np.matmul(inputs(), w.data) + b.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return _make(out, (*parts, w, b), "linear", bw)
 
-
-# -- elementwise nonlinearities ----------------------------------------
-
-def relu(a: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(a, g * (a.data > 0.0))
-
-    return _make(np.maximum(a.data, 0.0), (a,), "relu", bw)
-
-
-# -- shape manipulation ------------------------------------------------
-
-def reshape(a: Tensor, shape) -> Tensor:
-    def bw(g):
-        _accumulate(a, g.reshape(a.shape))
-
-    return _make(a.data.reshape(shape), (a,), "reshape", bw)
-
-
-# -- indexed row access -------------------------------------------------
 
 def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     """Select rows ``a[index]``; duplicate indices are allowed."""
@@ -229,26 +202,6 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
         _accumulate(a, _scatter_add(a.shape, index, g))
 
     return _make(a.data[index], (a,), "gather_rows", bw)
-
-
-def scatter_rows(base: Tensor, index: np.ndarray, rows: Tensor) -> Tensor:
-    """Copy of ``base`` with rows at ``index`` replaced by ``rows``.
-
-    Indices must be unique: each target row is written exactly once.
-    """
-    index = np.asarray(index, dtype=np.int64)
-    if len(np.unique(index)) != len(index):
-        raise ContractError("scatter_rows requires unique indices")
-    data = base.data.copy()
-    data[index] = rows.data
-
-    def bw(g):
-        gb = g.copy()
-        gb[index] = 0.0
-        _accumulate(base, gb)
-        _accumulate(rows, g[index])
-
-    return _make(data, (base, rows), "scatter_rows", bw)
 
 
 # -- losses --------------------------------------------------------------

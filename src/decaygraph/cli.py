@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import (InsufficientDataError, empirical_autocorr, fit_decay_rate,
                        kruskal_wallis)
 from .data import (DataValidationError, Dataset, DatasetSplits, SyntheticConfig,
-                   apply_normalization, leave_variables_out, load_dataset,
+                   apply_normalization, integral, leave_variables_out, load_dataset,
                    load_split_manifest, normalize_splits, split_by_manifest,
                    split_dataset, synthesize, truncate_episodes, write_labels_csv,
                    write_observations_csv, write_splits_csv)
@@ -116,11 +116,7 @@ def _load_splits(section: dict, seed: int,
 def _seed_of(file_cfg: dict, args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
-    seed = file_cfg.get("seed", 0)
-    integral = isinstance(seed, int) or isinstance(seed, float) and seed.is_integer()
-    if isinstance(seed, bool) or not integral:
-        raise ValueError(f"config seed must be an integral number, got {seed!r}")
-    return int(seed)
+    return integral(file_cfg.get("seed", 0), "config seed")
 
 
 # -- commands -----------------------------------------------------------------

@@ -387,6 +387,15 @@ def leave_variables_out(splits: DatasetSplits, rate: float,
 
 # -- synthetic generation --------------------------------------------------
 
+def integral(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int if it is an integral number: 3.0 gives 3, while 3.5,
+    true and "3" are refused with ``error``, which names ``name``."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise error(f"{name} must be an integral number, got {value!r}")
+
+
 @dataclass
 class SyntheticConfig:
     """Mean-reverting latent paths observed at Poisson times.
@@ -411,6 +420,8 @@ class SyntheticConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for name in ("n_variables", "n_episodes", "n_classes", "seed"):
+            setattr(self, name, integral(getattr(self, name), name, SyntheticConfigError))
         if self.n_variables < 1:
             raise SyntheticConfigError(f"n_variables must be >= 1, got {self.n_variables}")
         if self.n_episodes < 1:

@@ -181,8 +181,8 @@ def message_pass_layer(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
                        w_msg, b_msg)
     agg_var = _message(v_pat, step.patient_idx, e, step.variable_idx, step.n_variables,
                        w_msg, b_msg)
-    v_pat_new = ad.relu(ad.linear([v_pat, agg_pat], w_node, b_node))
-    v_var_new = ad.relu(ad.linear([v_var, agg_var], w_node, b_node))
+    v_pat_new = ad.linear([v_pat, agg_pat], w_node, b_node, relu=True)
+    v_var_new = ad.linear([v_var, agg_var], w_node, b_node, relu=True)
     return v_pat_new, v_var_new, _edge_update(step, v_pat_new, v_var_new, e,
                                               params[f"sage{layer}.edge_w"],
                                               params[f"sage{layer}.edge_b"])

@@ -25,7 +25,7 @@ from . import codebook as cb
 from . import graph as gr
 from . import temporal as tp
 from .autodiff import Tensor
-from .data import Dataset, Episode
+from .data import Dataset, Episode, integral
 from .metrics import binary_report, multiclass_report
 from .optim import Adam
 from .rng import SplitMix64
@@ -59,10 +59,12 @@ class ModelConfig:
     n_classes: int = 2
 
     def validate(self) -> None:
-        for name in ("hidden_dim", "codebook_size", "n_layers", "batch_size",
-                     "epochs", "patience"):
-            if getattr(self, name) < 1:
-                raise ModelConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("hidden_dim", "codebook_size", "n_layers", "batch_size", "epochs",
+                     "patience", "seed", "n_classes"):
+            value = integral(getattr(self, name), name, ModelConfigError)
+            setattr(self, name, value)
+            if value < 1 and name not in ("seed", "n_classes"):
+                raise ModelConfigError(f"{name} must be >= 1, got {value}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ModelConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.n_classes < 2:
@@ -81,6 +83,12 @@ class AblationFlags:
     use_mcv: bool = True  # retrieved prototype in the classifier input
     use_te: bool = True   # time embedding component of edge features
 
+    def validate(self) -> None:
+        for name, value in asdict(self).items():
+            if not isinstance(value, bool):
+                raise ModelConfigError(f"ablation flag {name} must be true or false, "
+                                       f"got {value!r}")
+
     @property
     def retrieval_active(self) -> bool:
         # no codebook, nothing to retrieve from
@@ -92,6 +100,7 @@ class DecayGraphClassifier:
 
     def __init__(self, config: ModelConfig, flags: AblationFlags, variables: list[str]):
         config.validate()
+        flags.validate()
         if not variables:
             raise ModelConfigError("variable list must be non-empty")
         self.config = config
@@ -207,15 +216,10 @@ class DecayGraphClassifier:
             v_pat, v_var, e = gr.message_pass(step, v_pat, v_var, e,
                                               self.params, cfg.n_layers)
 
-            flat_idx = step.patient_idx * v_count + step.variable_idx
-            h_rows = ad.gather_rows(h_bank, flat_idx)
-            if flags.use_tde:
-                gamma = tp.decay_factor(e, step.delta_t, cfg.decay_kernel, self.params)
-                h_hat = ad.mul(h_rows, gamma)
-            else:
-                h_hat = h_rows
-            h_new = tp.gated_update(e, h_hat, self.params)
-            h_bank = ad.scatter_rows(h_bank, flat_idx, h_new)
+            gamma = (tp.decay_factor(e, step.delta_t, cfg.decay_kernel, self.params)
+                     if flags.use_tde else None)
+            h_bank = tp.gated_update(h_bank, step.patient_idx * v_count + step.variable_idx,
+                                     e, self.params, gamma)
 
         if collect_diagnostics:
             diagnostics["hidden_bank"] = h_bank.data.reshape(batch, v_count, d).copy()
@@ -226,7 +230,7 @@ class DecayGraphClassifier:
         if flags.use_hvs:
             counts = np.stack([ep.variable_counts() for ep in episodes])
             parts.append(head_reweight(h_bank, counts, batch, v_count, d))
-        hidden = ad.relu(ad.linear(parts, self.params["head.w1"], self.params["head.b1"]))
+        hidden = ad.linear(parts, self.params["head.w1"], self.params["head.b1"], relu=True)
         logits = ad.linear([hidden], self.params["head.w2"], self.params["head.b2"])
         return logits, diagnostics
 
@@ -240,11 +244,20 @@ class DecayGraphClassifier:
 
 def head_reweight(h_bank: Tensor, counts: np.ndarray, batch: int,
                   v_count: int, dim: int) -> Tensor:
-    """Boost each variable's state by its softmax-normalized observation count."""
+    """Boost each variable's state by its softmax-normalized observation
+    count, ``bank * (1 + w)`` as ``bank + bank * w``; one node."""
     weights = ad._softmax(counts.astype(np.float64)).reshape(batch, v_count, 1)
-    bank3 = ad.reshape(h_bank, (batch, v_count, dim))
-    boosted = ad.add(bank3, ad.mul(bank3, Tensor(weights)))
-    return ad.reshape(boosted, (batch, v_count * dim))
+    bank3 = h_bank.data.reshape(batch, v_count, dim)
+
+    def bw(g):
+        # the chain's order: the sum's bank term, then the product's
+        g3 = g.reshape(bank3.shape)
+        g_bank = np.add(g3, 0.0)
+        g_bank += g3 * weights
+        ad._accumulate(h_bank, g_bank.reshape(h_bank.shape))
+
+    return ad._make((bank3 + bank3 * weights).reshape(batch, v_count * dim), (h_bank,),
+                    "head_reweight", bw)
 
 
 def batch_loss(model: DecayGraphClassifier, episodes: list[Episode]) -> Tensor:

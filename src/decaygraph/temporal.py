@@ -98,30 +98,55 @@ def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
     return ad._make(out, parents, "decay_factor", bw)
 
 
-def gated_update(e: Tensor, h_hat: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Sigmoid-gated convex combination of decayed state and new feature:
-    (1 - r) * h_hat + r * e with r = sigmoid([e; h_hat] @ w + b), one node."""
+def gated_update(h_bank: Tensor, index: np.ndarray, e: Tensor, params: dict[str, Tensor],
+                 gamma: Tensor | None = None) -> Tensor:
+    """The bank with each ``index`` row replaced by its gated update, as one node.
+
+    The stored state h = h_bank[index], decayed to h * gamma when ``gamma``
+    is given, merges with the fresh edge feature as (1 - r) * h + r * e with
+    r = sigmoid([e; h] @ w + b). Indices must be unique: each bank row is
+    written at most once.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    if len(np.unique(index)) != len(index):
+        raise ContractError("gated_update requires unique bank indices")
     w, b = params["gate.w"], params["gate.b"]
 
-    def inputs():
-        return np.concatenate([e.data, h_hat.data], axis=1)
+    def decayed(rows):
+        return rows if gamma is None else rows * gamma.data
 
-    r = _sigmoid(np.matmul(inputs(), w.data) + b.data)
+    def inputs(h_hat):
+        return np.concatenate([e.data, h_hat], axis=1)
+
+    h_hat = decayed(h_bank.data[index])
+    r = _sigmoid(np.matmul(inputs(h_hat), w.data) + b.data)
     one_minus = 1.0 - r
-    width = e.shape[1]
+    out = h_bank.data.copy()
+    out[index] = one_minus * h_hat + r * e.data
 
     def bw(g):
-        # the chain's order: (1 - r) * h_hat, 1 - r, r * e, sigmoid, linear
-        g_one_minus = g * h_hat.data
-        ad._accumulate(h_hat, g * one_minus)
-        g_r = -g_one_minus + g * e.data
+        # the chain's order: the bank's other rows; the gate's (1 - r) * h_hat,
+        # 1 - r, r * e, sigmoid and linear; the decay; the gathered rows
+        kept = g.copy()
+        kept[index] = 0.0
+        ad._accumulate(h_bank, kept)
+        g = g[index]
+        rows = h_bank.data[index]
+        h_hat = decayed(rows)
+        g_hat = g * one_minus
+        g_r = -(g * h_hat) + g * e.data
         ad._accumulate(e, g * r)
-        g_x = ad._linear_grads(inputs(), w, b, g_r * r * one_minus)
-        ad._accumulate(e, g_x[:, :width])
-        ad._accumulate(h_hat, g_x[:, width:])
+        g_x = ad._linear_grads(inputs(h_hat), w, b, g_r * r * one_minus)
+        ad._accumulate(e, g_x[:, :e.shape[1]])
+        g_hat += g_x[:, e.shape[1]:]
+        if gamma is not None:
+            ad._accumulate(gamma, (g_hat * rows).sum(axis=1, keepdims=True))
+            g_hat = np.add(g_hat * gamma.data, 0.0)
+        ad._accumulate(h_bank, ad._scatter_add(h_bank.shape, index, g_hat))
 
-    # backward must reach e before h_hat, as it did through the chain
-    return ad._make(one_minus * h_hat.data + r * e.data, (h_hat, e, w, b), "gate", bw)
+    # backward must reach e before gamma and the bank, as it did through the chain
+    parents = (h_bank, e, w, b) if gamma is None else (h_bank, gamma, e, w, b)
+    return ad._make(out, parents, "gate", bw)
 
 
 def node_attention(v_pat: Tensor, h_bank: Tensor, w_proj: Tensor) -> Tensor:

@@ -1,10 +1,11 @@
 """Oracles for the fused autodiff nodes: the op chains they replace.
 
-The model's per-step layers are single nodes with hand-written backward
-rules (``graph.init_edge_embeddings``, the message and edge-update nodes
-of ``graph.message_pass_layer``, ``temporal.decay_factor``,
-``temporal.gated_update`` and ``temporal.node_attention``). Here each is
-written as the chain of small autodiff ops it replaced, with the ops
+The model's layers are single nodes with hand-written backward rules
+(``graph.init_edge_embeddings``, the message and edge-update nodes of
+``graph.message_pass_layer``, ``temporal.decay_factor``,
+``temporal.gated_update``, ``temporal.node_attention``,
+``model.head_reweight`` and ``autodiff.linear`` with its ReLU). Here each
+is written as the chain of small autodiff ops it replaced, with the ops
 that only those chains used, built on ``autodiff._make``. A fused node
 must give these chains' values and gradients bit for bit. The per-step
 edge loop that ``graph.build_graph_steps`` replaced is kept too, and
@@ -19,10 +20,59 @@ import numpy as np
 from decaygraph import autodiff as ad
 from decaygraph import codebook as cb
 from decaygraph import graph as gr
+from decaygraph import model as md
 from decaygraph import temporal as tp
 from decaygraph.autodiff import ShapeError, Tensor
 
 # -- ops the chains used -------------------------------------------------------
+
+
+def add(a, b):
+    def bw(g):
+        ad._accumulate(a, ad._unbroadcast(g, a.shape))
+        ad._accumulate(b, ad._unbroadcast(g, b.shape))
+
+    return ad._make(a.data + b.data, (a, b), "add", bw)
+
+
+def mul(a, b):
+    def bw(g):
+        ad._accumulate(a, ad._unbroadcast(g * b.data, a.shape))
+        ad._accumulate(b, ad._unbroadcast(g * a.data, b.shape))
+
+    return ad._make(a.data * b.data, (a, b), "mul", bw)
+
+
+def relu(a):
+    def bw(g):
+        ad._accumulate(a, g * (a.data > 0.0))
+
+    return ad._make(np.maximum(a.data, 0.0), (a,), "relu", bw)
+
+
+def reshape(a, shape):
+    def bw(g):
+        ad._accumulate(a, g.reshape(a.shape))
+
+    return ad._make(a.data.reshape(shape), (a,), "reshape", bw)
+
+
+def scatter_rows(base, index, rows):
+    """Copy of ``base`` with rows at ``index`` replaced by ``rows``; indices
+    must be unique."""
+    index = np.asarray(index, dtype=np.int64)
+    if len(np.unique(index)) != len(index):
+        raise ad.ContractError("scatter_rows requires unique indices")
+    data = base.data.copy()
+    data[index] = rows.data
+
+    def bw(g):
+        gb = g.copy()
+        gb[index] = 0.0
+        ad._accumulate(base, gb)
+        ad._accumulate(rows, g[index])
+
+    return ad._make(data, (base, rows), "scatter_rows", bw)
 
 
 def sub(a, b):
@@ -154,29 +204,28 @@ def time_embedding(times, freq, phase):
     raw = ad.linear([Tensor(times.reshape(-1, 1))], freq, phase)
     linear_mask = np.zeros((1, freq.shape[1]))
     linear_mask[0, 0] = 1.0
-    return ad.add(ad.mul(raw, Tensor(linear_mask)),
-                  ad.mul(sin(raw), Tensor(1.0 - linear_mask)))
+    return add(mul(raw, Tensor(linear_mask)), mul(sin(raw), Tensor(1.0 - linear_mask)))
 
 
 def init_edge_embeddings(step, params, use_time_embedding=True):
     e = ad.linear([Tensor(step.values.reshape(-1, 1))], params["edge.value_w"],
                   params["edge.value_b"])
     if use_time_embedding:
-        e = ad.add(e, time_embedding(step.times, params["edge.time_freq"],
-                                     params["edge.time_phase"]))
-    return ad.add(e, ad.gather_rows(params["edge.var_table"], step.variable_idx))
+        e = add(e, time_embedding(step.times, params["edge.time_freq"],
+                                  params["edge.time_phase"]))
+    return add(e, ad.gather_rows(params["edge.var_table"], step.variable_idx))
 
 
 def message(v_src, src_idx, e, dst_idx, n_dst, w, b):
     """gather -> linear -> relu -> scatter-add: one direction of messages."""
-    rows = ad.relu(ad.linear([ad.gather_rows(v_src, src_idx), e], w, b))
+    rows = relu(ad.linear([ad.gather_rows(v_src, src_idx), e], w, b))
     return scatter_add_rows(n_dst, dst_idx, rows)
 
 
 def edge_update(step, v_pat, v_var, e, w, b):
     pat_end = ad.gather_rows(v_pat, step.patient_idx)
     var_end = ad.gather_rows(v_var, step.variable_idx)
-    return ad.add(e, ad.relu(ad.linear([pat_end, var_end, e], w, b)))
+    return add(e, relu(ad.linear([pat_end, var_end, e], w, b)))
 
 
 def message_pass_layer(step, v_pat, v_var, e, params, layer):
@@ -186,8 +235,8 @@ def message_pass_layer(step, v_pat, v_var, e, params, layer):
                       w_msg, b_msg)
     agg_var = message(v_pat, step.patient_idx, e, step.variable_idx, step.n_variables,
                       w_msg, b_msg)
-    v_pat_new = ad.relu(ad.linear([v_pat, agg_pat], w_node, b_node))
-    v_var_new = ad.relu(ad.linear([v_var, agg_var], w_node, b_node))
+    v_pat_new = relu(ad.linear([v_pat, agg_pat], w_node, b_node))
+    v_var_new = relu(ad.linear([v_var, agg_var], w_node, b_node))
     return v_pat_new, v_var_new, edge_update(step, v_pat_new, v_var_new, e,
                                              params[f"sage{layer}.edge_w"],
                                              params[f"sage{layer}.edge_b"])
@@ -197,43 +246,63 @@ def decay_rate(e, kernel, params):
     if kernel == "exp":
         ones = Tensor(np.ones((e.shape[0], 1)))
         return softplus(matmul(ones, params["decay.rate_raw"]))
-    hidden = ad.relu(ad.linear([e], params["decay.w1"], params["decay.b1"]))
+    hidden = relu(ad.linear([e], params["decay.w1"], params["decay.b1"]))
     return softplus(ad.linear([hidden], params["decay.w2"], params["decay.b2"]))
 
 
 def decay_factor(e, delta_t, kernel, params):
     delta_t = np.asarray(delta_t, dtype=np.float64).reshape(-1, 1)
     rate = decay_rate(e, kernel, params)
-    neg_scaled = ad.mul(rate, Tensor(-delta_t))
+    neg_scaled = mul(rate, Tensor(-delta_t))
     if kernel == "mlp_linear":
-        return ad.relu(ad.add(neg_scaled, Tensor(1.0)))
+        return relu(add(neg_scaled, Tensor(1.0)))
     if kernel == "mlp_gaussian":
-        neg_scaled = ad.mul(neg_scaled, ad.mul(rate, Tensor(delta_t)))
-    return ad.add(exp(neg_scaled), Tensor(tp.UNDERFLOW_FLOOR))
+        neg_scaled = mul(neg_scaled, mul(rate, Tensor(delta_t)))
+    return add(exp(neg_scaled), Tensor(tp.UNDERFLOW_FLOOR))
 
 
-def gated_update(e, h_hat, params):
+def gated_update(h_bank, index, e, params, gamma=None):
+    h_hat = ad.gather_rows(h_bank, index)
+    if gamma is not None:
+        h_hat = mul(h_hat, gamma)
     r = sigmoid(ad.linear([e, h_hat], params["gate.w"], params["gate.b"]))
     one_minus = sub(Tensor(1.0), r)
-    return ad.add(ad.mul(one_minus, h_hat), ad.mul(r, e))
+    return scatter_rows(h_bank, index, add(mul(one_minus, h_hat), mul(r, e)))
 
 
 def node_attention(v_pat, h_bank, w_proj):
     """As ``temporal.node_attention``, with the (B·V, d) bank's reshape."""
     b, d = v_pat.shape
-    bank3 = ad.reshape(h_bank, (b, h_bank.data.size // (b * d), d))
-    query = ad.reshape(v_pat, (b, 1, d))
-    scores = ad.mul(matmul(query, transpose_last2(bank3)), Tensor(1.0 / np.sqrt(d)))
+    bank3 = reshape(h_bank, (b, h_bank.data.size // (b * d), d))
+    query = reshape(v_pat, (b, 1, d))
+    scores = mul(matmul(query, transpose_last2(bank3)), Tensor(1.0 / np.sqrt(d)))
     weights = softmax(scores)
-    attended = ad.reshape(matmul(weights, bank3), (b, d))
+    attended = reshape(matmul(weights, bank3), (b, d))
     return matmul(attended, w_proj)
+
+
+def head_reweight(h_bank, counts, batch, v_count, dim):
+    weights = ad._softmax(counts.astype(np.float64)).reshape(batch, v_count, 1)
+    bank3 = reshape(h_bank, (batch, v_count, dim))
+    return reshape(add(bank3, mul(bank3, Tensor(weights))), (batch, v_count * dim))
+
+
+# the fused node, and the ReLU op that ``linear``'s argument name hides
+FUSED_LINEAR, RELU = ad.linear, relu
+
+
+def linear(parts, w, b, relu=False):
+    """``ad.linear`` with ``relu`` as the chain it fuses: the linear node, then
+    the ReLU op."""
+    out = FUSED_LINEAR(parts, w, b)
+    return RELU(out) if relu else out
 
 
 def install(monkeypatch):
     """Make ``model.forward`` run the chains instead of the fused nodes."""
     for owner, name in ((gr, "init_edge_embeddings"), (gr, "message_pass_layer"),
                         (tp, "decay_factor"), (tp, "gated_update"),
-                        (tp, "node_attention")):
+                        (tp, "node_attention"), (md, "head_reweight"), (ad, "linear")):
         monkeypatch.setattr(owner, name, globals()[name])
 
 
@@ -260,15 +329,15 @@ def differentiate(build, arrays, leaves, untracked=(), direct=True, seed=0):
         if name in leaves or name in untracked:
             inputs[name] = own[name]
         else:
-            inputs[name] = ad.add(own[name], ad.mul(Tensor(rng.normal(size=data.shape)), root))
+            inputs[name] = add(own[name], mul(Tensor(rng.normal(size=data.shape)), root))
     out = build(**inputs)
-    loss = tensor_sum(ad.mul(out, Tensor(rng.normal(size=out.shape))))
-    first = tensor_sum(ad.mul(root, Tensor(rng.normal(size=(1, 1)))))
+    loss = tensor_sum(mul(out, Tensor(rng.normal(size=out.shape))))
+    first = tensor_sum(mul(root, Tensor(rng.normal(size=(1, 1)))))
     for x in inputs.values():
         if direct and x.tracked:
-            first = ad.add(first, tensor_sum(ad.mul(x, Tensor(rng.normal(size=x.shape)))))
+            first = add(first, tensor_sum(mul(x, Tensor(rng.normal(size=x.shape)))))
     # backward explores the last parent first and runs the first one first
-    ad.backward(ad.add(first, loss))
+    ad.backward(add(first, loss))
     return out.data, {"root": root.grad, **{name: t.grad for name, t in own.items()}}
 
 
@@ -296,6 +365,7 @@ FUSED_NODES = {
     "decay_factor": (tp, "decay_factor"),
     "gated_update": (tp, "gated_update"),
     "node_attention": (tp, "node_attention"),
+    "head_reweight": (md, "head_reweight"),
 }
 
 

@@ -216,21 +216,21 @@ def test_backward_sum_gives_ones():
 
 def test_backward_elementwise_square():
     x = Tensor([1.0, 2.0, 3.0], tracked=True)
-    ad.backward(co.tensor_sum(ad.mul(x, x)))
+    ad.backward(co.tensor_sum(co.mul(x, x)))
     np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
 
 
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], tracked=True)
     with pytest.raises(ContractError):
-        ad.backward(ad.mul(x, x))
+        ad.backward(co.mul(x, x))
 
 
 def test_gradient_additivity():
     x = Tensor([0.5, -1.5, 2.0], tracked=True)
 
     def loss_a():
-        return co.tensor_sum(ad.mul(x, x))
+        return co.tensor_sum(co.mul(x, x))
 
     def loss_b():
         return co.tensor_sum(co.sigmoid(x))
@@ -241,13 +241,13 @@ def test_gradient_additivity():
     combined_separately = x.grad.copy()
 
     ad.zero_grad([x])
-    ad.backward(ad.add(loss_a(), loss_b()))
+    ad.backward(co.add(loss_a(), loss_b()))
     np.testing.assert_allclose(x.grad, combined_separately, rtol=1e-12)
 
 
 def test_reuse_accumulates():
     x = Tensor([1.0, 2.0], tracked=True)
-    y = ad.add(x, x)
+    y = co.add(x, x)
     ad.backward(co.tensor_sum(y))
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
 
@@ -279,7 +279,7 @@ def test_no_grad_records_nothing_and_restores_mode():
 
 def test_backward_releases_interior_nodes_and_keeps_leaf_grads():
     x = Tensor([0.5, -1.5, 2.0], tracked=True)
-    squared = ad.mul(x, x)
+    squared = co.mul(x, x)
     gated = co.sigmoid(squared)
     loss = co.tensor_sum(gated)
     ad.backward(loss)
@@ -296,16 +296,16 @@ def test_backward_refuses_untracked_loss_and_released_graph():
     with pytest.raises(ContractError, match="untracked"):
         ad.backward(co.tensor_sum(Tensor([1.0, 2.0])))
     with ad.no_grad():
-        loss = co.tensor_sum(ad.mul(x, x))
+        loss = co.tensor_sum(co.mul(x, x))
     with pytest.raises(ContractError, match="untracked"):
         ad.backward(loss)
 
-    loss = co.tensor_sum(ad.mul(x, x))
+    loss = co.tensor_sum(co.mul(x, x))
     ad.backward(loss)
     with pytest.raises(ContractError, match="released"):
         ad.backward(loss)
     # a new loss over an interior node of the released graph is refused too
-    shared = ad.mul(x, x)
+    shared = co.mul(x, x)
     ad.backward(co.tensor_sum(shared))
     with pytest.raises(ContractError, match="released"):
         ad.backward(co.tensor_sum(co.sigmoid(shared)))
@@ -353,15 +353,17 @@ def test_backward_leaves_untracked_inputs_without_grad():
 
 def test_unary_op_gradients():
     cases = [
-        (ad.relu, rand((3, 4), 10)),
+        (co.relu, rand((3, 4), 10)),
         (co.sigmoid, rand((3, 4), 11)),
         (co.softplus, rand((3, 4), 12)),
         (co.exp, rand((3, 4), 13, lo=-1.5, hi=1.0)),
         (co.sin, rand((3, 4), 14)),
         (lambda t: ad.linear([t], Tensor(rand((4, 2), 15)), Tensor(rand((2,), 19))),
          rand((3, 4), 15)),
+        (lambda t: ad.linear([t], Tensor(rand((4, 2), 17)), Tensor(rand((2,), 18)),
+                             relu=True), rand((3, 4), 17)),
         (co.softmax, rand((3, 4), 16)),
-        (lambda t: ad.reshape(t, (4, 3)), rand((3, 4), 20)),
+        (lambda t: co.reshape(t, (4, 3)), rand((3, 4), 20)),
         (co.transpose_last2, rand((3, 4), 21)),
     ]
     for op, data in cases:
@@ -369,17 +371,17 @@ def test_unary_op_gradients():
         w = Tensor(rand(op(Tensor(data)).shape, 99))
 
         def loss():
-            return co.tensor_sum(ad.mul(op(x), w))
+            return co.tensor_sum(co.mul(op(x), w))
 
         check_grads(loss, [x])
 
 
 def test_binary_op_gradients_with_broadcasting():
     cases = [
-        (ad.add, (3, 4), (3, 4)),
-        (ad.add, (3, 4), (4,)),
+        (co.add, (3, 4), (3, 4)),
+        (co.add, (3, 4), (4,)),
         (co.sub, (3, 4), (1, 4)),
-        (ad.mul, (3, 4), (3, 1)),
+        (co.mul, (3, 4), (3, 1)),
         (co.matmul, (3, 4), (4, 2)),
         (co.matmul, (2, 3, 4), (2, 4, 2)),
     ]
@@ -390,7 +392,7 @@ def test_binary_op_gradients_with_broadcasting():
         w = Tensor(rand(op(Tensor(a.data), Tensor(b.data)).shape, 90 + i))
 
         def loss():
-            return co.tensor_sum(ad.mul(op(a, b), w))
+            return co.tensor_sum(co.mul(op(a, b), w))
 
         check_grads(loss, [a, b])
 
@@ -401,29 +403,29 @@ def test_linear_and_indexing_gradients():
     w = Tensor(rand((6, 5), 42), tracked=True)
     bias = Tensor(rand((1, 5), 39), tracked=True)
     out_w = Tensor(rand((3, 5), 38))
-    check_grads(lambda: co.tensor_sum(ad.mul(ad.linear([a, b], w, bias), out_w)),
+    check_grads(lambda: co.tensor_sum(co.mul(ad.linear([a, b], w, bias), out_w)),
                 [a, b, w, bias])
 
     table = Tensor(rand((6, 3), 43), tracked=True)
     idx = np.array([0, 2, 2, 5])
     w2 = Tensor(rand((4, 3), 44))
-    check_grads(lambda: co.tensor_sum(ad.mul(ad.gather_rows(table, idx), w2)), [table])
+    check_grads(lambda: co.tensor_sum(co.mul(ad.gather_rows(table, idx), w2)), [table])
 
     rows = Tensor(rand((4, 3), 45), tracked=True)
     w3 = Tensor(rand((5, 3), 46))
-    check_grads(lambda: co.tensor_sum(ad.mul(
+    check_grads(lambda: co.tensor_sum(co.mul(
         co.scatter_add_rows(5, np.array([1, 1, 3, 0]), rows), w3)), [rows])
 
     base = Tensor(rand((5, 3), 47), tracked=True)
     new_rows = Tensor(rand((2, 3), 48), tracked=True)
     w4 = Tensor(rand((5, 3), 49))
-    check_grads(lambda: co.tensor_sum(ad.mul(
-        ad.scatter_rows(base, np.array([1, 4]), new_rows), w4)), [base, new_rows])
+    check_grads(lambda: co.tensor_sum(co.mul(
+        co.scatter_rows(base, np.array([1, 4]), new_rows), w4)), [base, new_rows])
 
 
 def test_scatter_rows_rejects_duplicate_indices():
     with pytest.raises(ContractError):
-        ad.scatter_rows(Tensor(np.zeros((3, 2))), np.array([1, 1]),
+        co.scatter_rows(Tensor(np.zeros((3, 2))), np.array([1, 1]),
                         Tensor(np.ones((2, 2))))
 
 
@@ -445,7 +447,7 @@ def test_linear_matches_concat_matmul_add(rows, widths, out, seed):
     np.testing.assert_array_equal(ad.linear(parts, w, b).data, expected)
 
     out_w = Tensor(rand((rows, out), seed + 12))
-    check_grads(lambda: co.tensor_sum(ad.mul(ad.linear(parts, w, b), out_w)),
+    check_grads(lambda: co.tensor_sum(co.mul(ad.linear(parts, w, b), out_w)),
                 [*parts, w, b])
 
     extra_row = Tensor(np.zeros((rows + 1, 1)))
@@ -453,3 +455,26 @@ def test_linear_matches_concat_matmul_add(rows, widths, out, seed):
         ad.linear([*parts, extra_row], Tensor(np.zeros((sum(widths) + 1, out))), b)
     with pytest.raises(ShapeError):
         ad.linear(parts, Tensor(np.zeros((sum(widths) + 1, out))), b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(1, 4), widths=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       out=st.integers(1, 3), dead=st.booleans(), data=st.data(), direct=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_linear_relu_is_one_node_with_the_chain_bits(rows, widths, out, dead, data, direct,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    arrays = {f"p{i}": rng.normal(size=(rows, width)) for i, width in enumerate(widths)}
+    arrays.update(w=rng.normal(size=(sum(widths), out)), b=rng.normal(size=out))
+    if dead:  # a unit whose pre-activation is exactly 0: the mask must drop it
+        arrays["w"][:, 0] = 0.0
+        arrays["b"][0] = 0.0
+    untracked = data.draw(st.sets(st.sampled_from(sorted(arrays)), max_size=2))
+
+    def runner(linear):
+        def build(w, b, **parts):
+            return linear([parts[f"p{i}"] for i in range(len(widths))], w, b, relu=True)
+        return co.differentiate(build, arrays, leaves=("w", "b"), untracked=untracked,
+                                direct=direct, seed=seed)
+
+    co.assert_same_bits(runner(ad.linear), runner(co.linear))

@@ -97,6 +97,17 @@ def test_synth_variable_count_matches_config(synth_dir):
     assert header_vars == {"var0", "var1", "var2"}
 
 
+@pytest.mark.parametrize("key, value", [("n_episodes", True), ("seed", True),
+                                        ("n_variables", 3.5), ("n_classes", "2")])
+def test_synth_refuses_a_count_or_seed_that_is_not_an_integral_number(tmp_path, capsys,
+                                                                     key, value):
+    config = write_config(tmp_path, {"synthetic": {**SMALL_SYNTH["synthetic"], key: value}})
+    out = tmp_path / "data"
+    assert run("synth", "--config", config, "--out", str(out)) == 1
+    assert f"{key} must be an integral number, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- train -------------------------------------------------------------------------
 
 def test_train_writes_report_and_checkpoint(synth_dir, tmp_path, capsys):
@@ -187,6 +198,42 @@ def test_train_float_seed_in_config_equals_int_seed_flag(synth_dir, tmp_path):
     assert report["seed"] == 3 and report["config"]["seed"] == 3
     assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
     assert (out_a / "checkpoint.json").read_bytes() == (out_b / "checkpoint.json").read_bytes()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("ablation", "use_cb", "false", "ablation flag use_cb must be true or false, got 'false'"),
+    ("ablation", "use_tde", 0, "ablation flag use_tde must be true or false, got 0"),
+    ("model", "batch_size", True, "batch_size must be an integral number, got True"),
+    ("model", "n_layers", True, "n_layers must be an integral number, got True"),
+    ("model", "epochs", 2.5, "epochs must be an integral number, got 2.5"),
+    ("model", "hidden_dim", "8", "hidden_dim must be an integral number, got '8'"),
+])
+def test_train_refuses_config_fields_of_the_wrong_type(synth_dir, tmp_path, capsys,
+                                                       section, key, value, message):
+    payload = {**SMALL_MODEL, section: {**SMALL_MODEL.get(section, {}), key: value}}
+    out = tmp_path / "o"
+    assert run("train", "--config", write_config(tmp_path, payload), *data_args(synth_dir),
+               "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_counts_in_config_equal_ints(tmp_path):
+    # the config-seed rule for every count: 2.0 runs as 2
+    floats = {"synthetic": {**SMALL_SYNTH["synthetic"], "n_episodes": 30.0, "seed": 0.0},
+              "data": SMALL_SYNTH["data"],
+              "model": {**SMALL_MODEL["model"], "epochs": 2.0, "batch_size": 16.0}}
+    ints = {**SMALL_SYNTH, **SMALL_MODEL}
+    outputs = []
+    for name, payload in (("floats", floats), ("ints", ints)):
+        config = write_config(tmp_path, payload, name=f"{name}.json")
+        data_dir, out = tmp_path / f"{name}_data", tmp_path / f"{name}_run"
+        assert run("synth", "--config", config, "--out", str(data_dir)) == 0
+        assert run("train", "--config", config, *data_args(data_dir), "--out", str(out)) == 0
+        outputs.append([(data_dir / "observations.csv").read_bytes(),
+                        (out / "report.json").read_bytes(),
+                        (out / "checkpoint.json").read_bytes()])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("seed", [3.5, True, "3"])
@@ -397,6 +444,12 @@ def test_gradcheck_passes_and_lists_blocks(capsys):
     names = [l.split(":")[0] for l in block_lines]
     assert len(names) == len(set(names))
     assert "codebook" in names and "head.w1" in names
+
+
+def test_gradcheck_passes_without_decay(capsys):
+    # the gate's branch without a decay factor, through the full audit
+    assert run("gradcheck", "--ablate", "tde") == 0
+    assert "gradcheck PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("node", sorted(co.FUSED_NODES))

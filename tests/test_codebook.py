@@ -128,15 +128,15 @@ def l2_norm(a):
 
 
 def _row_normalize(x):
-    return div(x, ad.add(l2_norm(x), Tensor(cb.COSINE_EPS)))
+    return div(x, co.add(l2_norm(x), Tensor(cb.COSINE_EPS)))
 
 
 def chain_soft_fuse(g, codebook):
     sims = co.matmul(_row_normalize(g), co.transpose_last2(_row_normalize(codebook)))
     weights = co.softmax(sims)
     quantized = co.matmul(weights, codebook)
-    scale = div(l2_norm(quantized), ad.add(l2_norm(g), Tensor(cb.FUSION_EPS)))
-    return ad.add(g, ad.mul(scale, quantized)), weights.data.sum(axis=0)
+    scale = div(l2_norm(quantized), co.add(l2_norm(g), Tensor(cb.FUSION_EPS)))
+    return co.add(g, co.mul(scale, quantized)), weights.data.sum(axis=0)
 
 
 def fused_soft_fuse(book):
@@ -163,10 +163,10 @@ def run_fusion(make_fuse, g0, book0, out_weights, track):
         x, w = fuse(x, book)
         outs.append(x)
         weights.append(w)
-    terms = [co.tensor_sum(ad.mul(out, Tensor(r))) for out, r in zip(outs, out_weights)]
+    terms = [co.tensor_sum(co.mul(out, Tensor(r))) for out, r in zip(outs, out_weights)]
     loss = terms[-1]
     for term in reversed(terms[:-1]):
-        loss = ad.add(loss, term)
+        loss = co.add(loss, term)
     ad.backward(loss)
     return outs, weights, g, book
 
@@ -265,7 +265,7 @@ def two_fusions(fuse, k, seed=5):
         unit_book = cb.UnitBook(book.data)
         once = fuse(g, book, unit_book)
         twice = fuse(once, book, unit_book)
-        return co.tensor_sum(ad.mul(twice, r))
+        return co.tensor_sum(co.mul(twice, r))
 
     return loss, [g, book]
 

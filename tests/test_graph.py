@@ -363,9 +363,9 @@ def test_gradients_reach_every_graph_parameter():
     out_p, out_v, out_e = gr.message_pass_layer(step, v_pat, params["node.var_table"],
                                                 e, params, 0)
     ad.zero_grad(params.values())
-    loss = ad.add(co.tensor_sum(ad.mul(out_p, out_p)),
-                  ad.add(co.tensor_sum(ad.mul(out_v, out_v)),
-                         co.tensor_sum(ad.mul(out_e, out_e))))
+    loss = co.add(co.tensor_sum(co.mul(out_p, out_p)),
+                  co.add(co.tensor_sum(co.mul(out_v, out_v)),
+                         co.tensor_sum(co.mul(out_e, out_e))))
     ad.backward(loss)
     for name in ("edge.value_w", "edge.value_b", "edge.time_freq", "edge.time_phase",
                  "edge.var_table", "node.var_table", "sage0.msg_w", "sage0.msg_b",
@@ -427,7 +427,7 @@ def test_message_layer_is_three_nodes_with_the_chain_bits(d, b, v, data, direct,
         def build(v_pat, v_var, e, **p):
             out_pat, out_var, out_e = layer(step, v_pat, v_var, e, p, 0)
             # one output, so the loss reads all three in a fixed order
-            return ad.add(co.tensor_sum(out_pat), ad.add(co.tensor_sum(out_var),
+            return co.add(co.tensor_sum(out_pat), co.add(co.tensor_sum(out_var),
                                                           co.tensor_sum(out_e)))
         return co.differentiate(build, arrays, leaves=PARAM_NAMES["layer"],
                                 untracked=untracked, direct=direct, seed=seed)
@@ -446,7 +446,11 @@ def test_fused_graph_nodes_record_one_node_each():
                                                     e, params, 1)
     assert out_e._op == "edge_update"
     assert out_e._parents[:3] == (out_pat, out_var, e)
-    msg_to_pat, msg_to_var = out_pat._parents[0]._parents[1], out_var._parents[0]._parents[1]
+    # each node update is one linear node with its ReLU fused in
+    assert out_pat._op == out_var._op == "linear"
+    assert out_pat._parents[2:] == out_var._parents[2:] == (params["sage1.node_w"],
+                                                             params["sage1.node_b"])
+    msg_to_pat, msg_to_var = out_pat._parents[1], out_var._parents[1]
     assert msg_to_pat._op == msg_to_var._op == "message"
     assert msg_to_pat._parents == (params["node.var_table"], e, params["sage1.msg_w"],
                                    params["sage1.msg_b"])
@@ -463,8 +467,8 @@ def test_fused_graph_nodes_match_finite_differences():
     def loss():
         e = gr.init_edge_embeddings(step, params)
         outs = gr.message_pass_layer(step, v_pat, params["node.var_table"], e, params, 0)
-        terms = [co.tensor_sum(ad.mul(out, w)) for out, w in zip(outs, weights)]
-        return ad.add(terms[0], ad.add(terms[1], terms[2]))
+        terms = [co.tensor_sum(co.mul(out, w)) for out, w in zip(outs, weights)]
+        return co.add(terms[0], co.add(terms[1], terms[2]))
 
     check_grads(loss, [v_pat, params["node.var_table"],
                        *(params[name] for name in PARAM_NAMES["edge"] + PARAM_NAMES["layer"])])

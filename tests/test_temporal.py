@@ -97,25 +97,39 @@ def test_gate_endpoints():
     params = params_for()
     params["gate.w"].data[:] = 0.0
     e = random_edges(3, 4, seed=4)
-    h_hat = random_edges(3, 4, seed=5)
+    bank = random_edges(5, 4, seed=5)
+    index = np.array([3, 0, 2])
 
-    params["gate.b"].data[:] = -80.0  # sigmoid -> 0: keep the decayed state
-    np.testing.assert_allclose(tp.gated_update(e, h_hat, params).data,
-                               h_hat.data, atol=1e-12)
+    params["gate.b"].data[:] = -80.0  # sigmoid -> 0: keep the stored state
+    np.testing.assert_allclose(tp.gated_update(bank, index, e, params).data,
+                               bank.data, atol=1e-12)
     params["gate.b"].data[:] = 80.0  # sigmoid -> 1: take the new feature
-    np.testing.assert_allclose(tp.gated_update(e, h_hat, params).data,
-                               e.data, atol=1e-12)
+    expected = bank.data.copy()
+    expected[index] = e.data
+    np.testing.assert_allclose(tp.gated_update(bank, index, e, params).data,
+                               expected, atol=1e-12)
 
 
 def test_gate_output_is_coordinatewise_convex():
     params = params_for(seed=6)
     e = random_edges(10, 4, seed=7)
-    h_hat = random_edges(10, 4, seed=8)
-    out = tp.gated_update(e, h_hat, params).data
-    lo = np.minimum(e.data, h_hat.data)
-    hi = np.maximum(e.data, h_hat.data)
-    assert np.all(out >= lo - 1e-12)
-    assert np.all(out <= hi + 1e-12)
+    bank = random_edges(12, 4, seed=8)
+    index = np.random.default_rng(9).permutation(12)[:10]
+    gamma = Tensor(np.random.default_rng(10).uniform(0.0, 1.0, (10, 1)))
+    out = tp.gated_update(bank, index, e, params, gamma).data
+    h_hat = bank.data[index] * gamma.data
+    lo = np.minimum(e.data, h_hat)
+    hi = np.maximum(e.data, h_hat)
+    assert np.all(out[index] >= lo - 1e-12)
+    assert np.all(out[index] <= hi + 1e-12)
+    kept = np.setdiff1d(np.arange(12), index)
+    assert out[kept].tobytes() == bank.data[kept].tobytes()
+
+
+def test_gate_refuses_repeated_bank_rows():
+    params = params_for()
+    with pytest.raises(ContractError, match="unique"):
+        tp.gated_update(random_edges(3, 4), np.array([1, 1]), random_edges(2, 4), params)
 
 
 # -- attention -----------------------------------------------------------------------
@@ -162,8 +176,8 @@ def test_gradients_flow_through_decay_and_gate():
         e = Tensor(e_data, tracked=False)
         h = Tensor(np.random.default_rng(14).normal(size=(6, 4)))
         gamma = tp.decay_factor(e, np.full(6, 0.5), kernel, params)
-        out = tp.gated_update(e, ad.mul(h, gamma), params)
-        ad.backward(co.tensor_sum(ad.mul(out, out)))
+        out = tp.gated_update(h, np.arange(6), e, params, gamma)
+        ad.backward(co.tensor_sum(co.mul(out, out)))
         touched = [name for name, p in params.items()
                    if p.grad is not None and np.any(p.grad != 0.0)]
         assert "gate.w" in touched
@@ -203,19 +217,28 @@ def test_decay_factor_is_one_node_with_the_chain_bits(d, n, kernel, data, direct
     co.assert_same_bits(runner(tp.decay_factor), runner(co.decay_factor))
 
 
-@settings(max_examples=80, deadline=None)
-@given(d=st.integers(1, 5), n=st.integers(1, 6), data=st.data(), direct=st.booleans(),
-       seed=st.integers(0, 2**16))
-def test_gated_update_is_one_node_with_the_chain_bits(d, n, data, direct, seed):
+@settings(max_examples=120, deadline=None)
+@given(d=st.integers(1, 5), n=st.integers(1, 6), spare=st.integers(0, 3),
+       gamma=st.sampled_from(["absent", "untracked", "tracked"]), data=st.data(),
+       direct=st.booleans(), seed=st.integers(0, 2**16))
+def test_gated_update_is_one_node_with_the_chain_bits(d, n, spare, gamma, data, direct,
+                                                      seed):
+    # ``spare`` bank rows that no index names; ``gamma`` as the decay sees it
     rng = np.random.default_rng(seed)
     params = params_for(d=d, seed=seed % 97)
     arrays = {name: params[name].data for name in GATE_PARAMS}
-    arrays.update(e=rng.normal(size=(n, d)), h_hat=rng.normal(size=(n, d)))
-    untracked = data.draw(st.sets(st.sampled_from(sorted(arrays)), max_size=3))
+    arrays.update(e=rng.normal(size=(n, d)), h_bank=rng.normal(size=(n + spare, d)))
+    if gamma != "absent":
+        arrays["gamma"] = rng.uniform(0.0, 1.0, (n, 1))
+    index = rng.permutation(n + spare)[:n]
+    names = sorted(set(arrays) - {"gamma"})
+    untracked = data.draw(st.sets(st.sampled_from(names), max_size=3))
+    if gamma == "untracked":
+        untracked |= {"gamma"}
 
     def runner(gate):
-        def build(e, h_hat, **p):
-            return gate(e, h_hat, p)
+        def build(h_bank, e, gamma=None, **p):
+            return gate(h_bank, index, e, p, gamma)
         return co.differentiate(build, arrays, leaves=GATE_PARAMS, untracked=untracked,
                                 direct=direct, seed=seed)
 
@@ -241,17 +264,20 @@ def test_node_attention_is_one_node_with_the_chain_bits(d, b, v, data, direct, s
 def test_fused_temporal_nodes_record_one_node_each():
     params = params_for()
     e = Tensor(np.ones((3, 4)), tracked=True)
-    h_hat = Tensor(np.ones((3, 4)), tracked=True)
+    bank = Tensor(np.ones((3, 4)), tracked=True)
     for kernel in tp.DECAY_KERNELS:
         gamma = tp.decay_factor(e, np.ones(3), kernel, params)
         names = DECAY_PARAMS["exp" if kernel == "exp" else "mlp"]
         assert gamma._op == "decay_factor"
         assert gamma._parents == (() if kernel == "exp" else (e,)) + tuple(
             params[name] for name in names)
-    # backward must reach e before h_hat, as the chain's did
-    out = tp.gated_update(e, h_hat, params)
-    assert out._op == "gate" and out._parents == (h_hat, e, params["gate.w"],
-                                                  params["gate.b"])
+    # the last kernel's gamma; backward must reach e before gamma and the
+    # bank, as the chain's did
+    gate = (params["gate.w"], params["gate.b"])
+    out = tp.gated_update(bank, np.arange(3), e, params, gamma)
+    assert out._op == "gate" and out._parents == (bank, gamma, e, *gate)
+    out = tp.gated_update(bank, np.arange(3), e, params)
+    assert out._op == "gate" and out._parents == (bank, e, *gate)
     v_pat, bank = Tensor(np.ones((2, 4)), tracked=True), Tensor(np.ones((4, 4)), tracked=True)
     out = tp.node_attention(v_pat, bank, params["attn.proj"])
     assert out._op == "attention" and out._parents == (v_pat, bank, params["attn.proj"])
@@ -264,15 +290,16 @@ def test_fused_temporal_nodes_match_finite_differences(kernel, use_tde):
     params = params_for(seed=21)
     params["decay.rate_raw"].data[:] = 0.3
     e = Tensor(rng.normal(size=(4, 4)), tracked=True)
-    h = Tensor(rng.normal(size=(4, 4)), tracked=True)
+    h = Tensor(rng.normal(size=(6, 4)), tracked=True)  # 2 patients x 3 variables
     v_pat = Tensor(rng.normal(size=(2, 4)), tracked=True)
     dt = np.array([0.1, 0.4, 0.25, 0.05])  # rate * dt < 1: off the linear kernel's kink
     w = Tensor(rng.normal(size=(2, 4)))
 
     def loss():
-        h_hat = ad.mul(h, tp.decay_factor(e, dt, kernel, params)) if use_tde else h
-        bank = tp.gated_update(e, h_hat, params)
-        return co.tensor_sum(ad.mul(tp.node_attention(v_pat, bank, params["attn.proj"]), w))
+        gamma = tp.decay_factor(e, dt, kernel, params) if use_tde else None
+        # rows 2 and 5 are kept: their gradient passes the gate untouched
+        bank = tp.gated_update(h, np.array([4, 0, 3, 1]), e, params, gamma)
+        return co.tensor_sum(co.mul(tp.node_attention(v_pat, bank, params["attn.proj"]), w))
 
     names = ["gate.w", "gate.b", "attn.proj"]
     if use_tde:
