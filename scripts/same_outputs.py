@@ -14,7 +14,9 @@ fixed matrix of commands, each tree importing its own ``src/``:
    kernel (``exp``, ``mlp_gaussian``, ``mlp_linear``), and with
    ``--batch-size 6``, where a batch has as many patient rows as there
    are variables, so both fusion calls of a step share one weight
-   buffer; and ``analyze`` of it (``decay_rates.csv`` and
+   buffer, and with ``--codebook-size 1500``, above ``codebook.TILE`` but
+   not a multiple of it, so the large-codebook jobs meet a partial last
+   tile; and ``analyze`` of it (``decay_rates.csv`` and
    ``kw_summary.csv``);
 3. the ``eval-k4096`` benchmark config: ``synth`` and 1-epoch ``train`` of
    a 32-episode checkpoint, ``synth`` of a 320-episode set, and ``eval``
@@ -31,11 +33,12 @@ The SHA-256 of every output file is printed for both trees. For a JSON
 or CSV file that differs, the largest relative difference over its
 numeric values is printed too (a checkpoint parameter's base64 float64
 data counts as its values), or why the values do not pair up. Then the
-``peak_rss_mb=`` line that each ``train``, ``eval`` and ``analyze``
-command prints is shown for both trees, named by the command's output
-directory, so a memory change shows command by command. The exit status
-is 0 when every file matches, and 1 when a file differs, exists in only
-one tree, or a command fails; the memory figures do not change it.
+``peak_rss_mb=`` and ``cpu_seconds=`` lines that each ``train``, ``eval``
+and ``analyze`` command prints are shown for both trees, named by the
+command's output directory, so a memory or CPU change shows command by
+command. The exit status is 0 when every file matches, and 1 when a file
+differs, exists in only one tree, or a command fails; the usage figures
+do not change it.
 """
 
 from __future__ import annotations
@@ -76,13 +79,26 @@ def _run(tree: Path, work: Path, *argv: str) -> str:
     return proc.stdout
 
 
-def peak_rss_mb(stdout: str) -> float | None:
-    """The value of the last ``peak_rss_mb=`` line in a command's stdout,
-    or None when it printed none."""
+def _last_value(stdout: str, key: str) -> float | None:
+    """The value of the last ``key=`` line in a command's stdout, or None
+    when it printed none."""
     for line in reversed(stdout.splitlines()):
-        if line.startswith("peak_rss_mb="):
+        if line.startswith(f"{key}="):
             return float(line.split("=", 1)[1])
     return None
+
+
+def peak_rss_mb(stdout: str) -> float | None:
+    """The value of the last ``peak_rss_mb=`` line in a command's stdout."""
+    return _last_value(stdout, "peak_rss_mb")
+
+
+def cpu_seconds(stdout: str) -> float | None:
+    """The value of the last ``cpu_seconds=`` line in a command's stdout."""
+    return _last_value(stdout, "cpu_seconds")
+
+
+USAGE = {"peak_rss_mb": peak_rss_mb, "cpu_seconds": cpu_seconds}
 
 
 def _synth(tree: Path, work: Path, name: str, config: dict, seed: int) -> list[str]:
@@ -94,13 +110,16 @@ def _synth(tree: Path, work: Path, name: str, config: dict, seed: int) -> list[s
             f"{name}/labels.csv", "--splits", f"{name}/splits.csv", "--t-max", T_MAX]
 
 
-def run_matrix(tree: Path, work: Path) -> dict[str, float | None]:
-    """Run every command; return the peak RSS of each ``train``, ``eval``
-    and ``analyze`` command, keyed by its output directory."""
-    peaks: dict[str, float | None] = {}
+def run_matrix(tree: Path, work: Path) -> dict[str, dict[str, float | None]]:
+    """Run every command; return, for each figure of ``USAGE``, the value
+    each ``train``, ``eval`` and ``analyze`` command printed, keyed by its
+    output directory."""
+    usage: dict[str, dict[str, float | None]] = {key: {} for key in USAGE}
 
     def measured(*argv: str) -> None:
-        peaks[argv[argv.index("--out") + 1]] = peak_rss_mb(_run(tree, work, *argv))
+        stdout = _run(tree, work, *argv)
+        for key, read in USAGE.items():
+            usage[key][argv[argv.index("--out") + 1]] = read(stdout)
 
     data = _synth(tree, work, "data", {}, 0)
     measured("train", *data, "--epochs", "3", "--seed", "0", "--out", "train")
@@ -112,6 +131,8 @@ def run_matrix(tree: Path, work: Path) -> dict[str, float | None]:
                  "--kernel", kernel, "--out", f"train_{kernel}")
     measured("train", *data, "--epochs", "2", "--seed", "0",
              "--batch-size", "6", "--out", "train_batch6")
+    measured("train", *data, "--epochs", "2", "--seed", "0",
+             "--codebook-size", "1500", "--out", "train_k1500")
     measured("analyze", *data, "--out", "analyze")
 
     ckpt_data = _synth(tree, work, "ckpt_data",
@@ -135,7 +156,7 @@ def run_matrix(tree: Path, work: Path) -> dict[str, float | None]:
     measured("train", *c8_data, "--codebook-size", "32", "--batch-size", "64",
              "--lr", "0.01", "--epochs", "12", "--patience", "12", "--seed", "10",
              "--out", "train_k32")
-    return peaks
+    return usage
 
 
 def digests(work: Path) -> dict[str, str]:
@@ -193,14 +214,16 @@ def max_relative_difference(a: Path, b: Path) -> str:
     return f"max_rel_diff={worst:.3g}"
 
 
-def peak_lines(a: dict[str, float | None], b: dict[str, float | None]) -> list[str]:
-    """One line per measured command: its peak RSS in MB in each tree."""
+def peak_lines(a: dict[str, float | None], b: dict[str, float | None],
+               key: str = "peak_rss_mb") -> list[str]:
+    """One line per measured command: its peak RSS in MB (or its ``key``
+    figure) in each tree."""
     def shown(value: float | None) -> str:
         return "-" if value is None else f"{value:.1f}"
 
     names = sorted(set(a) | set(b))
     width = max(map(len, names), default=0)
-    return [f"peak_rss_mb {name:{width}s} {shown(a.get(name)):>8s} {shown(b.get(name)):>8s}"
+    return [f"{key} {name:{width}s} {shown(a.get(name)):>8s} {shown(b.get(name)):>8s}"
             for name in names]
 
 
@@ -209,13 +232,13 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
     trees = [Path(a).resolve() for a in argv]
-    results, peaks = [], []
+    results, usages = [], []
     with tempfile.TemporaryDirectory() as tmp:
         works = [Path(tmp) / str(i) for i in range(len(trees))]
         for tree, work in zip(trees, works):
             work.mkdir()
             try:
-                peaks.append(run_matrix(tree, work))
+                usages.append(run_matrix(tree, work))
             except CommandFailed as exc:
                 print(exc, file=sys.stderr)
                 return 1
@@ -230,8 +253,9 @@ def main(argv: list[str]) -> int:
             if ha != hb and name in a and name in b and name.endswith((".json", ".csv")):
                 detail = "  " + max_relative_difference(works[0] / name, works[1] / name)
             print(f"{verdict:9s} {name}  {ha[:16]}  {hb[:16]}{detail}")
-    for line in peak_lines(*peaks):
-        print(line)
+    # each command's lines side by side
+    for lines in zip(*(peak_lines(*(u[key] for u in usages), key) for key in USAGE)):
+        print("\n".join(lines))
     print("identical" if same else "outputs differ")
     return 0 if same else 1
 

@@ -3,9 +3,9 @@
 Every command is a pure function of its input files, flags and seed;
 re-running an invocation reproduces its output files byte for byte.
 Reports are JSON with sorted keys, tabular outputs are CSV. Flags
-mirror config-file keys one to one and override them. Wall-clock time
-and peak memory are printed to stdout rather than stored, so reports
-stay reproducible.
+mirror config-file keys one to one and override them. Wall-clock time,
+CPU time and peak memory are printed to stdout rather than stored, so
+reports stay reproducible.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 from .analysis import (InsufficientDataError, empirical_autocorr, fit_decay_rate,
                        kruskal_wallis)
 from .data import (DataValidationError, Dataset, DatasetSplits, SyntheticConfig,
-                   apply_normalization, integral, leave_variables_out, load_dataset,
-                   load_split_manifest, normalize_splits, split_by_manifest,
+                   apply_normalization, leave_variables_out, load_dataset,
+                   load_split_manifest, normalize_splits, seed_value, split_by_manifest,
                    split_dataset, synthesize, truncate_episodes, write_labels_csv,
                    write_observations_csv, write_splits_csv)
 from .model import (AblationFlags, DecayGraphClassifier, ModelConfig,
@@ -115,17 +115,20 @@ def _load_splits(section: dict, seed: int,
 
 def _seed_of(file_cfg: dict, args: argparse.Namespace) -> int:
     if args.seed is not None:
-        return args.seed
-    return integral(file_cfg.get("seed", 0), "config seed")
+        return seed_value(args.seed, "--seed")
+    return seed_value(file_cfg.get("seed", 0), "config seed")
 
 
 # -- commands -----------------------------------------------------------------
 
 def _print_usage(start: float) -> None:
-    """Wall time since ``start`` and this process's peak resident set size."""
+    """Wall time since ``start``, this process's CPU time (user and system,
+    every thread) and its peak resident set size."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     print(f"wall_clock_seconds={time.perf_counter() - start:.3f}")
+    print(f"cpu_seconds={usage.ru_utime + usage.ru_stime:.3f}")
     # ru_maxrss is in KiB on Linux
-    print(f"peak_rss_mb={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f}")
+    print(f"peak_rss_mb={usage.ru_maxrss / 1024.0:.1f}")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -10,11 +10,12 @@ A forward pass builds one :class:`UnitBook` of the codebook and hands it
 to every ``soft_fuse`` and to ``retrieve``. It normalizes the codebook
 once, holds the per-codebook constants of the fusion backward, and owns
 the scratch buffers that fusion writes with ``out=``: the forward's B×K
-similarities (B rows, K prototypes), the backward's B×``TILE`` tiles and
-its K×d codebook-gradient terms. Fusion is one autodiff node that keeps
-only its (B, d) arrays and, for a large codebook, its (B, 1) softmax row
-sums; its hand-written backward recomputes the softmax weights, so no
-B×K array lives from forward to backward.
+similarities (B rows, K prototypes), each backward job's B×``TILE``
+tiles and the backward's K×d codebook-gradient terms. Fusion is one
+autodiff node that keeps only its (B, d) arrays and, for a large
+codebook, its (B, 1) softmax row sums; its hand-written backward
+recomputes the softmax weights, so no B×K array lives from forward to
+backward.
 
 The node has two cores, chosen by codebook size; they share the backward's
 prologue (residual scale and the mixture's gradient ``d_q``) and epilogue
@@ -39,9 +40,34 @@ prologue (residual scale and the mixture's gradient ``d_q``) and epilogue
   (FlashAttention's backward, Dao et al., arXiv:2205.14135). Values and
   gradients differ from the chain's by rounding only, about 1e-15
   relative.
+
+The K > ``TILE`` core runs as jobs on a thread pool with one worker per
+usable CPU, split over rows and tiles as in FlashAttention-2 (Dao,
+arXiv:2307.08691). The first such call pins numpy's OpenBLAS to one
+thread, so each core runs whole jobs and none spins inside a split
+matmul; the pool is made by the first call that has jobs for it. A
+forward job takes a block of ``BLOCK_ROWS`` to ``2 * BLOCK_ROWS - 1``
+rows: their similarities, ``exp``, ``l`` and ``q``; the utilization
+diagnostic's weight sums then take one job per tile of columns. The
+backward deals its tiles round-robin to one job per worker; each job
+writes its tiles' rows of the K×d terms and returns its tiles' (B, d)
+terms, which the calling thread adds in tile order. Every gradient
+accumulation stays on the calling thread. ``retrieve`` takes its argmax
+by the same row blocks. The split depends on the row count alone, so the
+bits do not depend on the number of cores. A call with fewer than
+``2 * BLOCK_ROWS`` rows runs as one job on the calling thread, and a
+host with one CPU or no OpenBLAS runs the same jobs there in a loop.
+OpenBLAS rounds a row block like the same rows of a whole call at
+K=4096, d=16; at some other shapes (K not a multiple of 8, or blocks
+under its small-matrix size) it does not, and there the bits also
+depended on its thread count before the pin.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import os
 
 import numpy as np
 
@@ -51,6 +77,65 @@ from .autodiff import ContractError, Tensor
 FUSION_EPS = 1e-8  # residual-scale division guard
 COSINE_EPS = 1e-12  # cosine-similarity norm guard
 TILE = 1024  # prototypes per backward tile; larger codebooks take the tiled core
+# fewest rows of a forward job; a large-codebook call with fewer than twice
+# this many rows runs whole on the calling thread, where the pool's hand-off
+# would cost more than the work
+BLOCK_ROWS = 64
+
+
+@functools.cache
+def _one_blas_thread() -> bool:
+    """Pin the OpenBLAS that numpy loaded to one thread; False when no
+    OpenBLAS thread setter is found. Only the first call acts."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return False
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapped file that is not a loadable library
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return True
+    return False
+
+
+@functools.cache
+def _pool():
+    """The process's fusion thread pool and its worker count, one worker per
+    usable CPU, made on first use. ``(None, 1)`` on one CPU or when OpenBLAS
+    could not be pinned, since jobs would then compete with BLAS threads."""
+    n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if n_cpus < 2 or not _one_blas_thread():
+        return None, 1
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(n_cpus, thread_name_prefix="codebook"), n_cpus
+
+
+def _run(job, items: list) -> list:
+    """``job(item)`` for every item, in order: on the pool when there are
+    several items and a pool, else in a loop on the calling thread."""
+    pool = _pool()[0] if len(items) > 1 else None
+    if pool is None:
+        return [job(item) for item in items]
+    return list(pool.map(job, items))
+
+
+def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
+    """Row ranges of a large-codebook call's forward jobs: ``n_rows //
+    BLOCK_ROWS`` near-equal blocks, or one. They depend on ``n_rows`` only,
+    so a call is split the same way on every host. The first call pins
+    OpenBLAS to one thread."""
+    _one_blas_thread()
+    n_blocks = max(n_rows // BLOCK_ROWS, 1)
+    return [(n_rows * j // n_blocks, n_rows * (j + 1) // n_blocks) for j in range(n_blocks)]
 
 
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,7 +151,8 @@ class UnitBook:
     ``norm_eps_sq`` and ``norm_safe`` are the fusion backward's guarded
     forms of ``norm``. ``buffer`` hands out scratch arrays that are reused
     by every call, so an array it returns is overwritten by the next call
-    that asks for the same name and shape.
+    that asks for the same name and shape. Concurrent jobs ask only for
+    names of their own.
     """
 
     def __init__(self, book: np.ndarray):
@@ -83,12 +169,6 @@ class UnitBook:
             buf = self._buffers[name, shape] = np.empty(shape)
         return buf
 
-    def similarities(self, rows: np.ndarray) -> np.ndarray:
-        """Cosine similarities of the unit ``rows`` to every prototype, written
-        into the B×K similarity buffer."""
-        out = self.buffer("sims", (rows.shape[0], self.unit.shape[0]))
-        return np.matmul(rows, self.unit.T, out=out)
-
 
 def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
               weight_sum: np.ndarray | None = None) -> Tensor:
@@ -103,17 +183,36 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
     g_norm, g_unit = unit_rows(x)
     n_rows, n_protos = x.shape[0], c.shape[0]
     tiled = n_protos > TILE
-    weights = unit_book.similarities(g_unit)
+    # the B×K similarities
+    weights = unit_book.buffer("sims", (n_rows, n_protos))
     if tiled:
-        # the weights times their row sum; cosines lie in [-1, 1], so exp
-        # needs no max shift
-        np.exp(weights, out=weights)
-        row_sum = weights.sum(axis=-1, keepdims=True)
-        q = np.matmul(weights, c)
-        q /= row_sum
+        tiles = [(lo, min(lo + TILE, n_protos)) for lo in range(0, n_protos, TILE)]
+        row_sum, q = np.empty((n_rows, 1)), np.empty((n_rows, c.shape[1]))
+
+        def forward_rows(block):
+            # the weights times their row sum; cosines lie in [-1, 1], so
+            # exp needs no max shift
+            lo, hi = block
+            e = np.matmul(g_unit[lo:hi], unit_book.unit.T, out=weights[lo:hi])
+            np.exp(e, out=e)
+            np.sum(e, axis=-1, keepdims=True, out=row_sum[lo:hi])
+            np.divide(np.matmul(e, c, out=q[lo:hi]), row_sum[lo:hi], out=q[lo:hi])
+
+        blocks = _row_blocks(n_rows)
+        _run(forward_rows, blocks)
         if weight_sum is not None:
-            weight_sum += np.matmul(1.0 / row_sum[:, 0], weights)
+            # each prototype's weights summed over the rows; a pooled call
+            # takes the product by tiles of columns, which keep its bits
+            inv_l, summed = 1.0 / row_sum[:, 0], np.empty(n_protos)
+
+            def sum_columns(cols):
+                lo, hi = cols
+                np.matmul(inv_l, weights[:, lo:hi], out=summed[lo:hi])
+
+            _run(sum_columns, tiles if len(blocks) > 1 else [(0, n_protos)])
+            weight_sum += summed
     else:
+        np.matmul(g_unit, unit_book.unit.T, out=weights)
         ad._softmax(weights)
         q = np.matmul(weights, c)
         if weight_sum is not None:
@@ -141,18 +240,30 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
         d_rowterm = (d_q * q).sum(axis=-1, keepdims=True)
         mixture = unit_book.buffer("book_term", c.shape)
         d_cunit = unit_book.buffer("d_cunit", c.shape)
+        n_jobs = min(_pool()[1], len(tiles)) if n_rows >= 2 * BLOCK_ROWS else 1
+
+        def tile_job(job):
+            # tiles job, job + n_jobs, ...: each job has its own tile buffers
+            # and writes only its tiles' rows of mixture and d_cunit
+            partials = []
+            for lo, hi in tiles[job::n_jobs]:
+                unit = unit_book.unit[lo:hi]
+                e = np.matmul(g_unit, unit.T,
+                              out=unit_book.buffer(f"tile{job}", (n_rows, hi - lo)))
+                np.exp(e, out=e)
+                np.matmul(e.T, d_q, out=mixture[lo:hi])
+                d_s = np.matmul(d_q, c[lo:hi].T,
+                                out=unit_book.buffer(f"d_tile{job}", (n_rows, hi - lo)))
+                d_s -= d_rowterm
+                d_s *= e
+                partials.append(np.matmul(d_s, unit))
+                np.matmul(d_s.T, g_unit, out=d_cunit[lo:hi])
+            return partials
+
+        partials = _run(tile_job, list(range(n_jobs)))
         d_gunit = np.zeros_like(x)
-        for lo in range(0, n_protos, TILE):
-            hi = min(lo + TILE, n_protos)
-            unit = unit_book.unit[lo:hi]
-            e = np.matmul(g_unit, unit.T, out=unit_book.buffer("tile", (n_rows, hi - lo)))
-            np.exp(e, out=e)
-            np.matmul(e.T, d_q, out=mixture[lo:hi])
-            d_s = np.matmul(d_q, c[lo:hi].T, out=unit_book.buffer("d_tile", (n_rows, hi - lo)))
-            d_s -= d_rowterm
-            d_s *= e
-            d_gunit += np.matmul(d_s, unit)
-            np.matmul(d_s.T, g_unit, out=d_cunit[lo:hi])
+        for tile in range(len(tiles)):  # in tile order, whatever the job count
+            d_gunit += partials[tile % n_jobs][tile // n_jobs]
         ad._accumulate(codebook, mixture)
         return d_gunit, d_cunit
 
@@ -190,11 +301,22 @@ def retrieve(g: Tensor, codebook: Tensor, unit_book: UnitBook) -> tuple[np.ndarr
     """Most-similar prototype per row by cosine; ties go to the lowest index.
 
     ``unit_book`` is the forward's ``UnitBook(codebook.data)``; the
-    similarities overwrite its B×K buffer, which fusion also uses. The
-    argmax is not differentiated; gradients flow only into the selected
-    codebook rows.
+    similarities overwrite its B×K buffer, which fusion also uses. A
+    codebook of more than ``TILE`` prototypes is searched by fusion's row
+    blocks. The argmax is not differentiated; gradients flow only into the
+    selected codebook rows.
     """
-    indices = unit_book.similarities(unit_rows(g.data)[1]).argmax(axis=1)
+    rows = unit_rows(g.data)[1]
+    n_rows, n_protos = rows.shape[0], unit_book.unit.shape[0]
+    sims = unit_book.buffer("sims", (n_rows, n_protos))
+    indices = np.empty(n_rows, dtype=np.intp)
+
+    def best_rows(block):
+        lo, hi = block
+        np.matmul(rows[lo:hi], unit_book.unit.T, out=sims[lo:hi]).argmax(
+            axis=1, out=indices[lo:hi])
+
+    _run(best_rows, _row_blocks(n_rows) if n_protos > TILE else [(0, n_rows)])
     return indices, ad.gather_rows(codebook, indices)
 
 

@@ -396,6 +396,23 @@ def integral(value, name: str, error: type[ValueError] = ValueError) -> int:
     raise error(f"{name} must be an integral number, got {value!r}")
 
 
+def seed_value(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as a seed: an integral number (see ``integral``) in
+    [0, 2**64), the generator's range, so no two seeds alias."""
+    seed = integral(value, name, error)
+    if not 0 <= seed < 2**64:
+        raise error(f"{name} must be in [0, 2**64), got {seed}")
+    return seed
+
+
+def real(value, name: str, error: type[ValueError] = ValueError):
+    """``value`` unchanged if it is a real number (an int or a float, not a
+    bool); anything else is refused with ``error``, which names ``name``."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return value
+    raise error(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass
 class SyntheticConfig:
     """Mean-reverting latent paths observed at Poisson times.
@@ -420,8 +437,19 @@ class SyntheticConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        for name in ("n_variables", "n_episodes", "n_classes", "seed"):
+        for name in ("n_variables", "n_episodes", "n_classes"):
             setattr(self, name, integral(getattr(self, name), name, SyntheticConfigError))
+        self.seed = seed_value(self.seed, "seed", SyntheticConfigError)
+        for name in ("obs_per_episode", "missing_prob", "horizon"):
+            real(getattr(self, name), name, SyntheticConfigError)
+        for name in ("decay_rates", "means", "noise_scales", "label_coeffs"):
+            values = getattr(self, name)
+            for i, entry in enumerate(() if values is None else values):
+                if isinstance(entry, (list, tuple)):  # a multi-class label_coeffs row
+                    for j, value in enumerate(entry):
+                        real(value, f"{name}[{i}][{j}]", SyntheticConfigError)
+                else:
+                    real(entry, f"{name}[{i}]", SyntheticConfigError)
         if self.n_variables < 1:
             raise SyntheticConfigError(f"n_variables must be >= 1, got {self.n_variables}")
         if self.n_episodes < 1:

@@ -25,7 +25,7 @@ from . import codebook as cb
 from . import graph as gr
 from . import temporal as tp
 from .autodiff import Tensor
-from .data import Dataset, Episode, integral
+from .data import Dataset, Episode, integral, real, seed_value
 from .metrics import binary_report, multiclass_report
 from .optim import Adam
 from .rng import SplitMix64
@@ -60,12 +60,13 @@ class ModelConfig:
 
     def validate(self) -> None:
         for name in ("hidden_dim", "codebook_size", "n_layers", "batch_size", "epochs",
-                     "patience", "seed", "n_classes"):
+                     "patience", "n_classes"):
             value = integral(getattr(self, name), name, ModelConfigError)
             setattr(self, name, value)
-            if value < 1 and name not in ("seed", "n_classes"):
+            if value < 1 and name != "n_classes":
                 raise ModelConfigError(f"{name} must be >= 1, got {value}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
+        self.seed = seed_value(self.seed, "seed", ModelConfigError)
+        if not (np.isfinite(real(self.lr, "lr", ModelConfigError)) and self.lr > 0):
             raise ModelConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.n_classes < 2:
             raise ModelConfigError(f"n_classes must be >= 2, got {self.n_classes}")

@@ -108,6 +108,53 @@ def test_synth_refuses_a_count_or_seed_that_is_not_an_integral_number(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("horizon", True), ("obs_per_episode", "6"), ("missing_prob", None),
+    ("decay_rates[1]", "x"), ("label_coeffs[2]", False), ("means[0]", "0")])
+def test_synth_refuses_a_real_field_that_is_not_a_number(tmp_path, capsys, key, value):
+    section = dict(SMALL_SYNTH["synthetic"], means=[0.0, 0.0, 0.0])
+    name, _, index = key.partition("[")
+    if index:
+        section[name] = list(section[name])
+        section[name][int(index[:-1])] = value
+    else:
+        section[name] = value
+    config = write_config(tmp_path, {"synthetic": section})
+    out = tmp_path / "data"
+    assert run("synth", "--config", config, "--out", str(out)) == 1
+    assert f"{key} must be a real number, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+U64 = 2**64
+
+
+@pytest.mark.parametrize("command, flags, config, message", [
+    ("synth", ["--seed", "-1"], {}, "seed must be in [0, 2**64), got -1"),
+    ("synth", ["--seed", str(U64)], {}, f"seed must be in [0, 2**64), got {U64}"),
+    ("synth", [], {"synthetic": {**SMALL_SYNTH["synthetic"], "seed": -1}},
+     "seed must be in [0, 2**64), got -1"),
+    ("train", ["--seed", "-1"], SMALL_MODEL, "--seed must be in [0, 2**64), got -1"),
+    ("train", ["--seed", str(U64)], SMALL_MODEL, f"--seed must be in [0, 2**64), got {U64}"),
+    ("train", [], {**SMALL_MODEL, "seed": -1.0}, "config seed must be in [0, 2**64), got -1"),
+])
+def test_a_seed_outside_the_generator_range_is_refused(synth_dir, tmp_path, capsys, command,
+                                                       flags, config, message):
+    out = tmp_path / "o"
+    data = data_args(synth_dir) if command == "train" else []
+    assert run(command, "--config", write_config(tmp_path, config), *data, *flags,
+               "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_config_refuses_a_seed_outside_the_generator_range():
+    from decaygraph.model import ModelConfig, ModelConfigError
+    ModelConfig(seed=U64 - 1).validate()
+    with pytest.raises(ModelConfigError, match=r"seed must be in \[0, 2\*\*64\), got -1"):
+        ModelConfig(seed=-1).validate()
+
+
 # -- train -------------------------------------------------------------------------
 
 def test_train_writes_report_and_checkpoint(synth_dir, tmp_path, capsys):
@@ -116,10 +163,13 @@ def test_train_writes_report_and_checkpoint(synth_dir, tmp_path, capsys):
     code = run("train", "--config", config, *data_args(synth_dir),
                "--out", str(out), "--seed", "0")
     assert code == 0
-    # peak memory goes to stdout only, never into the report
-    peak = re.search(r"^peak_rss_mb=(\S+)$", capsys.readouterr().out, re.MULTILINE)
-    assert peak and float(peak.group(1)) > 0.0
+    # peak memory and CPU time go to stdout only, never into the report
+    stdout = capsys.readouterr().out
+    for key in ("peak_rss_mb", "cpu_seconds"):
+        value = re.search(rf"^{key}=(\S+)$", stdout, re.MULTILINE)
+        assert value and float(value.group(1)) > 0.0
     assert "peak_rss" not in (out / "report.json").read_text()
+    assert "cpu_seconds" not in (out / "report.json").read_text()
     report = json.loads((out / "report.json").read_text())
     assert len(report["history"]) == 2
     assert {"epoch", "train_loss", "val_auprc"} <= set(report["history"][0])
@@ -207,6 +257,8 @@ def test_train_float_seed_in_config_equals_int_seed_flag(synth_dir, tmp_path):
     ("model", "n_layers", True, "n_layers must be an integral number, got True"),
     ("model", "epochs", 2.5, "epochs must be an integral number, got 2.5"),
     ("model", "hidden_dim", "8", "hidden_dim must be an integral number, got '8'"),
+    ("model", "lr", True, "lr must be a real number, got True"),
+    ("model", "lr", "0.01", "lr must be a real number, got '0.01'"),
 ])
 def test_train_refuses_config_fields_of_the_wrong_type(synth_dir, tmp_path, capsys,
                                                        section, key, value, message):

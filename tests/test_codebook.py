@@ -1,11 +1,16 @@
 """Soft codebook fusion, retrieval and the utilization diagnostic."""
 
 import inspect
+import os
+import subprocess
+import sys
 import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decaygraph import autodiff as ad
@@ -295,6 +300,112 @@ def test_check_grads_catches_a_tiled_rule_without_its_row_term():
     broken = soft_fuse_from_source(source.replace(row_term, "\n"))
     with pytest.raises(AssertionError, match="gradient mismatch"):
         check_grads(*two_fusions(broken, 10), rtol=1e-5)
+
+
+def loop_jobs(job, items):
+    return [job(item) for item in items]
+
+
+def fuse_and_retrieve(g0, book0, r):
+    """One fusion, a retrieval from its output and backward through the
+    fusion: the output, weight sums, both gradients and the indices."""
+    g, book = Tensor(g0.copy(), tracked=True), Tensor(book0.copy(), tracked=True)
+    unit_book = cb.UnitBook(book.data)
+    weight_sum = np.zeros(len(book0))
+    out = cb.soft_fuse(g, book, unit_book, weight_sum)
+    indices, _ = cb.retrieve(out, book, unit_book)
+    ad.backward(co.tensor_sum(co.mul(out, Tensor(r))))
+    return out.data, weight_sum, g.grad, book.grad, indices
+
+
+POOL_ROWS = 2 * cb.BLOCK_ROWS  # the fewest rows that take the pool
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.integers(1, POOL_ROWS + cb.BLOCK_ROWS), k=st.integers(cb.TILE + 1, 3 * cb.TILE),
+       d=st.integers(1, 20), seed=st.integers(0, 2**16))
+@example(b=POOL_ROWS - 1, k=cb.TILE + 1, d=16, seed=0)
+@example(b=POOL_ROWS, k=1500, d=16, seed=1)
+@example(b=5 * cb.BLOCK_ROWS // 2, k=3 * cb.TILE, d=16, seed=2)
+def test_pooled_jobs_keep_the_bits_of_a_plain_loop(b, k, d, seed):
+    rng = np.random.default_rng(seed)
+    g0, book0, r = rng.normal(size=(b, d)), rng.normal(size=(k, d)), rng.normal(size=(b, d))
+    pooled = fuse_and_retrieve(g0, book0, r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cb, "_run", loop_jobs)
+        looped = fuse_and_retrieve(g0, book0, r)
+    for got, want in zip(pooled, looped):
+        same_bits(got, want)
+
+
+def test_only_a_large_call_runs_its_jobs_on_the_pool(monkeypatch):
+    if cb._pool()[0] is None:
+        pytest.skip("one CPU or no OpenBLAS thread setter: every job runs on the caller")
+    run, threads = cb._run, []
+
+    def recording(job, items):
+        def recorded(item):
+            threads.append(threading.current_thread())
+            return job(item)
+        return run(recorded, items)
+
+    monkeypatch.setattr(cb, "_run", recording)
+    rng = np.random.default_rng(4)
+    for b, on_pool in ((POOL_ROWS - 1, False), (POOL_ROWS, True)):
+        threads.clear()
+        fuse_and_retrieve(rng.normal(size=(b, 8)), rng.normal(size=(cb.TILE + 1, 8)),
+                          rng.normal(size=(b, 8)))
+        # forward, weight sums, retrieval and backward: two jobs each on the
+        # pool, else one
+        assert len(threads) == (8 if on_pool else 4)
+        assert all((t is not threading.current_thread()) == on_pool for t in threads)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# a K <= TILE train step, then a K > TILE fusion, in a fresh interpreter
+PIN_SCRIPT = f"""
+import sys
+sys.path.insert(0, {str(PERFBENCH)!r})
+import numpy as np
+from probe import _blas_threads
+from decaygraph import autodiff as ad, codebook as cb, model as md
+from decaygraph.data import SyntheticConfig, synthesize
+from decaygraph.optim import Adam
+
+start = _blas_threads()
+data = synthesize(SyntheticConfig(n_variables=3, n_episodes=4, decay_rates=[0.5, 1.0, 2.0],
+                                  obs_per_episode=4.0, horizon=24.0))
+model = md.DecayGraphClassifier(md.ModelConfig(hidden_dim=8, codebook_size=cb.TILE,
+                                               batch_size=4), md.AblationFlags(),
+                                data.variables)
+ad.backward(md.batch_loss(model, data.episodes))
+Adam(model.params).step()
+print("concurrent.futures" in sys.modules, _blas_threads() == start)
+rows = np.random.default_rng(0).normal(size=(2 * cb.BLOCK_ROWS, 8))
+book = np.random.default_rng(1).normal(size=(cb.TILE + 1, 8))
+cb.soft_fuse(ad.Tensor(rows), ad.Tensor(book), cb.UnitBook(book))
+print(_blas_threads())
+"""
+
+
+@pytest.fixture(scope="module")
+def pin_script_output():
+    env = dict(os.environ, PYTHONPATH=str(Path(cb.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", PIN_SCRIPT], env=env, capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.split()
+
+
+def test_a_small_codebook_train_step_starts_no_pool_and_keeps_blas_threads(
+        pin_script_output):
+    assert pin_script_output[:2] == ["False", "True"]
+
+
+def test_a_large_codebook_fusion_pins_openblas_to_one_thread(pin_script_output):
+    if pin_script_output[2] == "None":
+        pytest.skip("no OpenBLAS thread count symbol in this numpy")
+    assert pin_script_output[2] == "1"
 
 
 def test_retrieve_self_match():

@@ -60,3 +60,11 @@ def test_peak_lines_pair_commands_across_trees():
         "peak_rss_mb eval           -        -",
         "peak_rss_mb train      152.0     99.6",
     ]
+
+
+def test_cpu_seconds_are_read_and_paired_like_peak_rss():
+    stdout = "wall_clock_seconds=1.2\ncpu_seconds=2.345\npeak_rss_mb=99.6\n"
+    assert so.cpu_seconds(stdout) == 2.345
+    assert so.cpu_seconds("peak_rss_mb=99.6\n") is None
+    assert so.peak_lines({"train": 9.78}, {"train": 6.48}, "cpu_seconds") == [
+        "cpu_seconds train      9.8      6.5"]
