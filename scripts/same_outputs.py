@@ -1,6 +1,7 @@
 """Check that two decaygraph source trees write byte-identical outputs.
 
 Usage: python3 scripts/same_outputs.py A B
+       python3 scripts/same_outputs.py --audit KERNEL OUT.json
 
 A and B are checkouts (each with a ``src/`` directory). Both run the same
 fixed matrix of commands, each tree importing its own ``src/``:
@@ -21,8 +22,12 @@ fixed matrix of commands, each tree importing its own ``src/``:
 3. the ``eval-k4096`` benchmark config: ``synth`` and 1-epoch ``train`` of
    a 32-episode checkpoint, ``synth`` of a 320-episode set, and ``eval``
    with leave-out rates 0.2 and 0.5;
-4. ``gradcheck`` for each decay kernel (its stdout is the output file,
-   whose errors have only 4 significant digits);
+4. ``gradcheck`` for each decay kernel: its stdout, whose errors have
+   only 4 significant digits, and the errors dict its audit returned,
+   every float at full precision (``repr``), as a JSON file. The second
+   usage line runs one such ``gradcheck`` with one tree's ``src/`` on
+   the path: it wraps the ``gradient_check`` that ``decaygraph.cli``
+   calls, which every tree has, so it runs on both trees alike;
 5. the ``train-k32`` benchmark config at seed 10: ``synth`` of the C8 set
    (6 variables, 200 episodes, synthetic seed 201) and 12-epoch ``train``
    with K=32 and batch 64. Training amplifies a last-bit change, which a
@@ -69,9 +74,10 @@ class CommandFailed(RuntimeError):
     """A decaygraph command exited with a non-zero status."""
 
 
-def _run(tree: Path, work: Path, *argv: str) -> str:
+def _run(tree: Path, work: Path, *argv: str,
+         entry: tuple[str, ...] = ("-m", "decaygraph.cli")) -> str:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, "-m", "decaygraph.cli", *argv], cwd=work,
+    proc = subprocess.run([sys.executable, *entry, *argv], cwd=work,
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise CommandFailed(f"{tree}: {' '.join(argv[:1])} exited {proc.returncode}\n"
@@ -147,7 +153,8 @@ def run_matrix(tree: Path, work: Path) -> dict[str, dict[str, float | None]]:
 
     (work / "gradcheck").mkdir()
     for kernel in KERNELS:
-        out = _run(tree, work, "gradcheck", "--kernel", kernel)
+        out = _run(tree, work, "--audit", kernel, f"gradcheck/{kernel}.json",
+                   entry=(str(Path(__file__).resolve()),))
         (work / "gradcheck" / f"{kernel}.txt").write_text(out, encoding="utf-8")
 
     c8_data = _synth(tree, work, "c8_data",
@@ -227,7 +234,34 @@ def peak_lines(a: dict[str, float | None], b: dict[str, float | None],
             for name in names]
 
 
+def audit(kernel: str, path: str) -> int:
+    """Run ``decaygraph gradcheck --kernel KERNEL`` in this process and write
+    the errors dict its audit returned to ``path`` as JSON, whose floats are
+    their ``repr``. Returns the command's exit status."""
+    import decaygraph.cli as cli
+
+    audit_fn = cli.gradient_check
+    returned = {}
+
+    def recorded(*args, **kwargs):
+        errors = audit_fn(*args, **kwargs)
+        returned.update(errors)
+        return errors
+
+    cli.gradient_check = recorded
+    try:
+        status = cli.main(["gradcheck", "--kernel", kernel])
+    finally:
+        cli.gradient_check = audit_fn
+    errors = {name: float(err) for name, err in returned.items()}
+    Path(path).write_text(json.dumps(errors, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
+    return status
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--audit":
+        return audit(argv[1], argv[2])
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1

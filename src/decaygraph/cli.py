@@ -326,8 +326,8 @@ GRADCHECK_MODEL_SEED = 2
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if not args.tolerance > 0:
-        raise ValueError(f"--tolerance must be positive, got {args.tolerance}")
+    if not (np.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValueError(f"--tolerance must be positive and finite, got {args.tolerance}")
     config = SyntheticConfig(n_variables=3, n_episodes=2,
                              decay_rates=[0.5, 2.0, 0.1], obs_per_episode=4.0,
                              horizon=24.0, label_coeffs=[1.0, -1.0, 0.5],

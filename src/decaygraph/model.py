@@ -9,7 +9,9 @@ over their stored per-variable hidden states; the step's edge features
 are then initialized and message passed, and each observed (patient, variable) pair's hidden
 state is decayed and gate-merged with the fresh edge feature. The head
 consumes the final patient embedding, the retrieved prototype, and the
-mask-reweighted flattened hidden bank.
+mask-reweighted flattened hidden bank. ``forward`` is
+``classify(encode(...))``: ``encode`` does everything up to the head's
+input parts, and ``classify`` is the head.
 """
 
 from __future__ import annotations
@@ -175,6 +177,17 @@ class DecayGraphClassifier:
 
     def forward(self, episodes: list[Episode],
                 collect_diagnostics: bool = False) -> tuple[Tensor, dict]:
+        """Logits of a batch and its diagnostics: ``classify(encode(...))``."""
+        features, diagnostics = self.encode(episodes, collect_diagnostics)
+        return self.classify(features), diagnostics
+
+    def encode(self, episodes: list[Episode],
+               collect_diagnostics: bool = False) -> tuple[list[Tensor], dict]:
+        """The head's input parts for a batch, and the diagnostics.
+
+        Walks the batch's graph steps, then retrieves the prototype and
+        reweights the hidden bank. Reads no parameter in ``HEAD_BLOCKS``.
+        """
         if not episodes:
             raise ModelConfigError("forward needs a non-empty batch")
         cfg = self.config
@@ -231,9 +244,16 @@ class DecayGraphClassifier:
         if flags.use_hvs:
             counts = np.stack([ep.variable_counts() for ep in episodes])
             parts.append(head_reweight(h_bank, counts, batch, v_count, d))
-        hidden = ad.linear(parts, self.params["head.w1"], self.params["head.b1"], relu=True)
-        logits = ad.linear([hidden], self.params["head.w2"], self.params["head.b2"])
-        return logits, diagnostics
+        return parts, diagnostics
+
+    # the only parameters ``classify`` reads, and the only ones ``encode`` does not
+    HEAD_BLOCKS = ("head.w1", "head.b1", "head.w2", "head.b2")
+
+    def classify(self, features: list[Tensor]) -> Tensor:
+        """Logits from the head's input parts: two ``linear`` layers."""
+        w1, b1, w2, b2 = (self.params[name] for name in self.HEAD_BLOCKS)
+        hidden = ad.linear(features, w1, b1, relu=True)
+        return ad.linear([hidden], w2, b2)
 
     def predict_proba(self, episodes: list[Episode],
                       collect_diagnostics: bool = False) -> tuple[np.ndarray, dict]:
@@ -261,8 +281,16 @@ def head_reweight(h_bank: Tensor, counts: np.ndarray, batch: int,
                     "head_reweight", bw)
 
 
-def batch_loss(model: DecayGraphClassifier, episodes: list[Episode]) -> Tensor:
-    logits, _ = model.forward(episodes)
+def batch_loss(model: DecayGraphClassifier, episodes: list[Episode],
+               features: list[Tensor] | None = None) -> Tensor:
+    """Mean cross-entropy of a batch.
+
+    Given ``features``, the output of ``model.encode(episodes)``, it runs
+    only ``classify`` on them. Those features are valid only for the same
+    ``episodes`` and for unchanged encoder parameters (every parameter
+    outside ``HEAD_BLOCKS``); the caller must guarantee both.
+    """
+    logits = model.forward(episodes)[0] if features is None else model.classify(features)
     return ad.cross_entropy(logits, [ep.label for ep in episodes])
 
 
@@ -457,10 +485,18 @@ def gradient_check(model: DecayGraphClassifier, episodes: list[Episode],
 
     Returns one entry per parameter block. Coordinates where both the
     analytic and numeric gradients are below ``skip_below`` are skipped.
-    Only the analytic pass builds an autodiff graph.
+    A non-finite analytic or numeric derivative makes its block's error
+    infinite. Only the analytic pass builds an autodiff graph.
+
+    Every loss is a ``batch_loss`` call, two per coordinate. The batch is
+    encoded once more, under ``no_grad``, and the perturbed losses of the
+    ``HEAD_BLOCKS`` coordinates reuse those features: ``encode`` reads no
+    head parameter, so each of those losses is the same float as a full
+    forward's.
     """
-    if not step > 0:
-        raise ModelConfigError(f"finite-difference step must be positive, got {step}")
+    if not (np.isfinite(step) and step > 0):
+        raise ModelConfigError(f"finite-difference step must be positive and finite, "
+                               f"got {step}")
     ad.zero_grad(model.params.values())
     ad.backward(batch_loss(model, episodes))
     analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
@@ -468,19 +504,25 @@ def gradient_check(model: DecayGraphClassifier, episodes: list[Episode],
 
     errors: dict[str, float] = {}
     with ad.no_grad():
+        features, _ = model.encode(episodes)
         for name, p in model.params.items():
+            reused = features if name in model.HEAD_BLOCKS else None
             worst = 0.0
             flat = p.data.reshape(-1)
             for i in range(flat.size):
                 original = flat[i]
                 flat[i] = original + step
-                f_plus = batch_loss(model, episodes).item()
+                f_plus = batch_loss(model, episodes, reused).item()
                 flat[i] = original - step
-                f_minus = batch_loss(model, episodes).item()
+                f_minus = batch_loss(model, episodes, reused).item()
                 flat[i] = original
                 numeric = (f_plus - f_minus) / (2.0 * step)
                 a = analytic[name].reshape(-1)[i]
                 if abs(a) < skip_below and abs(numeric) < skip_below:
+                    continue
+                if not (np.isfinite(a) and np.isfinite(numeric)):
+                    # max() would drop a NaN error
+                    worst = float("inf")
                     continue
                 worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric)))
             errors[name] = worst

@@ -369,8 +369,8 @@ FUSED_NODES = {
 }
 
 
-def corrupt(monkeypatch, node):
-    """Patch ``node`` so that its gradient rule sees 1.5 times its gradient."""
+def corrupt(monkeypatch, node, factor=1.5):
+    """Patch ``node`` so that its gradient rule sees ``factor`` times its gradient."""
     owner, name = FUSED_NODES[node]
     true_op = getattr(owner, name)
 
@@ -378,7 +378,7 @@ def corrupt(monkeypatch, node):
         out = true_op(*args, **kwargs)
         inner = out._backward
         if inner is not None:
-            out._backward = lambda g: inner(g * 1.5)
+            out._backward = lambda g: inner(g * factor)
         return out
 
     monkeypatch.setattr(owner, name, corrupted)

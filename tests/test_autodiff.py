@@ -7,7 +7,7 @@ no reuse of the backward rules under test).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -423,6 +423,28 @@ def test_linear_and_indexing_gradients():
         co.scatter_rows(base, np.array([1, 4]), new_rows), w4)), [base, new_rows])
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), d=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**16))
+def test_gather_rows_gradient_sums_duplicate_indices(n, d, data, seed):
+    index = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    index.append(index[0])  # at least one row is gathered twice
+    table = Tensor(rand((n, d), seed), tracked=True)
+    out_w = Tensor(rand((len(index), d), seed + 1))
+    np.testing.assert_array_equal(ad.gather_rows(table, index).data, table.data[index])
+    check_grads(lambda: co.tensor_sum(co.mul(ad.gather_rows(table, index), out_w)), [table])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), c=st.integers(2, 5), bound=st.sampled_from([1.0, 3.0]),
+       seed=st.integers(0, 2**16))
+def test_cross_entropy_gradient_matches_central_differences(n, c, bound, seed):
+    # logits within +-3 keep every gradient entry above 1e-4 in size, about
+    # 1e6 times the difference's round-off (a loss below 8 over a 2e-5 step)
+    logits = Tensor(rand((n, c), seed, lo=-bound, hi=bound, avoid_kink=False), tracked=True)
+    labels = np.random.default_rng(seed).integers(0, c, n)
+    check_grads(lambda: ad.cross_entropy(logits, labels), [logits])
+
+
 def test_scatter_rows_rejects_duplicate_indices():
     with pytest.raises(ContractError):
         co.scatter_rows(Tensor(np.zeros((3, 2))), np.array([1, 1]),
@@ -437,17 +459,21 @@ def test_matmul_grad_matches_fd_example():
 
 @settings(max_examples=40, deadline=None)
 @given(rows=st.integers(1, 4), widths=st.lists(st.integers(1, 3), min_size=1, max_size=3),
-       out=st.integers(1, 3), seed=st.integers(0, 2**16))
-def test_linear_matches_concat_matmul_add(rows, widths, out, seed):
+       out=st.integers(1, 3), relu=st.booleans(), seed=st.integers(0, 2**16))
+def test_linear_matches_concat_matmul_add(rows, widths, out, relu, seed):
     parts = [Tensor(rand((rows, width), seed + i), tracked=True)
              for i, width in enumerate(widths)]
     w = Tensor(rand((sum(widths), out), seed + 10), tracked=True)
     b = Tensor(rand((out,), seed + 11), tracked=True)
-    expected = np.concatenate([p.data for p in parts], axis=1) @ w.data + b.data
-    np.testing.assert_array_equal(ad.linear(parts, w, b).data, expected)
+    pre = np.concatenate([p.data for p in parts], axis=1) @ w.data + b.data
+    # a step of 1e-5 in an input in [-2, 2] moves a pre-activation by at most
+    # 2e-5 times the width, so no central difference crosses the ReLU kink
+    assume(not relu or np.abs(pre).min() >= 1e-3)
+    expected = np.maximum(pre, 0.0) if relu else pre
+    np.testing.assert_array_equal(ad.linear(parts, w, b, relu=relu).data, expected)
 
     out_w = Tensor(rand((rows, out), seed + 12))
-    check_grads(lambda: co.tensor_sum(co.mul(ad.linear(parts, w, b), out_w)),
+    check_grads(lambda: co.tensor_sum(co.mul(ad.linear(parts, w, b, relu=relu), out_w)),
                 [*parts, w, b])
 
     extra_row = Tensor(np.zeros((rows + 1, 1)))

@@ -510,6 +510,15 @@ def test_gradcheck_fails_on_corrupted_rule(monkeypatch, node):
     assert run("gradcheck") != 0
 
 
+def test_gradcheck_fails_on_a_nan_gradient(monkeypatch, capsys):
+    # max() would drop the NaN errors and pass the audit
+    co.corrupt(monkeypatch, "decay_factor", float("nan"))
+    assert run("gradcheck") == 1
+    out = capsys.readouterr().out
+    assert "decay.w1: max_rel_err=inf" in out
+    assert "gradcheck FAIL: max_rel_err=inf" in out
+
+
 @pytest.mark.parametrize("flag, value", [("--config", "c8.json"), ("--seed", "99")])
 def test_gradcheck_refuses_config_and_seed(capsys, flag, value):
     # it audits fixed built-in data, so it would ignore both
@@ -520,9 +529,13 @@ def test_gradcheck_refuses_config_and_seed(capsys, flag, value):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--step", "0", "step must be positive, got 0.0"),
-    ("--step", "-1e-5", "step must be positive, got -1e-05"),
-    ("--tolerance", "0", "--tolerance must be positive, got 0.0"),
+    ("--step", "0", "step must be positive and finite, got 0.0"),
+    ("--step", "-1e-5", "step must be positive and finite, got -1e-05"),
+    ("--step", "inf", "step must be positive and finite, got inf"),
+    ("--step", "nan", "step must be positive and finite, got nan"),
+    ("--tolerance", "0", "--tolerance must be positive and finite, got 0.0"),
+    ("--tolerance", "inf", "--tolerance must be positive and finite, got inf"),
+    ("--tolerance", "nan", "--tolerance must be positive and finite, got nan"),
 ])
 def test_gradcheck_refuses_non_positive_numbers(capsys, flag, value, message):
     assert run("gradcheck", f"{flag}={value}") == 1

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from decaygraph import autodiff as ad
 from decaygraph import codebook as cb
 from decaygraph import graph as gr
+from decaygraph import model as md
 from decaygraph.autodiff import Tensor
 from decaygraph.data import (Episode, SyntheticConfig, delta_t_from_times,
                              split_dataset, synthesize, truncate_episodes)
@@ -608,12 +609,27 @@ def test_micro_gradient_check_all_kernels():
         assert max(errors.values()) < 1e-4, f"{kernel}: {max(errors.values()):.2e}"
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-5, float("nan")])
+@pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), float("inf")])
 def test_gradient_check_refuses_non_positive_step(step):
     ds = synth(n=2, seed=59, v=2, rates=(0.5, 2.0), coeffs=(1.0, -1.0))
     model = tiny_model(ds.variables[:2], d=4, k=4, layers=1, seed=61)
-    with pytest.raises(ModelConfigError, match="step must be positive"):
+    with pytest.raises(ModelConfigError, match="step must be positive and finite"):
         gradient_check(model, ds.episodes, step=step)
+
+
+def test_gradient_check_makes_a_nan_gradient_an_infinite_error(monkeypatch):
+    # max(0.0, nan) is 0.0, so a NaN error would pass the audit unseen
+    ds = synth(n=2, seed=59, v=2, rates=(0.5, 2.0), coeffs=(1.0, -1.0))
+    episodes = truncate_episodes(ds.episodes, 2, 24.0)
+    co.corrupt(monkeypatch, "decay_factor", float("nan"))
+    model = tiny_model(ds.variables[:2], d=4, k=4, layers=1, seed=61)
+    errors = gradient_check(model, episodes)
+    # the audit's analytic pass leaves its gradients on the parameters
+    nan_blocks = {name for name, p in model.params.items()
+                  if p.grad is not None and np.isnan(p.grad).any()}
+    assert "decay.w1" in nan_blocks
+    assert {name for name, err in errors.items() if err == np.inf} == nan_blocks
+    assert max(err for name, err in errors.items() if name not in nan_blocks) < 1e-4
 
 
 @pytest.mark.parametrize("node", sorted(co.FUSED_NODES))
@@ -629,6 +645,57 @@ def test_gradient_check_catches_corrupted_rule(monkeypatch, node):
 # -- fused nodes ---------------------------------------------------------------------
 
 ABLATION_SETS = [(), ("tde",), ("te",), ("sna",), ("cb",), ("hvs", "mcv"), ("tde", "sna")]
+
+
+@pytest.mark.parametrize("kernel", ["mlp_exp", "exp", "mlp_gaussian", "mlp_linear"])
+@pytest.mark.parametrize("ablate", ABLATION_SETS, ids="-".join)
+def test_gradient_check_equals_a_full_forward_for_every_loss(monkeypatch, kernel, ablate):
+    """The audit encodes the batch once for the head blocks; a loop that runs
+    the whole forward for every loss returns the same dict, float for float."""
+    ds = synth(n=2, seed=59, v=2, rates=(0.5, 2.0), coeffs=(1.0, -1.0))
+    episodes = truncate_episodes(ds.episodes, 2, 24.0)
+    flags = AblationFlags(**{f"use_{name}": False for name in ablate})
+    model = tiny_model(ds.variables, d=4, k=4, layers=1, seed=61, flags=flags,
+                       kernel=kernel)
+    step, skip_below = 1e-5, 1e-8
+
+    ad.zero_grad(model.params.values())
+    ad.backward(md.batch_loss(model, episodes))
+    expected = {}
+    with ad.no_grad():
+        for name, p in model.params.items():
+            analytic = np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1).copy()
+            worst = 0.0
+            flat = p.data.reshape(-1)
+            for i in range(flat.size):
+                original = flat[i]
+                flat[i] = original + step
+                f_plus = md.batch_loss(model, episodes).item()
+                flat[i] = original - step
+                f_minus = md.batch_loss(model, episodes).item()
+                flat[i] = original
+                numeric = (f_plus - f_minus) / (2.0 * step)
+                a = analytic[i]
+                if abs(a) < skip_below and abs(numeric) < skip_below:
+                    continue
+                worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric)))
+            expected[name] = worst
+
+    calls = {"encode": 0, "batch_loss": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(DecayGraphClassifier, "encode",
+                        counted("encode", DecayGraphClassifier.encode))
+    monkeypatch.setattr(md, "batch_loss", counted("batch_loss", md.batch_loss))
+    assert gradient_check(model, episodes, step, skip_below) == expected
+    sizes = {name: p.data.size for name, p in model.params.items()}
+    encoder = sum(size for name, size in sizes.items() if not name.startswith("head."))
+    assert calls == {"encode": 2 + 2 * encoder, "batch_loss": 1 + 2 * sum(sizes.values())}
 
 
 @pytest.mark.parametrize("kernel", ["mlp_exp", "exp", "mlp_gaussian", "mlp_linear"])

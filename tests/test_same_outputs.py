@@ -6,6 +6,8 @@ import json
 import struct
 from pathlib import Path
 
+import decaygraph.cli as cli
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
 spec = importlib.util.spec_from_file_location("same_outputs", SCRIPT)
 so = importlib.util.module_from_spec(spec)
@@ -68,3 +70,17 @@ def test_cpu_seconds_are_read_and_paired_like_peak_rss():
     assert so.cpu_seconds("peak_rss_mb=99.6\n") is None
     assert so.peak_lines({"train": 9.78}, {"train": 6.48}, "cpu_seconds") == [
         "cpu_seconds train      9.8      6.5"]
+
+
+def test_audit_dumps_the_errors_dict_at_full_precision(tmp_path, monkeypatch, capsys):
+    def fake_gradient_check(model, episodes, step):
+        return {"head.w1": 0.1 + 0.2, "codebook": 1e-300, "decay.w1": float("inf")}
+
+    monkeypatch.setattr(cli, "gradient_check", fake_gradient_check)
+    out = tmp_path / "audit.json"
+    assert so.audit("exp", str(out)) == 1  # the infinite error fails the audit
+    assert cli.gradient_check is fake_gradient_check
+    assert out.read_text(encoding="utf-8") == (
+        '{\n  "codebook": 1e-300,\n  "decay.w1": Infinity,\n'
+        '  "head.w1": 0.30000000000000004\n}\n')
+    assert "head.w1: max_rel_err=3.000e-01" in capsys.readouterr().out
