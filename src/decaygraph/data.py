@@ -7,6 +7,8 @@ File formats (comma separated, newline terminated, no quoting):
 * labels: header ``patient_id,label``, label a non-negative class index.
 * splits (optional): header ``patient_id,split`` with split one of
   train/val/test.
+* numbers are plain ASCII decimals (README, "File formats"), and the
+  labels and splits files list each patient once.
 
 An episode is one patient's record: strictly increasing unique
 timestamps, a value/mask matrix over the variable list, and the
@@ -17,7 +19,10 @@ Duplicate (patient, time, variable) rows resolve last-wins.
 
 from __future__ import annotations
 
+import math
+import re
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -139,60 +144,79 @@ def truncate_episodes(episodes: Iterable[Episode], n_steps: int,
     return out
 
 
-def _episode(pid: str, by_time: dict[float, dict[int, float]], n_variables: int,
-             t_max: float, label: int) -> Episode:
-    """Episode from ``{time: {variable index: value}}``; one step per time."""
-    times = np.asarray(sorted(by_time), dtype=np.float64)
-    if np.any(times > t_max):
-        raise DataValidationError(f"patient {pid!r} observed at t={times[-1]} "
-                                  f"beyond t_max={t_max}")
-    values = np.zeros((len(times), n_variables), dtype=np.float64)
-    mask = np.zeros((len(times), n_variables), dtype=np.float64)
-    for step, t in enumerate(times):
-        for v, x in by_time[t].items():
-            values[step, v] = x
-            mask[step, v] = 1.0
-    return Episode(pid, times, values, mask, _fill_delta_t(times, mask, t_max), label)
+def _episode_arrays(patient: np.ndarray, time: np.ndarray, variable: np.ndarray,
+                    value: np.ndarray, n_patients: int, n_variables: int, t_max: float):
+    """(times, values, mask, delta_t) for each patient index in turn, from
+    observation columns in file order. Rows sharing a (patient, time) merge
+    into one step, which keeps the time as first written (``0`` or ``-0``);
+    of rows sharing a (patient, time, variable) the last wins."""
+    rows = np.lexsort((variable, time, patient))  # stable: ties keep file order
+    p, t, v = patient[rows], time[rows], variable[rows]
+    new_step, last = np.ones((2, len(rows)), dtype=bool)
+    new_step[1:] = (p[1:] != p[:-1]) | (t[1:] != t[:-1])
+    last[:-1] = new_step[1:] | (v[1:] != v[:-1])
+    starts = np.flatnonzero(new_step)
+    step_times = time[np.minimum.reduceat(rows, starts)]
+    step_bounds = np.searchsorted(p[starts], np.arange(n_patients + 1))
+    row_bounds = np.searchsorted(p[last], np.arange(n_patients + 1))
+    step, v, x = (np.cumsum(new_step) - 1)[last], v[last], value[rows[last]]
+    for i in range(n_patients):
+        (s0, s1), own = step_bounds[i:i + 2], slice(*row_bounds[i:i + 2])
+        times = step_times[s0:s1].copy()
+        values, mask = (np.zeros((s1 - s0, n_variables)) for _ in range(2))
+        values[step[own] - s0, v[own]] = x[own]
+        mask[step[own] - s0, v[own]] = 1.0
+        yield times, values, mask, _fill_delta_t(times, mask, t_max)
 
 
 # -- loading -------------------------------------------------------------
 
-def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
-    if not lines or lines[0] != expected_header:
-        raise ParseError(f"{path}:1: expected header {expected_header!r}, "
-                         f"got {lines[0] if lines else ''!r}")
-    n_fields = expected_header.count(",") + 1
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line == "":
-            continue
-        fields = line.split(",")
-        if len(fields) != n_fields:
-            raise ParseError(f"{path}:{lineno}: expected {n_fields} fields, "
-                             f"got {len(fields)}")
-        rows.append((lineno, fields))
-    return rows
+# the number grammar, plus the non-finite words so they are refused by name
+_NUMBER = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+                     r"|(?i:inf|infinity|nan))")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _read_rows(path: str, expected_header: str, unique: bool = False):
+    """Stream ``(lineno, fields)`` per data line of ``path``: lines end at ``\\n``,
+    empty ones are skipped and with ``unique`` no patient may be listed twice."""
+    first_line: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        header = fh.readline().removesuffix("\n")
+        if header != expected_header:
+            raise ParseError(f"{path}:1: expected header {expected_header!r}, "
+                             f"got {header!r}")
+        n_fields = expected_header.count(",") + 1
+        for lineno, line in enumerate(fh, start=2):
+            if line != "\n":
+                fields = line.removesuffix("\n").split(",")
+                if len(fields) != n_fields:
+                    raise ParseError(f"{path}:{lineno}: expected {n_fields} fields, "
+                                     f"got {len(fields)}")
+                if unique and first_line.setdefault(fields[0], lineno) != lineno:
+                    raise ParseError(f"{path}:{lineno}: patient {fields[0]!r} is listed "
+                                     f"again, first on line {first_line[fields[0]]}")
+                yield lineno, fields
 
 
 def _parse_float(path: str, lineno: int, text: str, what: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: {what} {text!r} is not a number") from None
-    if not np.isfinite(value):
+    if not _NUMBER.fullmatch(text):
+        raise ParseError(f"{path}:{lineno}: {what} {text!r} is not a number")
+    value = float(text)
+    if not math.isfinite(value):
         raise ParseError(f"{path}:{lineno}: {what} must be finite, got {text!r}")
     return value
 
 
 def load_labels(path: str) -> dict[str, int]:
     labels: dict[str, int] = {}
-    for lineno, (pid, text) in _read_rows(path, "patient_id,label"):
+    for lineno, (pid, text) in _read_rows(path, "patient_id,label", unique=True):
         try:
             label = int(text)
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: label {text!r} is not an integer") from None
+            label = None
+        if label is None or not _INTEGER.fullmatch(text):
+            raise ParseError(f"{path}:{lineno}: label {text!r} is not an integer")
         if label < 0:
             raise ParseError(f"{path}:{lineno}: label must be non-negative, got {label}")
         labels[pid] = label
@@ -201,7 +225,7 @@ def load_labels(path: str) -> dict[str, int]:
 
 def load_split_manifest(path: str) -> dict[str, str]:
     manifest: dict[str, str] = {}
-    for lineno, (pid, name) in _read_rows(path, "patient_id,split"):
+    for lineno, (pid, name) in _read_rows(path, "patient_id,split", unique=True):
         if name not in ("train", "val", "test"):
             raise ParseError(f"{path}:{lineno}: split must be train/val/test, got {name!r}")
         manifest[pid] = name
@@ -221,46 +245,52 @@ def load_dataset(observations_path: str, labels_path: str,
     observation have no episode: they are dropped with a warning that
     gives their count.
     """
-    rows = _read_rows(observations_path, "patient_id,time,variable,value")
-    labels = load_labels(labels_path)
-
-    if variables is None:
-        names = sorted({fields[2] for _, fields in rows})
-    else:
-        names = list(variables)
-    var_index = {name: i for i, name in enumerate(names)}
-
-    # patient -> time -> {variable index: value}; file order keeps the
-    # last duplicate row authoritative
-    per_patient: dict[str, dict[float, dict[int, float]]] = {}
-    max_time = 0.0
-    for lineno, (pid, time_text, var_name, value_text) in rows:
-        time = _parse_float(observations_path, lineno, time_text, "time")
+    path = observations_path
+    patient_index: dict[str, int] = {}
+    var_index = {} if variables is None else {name: i for i, name in enumerate(variables)}
+    columns = array("q"), array("d"), array("q"), array("d")  # patient, time, variable, value
+    add_patient, add_time, add_variable, add_value = (col.append for col in columns)
+    for lineno, (pid, time_text, var_name, value_text) in _read_rows(
+            path, "patient_id,time,variable,value"):
+        time = _parse_float(path, lineno, time_text, "time")
         if time < 0:
-            raise ParseError(f"{observations_path}:{lineno}: time must be "
-                             f"non-negative, got {time}")
-        value = _parse_float(observations_path, lineno, value_text, "value")
+            raise ParseError(f"{path}:{lineno}: time must be non-negative, got {time}")
+        value = _parse_float(path, lineno, value_text, "value")
         if var_name not in var_index:
-            raise SchemaError(f"{observations_path}:{lineno}: unknown variable "
-                              f"{var_name!r}")
-        per_patient.setdefault(pid, {}).setdefault(time, {})[var_index[var_name]] = value
-        max_time = max(max_time, time)
-    n_unobserved = len(labels.keys() - per_patient.keys())
+            if variables is not None:
+                raise SchemaError(f"{path}:{lineno}: unknown variable {var_name!r}")
+            var_index[var_name] = len(var_index)
+        add_patient(patient_index.setdefault(pid, len(patient_index)))
+        add_time(time)
+        add_variable(var_index[var_name])
+        add_value(value)
+    labels = load_labels(labels_path)
+    patient, time, variable, value = (np.frombuffer(col, dtype=col.typecode)
+                                      for col in columns)
+    names = sorted(var_index) if variables is None else list(variables)
+    if variables is None:  # first-seen index -> sorted index
+        variable = np.array([names.index(name) for name in var_index], dtype=np.int64)[variable]
+    n_unobserved = len(labels.keys() - patient_index.keys())
     if n_unobserved:
         warnings.warn(f"{n_unobserved} labelled patients have no observations "
                       f"and are dropped", stacklevel=2)
 
     if t_max is None:
-        t_max = max_time if per_patient else 1.0
+        t_max = max(0.0, float(time.max())) if patient_index else 1.0
     if not (np.isfinite(t_max) and t_max > 0):
         raise DataValidationError(f"t_max must be positive and finite, got {t_max}")
 
     episodes = []
     n_classes = 2
-    for pid in sorted(per_patient):
+    # the arrays come in index order, as patient_index lists the unique ids
+    for pid, (times, values, mask, delta_t) in sorted(zip(patient_index, _episode_arrays(
+            patient, time, variable, value, len(patient_index), len(names), t_max))):
         if pid not in labels:
             raise CompletenessError(f"no label for patient {pid!r}")
-        episodes.append(_episode(pid, per_patient[pid], len(names), t_max, labels[pid]))
+        if np.any(times > t_max):
+            raise DataValidationError(f"patient {pid!r} observed at t={times[-1]} "
+                                      f"beyond t_max={t_max}")
+        episodes.append(Episode(pid, times, values, mask, delta_t, labels[pid]))
         n_classes = max(n_classes, labels[pid] + 1)
     return Dataset(variables=names, episodes=episodes, t_max=float(t_max),
                    n_classes=n_classes)
@@ -553,7 +583,8 @@ def synthesize(config: SyntheticConfig) -> Dataset:
     sigmas = config.effective_noise()
     obs_rate = config.obs_per_episode / config.horizon
 
-    episodes = []
+    labels: list[int] = []
+    rows: list[tuple[int, float, int, float]] = []  # (episode, time, variable, value)
     for e in range(config.n_episodes):
         ep_rng = root.fork(f"episode:{e}")
         observed: list[list[tuple[float, float]]] = []
@@ -572,14 +603,14 @@ def synthesize(config: SyntheticConfig) -> Dataset:
                     kept.append((t, x))
             observed.append(kept)
 
-        label = _label_from_features(config, _summary_features(config, observed))
-        by_time: dict[float, dict[int, float]] = {}
-        for v, obs in enumerate(observed):
-            for t, x in obs:
-                by_time.setdefault(t, {})[v] = x
-        episodes.append(_episode(f"synth{e:05d}", by_time, config.n_variables,
-                                 config.horizon, label))
+        labels.append(_label_from_features(config, _summary_features(config, observed)))
+        rows.extend((e, t, v, x) for v, obs in enumerate(observed) for t, x in obs)
 
+    patient, time, variable, value = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+    arrays = _episode_arrays(patient.astype(np.int64), time, variable.astype(np.int64), value,
+                             config.n_episodes, config.n_variables, config.horizon)
+    episodes = [Episode(f"synth{e:05d}", *ep_arrays, label)
+                for e, (ep_arrays, label) in enumerate(zip(arrays, labels))]
     return Dataset(variables=[f"var{v}" for v in range(config.n_variables)],
                    episodes=episodes, t_max=config.horizon, n_classes=config.n_classes)
 
