@@ -6,18 +6,20 @@ to its lag-binned autocorrelation, assuming Corr(dt) = exp(-rate * dt).
 Pairs are formed only within an episode; cross-patient pairs carry no
 temporal information. The fit is a through-origin least squares of
 log-correlation against lag, so Corr(0) = 1 is forced by the model.
-
-SciPy is imported on the first :func:`chi2_sf` call, not with this
-module, so the commands that never compute a p-value do not load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import integral, positive
 from .metrics import midranks
+
+# bins whose correlation is at or below this carry no usable log-correlation
+MIN_CORR = 0.01
 
 
 class InsufficientDataError(ValueError):
@@ -63,8 +65,8 @@ def empirical_autocorr(series: list[tuple[np.ndarray, np.ndarray]],
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    if max_lag is not None and not 0 < max_lag < np.inf:
-        raise ValueError(f"max_lag must be positive and finite, got {max_lag}")
+    if max_lag is not None:
+        positive(max_lag, "max_lag")
     lag_list: list[np.ndarray] = []
     left_list: list[np.ndarray] = []
     right_list: list[np.ndarray] = []
@@ -95,7 +97,6 @@ def empirical_autocorr(series: list[tuple[np.ndarray, np.ndarray]],
 
     edges = np.linspace(0.0, max_lag, n_bins + 1)
     idx = np.minimum(np.searchsorted(edges, lags, side="left") - 1, n_bins - 1)
-    idx = np.maximum(idx, 0)
 
     out_lags, out_corrs, out_counts = [], [], []
     excluded = 0
@@ -126,13 +127,13 @@ def empirical_autocorr(series: list[tuple[np.ndarray, np.ndarray]],
     )
 
 
-def fit_decay_rate(estimate: AutocorrEstimate, min_corr: float = 0.01) -> DecayFit:
+def fit_decay_rate(estimate: AutocorrEstimate) -> DecayFit:
     """Through-origin least squares of log correlation against lag.
 
     rate = -sum(lag * log corr) / sum(lag^2) over bins with corr above
-    ``min_corr``, clamped to be non-negative.
+    ``MIN_CORR``, clamped to be non-negative.
     """
-    usable = estimate.correlations > min_corr
+    usable = estimate.correlations > MIN_CORR
     lags = estimate.lags[usable]
     corrs = estimate.correlations[usable]
     if len(lags) < 2:
@@ -145,12 +146,27 @@ def fit_decay_rate(estimate: AutocorrEstimate, min_corr: float = 0.01) -> DecayF
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Chi-squared survival function via the regularized upper incomplete gamma."""
-    if x < 0:
+    """Chi-squared survival function for a whole number ``df`` >= 1.
+
+    With h = x / 2 it is the sum of e^-h h^a / Gamma(a + 1) over a = 0, 1,
+    ..., df/2 - 1 for even df, and over a = 1/2, 3/2, ..., df/2 - 1 plus
+    erfc(sqrt(h)) for odd df. Each term is taken in log space, since a
+    running h^a / a! overflows at large df, and ``math.fsum`` adds them.
+    """
+    df = integral(df, "chi2_sf df")
+    if df < 1:
+        raise ValueError(f"chi2_sf df must be >= 1, got {df}")
+    if x <= 0:
         return 1.0
-    # imported on first use so that only ``analyze`` pays SciPy's load
-    from scipy.special import gammaincc
-    return float(gammaincc(df / 2.0, x / 2.0))
+    h = x / 2.0
+    if h == math.inf:
+        return 0.0
+    log_h = math.log(h)
+    terms = [math.exp(k / 2 * log_h - h - math.lgamma(k / 2 + 1))
+             for k in range(df % 2, df, 2)]
+    if df % 2:
+        terms.append(math.erfc(math.sqrt(h)))
+    return math.fsum(terms)
 
 
 def kruskal_wallis(groups: list) -> KWResult:

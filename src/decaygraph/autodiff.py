@@ -132,8 +132,9 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
     if grad.shape != t.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match tensor shape {t.shape}")
     if t.grad is None:
-        # the bits and memory layout of zeros_like(t.data) + grad, without the fill
-        t.grad = np.add(grad, 0.0, out=np.empty_like(t.data))
+        # a fresh array, since ``grad`` may be a view or a rule's own buffer
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, grad)
     else:
         t.grad += grad
 
@@ -180,8 +181,8 @@ def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor, relu: bool = False) ->
 
     def bw(g):
         if relu:
-            # out > 0 exactly where the pre-activation was; the relu node's first write
-            g = np.add(g * (out > 0.0), 0.0)
+            # out > 0 exactly where the pre-activation was
+            g = g * (out > 0.0)
         gx = _linear_grads(inputs(), w, b, g)
         start = 0
         for p, width in zip(parts, widths):

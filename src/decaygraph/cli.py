@@ -15,7 +15,7 @@ import json
 import resource
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +24,9 @@ from .analysis import (InsufficientDataError, empirical_autocorr, fit_decay_rate
                        kruskal_wallis)
 from .data import (DataValidationError, Dataset, DatasetSplits, SyntheticConfig,
                    apply_normalization, leave_variables_out, load_dataset,
-                   load_split_manifest, normalize_splits, seed_value, split_by_manifest,
-                   split_dataset, synthesize, truncate_episodes, write_labels_csv,
-                   write_observations_csv, write_splits_csv)
+                   load_split_manifest, normalize_splits, positive, seed_value,
+                   split_by_manifest, split_dataset, synthesize, truncate_episodes,
+                   write_labels_csv, write_observations_csv, write_splits_csv)
 from .model import (AblationFlags, DecayGraphClassifier, ModelConfig,
                     check_compatibility, evaluate, fit, gradient_check,
                     load_checkpoint, save_checkpoint)
@@ -62,19 +62,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _model_config(file_cfg: dict, args: argparse.Namespace, n_classes: int) -> ModelConfig:
     section = dict(file_cfg.get("model", {}))
-    overrides = {
-        "hidden_dim": args.hidden_dim,
-        "codebook_size": args.codebook_size,
-        "n_layers": args.n_layers,
-        "lr": args.lr,
-        "batch_size": args.batch_size,
-        "epochs": args.epochs,
-        "patience": args.patience,
-        "decay_kernel": args.kernel,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            section[key] = value
+    for field in fields(ModelConfig):  # each flag is named after its field
+        if getattr(args, field.name, None) is not None:
+            section[field.name] = getattr(args, field.name)
     section["seed"] = _seed_of(file_cfg, args)
     section["n_classes"] = n_classes
     return ModelConfig(**section)
@@ -82,19 +72,16 @@ def _model_config(file_cfg: dict, args: argparse.Namespace, n_classes: int) -> M
 
 def _ablation_flags(file_cfg: dict, ablate: list[str]) -> AblationFlags:
     flags = AblationFlags(**file_cfg.get("ablation", {}))
-    for name in ablate:
-        if name not in ABLATION_NAMES:
-            raise ValueError(f"--ablate must be one of {ABLATION_NAMES}, got {name!r}")
+    for name in ablate:  # argparse has checked each against ABLATION_NAMES
         setattr(flags, f"use_{name}", False)
     return flags
 
 
 def _data_paths(file_cfg: dict, args: argparse.Namespace) -> dict:
     section = dict(file_cfg.get("data", {}))
-    for key, value in (("observations", args.observations), ("labels", args.labels),
-                       ("splits", args.splits), ("t_max", args.t_max)):
-        if value is not None:
-            section[key] = value
+    for key in ("observations", "labels", "splits", "t_max"):  # flags named after keys
+        if getattr(args, key) is not None:
+            section[key] = getattr(args, key)
     if "observations" not in section or "labels" not in section:
         raise ValueError("observation and label files are required "
                          "(--observations/--labels or the data config section)")
@@ -326,8 +313,7 @@ GRADCHECK_MODEL_SEED = 2
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if not (np.isfinite(args.tolerance) and args.tolerance > 0):
-        raise ValueError(f"--tolerance must be positive and finite, got {args.tolerance}")
+    positive(args.tolerance, "--tolerance")
     config = SyntheticConfig(n_variables=3, n_episodes=2,
                              decay_rates=[0.5, 2.0, 0.1], obs_per_episode=4.0,
                              horizon=24.0, label_coeffs=[1.0, -1.0, 0.5],
@@ -337,7 +323,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
     model_config = ModelConfig(hidden_dim=8, codebook_size=8, n_layers=2,
                                batch_size=2, seed=GRADCHECK_MODEL_SEED,
-                               decay_kernel=args.kernel or "mlp_exp")
+                               decay_kernel=args.decay_kernel or "mlp_exp")
     model = DecayGraphClassifier(model_config, _ablation_flags({}, args.ablate),
                                  dataset.variables)
     errors = gradient_check(model, episodes, step=args.step)
@@ -373,7 +359,7 @@ def _add_model(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--batch-size", type=int, dest="batch_size")
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--patience", type=int)
-    parser.add_argument("--kernel", choices=DECAY_KERNELS)
+    parser.add_argument("--kernel", choices=DECAY_KERNELS, dest="decay_kernel")
     parser.add_argument("--ablate", action="append", default=[],
                         choices=ABLATION_NAMES,
                         help="disable a mechanism (repeatable)")
@@ -414,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     # --seed by name; --out stays, unused, because perfbench/run.py passes it
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p_grad.add_argument("--out", help="ignored: gradcheck writes no file")
-    p_grad.add_argument("--kernel", choices=DECAY_KERNELS)
+    p_grad.add_argument("--kernel", choices=DECAY_KERNELS, dest="decay_kernel")
     p_grad.add_argument("--ablate", action="append", default=[],
                         choices=ABLATION_NAMES)
     p_grad.add_argument("--step", type=float, default=1e-5)

@@ -228,9 +228,8 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
         ad._accumulate(codebook, np.matmul(w.T, d_q))
         d_w -= (d_w * w).sum(axis=-1, keepdims=True)
         d_w *= w
-        # in the chain's C order: the epilogue's row sum rounds by memory layout
-        d_cunit = np.add(np.matmul(g_unit.T, d_w).T, 0.0,
-                         out=unit_book.buffer("d_cunit", c.shape))
+        # in C order: the epilogue's row sum rounds by memory layout
+        d_cunit = np.matmul(d_w.T, g_unit, out=unit_book.buffer("d_cunit", c.shape))
         return np.matmul(d_w, unit_book.unit), d_cunit
 
     def tiled_core(d_q):
@@ -270,10 +269,8 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
     def bw(grad):
         # g gets: output, scale norm, unit rows, unit-row norm; the codebook
         # gets: mixture, unit rows, row norms, in the chain's order. Outside
-        # the tiled core each term is the chain's expression; the chain's
-        # `+ 0.0` first writes are left out, since they change only the
-        # sign of a zero and every term ends in _accumulate, which drops
-        # that sign. Each buffer of unit_book is read before it is reused.
+        # the tiled core each term is the chain's expression. Each buffer of
+        # unit_book is read before it is reused.
         ad._accumulate(g, grad)
         d_scale = ad._unbroadcast(grad * q, scale.shape)
         d_q = grad * scale

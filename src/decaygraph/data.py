@@ -7,8 +7,9 @@ File formats (comma separated, newline terminated, no quoting):
 * labels: header ``patient_id,label``, label a non-negative class index.
 * splits (optional): header ``patient_id,split`` with split one of
   train/val/test.
-* numbers are plain ASCII decimals (README, "File formats"), and the
-  labels and splits files list each patient once.
+* numbers are plain ASCII decimals (README, "File formats"), patient
+  ids and variable names are non-empty with no surrounding whitespace,
+  and the labels and splits files list each patient once.
 
 An episode is one patient's record: strictly increasing unique
 timestamps, a value/mask matrix over the variable list, and the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import warnings
 from array import array
 from dataclasses import dataclass, replace
@@ -67,10 +69,6 @@ class Episode:
     @property
     def n_steps(self) -> int:
         return len(self.times)
-
-    def variable_counts(self) -> np.ndarray:
-        """Observation count per variable over the whole episode."""
-        return self.mask.sum(axis=0)
 
 
 @dataclass
@@ -177,9 +175,16 @@ _NUMBER = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def _check_name(path: str, lineno: int, text: str, what: str) -> None:
+    if not text or text.strip() != text:
+        raise ParseError(f"{path}:{lineno}: {what} {text!r} is empty or has "
+                         f"surrounding whitespace")
+
+
 def _read_rows(path: str, expected_header: str, unique: bool = False):
     """Stream ``(lineno, fields)`` per data line of ``path``: lines end at ``\\n``,
-    empty ones are skipped and with ``unique`` no patient may be listed twice."""
+    empty ones are skipped, the patient id must pass ``_check_name`` and
+    with ``unique`` no patient may be listed twice."""
     first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         header = fh.readline().removesuffix("\n")
@@ -193,6 +198,7 @@ def _read_rows(path: str, expected_header: str, unique: bool = False):
                 if len(fields) != n_fields:
                     raise ParseError(f"{path}:{lineno}: expected {n_fields} fields, "
                                      f"got {len(fields)}")
+                _check_name(path, lineno, fields[0], "patient_id")
                 if unique and first_line.setdefault(fields[0], lineno) != lineno:
                     raise ParseError(f"{path}:{lineno}: patient {fields[0]!r} is listed "
                                      f"again, first on line {first_line[fields[0]]}")
@@ -211,12 +217,9 @@ def _parse_float(path: str, lineno: int, text: str, what: str) -> float:
 def load_labels(path: str) -> dict[str, int]:
     labels: dict[str, int] = {}
     for lineno, (pid, text) in _read_rows(path, "patient_id,label", unique=True):
-        try:
-            label = int(text)
-        except ValueError:
-            label = None
-        if label is None or not _INTEGER.fullmatch(text):
+        if not _INTEGER.fullmatch(text):
             raise ParseError(f"{path}:{lineno}: label {text!r} is not an integer")
+        label = int(text)
         if label < 0:
             raise ParseError(f"{path}:{lineno}: label must be non-negative, got {label}")
         labels[pid] = label
@@ -257,6 +260,7 @@ def load_dataset(observations_path: str, labels_path: str,
             raise ParseError(f"{path}:{lineno}: time must be non-negative, got {time}")
         value = _parse_float(path, lineno, value_text, "value")
         if var_name not in var_index:
+            _check_name(path, lineno, var_name, "variable")
             if variables is not None:
                 raise SchemaError(f"{path}:{lineno}: unknown variable {var_name!r}")
             var_index[var_name] = len(var_index)
@@ -277,8 +281,7 @@ def load_dataset(observations_path: str, labels_path: str,
 
     if t_max is None:
         t_max = max(0.0, float(time.max())) if patient_index else 1.0
-    if not (np.isfinite(t_max) and t_max > 0):
-        raise DataValidationError(f"t_max must be positive and finite, got {t_max}")
+    positive(t_max, "t_max", DataValidationError)
 
     episodes = []
     n_classes = 2
@@ -343,6 +346,8 @@ def split_dataset(dataset: Dataset, ratios: tuple[float, float, float] = (0.8, 0
     if len(ratios) != 3:
         raise SizingError(f"split ratios must be three numbers (train, val, test), "
                           f"got {ratios}")
+    for i, ratio in enumerate(ratios):
+        real(ratio, f"split_ratios[{i}]", SizingError)
     if any(r <= 0 for r in ratios):
         raise SizingError(f"split ratios must be positive, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
@@ -443,6 +448,15 @@ def real(value, name: str, error: type[ValueError] = ValueError):
     raise error(f"{name} must be a real number, got {value!r}")
 
 
+def positive(value, name: str, error: type[ValueError] = ValueError):
+    """``value`` unchanged if it is a positive finite real number (see
+    ``real``); anything else is refused with ``error``, which names ``name``.
+    An int past the largest float counts as infinite: it cannot be used as one."""
+    if not 0 < real(value, name, error) <= sys.float_info.max:
+        raise error(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 @dataclass
 class SyntheticConfig:
     """Mean-reverting latent paths observed at Poisson times.
@@ -470,8 +484,7 @@ class SyntheticConfig:
         for name in ("n_variables", "n_episodes", "n_classes"):
             setattr(self, name, integral(getattr(self, name), name, SyntheticConfigError))
         self.seed = seed_value(self.seed, "seed", SyntheticConfigError)
-        for name in ("obs_per_episode", "missing_prob", "horizon"):
-            real(getattr(self, name), name, SyntheticConfigError)
+        real(self.missing_prob, "missing_prob", SyntheticConfigError)
         for name in ("decay_rates", "means", "noise_scales", "label_coeffs"):
             values = getattr(self, name)
             for i, entry in enumerate(() if values is None else values):
@@ -490,12 +503,8 @@ class SyntheticConfig:
             raise SyntheticConfigError("decay rates must be positive")
         if not 0.0 <= self.missing_prob < 1.0:
             raise SyntheticConfigError(f"missing_prob must be in [0, 1), got {self.missing_prob}")
-        if not (np.isfinite(self.horizon) and self.horizon > 0):
-            raise SyntheticConfigError(f"horizon must be positive and finite, "
-                                       f"got {self.horizon}")
-        if not (np.isfinite(self.obs_per_episode) and self.obs_per_episode > 0):
-            raise SyntheticConfigError(f"obs_per_episode must be positive and finite, "
-                                       f"got {self.obs_per_episode}")
+        positive(self.horizon, "horizon", SyntheticConfigError)
+        positive(self.obs_per_episode, "obs_per_episode", SyntheticConfigError)
         if self.label_summary not in ("mean", "last", "decay_mean"):
             raise SyntheticConfigError(f"unknown label summary {self.label_summary!r}")
         if self.n_classes < 2:

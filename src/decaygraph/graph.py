@@ -94,12 +94,10 @@ def init_edge_embeddings(step: GraphStep, params: dict[str, Tensor],
     value_w, value_b = params["edge.value_w"], params["edge.value_b"]
     freq, phase = params["edge.time_freq"], params["edge.time_phase"]
     table = params["edge.var_table"]
-    # (E, 1) copies, as the chain's linear made: the step's arrays are
-    # slices of the batch's edge arrays
-    x_value = np.concatenate([step.values.reshape(-1, 1)], axis=1)
+    x_value = step.values.reshape(-1, 1)
     e = np.matmul(x_value, value_w.data) + value_b.data
     if use_time_embedding:
-        x_time = np.concatenate([step.times.reshape(-1, 1)], axis=1)
+        x_time = step.times.reshape(-1, 1)
         raw = np.matmul(x_time, freq.data) + phase.data
         linear_mask = np.zeros((1, freq.shape[1]))
         linear_mask[0, 0] = 1.0

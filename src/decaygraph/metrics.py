@@ -10,7 +10,7 @@ precision/recall/F1) cover tasks with more than two classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,17 +36,9 @@ class MetricsReport:
     undefined: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "auroc": self.auroc,
-            "auprc": self.auprc,
-            "ece": self.ece,
-            "brier": self.brier,
-            "mean_pos_prob": self.mean_pos_prob,
-            "n_pos": self.n_pos,
-            "n_neg": self.n_neg,
-        }
-        if self.undefined:
-            out["undefined"] = self.undefined
+        out = asdict(self)
+        if not self.undefined:
+            del out["undefined"]
         return out
 
 
@@ -157,7 +149,7 @@ def mean_pos_prob(scores, labels) -> float:
     return float(pos.mean())
 
 
-def binary_report(scores, labels, bins: int = 10) -> MetricsReport:
+def binary_report(scores, labels) -> MetricsReport:
     scores, labels = _validate(scores, labels)
     values, undefined = {}, {}
     for name, metric in (("auroc", auroc), ("auprc", auprc),
@@ -169,7 +161,7 @@ def binary_report(scores, labels, bins: int = 10) -> MetricsReport:
             undefined[name] = str(exc)
     return MetricsReport(
         **values,
-        ece=ece(scores, labels, bins=bins),
+        ece=ece(scores, labels),
         brier=brier(scores, labels),
         n_pos=int((labels == 1).sum()),
         n_neg=int((labels == 0).sum()),

@@ -27,7 +27,7 @@ from . import codebook as cb
 from . import graph as gr
 from . import temporal as tp
 from .autodiff import Tensor
-from .data import Dataset, Episode, integral, real, seed_value
+from .data import Dataset, Episode, integral, positive, seed_value
 from .metrics import binary_report, multiclass_report
 from .optim import Adam
 from .rng import SplitMix64
@@ -68,8 +68,7 @@ class ModelConfig:
             if value < 1 and name != "n_classes":
                 raise ModelConfigError(f"{name} must be >= 1, got {value}")
         self.seed = seed_value(self.seed, "seed", ModelConfigError)
-        if not (np.isfinite(real(self.lr, "lr", ModelConfigError)) and self.lr > 0):
-            raise ModelConfigError(f"lr must be positive and finite, got {self.lr}")
+        positive(self.lr, "lr", ModelConfigError)
         if self.n_classes < 2:
             raise ModelConfigError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.decay_kernel not in DECAY_KERNELS:
@@ -242,7 +241,7 @@ class DecayGraphClassifier:
             _, rows = cb.retrieve(v_pat, book, unit_book)
             parts.append(rows)
         if flags.use_hvs:
-            counts = np.stack([ep.variable_counts() for ep in episodes])
+            counts = np.stack([ep.mask.sum(axis=0) for ep in episodes])
             parts.append(head_reweight(h_bank, counts, batch, v_count, d))
         return parts, diagnostics
 
@@ -273,9 +272,7 @@ def head_reweight(h_bank: Tensor, counts: np.ndarray, batch: int,
     def bw(g):
         # the chain's order: the sum's bank term, then the product's
         g3 = g.reshape(bank3.shape)
-        g_bank = np.add(g3, 0.0)
-        g_bank += g3 * weights
-        ad._accumulate(h_bank, g_bank.reshape(h_bank.shape))
+        ad._accumulate(h_bank, (g3 + g3 * weights).reshape(h_bank.shape))
 
     return ad._make((bank3 + bank3 * weights).reshape(batch, v_count * dim), (h_bank,),
                     "head_reweight", bw)
@@ -479,12 +476,16 @@ def check_compatibility(model: DecayGraphClassifier, dataset: Dataset) -> None:
 
 # -- gradient checking ------------------------------------------------------------
 
+# round-off dominates the relative error of gradients both below this
+GRADCHECK_SKIP_BELOW = 1e-8
+
+
 def gradient_check(model: DecayGraphClassifier, episodes: list[Episode],
-                   step: float = 1e-5, skip_below: float = 1e-8) -> dict[str, float]:
+                   step: float = 1e-5) -> dict[str, float]:
     """Max relative error of analytic vs central-difference gradients.
 
-    Returns one entry per parameter block. Coordinates where both the
-    analytic and numeric gradients are below ``skip_below`` are skipped.
+    Returns one entry per parameter block. Coordinates where both
+    gradients lie below ``GRADCHECK_SKIP_BELOW`` are skipped.
     A non-finite analytic or numeric derivative makes its block's error
     infinite. Only the analytic pass builds an autodiff graph.
 
@@ -494,9 +495,7 @@ def gradient_check(model: DecayGraphClassifier, episodes: list[Episode],
     head parameter, so each of those losses is the same float as a full
     forward's.
     """
-    if not (np.isfinite(step) and step > 0):
-        raise ModelConfigError(f"finite-difference step must be positive and finite, "
-                               f"got {step}")
+    positive(step, "finite-difference step", ModelConfigError)
     ad.zero_grad(model.params.values())
     ad.backward(batch_loss(model, episodes))
     analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
@@ -518,7 +517,7 @@ def gradient_check(model: DecayGraphClassifier, episodes: list[Episode],
                 flat[i] = original
                 numeric = (f_plus - f_minus) / (2.0 * step)
                 a = analytic[name].reshape(-1)[i]
-                if abs(a) < skip_below and abs(numeric) < skip_below:
+                if abs(a) < GRADCHECK_SKIP_BELOW and abs(numeric) < GRADCHECK_SKIP_BELOW:
                     continue
                 if not (np.isfinite(a) and np.isfinite(numeric)):
                     # max() would drop a NaN error

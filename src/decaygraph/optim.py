@@ -7,6 +7,10 @@ import numpy as np
 from .autodiff import ShapeError, Tensor
 
 
+# the moment decay rates and the denominator guard of Kingma and Ba's defaults
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Standard Adam with bias correction.
 
@@ -15,13 +19,9 @@ class Adam:
     including their moment estimates.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 0.005,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 0.005):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -29,8 +29,8 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name in sorted(self.params):
             p = self.params[name]
             g = p.grad
@@ -41,8 +41,8 @@ class Adam:
                                  f"parameter {name} shape {p.data.shape}")
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)

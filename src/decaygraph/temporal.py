@@ -53,8 +53,7 @@ def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
     if kernel == "exp":
         rate_raw = params["decay.rate_raw"]
         parents = (rate_raw,)
-        ones = np.ones((e.shape[0], 1))
-        pre = np.matmul(ones, rate_raw.data)
+        pre = np.repeat(rate_raw.data, e.shape[0], axis=0)
     else:
         w1, b1 = params["decay.w1"], params["decay.b1"]
         w2, b2 = params["decay.w2"], params["decay.b2"]
@@ -90,7 +89,7 @@ def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
             g_rate = g * decayed * neg_dt
         g_pre = g_rate * _sigmoid(pre)
         if kernel == "exp":
-            ad._accumulate(rate_raw, np.matmul(ones.T, g_pre))
+            ad._accumulate(rate_raw, g_pre.sum(axis=0, keepdims=True))
             return
         g_pre1 = ad._linear_grads(hidden, w2, b2, g_pre) * active1
         ad._accumulate(e, ad._linear_grads(e.data, w1, b1, g_pre1))
@@ -141,7 +140,7 @@ def gated_update(h_bank: Tensor, index: np.ndarray, e: Tensor, params: dict[str,
         g_hat += g_x[:, e.shape[1]:]
         if gamma is not None:
             ad._accumulate(gamma, (g_hat * rows).sum(axis=1, keepdims=True))
-            g_hat = np.add(g_hat * gamma.data, 0.0)
+            g_hat = g_hat * gamma.data
         ad._accumulate(h_bank, ad._scatter_add(h_bank.shape, index, g_hat))
 
     # backward must reach e before gamma and the bank, as it did through the chain

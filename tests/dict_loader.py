@@ -9,7 +9,9 @@ datasets, warnings and errors are what ``load_dataset`` must reproduce,
 array byte for array byte, on inputs in the documented format with at
 most one bad line. Outside that the two differ on purpose. This loader
 takes what ``float`` and ``int`` take (``1_0``, `` 7``) and resolves a
-patient listed twice in the labels file last-wins. Given several bad
+patient listed twice in the labels file last-wins. It refuses an empty
+patient id or variable name, or one with surrounding whitespace, with
+the same error. Given several bad
 lines, it reports a wrong field count anywhere in the observations file,
 then a bad labels file, before a bad observation field; ``load_dataset``
 reports the first bad line of the observations file, then of the labels
@@ -57,8 +59,15 @@ def _read_rows(path: str, expected_header: str) -> list[tuple[int, list[str]]]:
         if len(fields) != n_fields:
             raise ParseError(f"{path}:{lineno}: expected {n_fields} fields, "
                              f"got {len(fields)}")
+        _check_name(path, lineno, fields[0], "patient_id")
         rows.append((lineno, fields))
     return rows
+
+
+def _check_name(path: str, lineno: int, text: str, what: str) -> None:
+    if text == "" or text != text.strip():
+        raise ParseError(f"{path}:{lineno}: {what} {text!r} is empty or has "
+                         f"surrounding whitespace")
 
 
 def _parse_float(path: str, lineno: int, text: str, what: str) -> float:
@@ -116,6 +125,7 @@ def load_dataset(observations_path: str, labels_path: str,
             raise ParseError(f"{observations_path}:{lineno}: time must be "
                              f"non-negative, got {time}")
         value = _parse_float(observations_path, lineno, value_text, "value")
+        _check_name(observations_path, lineno, var_name, "variable")
         if var_name not in var_index:
             raise SchemaError(f"{observations_path}:{lineno}: unknown variable "
                               f"{var_name!r}")

@@ -1,8 +1,8 @@
 """Autocorrelation estimation, decay fits and the Kruskal-Wallis test.
 
-The chi-squared tail oracle integrates the density numerically with
-Simpson's rule, independent of the incomplete-gamma route used by the
-implementation.
+The chi-squared tail oracles are Simpson's rule over the density and, where
+SciPy is installed, its regularized upper incomplete gamma; both are
+independent of the closed form used by the implementation.
 """
 
 import math
@@ -185,6 +185,46 @@ def test_p_value_matches_quadrature():
 def test_chi2_sf_matches_quadrature_other_dfs():
     for x, df in ((1.0, 1), (7.2, 2), (3.5, 4), (12.0, 7)):
         assert chi2_sf(x, df) == pytest.approx(chi2_tail_quadrature(x, df), abs=1e-6)
+
+
+def chi2_sf_worst_error(dfs, xs):
+    """Largest relative distance of ``chi2_sf`` from SciPy's ``gammaincc``
+    over the grid; a NaN fails at once. Tails that SciPy itself reports
+    below 1e-300 are compared by that absolute floor."""
+    gammaincc = pytest.importorskip("scipy.special").gammaincc
+    worst = 0.0
+    for df in dfs:
+        for x in xs:
+            got, want = chi2_sf(float(x), df), float(gammaincc(df / 2.0, x / 2.0))
+            assert not math.isnan(got), (x, df)
+            if max(got, want) > 1e-300:
+                worst = max(worst, abs(got - want) / want)
+    return worst
+
+
+def test_chi2_sf_matches_gammaincc_at_small_df():
+    assert chi2_sf_worst_error(range(1, 61), np.geomspace(1e-6, 500.0, 120)) < 1e-12
+
+
+def test_chi2_sf_matches_gammaincc_at_large_df_without_nan():
+    # a running h^k / k! times e^-h at the end gives NaN at df = x = 1600
+    dfs = [*range(61, 2001, 97), 1600, 1999, 2000]
+    xs = [*np.geomspace(1e-6, 5000.0, 60), 1600.0, 2000.0]
+    assert chi2_sf_worst_error(dfs, xs) < 1e-10
+    assert chi2_sf(1600.0, 1600) == pytest.approx(0.495298387578, abs=1e-12)
+
+
+def test_chi2_sf_edges():
+    for df in (1, 2, 7):
+        assert chi2_sf(0.0, df) == 1.0 and chi2_sf(-3.0, df) == 1.0
+        assert chi2_sf(math.inf, df) == 0.0
+    assert chi2_sf(2.0, 2.0) == chi2_sf(2.0, 2) == math.exp(-1.0)
+
+
+@pytest.mark.parametrize("df", [1.5, 0, -2, True, "2", None])
+def test_chi2_sf_refuses_a_df_that_is_not_a_whole_number_from_one(df):
+    with pytest.raises(ValueError, match="chi2_sf df must be"):
+        chi2_sf(3.0, df)
 
 
 def test_all_identical_values_is_not_an_error():

@@ -311,13 +311,18 @@ def test_backward_refuses_untracked_loss_and_released_graph():
         ad.backward(co.tensor_sum(co.sigmoid(shared)))
 
 
-def test_first_gradient_is_a_fresh_array_with_zeros_plus_grad_bits():
-    t = Tensor([1.0, 2.0], tracked=True)
-    grad = np.array([-0.0, 3.0])
+def test_first_gradient_is_a_fresh_copy_in_the_tensors_layout():
+    # a Fortran-order tensor and a C-order gradient with a -0 in it
+    t = Tensor(np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]), tracked=True)
+    grad = np.array([[-0.0, 3.0], [5.0, 6.0]])
     ad._accumulate(t, grad)
-    grad[1] = 7.0
-    np.testing.assert_array_equal(t.grad, [0.0, 3.0])
-    assert not np.signbit(t.grad[0])
+    assert not np.shares_memory(t.grad, grad)
+    assert t.grad.flags.f_contiguous and not t.grad.flags.c_contiguous
+    assert t.grad.tobytes(order="C") == grad.tobytes()
+    grad[0, 1] = 7.0
+    assert t.grad[0, 1] == 3.0 and np.signbit(t.grad[0, 0])
+    ad._accumulate(t, np.ones((2, 2)))
+    np.testing.assert_array_equal(t.grad, [[1.0, 4.0], [6.0, 7.0]])
     with pytest.raises(ShapeError, match="gradient shape"):
         ad._accumulate(t, np.ones(1))
 

@@ -259,6 +259,8 @@ def test_train_float_seed_in_config_equals_int_seed_flag(synth_dir, tmp_path):
     ("model", "hidden_dim", "8", "hidden_dim must be an integral number, got '8'"),
     ("model", "lr", True, "lr must be a real number, got True"),
     ("model", "lr", "0.01", "lr must be a real number, got '0.01'"),
+    # an int past the largest float, which no float conversion survives
+    ("model", "lr", 10**400, f"lr must be positive and finite, got {10**400}"),
 ])
 def test_train_refuses_config_fields_of_the_wrong_type(synth_dir, tmp_path, capsys,
                                                        section, key, value, message):
@@ -321,6 +323,27 @@ def test_train_refuses_split_ratios_that_are_not_three_numbers(synth_dir, tmp_pa
     out = tmp_path / "o"
     assert run("train", "--config", config, *data_args(synth_dir)[:4], "--out", str(out)) == 1
     assert "split ratios must be three numbers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key,value,message", [
+    ("train", "t_max", True, "t_max must be a real number, got True"),
+    ("analyze", "t_max", True, "t_max must be a real number, got True"),
+    ("train", "t_max", "48", "t_max must be a real number, got '48'"),
+    ("analyze", "t_max", "48", "t_max must be a real number, got '48'"),
+    ("train", "split_ratios", ["0.6", 0.2, 0.2],
+     "split_ratios[0] must be a real number, got '0.6'"),
+    ("train", "split_ratios", [0.6, 0.2, None],
+     "split_ratios[2] must be a real number, got None"),
+])
+def test_data_config_fields_of_the_wrong_type_are_refused_by_name(synth_dir, tmp_path, capsys,
+                                                                  command, key, value,
+                                                                  message):
+    config = write_config(tmp_path, {**SMALL_MODEL, "data": {key: value}})
+    out = tmp_path / "o"
+    # no manifest, so the split ratios are used
+    assert run(command, "--config", config, *data_args(synth_dir)[:4], "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -568,15 +591,23 @@ def test_incompatible_checkpoint_rejected(trained, tmp_path):
                "--labels", str(lab), "--out", str(tmp_path / "x")) == 1
 
 
-def test_only_a_p_value_loads_scipy():
+def test_no_command_loads_scipy(tmp_path):
     # a fresh interpreter, since this one may have imported SciPy already
-    probe = ("import sys, decaygraph.cli, decaygraph.model\n"
-             "print('scipy' in sys.modules)\n"
-             "from decaygraph.analysis import chi2_sf\n"
-             "chi2_sf(3.0, 2)\n"
+    config = write_config(tmp_path, {**SMALL_SYNTH, **SMALL_MODEL})
+    data = tmp_path / "data"
+    data_flags = data_args(data)
+    probe = ("import sys\n"
+             "from decaygraph.cli import main\n"
+             f"assert main(['synth', '--config', {config!r}, '--out', {str(data)!r}]) == 0\n"
+             f"assert main(['train', '--config', {config!r}, *{data_flags!r}, '--epochs', '1',"
+             f" '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+             f"assert main(['analyze', *{data_flags!r}, '--out', {str(tmp_path / 'an')!r}]) == 0\n"
+             "assert main(['gradcheck']) == 0\n"
              "print('scipy' in sys.modules)\n")
     src = str(Path(decaygraph.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.splitlines()[-1] == "False"
+    # analyze reached the Kruskal-Wallis p-value
+    assert (tmp_path / "an" / "kw_summary.csv").exists()

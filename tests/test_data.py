@@ -234,6 +234,34 @@ def test_patient_listed_twice_is_refused(tmp_path, loader, header, rows):
     assert str(err.value) == f"{path}:5: patient 'p1' is listed again, first on line 2"
 
 
+@pytest.mark.parametrize("row,field,text", [
+    (" pa,1.0,hr,70", "patient_id", " pa"), ("pa\t,1.0,hr,70", "patient_id", "pa\t"),
+    (",1.0,hr,70", "patient_id", ""), ("pa,1.0, hr,70", "variable", " hr"),
+    ("pa,1.0,hr ,70", "variable", "hr "), ("pa,1.0,,70", "variable", "")])
+@pytest.mark.parametrize("variables", [None, ["hr"]])
+def test_observation_names_that_are_empty_or_padded_are_refused(tmp_path, row, field, text,
+                                                                variables):
+    obs = write(tmp_path, "o.csv", OBS_HEADER + "pa,0.5,hr,1\n" + row + "\n")
+    lab = write(tmp_path, "l.csv", LAB_HEADER + "pa,0\n")
+    with pytest.raises(ParseError) as err:
+        load_dataset(obs, lab, variables=variables)
+    assert str(err.value) == (f"{obs}:3: {field} {text!r} is empty or has "
+                              f"surrounding whitespace")
+
+
+@pytest.mark.parametrize("loader,header,row", [
+    (dg.load_labels, LAB_HEADER, " pa,0"), (dg.load_labels, LAB_HEADER, ",1"),
+    (dg.load_split_manifest, "patient_id,split\n", "pa ,train"),
+    (dg.load_split_manifest, "patient_id,split\n", ",val")])
+def test_patient_ids_that_are_empty_or_padded_are_refused(tmp_path, loader, header, row):
+    path = write(tmp_path, "f.csv", header + row + "\n")
+    with pytest.raises(ParseError) as err:
+        loader(path)
+    text = row.split(",")[0]
+    assert str(err.value) == (f"{path}:2: patient_id {text!r} is empty or has "
+                              f"surrounding whitespace")
+
+
 def test_one_time_written_three_ways_is_one_step(tmp_path):
     obs = write(tmp_path, "o.csv", OBS_HEADER +
                 "pa,1,hr,70\npa,1.0,rr,18\npa,1e0,temp,37\npa,-0,rr,12\npa,0,hr,60\n")
@@ -265,8 +293,9 @@ value_texts = st.one_of(
 CORRUPTIONS = {
     "obs": ["pa,1.0,hr", "pa,1.0,hr,70,1", "pa,noon,hr,70", "pa,nan,hr,70",
             "pa,-1,hr,70", "pa,1e999,hr,70", "pa,1.0,hr,x", "pa,1.0,hr,inf",
-            "pa,1.0,mystery,70", "patient_id,time,variable,value"],
-    "lab": ["pa", "pa,x", "pa,-1", "pa,1.5", "pa,0,1"],
+            "pa,1.0,mystery,70", "patient_id,time,variable,value", " pa,1.0,hr,70",
+            ",1.0,hr,70", "pa,1.0,hr ,70", "pa,1.0,,70"],
+    "lab": ["pa", "pa,x", "pa,-1", "pa,1.5", "pa,0,1", "pa ,0", ",1"],
     "obs_header": ["id,time,var,val"],
     "lab_header": ["patient_id,class"],
 }

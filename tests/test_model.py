@@ -657,7 +657,7 @@ def test_gradient_check_equals_a_full_forward_for_every_loss(monkeypatch, kernel
     flags = AblationFlags(**{f"use_{name}": False for name in ablate})
     model = tiny_model(ds.variables, d=4, k=4, layers=1, seed=61, flags=flags,
                        kernel=kernel)
-    step, skip_below = 1e-5, 1e-8
+    step, skip_below = 1e-5, md.GRADCHECK_SKIP_BELOW
 
     ad.zero_grad(model.params.values())
     ad.backward(md.batch_loss(model, episodes))
@@ -692,7 +692,7 @@ def test_gradient_check_equals_a_full_forward_for_every_loss(monkeypatch, kernel
     monkeypatch.setattr(DecayGraphClassifier, "encode",
                         counted("encode", DecayGraphClassifier.encode))
     monkeypatch.setattr(md, "batch_loss", counted("batch_loss", md.batch_loss))
-    assert gradient_check(model, episodes, step, skip_below) == expected
+    assert gradient_check(model, episodes, step) == expected
     sizes = {name: p.data.size for name, p in model.params.items()}
     encoder = sum(size for name, size in sizes.items() if not name.startswith("head."))
     assert calls == {"encode": 2 + 2 * encoder, "batch_loss": 1 + 2 * sum(sizes.values())}
