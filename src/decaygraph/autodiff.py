@@ -37,7 +37,10 @@ forward's own expression again on the parents' ``.data``, which the
 parents keep anyway, so it gets the same values and the same bits. A
 ReLU mask is kept as the ``bool`` array ``pre > 0.0``, not as the
 float64 pre-activation it came from; ``linear``, whose output is the
-ReLU's, reads the same mask from it as ``out > 0.0``.
+ReLU's, reads the same mask from it as ``out > 0.0``. The one parent
+whose ``.data`` changes after it is made is a hidden-state bank of
+``temporal``: its gates write one array in place and log what they
+overwrite, and a backward rule that reads it rolls it back first.
 """
 
 from __future__ import annotations

@@ -95,9 +95,15 @@ def _load_splits(section: dict, seed: int,
     if section.get("splits"):
         splits = split_by_manifest(dataset, load_split_manifest(section["splits"]))
     else:
-        ratios = tuple(section.get("split_ratios", (0.8, 0.1, 0.1)))
-        splits = split_dataset(dataset, ratios=ratios, seed=seed)
+        splits = _split(dataset, section, seed)
     return dataset, splits
+
+
+def _split(dataset: Dataset, section: dict, seed: int) -> DatasetSplits:
+    """``split_dataset`` by the data section's ``split_ratios``, which it
+    checks and refuses by name."""
+    return split_dataset(dataset, ratios=section.get("split_ratios", (0.8, 0.1, 0.1)),
+                         seed=seed)
 
 
 def _seed_of(file_cfg: dict, args: argparse.Namespace) -> int:
@@ -126,13 +132,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         section["seed"] = args.seed
     config = SyntheticConfig(**section)
     dataset = synthesize(config)
+    # split before the first write, so a refused split leaves no files
+    splits = _split(dataset, file_cfg.get("data", {}), config.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_observations_csv(dataset, str(out / "observations.csv"))
     write_labels_csv(dataset, str(out / "labels.csv"))
-    ratios = tuple(file_cfg.get("data", {}).get("split_ratios", (0.8, 0.1, 0.1)))
-    splits = split_dataset(dataset, ratios=ratios, seed=config.seed)
     write_splits_csv(splits.assignment(), str(out / "splits.csv"))
     print(f"wrote {len(dataset)} episodes over {dataset.n_variables} variables to {out}")
     return 0

@@ -9,12 +9,15 @@ but full gradient into the selected row.
 A forward pass builds one :class:`UnitBook` of the codebook and hands it
 to every ``soft_fuse`` and to ``retrieve``. It normalizes the codebook
 once, holds the per-codebook constants of the fusion backward, and owns
-the scratch buffers that fusion writes with ``out=``: the forward's B×K
-similarities (B rows, K prototypes), each backward job's B×``TILE``
-tiles and the backward's K×d codebook-gradient terms. Fusion is one
-autodiff node that keeps only its (B, d) arrays and, for a large
-codebook, its (B, 1) softmax row sums; its hand-written backward
-recomputes the softmax weights, so no B×K array lives from forward to
+one scratch buffer that fusion writes with ``out=``. Each call carves its
+arrays out of it: a forward its B×K similarities (B rows, K prototypes),
+a backward its K×d codebook-gradient terms and each job's B×``TILE``
+tiles, so the backward's tiles reuse the memory of the forward's
+similarities; a forward that will have a backward sizes the buffer for
+both, so it does not grow in between. Fusion is one autodiff node that keeps only its input's
+(B, 1) row norms and its (B, d) mixture and, for a large codebook, its
+(B, 1) softmax row sums; its hand-written backward recomputes the unit
+rows and the softmax weights, so no B×K array lives from forward to
 backward.
 
 The node has two cores, chosen by codebook size; they share the backward's
@@ -67,6 +70,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 
 import numpy as np
@@ -149,10 +153,7 @@ class UnitBook:
 
     ``norm`` and ``unit`` are ``unit_rows(book)``; ``norm_eps``,
     ``norm_eps_sq`` and ``norm_safe`` are the fusion backward's guarded
-    forms of ``norm``. ``buffer`` hands out scratch arrays that are reused
-    by every call, so an array it returns is overwritten by the next call
-    that asks for the same name and shape. Concurrent jobs ask only for
-    names of their own.
+    forms of ``norm``. ``scratch`` hands out the arrays of one call.
     """
 
     def __init__(self, book: np.ndarray):
@@ -160,14 +161,29 @@ class UnitBook:
         self.norm_eps = self.norm + COSINE_EPS
         self.norm_eps_sq = self.norm_eps * self.norm_eps
         self.norm_safe = np.maximum(self.norm, 1e-300)
-        self._buffers: dict[tuple, np.ndarray] = {}
+        self._flat = np.empty(0)
+        self._carved: dict[tuple, list[np.ndarray]] = {}
 
-    def buffer(self, name: str, shape: tuple) -> np.ndarray:
-        """The uninitialized C-order float64 scratch array for ``name`` and ``shape``."""
-        buf = self._buffers.get((name, shape))
-        if buf is None:
-            buf = self._buffers[name, shape] = np.empty(shape)
-        return buf
+    def scratch(self, *shapes: tuple, reserve: tuple = ()) -> list[np.ndarray]:
+        """Uninitialized C-order float64 arrays of ``shapes``, carved one after
+        another out of one flat buffer. Every call reuses it, so the arrays of
+        one call are overwritten by the next; jobs of one call write only
+        arrays the call gave them. The buffer grows to fit ``shapes`` and, so
+        that a later call does not make it grow, the shapes in ``reserve``."""
+        arrays = self._carved.get((shapes, reserve))
+        if arrays is None:
+            sizes = [math.prod(shape) for shape in shapes]
+            need = max(sum(sizes), sum(math.prod(shape) for shape in reserve))
+            if self._flat.size < need:
+                # free the old buffer and its views before the new one is made
+                self._flat, self._carved = None, {}
+                self._flat = np.empty(need)
+            arrays, start = [], 0
+            for shape, size in zip(shapes, sizes):
+                arrays.append(self._flat[start:start + size].reshape(shape))
+                start += size
+            self._carved[shapes, reserve] = arrays
+        return arrays
 
 
 def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
@@ -183,10 +199,17 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
     g_norm, g_unit = unit_rows(x)
     n_rows, n_protos = x.shape[0], c.shape[0]
     tiled = n_protos > TILE
-    # the B×K similarities
-    weights = unit_book.buffer("sims", (n_rows, n_protos))
+    tiles = [(lo, min(lo + TILE, n_protos)) for lo in range(0, n_protos, TILE)]
+    # a call that will have a backward (``_make``'s condition) sizes the
+    # scratch buffer for the backward's too: the K×d terms and, for the
+    # tiled core, two B×TILE tiles per job
+    backward_scratch = ()
+    if ad._grad_enabled and (g.tracked or codebook.tracked):
+        n_jobs = (min(_pool()[1], len(tiles)) if n_rows >= 2 * BLOCK_ROWS else 1) if tiled else 0
+        backward_scratch = (c.shape, c.shape) + ((n_rows * TILE,),) * (2 * n_jobs)
+    # the B×K similarities, in the memory that the backward's scratch reuses
+    weights, = unit_book.scratch((n_rows, n_protos), reserve=backward_scratch)
     if tiled:
-        tiles = [(lo, min(lo + TILE, n_protos)) for lo in range(0, n_protos, TILE)]
         row_sum, q = np.empty((n_rows, 1)), np.empty((n_rows, c.shape[1]))
 
         def forward_rows(block):
@@ -221,7 +244,7 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
     a_m = g_norm + FUSION_EPS
     scale = q_norm / a_m
 
-    def chain_core(d_q):
+    def chain_core(d_q, g_unit, d_cunit):
         # the chain's softmax backward; its B×K arrays are freed on return
         w = ad._softmax(np.matmul(g_unit, unit_book.unit.T))  # the forward's weights
         d_w = np.matmul(d_q, c.T)
@@ -229,30 +252,28 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
         d_w -= (d_w * w).sum(axis=-1, keepdims=True)
         d_w *= w
         # in C order: the epilogue's row sum rounds by memory layout
-        d_cunit = np.matmul(d_w.T, g_unit, out=unit_book.buffer("d_cunit", c.shape))
-        return np.matmul(d_w, unit_book.unit), d_cunit
+        np.matmul(d_w.T, g_unit, out=d_cunit)
+        return np.matmul(d_w, unit_book.unit)
 
-    def tiled_core(d_q):
+    def tiled_core(d_q, g_unit, d_cunit, mixture, tile_buffers):
         # the weights are exp(S) / l; the division moves onto the (B, d) d_q.
         # sum_k w_k * d_w_k over a row is d_q . q, so no pass needs all K at once
         d_q = d_q / row_sum
         d_rowterm = (d_q * q).sum(axis=-1, keepdims=True)
-        mixture = unit_book.buffer("book_term", c.shape)
-        d_cunit = unit_book.buffer("d_cunit", c.shape)
-        n_jobs = min(_pool()[1], len(tiles)) if n_rows >= 2 * BLOCK_ROWS else 1
+        n_jobs = len(tile_buffers) // 2
 
         def tile_job(job):
-            # tiles job, job + n_jobs, ...: each job has its own tile buffers
-            # and writes only its tiles' rows of mixture and d_cunit
+            # tiles job, job + n_jobs, ...: each job has its own two tile
+            # buffers and writes only its tiles' rows of mixture and d_cunit
             partials = []
+            e_flat, d_flat = tile_buffers[2 * job:2 * job + 2]
             for lo, hi in tiles[job::n_jobs]:
                 unit = unit_book.unit[lo:hi]
-                e = np.matmul(g_unit, unit.T,
-                              out=unit_book.buffer(f"tile{job}", (n_rows, hi - lo)))
+                size, shape = n_rows * (hi - lo), (n_rows, hi - lo)
+                e = np.matmul(g_unit, unit.T, out=e_flat[:size].reshape(shape))
                 np.exp(e, out=e)
                 np.matmul(e.T, d_q, out=mixture[lo:hi])
-                d_s = np.matmul(d_q, c[lo:hi].T,
-                                out=unit_book.buffer(f"d_tile{job}", (n_rows, hi - lo)))
+                d_s = np.matmul(d_q, c[lo:hi].T, out=d_flat[:size].reshape(shape))
                 d_s -= d_rowterm
                 d_s *= e
                 partials.append(np.matmul(d_s, unit))
@@ -264,25 +285,27 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
         for tile in range(len(tiles)):  # in tile order, whatever the job count
             d_gunit += partials[tile % n_jobs][tile // n_jobs]
         ad._accumulate(codebook, mixture)
-        return d_gunit, d_cunit
+        return d_gunit
 
     def bw(grad):
         # g gets: output, scale norm, unit rows, unit-row norm; the codebook
         # gets: mixture, unit rows, row norms, in the chain's order. Outside
-        # the tiled core each term is the chain's expression. Each buffer of
-        # unit_book is read before it is reused.
+        # the tiled core each term is the chain's expression. The unit rows
+        # are rebuilt by the forward's expression.
         ad._accumulate(g, grad)
         d_scale = ad._unbroadcast(grad * q, scale.shape)
         d_q = grad * scale
         d_q += d_scale / a_m * q / np.maximum(q_norm, 1e-300)
         d_gnorm = -d_scale * q_norm / (a_m * a_m)
         ad._accumulate(g, d_gnorm * x / np.maximum(g_norm, 1e-300))
-        d_gunit, d_cunit = (tiled_core if tiled else chain_core)(d_q)
+        g_unit = unit_rows(x)[1]
+        term, d_cunit, *tile_buffers = unit_book.scratch(*backward_scratch)
+        d_gunit = (tiled_core(d_q, g_unit, d_cunit, term, tile_buffers) if tiled
+                   else chain_core(d_q, g_unit, d_cunit))
         a_g = g_norm + COSINE_EPS
         ad._accumulate(g, d_gunit / a_g)
         d_gnorm = ad._unbroadcast(-d_gunit * x / (a_g * a_g), g_norm.shape)
         ad._accumulate(g, d_gnorm * x / np.maximum(g_norm, 1e-300))
-        term = unit_book.buffer("book_term", c.shape)
         ad._accumulate(codebook, np.divide(d_cunit, unit_book.norm_eps, out=term))
         np.negative(d_cunit, out=term)
         term *= c
@@ -298,14 +321,14 @@ def retrieve(g: Tensor, codebook: Tensor, unit_book: UnitBook) -> tuple[np.ndarr
     """Most-similar prototype per row by cosine; ties go to the lowest index.
 
     ``unit_book`` is the forward's ``UnitBook(codebook.data)``; the
-    similarities overwrite its B×K buffer, which fusion also uses. A
+    similarities take its scratch buffer, which fusion also uses. A
     codebook of more than ``TILE`` prototypes is searched by fusion's row
     blocks. The argmax is not differentiated; gradients flow only into the
     selected codebook rows.
     """
     rows = unit_rows(g.data)[1]
     n_rows, n_protos = rows.shape[0], unit_book.unit.shape[0]
-    sims = unit_book.buffer("sims", (n_rows, n_protos))
+    sims, = unit_book.scratch((n_rows, n_protos))
     indices = np.empty(n_rows, dtype=np.intp)
 
     def best_rows(block):

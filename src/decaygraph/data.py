@@ -342,10 +342,15 @@ def normalize_splits(splits: DatasetSplits) -> DatasetSplits:
 
 def split_dataset(dataset: Dataset, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
                   seed: int = 0) -> DatasetSplits:
-    """Seeded patient-level partition into train/val/test."""
-    if len(ratios) != 3:
-        raise SizingError(f"split ratios must be three numbers (train, val, test), "
-                          f"got {ratios}")
+    """Seeded patient-level partition into train/val/test.
+
+    ``ratios`` must be a list or tuple of three positive real numbers that
+    sum to 1; anything else raises :class:`SizingError` naming it.
+    """
+    if not isinstance(ratios, (list, tuple)) or len(ratios) != 3:
+        raise SizingError(f"split ratios must be three numbers (train, val, test) in a "
+                          f"list, got {ratios!r}")
+    ratios = tuple(ratios)
     for i, ratio in enumerate(ratios):
         real(ratio, f"split_ratios[{i}]", SizingError)
     if any(r <= 0 for r in ratios):

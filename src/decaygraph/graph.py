@@ -95,10 +95,15 @@ def init_edge_embeddings(step: GraphStep, params: dict[str, Tensor],
     freq, phase = params["edge.time_freq"], params["edge.time_phase"]
     table = params["edge.var_table"]
     x_value = step.values.reshape(-1, 1)
+
+    def time_phase():
+        # the sinusoids' argument; backward rebuilds it rather than keep it
+        return np.matmul(x_time, freq.data) + phase.data
+
     e = np.matmul(x_value, value_w.data) + value_b.data
     if use_time_embedding:
         x_time = step.times.reshape(-1, 1)
-        raw = np.matmul(x_time, freq.data) + phase.data
+        raw = time_phase()
         linear_mask = np.zeros((1, freq.shape[1]))
         linear_mask[0, 0] = 1.0
         sine_mask = 1.0 - linear_mask
@@ -108,7 +113,7 @@ def init_edge_embeddings(step: GraphStep, params: dict[str, Tensor],
         ad._accumulate(value_w, np.matmul(x_value.T, g))
         ad._accumulate(value_b, ad._unbroadcast(g, value_b.shape))
         if use_time_embedding:
-            g_raw = g * linear_mask + g * sine_mask * np.cos(raw)
+            g_raw = g * linear_mask + g * sine_mask * np.cos(time_phase())
             ad._accumulate(freq, np.matmul(x_time.T, g_raw))
             ad._accumulate(phase, ad._unbroadcast(g_raw, phase.shape))
         ad._accumulate(table, ad._scatter_add(table.shape, step.variable_idx, g))

@@ -204,7 +204,8 @@ class DecayGraphClassifier:
         book = self.params["codebook"]
         # normalized once, shared by every fusion and the retrieval below
         unit_book = cb.UnitBook(book.data) if flags.use_cb else None
-        h_bank = Tensor(np.zeros((batch * v_count, d)))
+        # every gate writes the (patient, variable) states in place
+        bank = tp.Bank(Tensor(np.zeros((batch * v_count, d))))
         # per-prototype sum of fusion weights over every fused row, for
         # the utilization diagnostic
         diagnostics: dict = ({"fusion_weight_sum": np.zeros(cfg.codebook_size),
@@ -223,7 +224,7 @@ class DecayGraphClassifier:
                     v_pat = fuse(v_pat)
                     v_var = fuse(v_var)
                 if flags.use_sna:
-                    v_pat = tp.node_attention(v_pat, h_bank, self.params["attn.proj"])
+                    v_pat = tp.node_attention(v_pat, bank, self.params["attn.proj"])
 
             e = gr.init_edge_embeddings(step, self.params, use_time_embedding=flags.use_te)
             v_pat, v_var, e = gr.message_pass(step, v_pat, v_var, e,
@@ -231,18 +232,18 @@ class DecayGraphClassifier:
 
             gamma = (tp.decay_factor(e, step.delta_t, cfg.decay_kernel, self.params)
                      if flags.use_tde else None)
-            h_bank = tp.gated_update(h_bank, step.patient_idx * v_count + step.variable_idx,
-                                     e, self.params, gamma)
+            tp.gated_update(bank, step.patient_idx * v_count + step.variable_idx,
+                            e, self.params, gamma)
 
         if collect_diagnostics:
-            diagnostics["hidden_bank"] = h_bank.data.reshape(batch, v_count, d).copy()
+            diagnostics["hidden_bank"] = bank.data.reshape(batch, v_count, d).copy()
         parts = [v_pat]
         if flags.retrieval_active:
             _, rows = cb.retrieve(v_pat, book, unit_book)
             parts.append(rows)
         if flags.use_hvs:
             counts = np.stack([ep.mask.sum(axis=0) for ep in episodes])
-            parts.append(head_reweight(h_bank, counts, batch, v_count, d))
+            parts.append(head_reweight(bank.tensor, counts, batch, v_count, d))
         return parts, diagnostics
 
     # the only parameters ``classify`` reads, and the only ones ``encode`` does not
@@ -271,7 +272,7 @@ def head_reweight(h_bank: Tensor, counts: np.ndarray, batch: int,
 
     def bw(g):
         # the chain's order: the sum's bank term, then the product's
-        g3 = g.reshape(bank3.shape)
+        g3 = g.reshape(batch, v_count, dim)
         ad._accumulate(h_bank, (g3 + g3 * weights).reshape(h_bank.shape))
 
     return ad._make((bank3 + bank3 * weights).reshape(batch, v_count * dim), (h_bank,),

@@ -7,6 +7,16 @@ hidden state over the elapsed interval. The discounted state is then
 merged with the fresh edge feature through a sigmoid gate. From the
 second step on, the patient embedding can also attend over its stored
 per-variable states before entering the graph network.
+
+The per-variable states of one forward pass live in one :class:`Bank`.
+Every ``gated_update`` writes its rows into the bank's one array in place
+and returns a Tensor of that array, so every bank Tensor of a forward
+after the first shares one array and shows its latest write. No forward
+code may therefore read a bank Tensor after a later gate has written.
+Each write logs the rows it overwrote; a backward rule that reads the
+bank (``node_attention``'s) first rolls back every later write, so it
+reads the values its forward read. The gate's backward reads only the
+rows it logged itself.
 """
 
 from __future__ import annotations
@@ -58,10 +68,11 @@ def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
         w1, b1 = params["decay.w1"], params["decay.b1"]
         w2, b2 = params["decay.w2"], params["decay.b2"]
         parents = (e, w1, b1, w2, b2)
-        pre1 = np.matmul(e.data, w1.data) + b1.data
-        active1 = pre1 > 0.0
-        hidden = np.maximum(pre1, 0.0)
-        pre = np.matmul(hidden, w2.data) + b2.data
+
+        def first_layer():
+            return np.matmul(e.data, w1.data) + b1.data
+
+        pre = np.matmul(np.maximum(first_layer(), 0.0), w2.data) + b2.data
     # softplus: ln(1 + e^x) without overflow, x + log1p(e^-x) when positive
     tail = np.log1p(np.exp(-np.abs(pre)))
     rate = np.where(pre > 0, pre + tail, tail)
@@ -91,25 +102,61 @@ def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
         if kernel == "exp":
             ad._accumulate(rate_raw, g_pre.sum(axis=0, keepdims=True))
             return
-        g_pre1 = ad._linear_grads(hidden, w2, b2, g_pre) * active1
+        # the hidden layer, rebuilt by the forward's expression
+        pre1 = first_layer()
+        g_pre1 = ad._linear_grads(np.maximum(pre1, 0.0), w2, b2, g_pre) * (pre1 > 0.0)
         ad._accumulate(e, ad._linear_grads(e.data, w1, b1, g_pre1))
 
     return ad._make(out, parents, "decay_factor", bw)
 
 
-def gated_update(h_bank: Tensor, index: np.ndarray, e: Tensor, params: dict[str, Tensor],
-                 gamma: Tensor | None = None) -> Tensor:
-    """The bank with each ``index`` row replaced by its gated update, as one node.
+class Bank:
+    """The per-variable hidden states of one forward pass, (B·V, d).
 
-    The stored state h = h_bank[index], decayed to h * gamma when ``gamma``
-    is given, merges with the fresh edge feature as (1 - r) * h + r * e with
-    r = sigmoid([e; h] @ w + b). Indices must be unique: each bank row is
-    written at most once.
+    ``data`` is the one array that every ``gated_update`` writes in place; it
+    starts as a copy of ``initial``, whose Tensor stays the first version.
+    ``tensor`` is the latest version's Tensor. While grad mode is on, each
+    write logs its index and the rows it overwrote, so ``rollback`` can
+    restore an earlier version; under ``no_grad`` no backward can read the
+    bank, so nothing is logged.
+    """
+
+    def __init__(self, initial: Tensor):
+        self.data = initial.data.copy()
+        self.tensor = initial
+        self._undo: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def version(self) -> int:
+        """The number of logged writes: ``rollback``'s argument for ``tensor``."""
+        return len(self._undo)
+
+    def rollback(self, version: int) -> None:
+        """Undo every write after the first ``version``, so ``data`` holds what
+        it held when that version's Tensor was made."""
+        if version > len(self._undo):
+            raise ContractError(f"bank version {version} cannot be restored: the bank "
+                                f"was rolled back to version {len(self._undo)}")
+        while len(self._undo) > version:
+            index, rows = self._undo.pop()
+            self.data[index] = rows
+
+
+def gated_update(bank: Bank, index: np.ndarray, e: Tensor, params: dict[str, Tensor],
+                 gamma: Tensor | None = None) -> Tensor:
+    """Replace each ``index`` row of ``bank`` by its gated update, as one node.
+
+    The stored state h = bank.data[index], decayed to h * gamma when
+    ``gamma`` is given, merges with the fresh edge feature as
+    (1 - r) * h + r * e with r = sigmoid([e; h] @ w + b). The rows are
+    written into ``bank.data`` in place; the node's output, which becomes
+    ``bank.tensor``, is that array. Indices must be unique: each bank row is
+    written at most once, so the overwritten rows are the stored states.
     """
     index = np.asarray(index, dtype=np.int64)
     if len(np.unique(index)) != len(index):
         raise ContractError("gated_update requires unique bank indices")
     w, b = params["gate.w"], params["gate.b"]
+    h_bank = bank.tensor
 
     def decayed(rows):
         return rows if gamma is None else rows * gamma.data
@@ -117,25 +164,32 @@ def gated_update(h_bank: Tensor, index: np.ndarray, e: Tensor, params: dict[str,
     def inputs(h_hat):
         return np.concatenate([e.data, h_hat], axis=1)
 
-    h_hat = decayed(h_bank.data[index])
-    r = _sigmoid(np.matmul(inputs(h_hat), w.data) + b.data)
-    one_minus = 1.0 - r
-    out = h_bank.data.copy()
-    out[index] = one_minus * h_hat + r * e.data
+    def gate(x):
+        return _sigmoid(np.matmul(x, w.data) + b.data)
+
+    rows = bank.data[index]  # a copy: the undo log's entry and the backward's input
+    h_hat = decayed(rows)
+    r = gate(inputs(h_hat))
+    if ad._grad_enabled:
+        bank._undo.append((index, rows))
+    bank.data[index] = (1.0 - r) * h_hat + r * e.data
 
     def bw(g):
         # the chain's order: the bank's other rows; the gate's (1 - r) * h_hat,
-        # 1 - r, r * e, sigmoid and linear; the decay; the gathered rows
+        # 1 - r, r * e, sigmoid and linear; the decay; the gathered rows. The
+        # gate is rebuilt from the logged rows, as the forward computed it
         kept = g.copy()
         kept[index] = 0.0
         ad._accumulate(h_bank, kept)
         g = g[index]
-        rows = h_bank.data[index]
         h_hat = decayed(rows)
+        x = inputs(h_hat)
+        r = gate(x)
+        one_minus = 1.0 - r
         g_hat = g * one_minus
         g_r = -(g * h_hat) + g * e.data
         ad._accumulate(e, g * r)
-        g_x = ad._linear_grads(inputs(h_hat), w, b, g_r * r * one_minus)
+        g_x = ad._linear_grads(x, w, b, g_r * r * one_minus)
         ad._accumulate(e, g_x[:, :e.shape[1]])
         g_hat += g_x[:, e.shape[1]:]
         if gamma is not None:
@@ -145,37 +199,43 @@ def gated_update(h_bank: Tensor, index: np.ndarray, e: Tensor, params: dict[str,
 
     # backward must reach e before gamma and the bank, as it did through the chain
     parents = (h_bank, e, w, b) if gamma is None else (h_bank, gamma, e, w, b)
-    return ad._make(out, parents, "gate", bw)
+    bank.tensor = ad._make(bank.data, parents, "gate", bw)
+    return bank.tensor
 
 
-def node_attention(v_pat: Tensor, h_bank: Tensor, w_proj: Tensor) -> Tensor:
+def node_attention(v_pat: Tensor, bank: Bank, w_proj: Tensor) -> Tensor:
     """Patient embedding attends over its previous per-variable states.
 
-    ``h_bank`` holds each patient's V per-variable states, patient-major,
-    as (B·V, d) rows or as (B, V, d). Scores are scaled dot products,
-    softmax over the V variable positions, and the attended vector
-    replaces the patient state after projection. One autodiff node.
+    ``bank`` holds each patient's V per-variable states, patient-major, as
+    (B·V, d) rows or as (B, V, d); the node reads its latest version. Scores
+    are scaled dot products, softmax over the V variable positions, and the
+    attended vector replaces the patient state after projection. One
+    autodiff node, whose backward rolls the bank back to the version it read.
     """
     b, d = v_pat.shape
-    bank = h_bank.data.reshape(b, -1, d)
+    h_bank, version = bank.tensor, bank.version()
+    states = bank.data.reshape(b, -1, d)  # a view: it shows every later write
     query = v_pat.data.reshape(b, 1, d)
     scale = 1.0 / np.sqrt(d)
-    scores = np.matmul(query, np.swapaxes(bank, -1, -2)) * scale
+    scores = np.matmul(query, np.swapaxes(states, -1, -2)) * scale
     weights = ad._softmax(scores)
-    attended = np.matmul(weights, bank).reshape(b, d)
+
+    def attended():
+        return np.matmul(weights, states).reshape(b, d)
 
     def bw(g):
         # the chain's order: projection, mixture, softmax, scale, scores; the
         # bank sums its mixture term, then its transposed scores term
-        ad._accumulate(w_proj, np.matmul(attended.T, g))
+        bank.rollback(version)
+        ad._accumulate(w_proj, np.matmul(attended().T, g))
         g_mix = np.matmul(g, w_proj.data.T).reshape(b, 1, d)
-        g_weights = np.matmul(g_mix, np.swapaxes(bank, -1, -2))
+        g_weights = np.matmul(g_mix, np.swapaxes(states, -1, -2))
         g_bank = np.matmul(np.swapaxes(weights, -1, -2), g_mix)
         dot = (g_weights * weights).sum(axis=-1, keepdims=True)
         g_scores = weights * (g_weights - dot) * scale
-        ad._accumulate(v_pat, np.matmul(g_scores, bank).reshape(b, d))
+        ad._accumulate(v_pat, np.matmul(g_scores, states).reshape(b, d))
         g_bank += np.swapaxes(np.matmul(np.swapaxes(query, -1, -2), g_scores), -1, -2)
         ad._accumulate(h_bank, g_bank.reshape(h_bank.shape))
 
-    return ad._make(np.matmul(attended, w_proj.data), (v_pat, h_bank, w_proj),
+    return ad._make(np.matmul(attended(), w_proj.data), (v_pat, h_bank, w_proj),
                     "attention", bw)

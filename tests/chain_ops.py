@@ -281,6 +281,19 @@ def node_attention(v_pat, h_bank, w_proj):
     return matmul(attended, w_proj)
 
 
+def bank_gated_update(bank, index, e, params, gamma=None):
+    """``gated_update``'s chain on a ``temporal.Bank``: each write makes the
+    bank a new array, as the chain's scatter did."""
+    bank.tensor = gated_update(bank.tensor, index, e, params, gamma)
+    bank.data = bank.tensor.data
+    return bank.tensor
+
+
+def bank_node_attention(v_pat, bank, w_proj):
+    """``node_attention``'s chain on a ``temporal.Bank``'s latest version."""
+    return node_attention(v_pat, bank.tensor, w_proj)
+
+
 def head_reweight(h_bank, counts, batch, v_count, dim):
     weights = ad._softmax(counts.astype(np.float64)).reshape(batch, v_count, 1)
     bank3 = reshape(h_bank, (batch, v_count, dim))
@@ -301,9 +314,10 @@ def linear(parts, w, b, relu=False):
 def install(monkeypatch):
     """Make ``model.forward`` run the chains instead of the fused nodes."""
     for owner, name in ((gr, "init_edge_embeddings"), (gr, "message_pass_layer"),
-                        (tp, "decay_factor"), (tp, "gated_update"),
-                        (tp, "node_attention"), (md, "head_reweight"), (ad, "linear")):
+                        (tp, "decay_factor"), (md, "head_reweight"), (ad, "linear")):
         monkeypatch.setattr(owner, name, globals()[name])
+    monkeypatch.setattr(tp, "gated_update", bank_gated_update)
+    monkeypatch.setattr(tp, "node_attention", bank_node_attention)
 
 
 # -- a harness that compares a node with its chain -------------------------------

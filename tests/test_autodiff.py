@@ -335,7 +335,7 @@ def test_backward_leaves_untracked_inputs_without_grad():
     nodes = {
         "linear": lambda t: ad.linear([t["a"], t["b"]], t["w"], t["bias"]),
         "message": lambda t: gr._message(t["v_var"], src, t["e"], dst, 2, t["w"], t["bias"]),
-        "attention": lambda t: tp.node_attention(t["v_pat"], t["bank"], t["proj"]),
+        "attention": lambda t: tp.node_attention(t["v_pat"], tp.Bank(t["bank"]), t["proj"]),
     }
     arrays = {
         "linear": {"a": v_pat, "b": v_pat[:, :1], "w": rng.normal(size=(4, 2)),

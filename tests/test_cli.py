@@ -326,6 +326,35 @@ def test_train_refuses_split_ratios_that_are_not_three_numbers(synth_dir, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("ratios", [0.5, None, "abc", {"a": 1, "b": 2, "c": 3}],
+                         ids=["number", "null", "string", "object"])
+def test_split_ratios_that_are_not_a_list_are_refused_by_name(synth_dir, tmp_path, capsys,
+                                                              command, ratios):
+    section = {"data": {"split_ratios": ratios}}
+    payload = {**SMALL_SYNTH, **section} if command == "synth" else {**SMALL_MODEL, **section}
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "o"
+    data = data_args(synth_dir)[:4] if command == "train" else []
+    assert run(command, "--config", config, *data, "--out", str(out)) == 1
+    assert (f"split ratios must be three numbers (train, val, test) in a list, "
+            f"got {ratios!r}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ratios,message", [
+    ([0.5, 0.5, 0.5], "split ratios must sum to 1, got 1.5"),
+    ([0.6, 0.2], "split ratios must be three numbers"),
+    ([0.6, "0.2", 0.2], "split_ratios[1] must be a real number, got '0.2'"),
+])
+def test_a_refused_synth_writes_nothing(tmp_path, capsys, ratios, message):
+    config = write_config(tmp_path, {**SMALL_SYNTH, "data": {"split_ratios": ratios}})
+    out = tmp_path / "data"
+    assert run("synth", "--config", config, "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,key,value,message", [
     ("train", "t_max", True, "t_max must be a real number, got True"),
     ("analyze", "t_max", True, "t_max must be a real number, got True"),

@@ -2,9 +2,11 @@
 checkpoints and the finite-difference audit."""
 
 import base64
+import importlib.util
 import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from decaygraph import autodiff as ad
 from decaygraph import codebook as cb
 from decaygraph import graph as gr
 from decaygraph import model as md
+from decaygraph import temporal as tp
 from decaygraph.autodiff import Tensor
+from decaygraph.cli import DEFAULT_SYNTHETIC
 from decaygraph.data import (Episode, SyntheticConfig, delta_t_from_times,
                              split_dataset, synthesize, truncate_episodes)
 from decaygraph.model import (AblationFlags, CompatibilityError,
@@ -208,6 +212,43 @@ def test_graph_keeps_no_concatenated_inputs_or_float_masks():
         tracemalloc.stop()
     assert logits.tracked
     assert alive < 60 * edges * model.config.hidden_dim * 8, (alive, edges)
+
+
+def test_every_bank_tensor_of_a_forward_shares_one_array(monkeypatch):
+    # the gates write the bank in place, so a per-step copy shows here
+    ds = synth(n=4, seed=5)
+    model = tiny_model(ds.variables)
+    banks = []
+    true_gate = tp.gated_update
+
+    def recording(bank, *args):
+        banks.append(bank.tensor)
+        return true_gate(bank, *args)
+
+    monkeypatch.setattr(tp, "gated_update", recording)
+    logits, _ = model.forward(ds.episodes)
+    assert logits.tracked and len(banks) >= 3
+    # the first is the forward's zero start, which the bank copies once
+    assert not np.shares_memory(banks[0].data, banks[1].data)
+    assert all(np.shares_memory(banks[1].data, bank.data) for bank in banks[2:])
+
+
+GRAPH_MEMORY = Path(__file__).resolve().parents[1] / "scripts" / "graph_memory.py"
+
+
+def test_graph_memory_script_bounds_what_a_training_batch_keeps():
+    # 2.96 MB measured for this config when the gates wrote the bank in place
+    # and the fused nodes rebuilt their inner arrays in backward; 4.59 MB
+    # with a bank copy per step
+    spec = importlib.util.spec_from_file_location("graph_memory", GRAPH_MEMORY)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    result = script.graph_memory({**DEFAULT_SYNTHETIC, "n_episodes": 40},
+                                 {"hidden_dim": 8, "codebook_size": 64, "n_layers": 1,
+                                  "batch_size": 32})
+    assert result["episodes"] == 32
+    assert result["kept"] < 3.3e6, result["lines"][:5]
+    assert 0 < result["backward_peak"] < result["kept"]
 
 
 # -- ablation mechanics -----------------------------------------------------------

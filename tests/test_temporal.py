@@ -101,12 +101,12 @@ def test_gate_endpoints():
     index = np.array([3, 0, 2])
 
     params["gate.b"].data[:] = -80.0  # sigmoid -> 0: keep the stored state
-    np.testing.assert_allclose(tp.gated_update(bank, index, e, params).data,
+    np.testing.assert_allclose(tp.gated_update(tp.Bank(bank), index, e, params).data,
                                bank.data, atol=1e-12)
     params["gate.b"].data[:] = 80.0  # sigmoid -> 1: take the new feature
     expected = bank.data.copy()
     expected[index] = e.data
-    np.testing.assert_allclose(tp.gated_update(bank, index, e, params).data,
+    np.testing.assert_allclose(tp.gated_update(tp.Bank(bank), index, e, params).data,
                                expected, atol=1e-12)
 
 
@@ -116,7 +116,7 @@ def test_gate_output_is_coordinatewise_convex():
     bank = random_edges(12, 4, seed=8)
     index = np.random.default_rng(9).permutation(12)[:10]
     gamma = Tensor(np.random.default_rng(10).uniform(0.0, 1.0, (10, 1)))
-    out = tp.gated_update(bank, index, e, params, gamma).data
+    out = tp.gated_update(tp.Bank(bank), index, e, params, gamma).data
     h_hat = bank.data[index] * gamma.data
     lo = np.minimum(e.data, h_hat)
     hi = np.maximum(e.data, h_hat)
@@ -129,7 +129,8 @@ def test_gate_output_is_coordinatewise_convex():
 def test_gate_refuses_repeated_bank_rows():
     params = params_for()
     with pytest.raises(ContractError, match="unique"):
-        tp.gated_update(random_edges(3, 4), np.array([1, 1]), random_edges(2, 4), params)
+        tp.gated_update(tp.Bank(random_edges(3, 4)), np.array([1, 1]), random_edges(2, 4),
+                        params)
 
 
 # -- attention -----------------------------------------------------------------------
@@ -138,7 +139,7 @@ def test_single_variable_attention_projects_its_state():
     params = params_for()
     h = np.random.default_rng(1).normal(size=(2, 1, 4))
     v_pat = random_edges(2, 4, seed=9)
-    out = tp.node_attention(v_pat, Tensor(h), params["attn.proj"])
+    out = tp.node_attention(v_pat, tp.Bank(Tensor(h)), params["attn.proj"])
     expected = h[:, 0, :] @ params["attn.proj"].data
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -148,7 +149,7 @@ def test_identical_states_dominate_any_query():
     u = np.array([0.3, -1.2, 0.5, 2.0])
     h = np.tile(u, (2, 5, 1))
     v_pat = random_edges(2, 4, seed=10)
-    out = tp.node_attention(v_pat, Tensor(h), params["attn.proj"])
+    out = tp.node_attention(v_pat, tp.Bank(Tensor(h)), params["attn.proj"])
     expected = np.tile(u @ params["attn.proj"].data, (2, 1))
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -163,7 +164,7 @@ def test_attention_weights_sum_to_one():
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
     # the module's output equals the weighted mixture under the projection
     params = params_for()
-    out = tp.node_attention(Tensor(v_pat), Tensor(h), params["attn.proj"])
+    out = tp.node_attention(Tensor(v_pat), tp.Bank(Tensor(h)), params["attn.proj"])
     expected = np.einsum("bv,bvd->bd", weights, h) @ params["attn.proj"].data
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -176,7 +177,7 @@ def test_gradients_flow_through_decay_and_gate():
         e = Tensor(e_data, tracked=False)
         h = Tensor(np.random.default_rng(14).normal(size=(6, 4)))
         gamma = tp.decay_factor(e, np.full(6, 0.5), kernel, params)
-        out = tp.gated_update(h, np.arange(6), e, params, gamma)
+        out = tp.gated_update(tp.Bank(h), np.arange(6), e, params, gamma)
         ad.backward(co.tensor_sum(co.mul(out, out)))
         touched = [name for name, p in params.items()
                    if p.grad is not None and np.any(p.grad != 0.0)]
@@ -242,7 +243,10 @@ def test_gated_update_is_one_node_with_the_chain_bits(d, n, spare, gamma, data, 
         return co.differentiate(build, arrays, leaves=GATE_PARAMS, untracked=untracked,
                                 direct=direct, seed=seed)
 
-    co.assert_same_bits(runner(tp.gated_update), runner(co.gated_update))
+    def fused(h_bank, *args):
+        return tp.gated_update(tp.Bank(h_bank), *args)
+
+    co.assert_same_bits(runner(fused), runner(co.gated_update))
 
 
 @settings(max_examples=80, deadline=None)
@@ -258,7 +262,10 @@ def test_node_attention_is_one_node_with_the_chain_bits(d, b, v, data, direct, s
         return co.differentiate(attention, arrays, leaves=("w_proj",),
                                 untracked=untracked, direct=direct, seed=seed)
 
-    co.assert_same_bits(runner(tp.node_attention), runner(co.node_attention))
+    def fused(v_pat, h_bank, w_proj):
+        return tp.node_attention(v_pat, tp.Bank(h_bank), w_proj)
+
+    co.assert_same_bits(runner(fused), runner(co.node_attention))
 
 
 def test_fused_temporal_nodes_record_one_node_each():
@@ -274,12 +281,12 @@ def test_fused_temporal_nodes_record_one_node_each():
     # the last kernel's gamma; backward must reach e before gamma and the
     # bank, as the chain's did
     gate = (params["gate.w"], params["gate.b"])
-    out = tp.gated_update(bank, np.arange(3), e, params, gamma)
+    out = tp.gated_update(tp.Bank(bank), np.arange(3), e, params, gamma)
     assert out._op == "gate" and out._parents == (bank, gamma, e, *gate)
-    out = tp.gated_update(bank, np.arange(3), e, params)
+    out = tp.gated_update(tp.Bank(bank), np.arange(3), e, params)
     assert out._op == "gate" and out._parents == (bank, e, *gate)
     v_pat, bank = Tensor(np.ones((2, 4)), tracked=True), Tensor(np.ones((4, 4)), tracked=True)
-    out = tp.node_attention(v_pat, bank, params["attn.proj"])
+    out = tp.node_attention(v_pat, tp.Bank(bank), params["attn.proj"])
     assert out._op == "attention" and out._parents == (v_pat, bank, params["attn.proj"])
 
 
@@ -298,10 +305,110 @@ def test_fused_temporal_nodes_match_finite_differences(kernel, use_tde):
     def loss():
         gamma = tp.decay_factor(e, dt, kernel, params) if use_tde else None
         # rows 2 and 5 are kept: their gradient passes the gate untouched
-        bank = tp.gated_update(h, np.array([4, 0, 3, 1]), e, params, gamma)
+        bank = tp.Bank(h)
+        tp.gated_update(bank, np.array([4, 0, 3, 1]), e, params, gamma)
         return co.tensor_sum(co.mul(tp.node_attention(v_pat, bank, params["attn.proj"]), w))
 
     names = ["gate.w", "gate.b", "attn.proj"]
     if use_tde:
         names += DECAY_PARAMS["exp" if kernel == "exp" else "mlp"]
     check_grads(loss, [e, h, v_pat, *(params[name] for name in names)])
+
+
+# -- the bank's undo log ---------------------------------------------------------------
+
+GATE_AND_ATTENTION = ("gate.w", "gate.b", "attn.proj")
+
+
+def bank_inputs(seed, d=3, b=2, v=4, n=5):
+    """Parameters, tracked inputs, loss weights and two gates' overlapping
+    bank indices of a bank of ``b`` patients by ``v`` variables."""
+    rng = np.random.default_rng(seed)
+    inputs = {name: Tensor(rng.normal(size=shape), tracked=True)
+              for name, shape in (("h0", (b * v, d)), ("e1", (n, d)), ("e2", (n, d)),
+                                  ("v_pat", (b, d)))}
+    inputs["gamma"] = Tensor(rng.uniform(0.0, 1.0, (n, 1)), tracked=True)
+    weights = [Tensor(rng.normal(size=shape)) for shape in ((b * v, d), (b, d))]
+    index = [rng.permutation(b * v)[:n] for _ in range(2)]
+    return params_for(d=d, seed=seed), inputs, weights, index
+
+
+def gradients(params, inputs):
+    return [t.grad for t in (*inputs.values(), *(params[name] for name in GATE_AND_ATTENTION))]
+
+
+def assert_same_bytes(fused, chain):
+    assert len(fused) == len(chain)
+    for a, b in zip(fused, chain):
+        assert (a is None) == (b is None)
+        assert a is None or a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_backward_that_never_reaches_the_last_gate_keeps_the_chain_bits(seed):
+    """The loss reads the first gate's bank, directly and through the
+    attention, and is built before a second gate writes; that gate feeds
+    nothing (as with ``--ablate hvs``), so only the attention's rollback
+    undoes its write."""
+    def run(fused):
+        params, t, (w_bank, w_att), (index1, index2) = bank_inputs(seed)
+        proj = params["attn.proj"]
+        if fused:
+            bank = tp.Bank(t["h0"])
+            first = tp.gated_update(bank, index1, t["e1"], params, t["gamma"])
+            attended = tp.node_attention(t["v_pat"], bank, proj)
+        else:
+            first = co.gated_update(t["h0"], index1, t["e1"], params, t["gamma"])
+            attended = co.node_attention(t["v_pat"], first, proj)
+        loss = co.add(co.tensor_sum(co.mul(first, w_bank)),
+                      co.tensor_sum(co.mul(attended, w_att)))
+        values = [loss.data, first.data.copy(), attended.data]
+        if fused:
+            tp.gated_update(bank, index2, t["e2"], params)
+        else:
+            co.gated_update(first, index2, t["e2"], params)
+        ad.backward(loss)
+        assert t["e2"].grad is None  # backward never reached the last gate
+        return values + gradients(params, t)
+
+    assert_same_bytes(run(True), run(False))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_attention_reads_its_bank_back_after_two_later_writes(seed):
+    """The attention reads the first bank; its output feeds the first gate's
+    edges, as in the model, and two gates write before its backward runs."""
+    def run(fused):
+        params, t, (w_bank, w_att), (index1, index2) = bank_inputs(seed)
+        proj, v = params["attn.proj"], 4
+        if fused:
+            bank = tp.Bank(t["h0"])
+            attended = tp.node_attention(t["v_pat"], bank, proj)
+            e1 = co.add(ad.gather_rows(attended, index1 // v), t["e1"])
+            tp.gated_update(bank, index1, e1, params, t["gamma"])
+            last = tp.gated_update(bank, index2, t["e2"], params)
+        else:
+            attended = co.node_attention(t["v_pat"], t["h0"], proj)
+            e1 = co.add(ad.gather_rows(attended, index1 // v), t["e1"])
+            first = co.gated_update(t["h0"], index1, e1, params, t["gamma"])
+            last = co.gated_update(first, index2, t["e2"], params)
+        loss = co.add(co.tensor_sum(co.mul(last, w_bank)),
+                      co.tensor_sum(co.mul(attended, w_att)))
+        values = [loss.data, last.data.copy(), attended.data]
+        ad.backward(loss)
+        return values + gradients(params, t)
+
+    assert_same_bytes(run(True), run(False))
+
+
+def test_a_bank_version_that_was_rolled_past_is_refused():
+    bank = tp.Bank(random_edges(4, 3))
+    params = params_for(d=3)
+    for index in ([0, 2], [1, 2]):
+        tp.gated_update(bank, np.array(index), random_edges(2, 3, seed=5), params)
+    first = bank.data.copy()
+    bank.rollback(0)
+    assert bank.data.tobytes() == random_edges(4, 3).data.tobytes()
+    with pytest.raises(ContractError, match="rolled back"):
+        bank.rollback(1)
+    assert not np.array_equal(first, bank.data)
