@@ -21,7 +21,8 @@ fixed matrix of commands, each tree importing its own ``src/``:
    ``kw_summary.csv``);
 3. the ``eval-k4096`` benchmark config: ``synth`` and 1-epoch ``train`` of
    a 32-episode checkpoint, ``synth`` of a 320-episode set, and ``eval``
-   with leave-out rates 0.2 and 0.5;
+   with leave-out rates 0.2 and 0.5; then ``eval --split val`` at rate
+   0.5, so leave-out is also compared on a split other than test;
 4. ``gradcheck`` for each decay kernel: its stdout, whose errors have
    only 4 significant digits, and the errors dict its audit returned,
    every float at full precision (``repr``), as a JSON file. The second
@@ -150,6 +151,8 @@ def run_matrix(tree: Path, work: Path) -> dict[str, dict[str, float | None]]:
                         "data": {"split_ratios": [0.1, 0.1, 0.8]}}, 1)
     measured("eval", "--checkpoint", "ckpt/checkpoint.json", *eval_data,
              "--seed", "0", "--leave-out", "0.2", "--leave-out", "0.5", "--out", "eval")
+    measured("eval", "--checkpoint", "ckpt/checkpoint.json", *eval_data,
+             "--seed", "0", "--split", "val", "--leave-out", "0.5", "--out", "eval_val")
 
     (work / "gradcheck").mkdir()
     for kernel in KERNELS:

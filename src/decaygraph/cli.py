@@ -196,6 +196,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _seed_of(file_cfg, args)
     reports = _eval_report_names(args.leave_out) or {"eval.json": 0.0}
+    if args.split == "train" and any(reports.values()):
+        raise DataValidationError("--leave-out hides variables in the val and test splits "
+                                  "only, so it cannot score --split train")
     model, meta = load_checkpoint(args.checkpoint)
     data_section = _data_paths(file_cfg, args)
     if meta["t_max"] is not None and "t_max" not in data_section:

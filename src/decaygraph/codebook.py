@@ -44,26 +44,25 @@ prologue (residual scale and the mixture's gradient ``d_q``) and epilogue
   gradients differ from the chain's by rounding only, about 1e-15
   relative.
 
-The K > ``TILE`` core runs as jobs on a thread pool with one worker per
-usable CPU, split over rows and tiles as in FlashAttention-2 (Dao,
-arXiv:2307.08691). The first such call pins numpy's OpenBLAS to one
-thread, so each core runs whole jobs and none spins inside a split
-matmul; the pool is made by the first call that has jobs for it. A
-forward job takes a block of ``BLOCK_ROWS`` to ``2 * BLOCK_ROWS - 1``
-rows: their similarities, ``exp``, ``l`` and ``q``; the utilization
-diagnostic's weight sums then take one job per tile of columns. The
-backward deals its tiles round-robin to one job per worker; each job
-writes its tiles' rows of the K×d terms and returns its tiles' (B, d)
-terms, which the calling thread adds in tile order. Every gradient
-accumulation stays on the calling thread. ``retrieve`` takes its argmax
-by the same row blocks. The split depends on the row count alone, so the
-bits do not depend on the number of cores. A call with fewer than
-``2 * BLOCK_ROWS`` rows runs as one job on the calling thread, and a
-host with one CPU or no OpenBLAS runs the same jobs there in a loop.
-OpenBLAS rounds a row block like the same rows of a whole call at
-K=4096, d=16; at some other shapes (K not a multiple of 8, or blocks
-under its small-matrix size) it does not, and there the bits also
-depended on its thread count before the pin.
+The K > ``TILE`` core runs its two hot loops as jobs on a thread pool
+with one worker per usable CPU, the forward by rows and the backward by
+tiles as in FlashAttention-2 (Dao, arXiv:2307.08691). Every K > ``TILE``
+call, ``retrieve``'s too, first pins numpy's OpenBLAS to one thread, so
+each core runs whole jobs and none spins inside a split matmul; the pool
+is made by the first call that has jobs for it. A forward job takes a
+block of ``BLOCK_ROWS`` to ``2 * BLOCK_ROWS - 1`` rows: their
+similarities, ``exp``, ``l`` and ``q``. The backward deals its tiles
+round-robin to one job per worker; each job writes its tiles' rows of
+the K×d terms and returns its tiles' (B, d) terms, which the calling
+thread adds in tile order. The utilization weight sums, ``retrieve`` and
+every gradient accumulation run on the calling thread. The split depends
+on the row count alone, so the bits do not depend on the number of
+cores. A call with fewer than ``2 * BLOCK_ROWS`` rows runs as one job on
+the calling thread, and a host with one CPU or no OpenBLAS runs the same
+jobs there in a loop. OpenBLAS rounds a row block like the same rows of
+a whole call at K=4096, d=16; at some other shapes (K not a multiple of
+8, or blocks under its small-matrix size) it does not, and there the
+bits also depended on its thread count before the pin.
 """
 
 from __future__ import annotations
@@ -132,16 +131,6 @@ def _run(job, items: list) -> list:
     return list(pool.map(job, items))
 
 
-def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
-    """Row ranges of a large-codebook call's forward jobs: ``n_rows //
-    BLOCK_ROWS`` near-equal blocks, or one. They depend on ``n_rows`` only,
-    so a call is split the same way on every host. The first call pins
-    OpenBLAS to one thread."""
-    _one_blas_thread()
-    n_blocks = max(n_rows // BLOCK_ROWS, 1)
-    return [(n_rows * j // n_blocks, n_rows * (j + 1) // n_blocks) for j in range(n_blocks)]
-
-
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row norms (kept as a size-1 axis) and the rows of ``x`` scaled to unit norm."""
     norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
@@ -200,12 +189,17 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
     n_rows, n_protos = x.shape[0], c.shape[0]
     tiled = n_protos > TILE
     tiles = [(lo, min(lo + TILE, n_protos)) for lo in range(0, n_protos, TILE)]
+    # the tiled backward's jobs: one per pool worker and at most one per
+    # tile, or one on the calling thread for a call under 2 * BLOCK_ROWS rows
+    n_jobs = 0
+    if tiled:
+        _one_blas_thread()
+        n_jobs = min(_pool()[1], len(tiles)) if n_rows >= 2 * BLOCK_ROWS else 1
     # a call that will have a backward (``_make``'s condition) sizes the
     # scratch buffer for the backward's too: the K×d terms and, for the
     # tiled core, two B×TILE tiles per job
     backward_scratch = ()
     if ad._grad_enabled and (g.tracked or codebook.tracked):
-        n_jobs = (min(_pool()[1], len(tiles)) if n_rows >= 2 * BLOCK_ROWS else 1) if tiled else 0
         backward_scratch = (c.shape, c.shape) + ((n_rows * TILE,),) * (2 * n_jobs)
     # the B×K similarities, in the memory that the backward's scratch reuses
     weights, = unit_book.scratch((n_rows, n_protos), reserve=backward_scratch)
@@ -221,19 +215,12 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
             np.sum(e, axis=-1, keepdims=True, out=row_sum[lo:hi])
             np.divide(np.matmul(e, c, out=q[lo:hi]), row_sum[lo:hi], out=q[lo:hi])
 
-        blocks = _row_blocks(n_rows)
-        _run(forward_rows, blocks)
-        if weight_sum is not None:
-            # each prototype's weights summed over the rows; a pooled call
-            # takes the product by tiles of columns, which keep its bits
-            inv_l, summed = 1.0 / row_sum[:, 0], np.empty(n_protos)
-
-            def sum_columns(cols):
-                lo, hi = cols
-                np.matmul(inv_l, weights[:, lo:hi], out=summed[lo:hi])
-
-            _run(sum_columns, tiles if len(blocks) > 1 else [(0, n_protos)])
-            weight_sum += summed
+        # near-equal blocks that depend on n_rows alone
+        n_blocks = max(n_rows // BLOCK_ROWS, 1)
+        _run(forward_rows, [(n_rows * j // n_blocks, n_rows * (j + 1) // n_blocks)
+                            for j in range(n_blocks)])
+        if weight_sum is not None:  # each prototype's weights summed over the rows
+            weight_sum += np.matmul(1.0 / row_sum[:, 0], weights)
     else:
         np.matmul(g_unit, unit_book.unit.T, out=weights)
         ad._softmax(weights)
@@ -260,7 +247,6 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
         # sum_k w_k * d_w_k over a row is d_q . q, so no pass needs all K at once
         d_q = d_q / row_sum
         d_rowterm = (d_q * q).sum(axis=-1, keepdims=True)
-        n_jobs = len(tile_buffers) // 2
 
         def tile_job(job):
             # tiles job, job + n_jobs, ...: each job has its own two tile
@@ -321,22 +307,15 @@ def retrieve(g: Tensor, codebook: Tensor, unit_book: UnitBook) -> tuple[np.ndarr
     """Most-similar prototype per row by cosine; ties go to the lowest index.
 
     ``unit_book`` is the forward's ``UnitBook(codebook.data)``; the
-    similarities take its scratch buffer, which fusion also uses. A
-    codebook of more than ``TILE`` prototypes is searched by fusion's row
-    blocks. The argmax is not differentiated; gradients flow only into the
-    selected codebook rows.
+    similarities take its scratch buffer, which fusion also uses. The
+    argmax is not differentiated; gradients flow only into the selected
+    codebook rows.
     """
     rows = unit_rows(g.data)[1]
-    n_rows, n_protos = rows.shape[0], unit_book.unit.shape[0]
-    sims, = unit_book.scratch((n_rows, n_protos))
-    indices = np.empty(n_rows, dtype=np.intp)
-
-    def best_rows(block):
-        lo, hi = block
-        np.matmul(rows[lo:hi], unit_book.unit.T, out=sims[lo:hi]).argmax(
-            axis=1, out=indices[lo:hi])
-
-    _run(best_rows, _row_blocks(n_rows) if n_protos > TILE else [(0, n_rows)])
+    if len(unit_book.unit) > TILE:
+        _one_blas_thread()
+    sims, = unit_book.scratch((rows.shape[0], len(unit_book.unit)))
+    indices = np.matmul(rows, unit_book.unit.T, out=sims).argmax(axis=1)
     return indices, ad.gather_rows(codebook, indices)
 
 

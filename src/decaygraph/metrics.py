@@ -4,7 +4,7 @@ All metrics operate on positive-class probability scores and binary
 labels. AUROC uses the Mann-Whitney formulation with half credit for
 ties; AUPRC is the step-wise average-precision sum over descending
 unique thresholds, with tied scores grouped at one threshold. ECE uses
-equal-width bins over [0, 1]. Multi-class helpers (accuracy and macro
+ten equal-width bins over [0, 1]. Multi-class helpers (accuracy and macro
 precision/recall/F1) cover tasks with more than two classes.
 """
 
@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+ECE_BINS = 10  # equal-width calibration bins on [0, 1]
 
 
 class MetricUndefinedError(ValueError):
@@ -109,19 +111,17 @@ def auprc(scores, labels) -> float:
     return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
-def ece(scores, labels, bins: int = 10) -> float:
-    """Expected calibration error over equal-width bins on [0, 1]."""
-    if bins < 1:
-        raise MetricConfigError(f"ece needs bins >= 1, got {bins}")
+def ece(scores, labels) -> float:
+    """Expected calibration error over ``ECE_BINS`` equal-width bins on [0, 1]."""
     scores, labels = _validate(scores, labels)
     if np.any(scores < 0.0) or np.any(scores > 1.0):
         raise MetricConfigError("ece scores must lie in [0, 1]")
     n = len(scores)
     if n == 0:
         return 0.0
-    idx = np.minimum((scores * bins).astype(np.int64), bins - 1)
+    idx = np.minimum((scores * ECE_BINS).astype(np.int64), ECE_BINS - 1)
     total = 0.0
-    for b in range(bins):
+    for b in range(ECE_BINS):
         members = idx == b
         n_b = int(members.sum())
         if n_b == 0:

@@ -235,8 +235,6 @@ class DecayGraphClassifier:
             tp.gated_update(bank, step.patient_idx * v_count + step.variable_idx,
                             e, self.params, gamma)
 
-        if collect_diagnostics:
-            diagnostics["hidden_bank"] = bank.data.reshape(batch, v_count, d).copy()
         parts = [v_pat]
         if flags.retrieval_active:
             _, rows = cb.retrieve(v_pat, book, unit_book)

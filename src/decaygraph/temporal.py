@@ -177,11 +177,12 @@ def gated_update(bank: Bank, index: np.ndarray, e: Tensor, params: dict[str, Ten
     def bw(g):
         # the chain's order: the bank's other rows; the gate's (1 - r) * h_hat,
         # 1 - r, r * e, sigmoid and linear; the decay; the gathered rows. The
-        # gate is rebuilt from the logged rows, as the forward computed it
-        kept = g.copy()
-        kept[index] = 0.0
-        ad._accumulate(h_bank, kept)
-        g = g[index]
+        # gate is rebuilt from the logged rows, as the forward computed it.
+        # g is this node's own gradient, which backward drops after the rule
+        g_rows = g[index]
+        g[index] = 0.0
+        ad._accumulate(h_bank, g)
+        g = g_rows
         h_hat = decayed(rows)
         x = inputs(h_hat)
         r = gate(x)

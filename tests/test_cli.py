@@ -458,6 +458,19 @@ def test_eval_refuses_bad_sweep_before_writing(trained, synth_dir, tmp_path, cap
     assert not out.exists()
 
 
+def test_eval_refuses_leave_out_on_the_train_split(trained, synth_dir, tmp_path, capsys):
+    out = tmp_path / "train_leave"
+    argv = ["eval", "--checkpoint", str(trained), *data_args(synth_dir), "--out", str(out),
+            "--split", "train"]
+    assert run(*argv, "--leave-out", "0", "--leave-out", "0.5") == 1
+    assert "--leave-out hides variables in the val and test splits only, so it cannot " \
+           "score --split train" in capsys.readouterr().err
+    assert not out.exists()
+    # rate 0 hides nothing, so the train split is scored
+    assert run(*argv, "--leave-out", "0") == 0
+    assert json.loads((out / "eval_leave00.json").read_text())["split"] == "train"
+
+
 def test_eval_reproducible(trained, synth_dir, tmp_path):
     out_a, out_b = tmp_path / "e1", tmp_path / "e2"
     for out in (out_a, out_b):

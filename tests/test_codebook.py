@@ -355,9 +355,8 @@ def test_only_a_large_call_runs_its_jobs_on_the_pool(monkeypatch):
         threads.clear()
         fuse_and_retrieve(rng.normal(size=(b, 8)), rng.normal(size=(cb.TILE + 1, 8)),
                           rng.normal(size=(b, 8)))
-        # forward, weight sums, retrieval and backward: two jobs each on the
-        # pool, else one
-        assert len(threads) == (8 if on_pool else 4)
+        # forward and backward: two jobs each on the pool, else one
+        assert len(threads) == (4 if on_pool else 2)
         assert all((t is not threading.current_thread()) == on_pool for t in threads)
 
 

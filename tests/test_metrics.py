@@ -107,11 +107,6 @@ def test_ece_score_one_falls_in_last_bin():
     assert mx.ece([1.0, 0.95], [0, 1]) == pytest.approx(0.475)
 
 
-def test_ece_rejects_bad_bins():
-    with pytest.raises(MetricConfigError):
-        mx.ece([0.5], [1], bins=0)
-
-
 def test_brier_examples():
     assert mx.brier([1.0], [1]) == 0.0
     assert mx.brier([0.5], [0]) == 0.25
