@@ -4,7 +4,10 @@ Usage: python3 scripts/same_outputs.py A B
        python3 scripts/same_outputs.py --audit KERNEL OUT.json
 
 A and B are checkouts (each with a ``src/`` directory). Both run the same
-fixed matrix of commands, each tree importing its own ``src/``:
+fixed matrix of commands, each tree importing its own ``src/``. They run
+it command by command: both trees run a command before either runs the
+next, and the tree that goes first alternates from one command to the
+next, so a drift in host speed falls on both trees alike:
 
 1. ``synth`` of the default synthetic set;
 2. ``train`` at the default model config (K=4096) for 3 epochs on it; the
@@ -14,8 +17,9 @@ fixed matrix of commands, each tree importing its own ``src/``:
    states in the classifier input), and with each non-default decay
    kernel (``exp``, ``mlp_gaussian``, ``mlp_linear``), and with
    ``--batch-size 6``, where a batch has as many patient rows as there
-   are variables, so both fusion calls of a step share one weight
-   buffer, and with ``--codebook-size 1500``, above ``codebook.TILE`` but
+   are variables, so both fusion calls of a step have one shape and any
+   state one call left for the other would show, and with
+   ``--codebook-size 1500``, above ``codebook.TILE`` but
    not a multiple of it, so the large-codebook jobs meet a partial last
    tile; and ``analyze`` of it (``decay_rates.csv`` and
    ``kw_summary.csv``);
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -108,27 +113,36 @@ def cpu_seconds(stdout: str) -> float | None:
 USAGE = {"peak_rss_mb": peak_rss_mb, "cpu_seconds": cpu_seconds}
 
 
-def _synth(tree: Path, work: Path, name: str, config: dict, seed: int) -> list[str]:
-    config_path = work / f"{name}.config.json"
-    config_path.write_text(json.dumps(config, sort_keys=True), encoding="utf-8")
-    _run(tree, work, "synth", "--config", str(config_path), "--seed", str(seed),
-         "--out", name)
-    return ["--observations", f"{name}/observations.csv", "--labels",
-            f"{name}/labels.csv", "--splits", f"{name}/splits.csv", "--t-max", T_MAX]
+def run_matrix(trees: list[Path], works: list[Path]) -> list[dict[str, dict[str, float | None]]]:
+    """Run every command in each tree, tree ``i`` in ``works[i]``, command by
+    command with the first tree alternating; return, for each tree and each
+    figure of ``USAGE``, the value each ``train``, ``eval`` and ``analyze``
+    command printed, keyed by its output directory."""
+    usages: list[dict[str, dict[str, float | None]]] = [{key: {} for key in USAGE}
+                                                        for _ in trees]
+    turns = itertools.count()
 
-
-def run_matrix(tree: Path, work: Path) -> dict[str, dict[str, float | None]]:
-    """Run every command; return, for each figure of ``USAGE``, the value
-    each ``train``, ``eval`` and ``analyze`` command printed, keyed by its
-    output directory."""
-    usage: dict[str, dict[str, float | None]] = {key: {} for key in USAGE}
+    def each(*argv: str, entry: tuple[str, ...] = ("-m", "decaygraph.cli")) -> list[str]:
+        """One command's stdout in every tree, run from this turn's first tree on."""
+        first = next(turns) % len(trees)
+        stdouts = {i: _run(trees[i], works[i], *argv, entry=entry)
+                   for i in [*range(first, len(trees)), *range(first)]}
+        return [stdouts[i] for i in range(len(trees))]
 
     def measured(*argv: str) -> None:
-        stdout = _run(tree, work, *argv)
-        for key, read in USAGE.items():
-            usage[key][argv[argv.index("--out") + 1]] = read(stdout)
+        for usage, stdout in zip(usages, each(*argv)):
+            for key, read in USAGE.items():
+                usage[key][argv[argv.index("--out") + 1]] = read(stdout)
 
-    data = _synth(tree, work, "data", {}, 0)
+    def synth(name: str, config: dict, seed: int) -> list[str]:
+        for work in works:
+            (work / f"{name}.config.json").write_text(json.dumps(config, sort_keys=True),
+                                                      encoding="utf-8")
+        each("synth", "--config", f"{name}.config.json", "--seed", str(seed), "--out", name)
+        return ["--observations", f"{name}/observations.csv", "--labels",
+                f"{name}/labels.csv", "--splits", f"{name}/splits.csv", "--t-max", T_MAX]
+
+    data = synth("data", {}, 0)
     measured("train", *data, "--epochs", "3", "--seed", "0", "--out", "train")
     for ablation in ("mcv", "cb", "tde", "te", "sna", "hvs"):
         measured("train", *data, "--epochs", "2", "--seed", "0",
@@ -142,31 +156,30 @@ def run_matrix(tree: Path, work: Path) -> dict[str, dict[str, float | None]]:
              "--codebook-size", "1500", "--out", "train_k1500")
     measured("analyze", *data, "--out", "analyze")
 
-    ckpt_data = _synth(tree, work, "ckpt_data",
-                       {"synthetic": {"n_episodes": 32},
-                        "data": {"split_ratios": [0.5, 0.25, 0.25]}}, 0)
+    ckpt_data = synth("ckpt_data", {"synthetic": {"n_episodes": 32},
+                                    "data": {"split_ratios": [0.5, 0.25, 0.25]}}, 0)
     measured("train", *ckpt_data, "--epochs", "1", "--seed", "0", "--out", "ckpt")
-    eval_data = _synth(tree, work, "eval_data",
-                       {"synthetic": {"n_episodes": 320},
-                        "data": {"split_ratios": [0.1, 0.1, 0.8]}}, 1)
+    eval_data = synth("eval_data", {"synthetic": {"n_episodes": 320},
+                                    "data": {"split_ratios": [0.1, 0.1, 0.8]}}, 1)
     measured("eval", "--checkpoint", "ckpt/checkpoint.json", *eval_data,
              "--seed", "0", "--leave-out", "0.2", "--leave-out", "0.5", "--out", "eval")
     measured("eval", "--checkpoint", "ckpt/checkpoint.json", *eval_data,
              "--seed", "0", "--split", "val", "--leave-out", "0.5", "--out", "eval_val")
 
-    (work / "gradcheck").mkdir()
+    for work in works:
+        (work / "gradcheck").mkdir()
     for kernel in KERNELS:
-        out = _run(tree, work, "--audit", kernel, f"gradcheck/{kernel}.json",
-                   entry=(str(Path(__file__).resolve()),))
-        (work / "gradcheck" / f"{kernel}.txt").write_text(out, encoding="utf-8")
+        stdouts = each("--audit", kernel, f"gradcheck/{kernel}.json",
+                       entry=(str(Path(__file__).resolve()),))
+        for work, out in zip(works, stdouts):
+            (work / "gradcheck" / f"{kernel}.txt").write_text(out, encoding="utf-8")
 
-    c8_data = _synth(tree, work, "c8_data",
-                     {"synthetic": C8_SYNTHETIC,
-                      "data": {"split_ratios": [0.7, 0.15, 0.15]}}, 201)
+    c8_data = synth("c8_data", {"synthetic": C8_SYNTHETIC,
+                                "data": {"split_ratios": [0.7, 0.15, 0.15]}}, 201)
     measured("train", *c8_data, "--codebook-size", "32", "--batch-size", "64",
              "--lr", "0.01", "--epochs", "12", "--patience", "12", "--seed", "10",
              "--out", "train_k32")
-    return usage
+    return usages
 
 
 def digests(work: Path) -> dict[str, str]:
@@ -269,18 +282,16 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1
     trees = [Path(a).resolve() for a in argv]
-    results, usages = [], []
     with tempfile.TemporaryDirectory() as tmp:
         works = [Path(tmp) / str(i) for i in range(len(trees))]
-        for tree, work in zip(trees, works):
+        for work in works:
             work.mkdir()
-            try:
-                usages.append(run_matrix(tree, work))
-            except CommandFailed as exc:
-                print(exc, file=sys.stderr)
-                return 1
-            results.append(digests(work))
-        a, b = results
+        try:
+            usages = run_matrix(trees, works)
+        except CommandFailed as exc:
+            print(exc, file=sys.stderr)
+            return 1
+        a, b = (digests(work) for work in works)
         same = True
         for name in sorted(set(a) | set(b)):
             ha, hb = a.get(name, "missing"), b.get(name, "missing")

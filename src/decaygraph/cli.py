@@ -51,7 +51,20 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {path} must hold a JSON object, got {json.dumps(config)}")
+    return config
+
+
+def _section(file_cfg: dict, name: str) -> dict:
+    """A copy of the config file's ``name`` section, empty when it has none;
+    a section that is not a JSON object is refused by name."""
+    section = file_cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {name!r} must be a JSON object, "
+                         f"got {json.dumps(section)}")
+    return dict(section)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -61,7 +74,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _model_config(file_cfg: dict, args: argparse.Namespace, n_classes: int) -> ModelConfig:
-    section = dict(file_cfg.get("model", {}))
+    section = _section(file_cfg, "model")
     for field in fields(ModelConfig):  # each flag is named after its field
         if getattr(args, field.name, None) is not None:
             section[field.name] = getattr(args, field.name)
@@ -71,14 +84,14 @@ def _model_config(file_cfg: dict, args: argparse.Namespace, n_classes: int) -> M
 
 
 def _ablation_flags(file_cfg: dict, ablate: list[str]) -> AblationFlags:
-    flags = AblationFlags(**file_cfg.get("ablation", {}))
+    flags = AblationFlags(**_section(file_cfg, "ablation"))
     for name in ablate:  # argparse has checked each against ABLATION_NAMES
         setattr(flags, f"use_{name}", False)
     return flags
 
 
 def _data_paths(file_cfg: dict, args: argparse.Namespace) -> dict:
-    section = dict(file_cfg.get("data", {}))
+    section = _section(file_cfg, "data")
     for key in ("observations", "labels", "splits", "t_max"):  # flags named after keys
         if getattr(args, key) is not None:
             section[key] = getattr(args, key)
@@ -127,13 +140,13 @@ def _print_usage(start: float) -> None:
 def cmd_synth(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     section = dict(DEFAULT_SYNTHETIC)
-    section.update(file_cfg.get("synthetic", {}))
+    section.update(_section(file_cfg, "synthetic"))
     if args.seed is not None:
         section["seed"] = args.seed
     config = SyntheticConfig(**section)
     dataset = synthesize(config)
     # split before the first write, so a refused split leaves no files
-    splits = _split(dataset, file_cfg.get("data", {}), config.seed)
+    splits = _split(dataset, _section(file_cfg, "data"), config.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,17 +8,13 @@ but full gradient into the selected row.
 
 A forward pass builds one :class:`UnitBook` of the codebook and hands it
 to every ``soft_fuse`` and to ``retrieve``. It normalizes the codebook
-once, holds the per-codebook constants of the fusion backward, and owns
-one scratch buffer that fusion writes with ``out=``. Each call carves its
-arrays out of it: a forward its B×K similarities (B rows, K prototypes),
-a backward its K×d codebook-gradient terms and each job's B×``TILE``
-tiles, so the backward's tiles reuse the memory of the forward's
-similarities; a forward that will have a backward sizes the buffer for
-both, so it does not grow in between. Fusion is one autodiff node that keeps only its input's
-(B, 1) row norms and its (B, d) mixture and, for a large codebook, its
-(B, 1) softmax row sums; its hand-written backward recomputes the unit
-rows and the softmax weights, so no B×K array lives from forward to
-backward.
+once and holds the per-codebook constants of the fusion backward. Each
+call allocates its own arrays. Fusion is one autodiff node that keeps
+only its input's (B, 1) row norms and its (B, d) mixture and, for a
+large codebook, its (B, 1) softmax row sums; the forward's B×K softmax
+weights (B rows, K prototypes) are freed when the call returns, and the
+hand-written backward recomputes the unit rows and the weights, so no
+B×K array lives from forward to backward.
 
 The node has two cores, chosen by codebook size; they share the backward's
 prologue (residual scale and the mixture's gradient ``d_q``) and epilogue
@@ -69,7 +65,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 import os
 
 import numpy as np
@@ -142,7 +137,7 @@ class UnitBook:
 
     ``norm`` and ``unit`` are ``unit_rows(book)``; ``norm_eps``,
     ``norm_eps_sq`` and ``norm_safe`` are the fusion backward's guarded
-    forms of ``norm``. ``scratch`` hands out the arrays of one call.
+    forms of ``norm``.
     """
 
     def __init__(self, book: np.ndarray):
@@ -150,29 +145,6 @@ class UnitBook:
         self.norm_eps = self.norm + COSINE_EPS
         self.norm_eps_sq = self.norm_eps * self.norm_eps
         self.norm_safe = np.maximum(self.norm, 1e-300)
-        self._flat = np.empty(0)
-        self._carved: dict[tuple, list[np.ndarray]] = {}
-
-    def scratch(self, *shapes: tuple, reserve: tuple = ()) -> list[np.ndarray]:
-        """Uninitialized C-order float64 arrays of ``shapes``, carved one after
-        another out of one flat buffer. Every call reuses it, so the arrays of
-        one call are overwritten by the next; jobs of one call write only
-        arrays the call gave them. The buffer grows to fit ``shapes`` and, so
-        that a later call does not make it grow, the shapes in ``reserve``."""
-        arrays = self._carved.get((shapes, reserve))
-        if arrays is None:
-            sizes = [math.prod(shape) for shape in shapes]
-            need = max(sum(sizes), sum(math.prod(shape) for shape in reserve))
-            if self._flat.size < need:
-                # free the old buffer and its views before the new one is made
-                self._flat, self._carved = None, {}
-                self._flat = np.empty(need)
-            arrays, start = [], 0
-            for shape, size in zip(shapes, sizes):
-                arrays.append(self._flat[start:start + size].reshape(shape))
-                start += size
-            self._carved[shapes, reserve] = arrays
-        return arrays
 
 
 def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
@@ -188,22 +160,9 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
     g_norm, g_unit = unit_rows(x)
     n_rows, n_protos = x.shape[0], c.shape[0]
     tiled = n_protos > TILE
-    tiles = [(lo, min(lo + TILE, n_protos)) for lo in range(0, n_protos, TILE)]
-    # the tiled backward's jobs: one per pool worker and at most one per
-    # tile, or one on the calling thread for a call under 2 * BLOCK_ROWS rows
-    n_jobs = 0
     if tiled:
         _one_blas_thread()
-        n_jobs = min(_pool()[1], len(tiles)) if n_rows >= 2 * BLOCK_ROWS else 1
-    # a call that will have a backward (``_make``'s condition) sizes the
-    # scratch buffer for the backward's too: the K×d terms and, for the
-    # tiled core, two B×TILE tiles per job
-    backward_scratch = ()
-    if ad._grad_enabled and (g.tracked or codebook.tracked):
-        backward_scratch = (c.shape, c.shape) + ((n_rows * TILE,),) * (2 * n_jobs)
-    # the B×K similarities, in the memory that the backward's scratch reuses
-    weights, = unit_book.scratch((n_rows, n_protos), reserve=backward_scratch)
-    if tiled:
+        weights = np.empty((n_rows, n_protos))
         row_sum, q = np.empty((n_rows, 1)), np.empty((n_rows, c.shape[1]))
 
         def forward_rows(block):
@@ -222,8 +181,7 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
         if weight_sum is not None:  # each prototype's weights summed over the rows
             weight_sum += np.matmul(1.0 / row_sum[:, 0], weights)
     else:
-        np.matmul(g_unit, unit_book.unit.T, out=weights)
-        ad._softmax(weights)
+        weights = ad._softmax(np.matmul(g_unit, unit_book.unit.T))
         q = np.matmul(weights, c)
         if weight_sum is not None:
             weight_sum += weights.sum(axis=0)
@@ -242,11 +200,17 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
         np.matmul(d_w.T, g_unit, out=d_cunit)
         return np.matmul(d_w, unit_book.unit)
 
-    def tiled_core(d_q, g_unit, d_cunit, mixture, tile_buffers):
+    def tiled_core(d_q, g_unit, d_cunit, mixture):
         # the weights are exp(S) / l; the division moves onto the (B, d) d_q.
         # sum_k w_k * d_w_k over a row is d_q . q, so no pass needs all K at once
         d_q = d_q / row_sum
         d_rowterm = (d_q * q).sum(axis=-1, keepdims=True)
+        # one job per pool worker and at most one per tile, or one on the
+        # calling thread for a call under 2 * BLOCK_ROWS rows; each has two
+        # B×TILE tile buffers
+        tiles = [(lo, min(lo + TILE, n_protos)) for lo in range(0, n_protos, TILE)]
+        n_jobs = min(_pool()[1], len(tiles)) if n_rows >= 2 * BLOCK_ROWS else 1
+        tile_buffers = [np.empty(n_rows * TILE) for _ in range(2 * n_jobs)]
 
         def tile_job(job):
             # tiles job, job + n_jobs, ...: each job has its own two tile
@@ -285,8 +249,8 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
         d_gnorm = -d_scale * q_norm / (a_m * a_m)
         ad._accumulate(g, d_gnorm * x / np.maximum(g_norm, 1e-300))
         g_unit = unit_rows(x)[1]
-        term, d_cunit, *tile_buffers = unit_book.scratch(*backward_scratch)
-        d_gunit = (tiled_core(d_q, g_unit, d_cunit, term, tile_buffers) if tiled
+        term, d_cunit = np.empty(c.shape), np.empty(c.shape)
+        d_gunit = (tiled_core(d_q, g_unit, d_cunit, term) if tiled
                    else chain_core(d_q, g_unit, d_cunit))
         a_g = g_norm + COSINE_EPS
         ad._accumulate(g, d_gunit / a_g)
@@ -306,16 +270,14 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
 def retrieve(g: Tensor, codebook: Tensor, unit_book: UnitBook) -> tuple[np.ndarray, Tensor]:
     """Most-similar prototype per row by cosine; ties go to the lowest index.
 
-    ``unit_book`` is the forward's ``UnitBook(codebook.data)``; the
-    similarities take its scratch buffer, which fusion also uses. The
-    argmax is not differentiated; gradients flow only into the selected
-    codebook rows.
+    ``unit_book`` is the forward's ``UnitBook(codebook.data)``. The argmax
+    is not differentiated; gradients flow only into the selected codebook
+    rows.
     """
     rows = unit_rows(g.data)[1]
     if len(unit_book.unit) > TILE:
         _one_blas_thread()
-    sims, = unit_book.scratch((rows.shape[0], len(unit_book.unit)))
-    indices = np.matmul(rows, unit_book.unit.T, out=sims).argmax(axis=1)
+    indices = np.matmul(rows, unit_book.unit.T).argmax(axis=1)
     return indices, ad.gather_rows(codebook, indices)
 
 

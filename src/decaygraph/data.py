@@ -492,7 +492,11 @@ class SyntheticConfig:
         real(self.missing_prob, "missing_prob", SyntheticConfigError)
         for name in ("decay_rates", "means", "noise_scales", "label_coeffs"):
             values = getattr(self, name)
-            for i, entry in enumerate(() if values is None else values):
+            if values is None and name != "decay_rates":
+                continue
+            if not isinstance(values, (list, tuple)):
+                raise SyntheticConfigError(f"{name} must be a list, got {values!r}")
+            for i, entry in enumerate(values):
                 if isinstance(entry, (list, tuple)):  # a multi-class label_coeffs row
                     for j, value in enumerate(entry):
                         real(value, f"{name}[{i}][{j}]", SyntheticConfigError)
@@ -502,10 +506,14 @@ class SyntheticConfig:
             raise SyntheticConfigError(f"n_variables must be >= 1, got {self.n_variables}")
         if self.n_episodes < 1:
             raise SyntheticConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
-        if len(self.decay_rates) != self.n_variables:
-            raise SyntheticConfigError("decay_rates length must equal n_variables")
+        for name in ("decay_rates", "means", "noise_scales"):
+            values = getattr(self, name)
+            if values is not None and len(values) != self.n_variables:
+                raise SyntheticConfigError(f"{name} length must equal n_variables")
         if any(r <= 0 for r in self.decay_rates):
             raise SyntheticConfigError("decay rates must be positive")
+        if self.noise_scales is not None and not all(s >= 0 for s in self.noise_scales):
+            raise SyntheticConfigError(f"noise_scales must be >= 0, got {self.noise_scales}")
         if not 0.0 <= self.missing_prob < 1.0:
             raise SyntheticConfigError(f"missing_prob must be in [0, 1), got {self.missing_prob}")
         positive(self.horizon, "horizon", SyntheticConfigError)
@@ -514,6 +522,14 @@ class SyntheticConfig:
             raise SyntheticConfigError(f"unknown label summary {self.label_summary!r}")
         if self.n_classes < 2:
             raise SyntheticConfigError(f"n_classes must be >= 2, got {self.n_classes}")
+        if self.n_classes > 2 and isinstance(self.label_bias, (list, tuple)):
+            if len(self.label_bias) != self.n_classes:
+                raise SyntheticConfigError(f"multi-class label_bias must hold n_classes="
+                                           f"{self.n_classes} numbers, got {self.label_bias}")
+            for i, value in enumerate(self.label_bias):
+                real(value, f"label_bias[{i}]", SyntheticConfigError)
+        else:
+            real(self.label_bias, "label_bias", SyntheticConfigError)
         coeffs = np.asarray(self.effective_coeffs(), dtype=np.float64)
         if self.n_classes == 2:
             if coeffs.shape != (self.n_variables,):
@@ -581,7 +597,7 @@ def _summary_features(cfg: SyntheticConfig,
 def _label_from_features(cfg: SyntheticConfig, feats: np.ndarray) -> int:
     coeffs = np.asarray(cfg.effective_coeffs(), dtype=np.float64)
     if cfg.n_classes == 2:
-        score = float(coeffs @ feats) + float(np.asarray(cfg.label_bias).reshape(-1)[0])
+        score = float(coeffs @ feats) + float(cfg.label_bias)
         return 1 if score > 0 else 0
     bias = np.asarray(cfg.label_bias, dtype=np.float64)
     if bias.ndim == 0:

@@ -403,6 +403,28 @@ def test_synth_refuses_non_finite_numbers(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, section", [
+    ("synth", None), ("synth", "synthetic"), ("synth", "data"),
+    ("train", None), ("train", "model"), ("train", "ablation"), ("train", "data"),
+    ("eval", None), ("eval", "data"), ("analyze", None), ("analyze", "data")])
+def test_a_config_file_or_section_that_is_not_an_object_is_refused_by_name(
+        synth_dir, tmp_path, capsys, request, command, section):
+    if section is None:
+        payload, message = [1, 2], "must hold a JSON object, got [1, 2]"
+    else:
+        payload = {section: [1]}
+        message = f"config section '{section}' must be a JSON object, got [1]"
+    argv = [command, "--config", write_config(tmp_path, payload)]
+    if command == "eval":
+        argv += ["--checkpoint", str(request.getfixturevalue("trained"))]
+    if command != "synth":
+        argv += data_args(synth_dir)
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- eval ---------------------------------------------------------------------------
 
 @pytest.fixture()

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,25 @@ def test_soft_fuse_records_one_node():
     book = Tensor(np.eye(3), tracked=True)
     fused = cb.soft_fuse(g, book, cb.UnitBook(book.data))
     assert fused._op == "soft_fuse" and fused._parents == (g, book)
+
+
+@pytest.mark.parametrize("k", [cb.TILE, 2 * cb.TILE], ids=["chain", "tiled"])
+def test_no_b_by_k_array_outlives_a_fusion_forward(k):
+    """What a tracked fusion call still holds when it returns, with the
+    backward still to come, is under one B×K float64 array."""
+    rng = np.random.default_rng(3)
+    g = Tensor(rng.normal(size=(128, 16)), tracked=True)
+    book = Tensor(rng.normal(size=(k, 16)), tracked=True)
+    cb.soft_fuse(g, book, cb.UnitBook(book.data))  # the pool and one-time buffers
+    unit_book = cb.UnitBook(book.data)
+    tracemalloc.start()
+    try:
+        fused = cb.soft_fuse(g, book, unit_book)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert fused.tracked
+    assert kept < 128 * k * 8, kept
 
 
 def two_fusions(fuse, k, seed=5):

@@ -595,6 +595,38 @@ def test_invalid_synthetic_configs_rejected():
         synthesize(SyntheticConfig(**{**good, "label_summary": "median"}))
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"means": [1.0]}, "means length must equal n_variables"),
+    ({"means": [0.0, 0.0, 0.0]}, "means length must equal n_variables"),
+    ({"noise_scales": [1.0]}, "noise_scales length must equal n_variables"),
+    ({"noise_scales": [1.0, -0.5]}, "noise_scales must be >= 0, got [1.0, -0.5]"),
+    ({"decay_rates": None}, "decay_rates must be a list, got None"),
+    ({"means": 1.0}, "means must be a list, got 1.0"),
+    ({"label_coeffs": 1.0}, "label_coeffs must be a list, got 1.0"),
+    ({"label_bias": "x"}, "label_bias must be a real number, got 'x'"),
+    ({"label_bias": [5.0, 0.0, 0.0]}, "label_bias must be a real number, got [5.0, 0.0, 0.0]"),
+    ({"n_classes": 3, "label_coeffs": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+      "label_bias": [0.0, 1.0]},
+     "multi-class label_bias must hold n_classes=3 numbers, got [0.0, 1.0]"),
+    ({"n_classes": 3, "label_coeffs": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+      "label_bias": [0.0, 1.0, None]}, "label_bias[2] must be a real number, got None"),
+])
+def test_synthetic_lists_and_label_bias_are_refused_by_name(change, message):
+    good = dict(n_variables=2, n_episodes=5, decay_rates=[1.0, 1.0],
+                obs_per_episode=4.0, horizon=24.0, label_coeffs=[1.0, 1.0])
+    with pytest.raises(SyntheticConfigError) as excinfo:
+        synthesize(SyntheticConfig(**{**good, **change}))
+    assert message in str(excinfo.value)
+
+
+def test_multiclass_label_bias_per_class_and_zero_noise_are_accepted():
+    cfg = SyntheticConfig(n_variables=2, n_episodes=5, decay_rates=[1.0, 1.0],
+                          noise_scales=[0.0, 1.0], n_classes=3,
+                          label_coeffs=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                          label_bias=[0.0, 1.0, -1.0])
+    assert len(synthesize(cfg)) == 5
+
+
 def test_csv_round_trip(tmp_path):
     cfg = SyntheticConfig(n_variables=3, n_episodes=12, decay_rates=[0.5, 1.0, 2.0],
                           obs_per_episode=5.0, missing_prob=0.1, horizon=24.0,

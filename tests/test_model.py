@@ -244,9 +244,10 @@ GRAPH_MEMORY = Path(__file__).resolve().parents[1] / "scripts" / "graph_memory.p
 
 
 def test_graph_memory_script_bounds_what_a_training_batch_keeps():
-    # 2.96 MB measured for this config when the gates wrote the bank in place
-    # and the fused nodes rebuilt their inner arrays in backward; 4.59 MB
-    # with a bank copy per step
+    # 2.92 MB kept and a 0.17 MB backward peak measured for this config when
+    # each fusion call allocated its own arrays; 2.96 MB when the gates wrote
+    # the bank in place and the fused nodes rebuilt their inner arrays in
+    # backward; 4.59 MB with a bank copy per step
     spec = importlib.util.spec_from_file_location("graph_memory", GRAPH_MEMORY)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -752,7 +753,8 @@ def test_forward_and_gradients_keep_the_chain_bits(monkeypatch, kernel, ablate):
     """Logits and every parameter gradient of a ragged batch are the bytes the
     chains of small ops gave, which also pins each fused node's parent order.
     The second batch has as many patients as variables, so a step's patient
-    and variable fusions share their scratch buffers. Fusion runs fused on
+    and variable fusions have one shape and any state one left for the
+    other would show. Fusion runs fused on
     both sides; ``test_codebook`` compares it with its chain."""
     ds = synth(n=6, seed=83, obs=4.0)
     flags = AblationFlags(**{f"use_{name}": False for name in ablate})

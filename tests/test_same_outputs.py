@@ -84,3 +84,27 @@ def test_audit_dumps_the_errors_dict_at_full_precision(tmp_path, monkeypatch, ca
         '{\n  "codebook": 1e-300,\n  "decay.w1": Infinity,\n'
         '  "head.w1": 0.30000000000000004\n}\n')
     assert "head.w1: max_rel_err=3.000e-01" in capsys.readouterr().out
+
+
+def test_the_two_trees_run_command_by_command_with_the_first_alternating(tmp_path,
+                                                                         monkeypatch):
+    calls = []
+
+    def fake_run(tree, work, *argv, entry=("-m", "decaygraph.cli")):
+        calls.append((tree, argv))
+        return f"peak_rss_mb={len(calls)}\n"
+
+    monkeypatch.setattr(so, "_run", fake_run)
+    trees = [Path("a"), Path("b")]
+    works = [tmp_path / "0", tmp_path / "1"]
+    for work in works:
+        work.mkdir()
+    usages = so.run_matrix(trees, works)
+    assert len(calls) % 2 == 0
+    pairs = [calls[i:i + 2] for i in range(0, len(calls), 2)]
+    for turn, ((first, argv), (second, argv_again)) in enumerate(pairs):
+        assert argv == argv_again
+        assert [first, second] == (trees if turn % 2 == 0 else trees[::-1])
+    # each tree's figures come from its own stdout
+    assert usages[0]["peak_rss_mb"]["train"] != usages[1]["peak_rss_mb"]["train"]
+    assert (works[1] / "gradcheck" / "exp.txt").is_file()
