@@ -2,7 +2,10 @@
 
 Every value the model touches lives in a :class:`Tensor`. An operation
 with a tracked input records its inputs and a local gradient rule on the
-produced tensor; under :func:`no_grad` it records nothing. ``backward``
+produced tensor. Under :func:`no_grad` it records nothing: ``_make``
+returns a bare untracked Tensor without looking at the parents, and a
+fused node skips the arrays only its backward reads (a ReLU's
+``active`` mask, for one). ``backward``
 on a scalar loss walks that record once in reverse topological order,
 accumulates gradients into every tracked leaf reachable from the loss,
 and releases each interior node once its rule has run, so a graph can
@@ -10,11 +13,18 @@ be differentiated only once. Gradients from multiple uses sum; clearing
 them between optimizer steps is the caller's job (see ``zero_grad``).
 
 The public ops are ``linear`` (with an optional ReLU), ``gather_rows``
-and ``cross_entropy``; every other model layer is a fused node.
+and ``cross_entropy``, which reads ``one_hot`` rows; every other model
+layer is a fused node.
 
 Every backward rule follows one idiom. It hands each input its gradient
 through ``_accumulate``, which ignores an untracked input, so a rule
-never tests ``.tracked`` itself. The weight, bias and input gradients of
+never tests ``.tracked`` itself. An input's first gradient is copied,
+since the array may be a view or the rule may read it again, unless the
+rule passes ``owned=True``: then the input adopts the array. A rule
+passes it only for an array it has just allocated and reads no more (a
+matmul result, a ``_scatter_add`` output, a bias sum through
+``_accumulate_sum``, or the gate's own dropped gradient), so no two
+tensors ever share a ``.grad``. The weight, bias and input gradients of
 ``x @ w + b`` go through ``_linear_grads``; row sums by index go through
 ``_scatter_add``. ``_softmax`` is the one numpy softmax, for fused nodes
 and for constants.
@@ -64,7 +74,8 @@ def _as_array(value) -> np.ndarray:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
+    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting): ``grad``
+    itself when it has that shape, else a new array."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
@@ -120,33 +131,49 @@ def no_grad():
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], op: str, rule: Callable) -> Tensor:
-    """One op's output; it keeps its parents and gradient rule only if tracked."""
+    """One op's output. Under ``no_grad`` it is a bare untracked Tensor; else it
+    records its op name, and its parents and gradient rule if one is tracked."""
     out = Tensor(data)
+    if not _grad_enabled:
+        return out
     out._op = op
-    if _grad_enabled and any(p.tracked for p in parents):
+    if any(p.tracked for p in parents):
         out.tracked, out._parents, out._backward = True, tuple(parents), rule
     return out
 
 
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
-    """Add ``grad`` into ``t.grad``; an untracked ``t`` takes no gradient."""
+def _accumulate(t: Tensor, grad: np.ndarray, owned: bool = False) -> None:
+    """Add ``grad`` into ``t.grad``; an untracked ``t`` takes no gradient.
+
+    An ``owned`` ``grad`` is an array the rule has just allocated and reads
+    no more, so a first gradient adopts it; any other is copied.
+    """
     if not t.tracked:
         return
     if grad.shape != t.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match tensor shape {t.shape}")
     if t.grad is None:
-        # a fresh array, since ``grad`` may be a view or a rule's own buffer
-        t.grad = np.empty_like(t.data)
-        np.copyto(t.grad, grad)
+        if owned:
+            t.grad = grad
+        else:
+            t.grad = np.empty_like(t.data)
+            np.copyto(t.grad, grad)
     else:
         t.grad += grad
+
+
+def _accumulate_sum(t: Tensor, grad: np.ndarray) -> None:
+    """Add ``grad`` summed down to ``t``'s shape into ``t.grad``; a sum is a
+    fresh array, so ``t`` may adopt it, while ``grad`` itself is copied."""
+    summed = _unbroadcast(grad, t.shape)
+    _accumulate(t, summed, owned=summed is not grad)
 
 
 def _linear_grads(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray) -> np.ndarray:
     """Add the gradients of ``x @ w + b`` into ``w`` and ``b``, given the
     output gradient ``g``; return the input gradient ``g @ w.T``."""
-    _accumulate(w, np.matmul(x.T, g))
-    _accumulate(b, _unbroadcast(g, b.shape))
+    _accumulate(w, np.matmul(x.T, g), owned=True)
+    _accumulate_sum(b, g)
     return np.matmul(g, w.data.T)
 
 
@@ -172,12 +199,16 @@ def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor, relu: bool = False) ->
     as one node. The backward pass evaluates the same numpy expressions as
     separate matmul, add and relu nodes would, so results match that chain
     bit for bit."""
-    if (not parts or w.ndim != 2
-            or any(p.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts)
-            or sum(p.shape[1] for p in parts) != w.shape[0]):
+    widths = []
+    for p in parts:
+        shape = p.data.shape
+        if len(shape) != 2 or shape[0] != parts[0].data.shape[0]:
+            break
+        widths.append(shape[1])
+    if (not parts or len(widths) != len(parts) or w.data.ndim != 2
+            or sum(widths) != w.data.shape[0]):
         raise ShapeError(f"linear shapes incompatible: {[p.shape for p in parts]} "
                          f"@ {w.shape}")
-    widths = [p.shape[1] for p in parts]
 
     def inputs():
         return np.concatenate([p.data for p in parts], axis=1)
@@ -203,27 +234,38 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
     index = np.asarray(index, dtype=np.int64)
 
     def bw(g):
-        _accumulate(a, _scatter_add(a.shape, index, g))
+        _accumulate(a, _scatter_add(a.shape, index, g), owned=True)
 
     return _make(a.data[index], (a,), "gather_rows", bw)
 
 
 # -- losses --------------------------------------------------------------
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log likelihood of integer class labels, as one node whose
-    numpy steps round as separate log-softmax, pick, sum and scale ops would."""
+def one_hot(labels, n_classes: int) -> np.ndarray:
+    """(n, n_classes) float64 rows, each 1.0 at its integer label; a label
+    outside [0, n_classes) is refused."""
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise ShapeError(f"labels must be 1-d, got shape {labels.shape}")
+    bad = np.flatnonzero((labels < 0) | (labels >= n_classes))
+    if len(bad):
+        i = bad[0]
+        raise ContractError(f"label {labels[i]} at index {i} outside [0, {n_classes})")
+    onehot = np.zeros((len(labels), n_classes), dtype=np.float64)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    return onehot
+
+
+def cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
+    """Mean negative log likelihood of the classes ``onehot`` marks (see
+    ``one_hot``), as one node whose numpy steps round as separate
+    log-softmax, pick, sum and scale ops would."""
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy expects 2-d logits, got {logits.shape}")
+    if onehot.shape != logits.shape:
+        raise ShapeError(f"one-hot labels shape {onehot.shape} does not match "
+                         f"logits {logits.shape}")
     n, c = logits.shape
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
-    for i, lab in enumerate(labels):
-        if not 0 <= lab < c:
-            raise ContractError(f"label {lab} at index {i} outside [0, {c})")
-    onehot = np.zeros((n, c), dtype=np.float64)
-    onehot[np.arange(n), labels] = 1.0
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
@@ -266,7 +308,7 @@ def backward(loss: Tensor) -> None:
             if parent.tracked and id(parent) not in seen:
                 stack.append((parent, False))
 
-    _accumulate(loss, np.ones_like(loss.data))
+    _accumulate(loss, np.ones_like(loss.data), owned=True)
     # popping drops this list's reference, so released nodes free their arrays
     while order:
         node = order.pop()

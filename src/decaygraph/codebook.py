@@ -193,7 +193,7 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
         # the chain's softmax backward; its B×K arrays are freed on return
         w = ad._softmax(np.matmul(g_unit, unit_book.unit.T))  # the forward's weights
         d_w = np.matmul(d_q, c.T)
-        ad._accumulate(codebook, np.matmul(w.T, d_q))
+        ad._accumulate(codebook, np.matmul(w.T, d_q), owned=True)
         d_w -= (d_w * w).sum(axis=-1, keepdims=True)
         d_w *= w
         # in C order: the epilogue's row sum rounds by memory layout

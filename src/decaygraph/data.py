@@ -453,6 +453,15 @@ def real(value, name: str, error: type[ValueError] = ValueError):
     raise error(f"{name} must be a real number, got {value!r}")
 
 
+def finite(value, name: str, error: type[ValueError] = ValueError):
+    """``value`` unchanged if it is a finite real number (see ``real``);
+    anything else is refused with ``error``, which names ``name``. An int
+    past the largest float counts as infinite, as in ``positive``."""
+    if not abs(real(value, name, error)) <= sys.float_info.max:
+        raise error(f"{name} must be finite, got {value}")
+    return value
+
+
 def positive(value, name: str, error: type[ValueError] = ValueError):
     """``value`` unchanged if it is a positive finite real number (see
     ``real``); anything else is refused with ``error``, which names ``name``.
@@ -499,9 +508,9 @@ class SyntheticConfig:
             for i, entry in enumerate(values):
                 if isinstance(entry, (list, tuple)):  # a multi-class label_coeffs row
                     for j, value in enumerate(entry):
-                        real(value, f"{name}[{i}][{j}]", SyntheticConfigError)
+                        finite(value, f"{name}[{i}][{j}]", SyntheticConfigError)
                 else:
-                    real(entry, f"{name}[{i}]", SyntheticConfigError)
+                    finite(entry, f"{name}[{i}]", SyntheticConfigError)
         if self.n_variables < 1:
             raise SyntheticConfigError(f"n_variables must be >= 1, got {self.n_variables}")
         if self.n_episodes < 1:

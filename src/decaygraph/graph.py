@@ -10,7 +10,8 @@ aggregates by unweighted sum, and residually updates edge states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +38,11 @@ class GraphStep:
     values: np.ndarray       # (E,)
     times: np.ndarray        # (E,) absolute hours of the owning step
     delta_t: np.ndarray      # (E,) elapsed interval from the data module's rule
+    # (E,) each edge's row patient * n_variables + variable in a (B·V, d) bank
+    bank_idx: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.bank_idx = self.patient_idx * self.n_variables + self.variable_idx
 
     @property
     def n_edges(self) -> int:
@@ -83,6 +89,17 @@ def init_patient_states(n_patients: int, dim: int) -> Tensor:
     return Tensor(np.full((n_patients, dim), 1.0 / np.sqrt(dim)))
 
 
+@functools.cache
+def _time_masks(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (1, dim) masks of the time embedding's linear component 0
+    and of its sinusoidal components."""
+    linear_mask = np.zeros((1, dim))
+    linear_mask[0, 0] = 1.0
+    sine_mask = 1.0 - linear_mask
+    linear_mask.flags.writeable = sine_mask.flags.writeable = False
+    return linear_mask, sine_mask
+
+
 def init_edge_embeddings(step: GraphStep, params: dict[str, Tensor],
                          use_time_embedding: bool = True) -> Tensor:
     """Per-edge features: value projection + time embedding + type embedding.
@@ -104,19 +121,17 @@ def init_edge_embeddings(step: GraphStep, params: dict[str, Tensor],
     if use_time_embedding:
         x_time = step.times.reshape(-1, 1)
         raw = time_phase()
-        linear_mask = np.zeros((1, freq.shape[1]))
-        linear_mask[0, 0] = 1.0
-        sine_mask = 1.0 - linear_mask
+        linear_mask, sine_mask = _time_masks(freq.shape[1])
         e = e + (raw * linear_mask + np.sin(raw) * sine_mask)
 
     def bw(g):
-        ad._accumulate(value_w, np.matmul(x_value.T, g))
-        ad._accumulate(value_b, ad._unbroadcast(g, value_b.shape))
+        ad._accumulate(value_w, np.matmul(x_value.T, g), owned=True)
+        ad._accumulate_sum(value_b, g)
         if use_time_embedding:
             g_raw = g * linear_mask + g * sine_mask * np.cos(time_phase())
-            ad._accumulate(freq, np.matmul(x_time.T, g_raw))
-            ad._accumulate(phase, ad._unbroadcast(g_raw, phase.shape))
-        ad._accumulate(table, ad._scatter_add(table.shape, step.variable_idx, g))
+            ad._accumulate(freq, np.matmul(x_time.T, g_raw), owned=True)
+            ad._accumulate_sum(phase, g_raw)
+        ad._accumulate(table, ad._scatter_add(table.shape, step.variable_idx, g), owned=True)
 
     parents = (value_w, value_b, freq, phase, table) if use_time_embedding else \
         (value_w, value_b, table)
@@ -131,13 +146,14 @@ def _message(v_src: Tensor, src_idx: np.ndarray, e: Tensor, dst_idx: np.ndarray,
         return np.concatenate([v_src.data[src_idx], e.data], axis=1)
 
     pre = np.matmul(inputs(), w.data) + b.data
-    active = pre > 0.0
+    active = pre > 0.0 if ad._grad_enabled else None  # read by backward only
     width = v_src.shape[1]
 
     def bw(g):
         g_x = ad._linear_grads(inputs(), w, b, g[dst_idx] * active)
         ad._accumulate(e, g_x[:, width:])
-        ad._accumulate(v_src, ad._scatter_add(v_src.shape, src_idx, g_x[:, :width]))
+        ad._accumulate(v_src, ad._scatter_add(v_src.shape, src_idx, g_x[:, :width]),
+                       owned=True)
 
     out = ad._scatter_add((n_dst, pre.shape[1]), dst_idx, np.maximum(pre, 0.0))
     return ad._make(out, (v_src, e, w, b), "message", bw)
@@ -151,7 +167,7 @@ def _edge_update(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
                                e.data], axis=1)
 
     pre = np.matmul(inputs(), w.data) + b.data
-    active = pre > 0.0
+    active = pre > 0.0 if ad._grad_enabled else None  # read by backward only
     d_pat, d_var = v_pat.shape[1], v_var.shape[1]
 
     def bw(g):
@@ -159,9 +175,9 @@ def _edge_update(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
         g_x = ad._linear_grads(inputs(), w, b, g * active)
         ad._accumulate(e, g_x[:, d_pat + d_var:])
         ad._accumulate(v_pat, ad._scatter_add(v_pat.shape, step.patient_idx,
-                                              g_x[:, :d_pat]))
+                                              g_x[:, :d_pat]), owned=True)
         ad._accumulate(v_var, ad._scatter_add(v_var.shape, step.variable_idx,
-                                              g_x[:, d_pat:d_pat + d_var]))
+                                              g_x[:, d_pat:d_pat + d_var]), owned=True)
 
     return ad._make(e.data + np.maximum(pre, 0.0), (v_pat, v_var, e, w, b),
                     "edge_update", bw)
@@ -175,11 +191,8 @@ def message_pass_layer(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
     message weights. Nodes with no incident edge aggregate the zero
     vector. The edge update concatenates patient endpoint first.
     """
-    w_msg = params[f"sage{layer}.msg_w"]
-    b_msg = params[f"sage{layer}.msg_b"]
-    w_node = params[f"sage{layer}.node_w"]
-    b_node = params[f"sage{layer}.node_b"]
-
+    w_msg, b_msg, w_node, b_node, w_edge, b_edge = (params[name]
+                                                    for name in _layer_names(layer))
     agg_pat = _message(v_var, step.variable_idx, e, step.patient_idx, step.n_patients,
                        w_msg, b_msg)
     agg_var = _message(v_pat, step.patient_idx, e, step.variable_idx, step.n_variables,
@@ -187,8 +200,14 @@ def message_pass_layer(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
     v_pat_new = ad.linear([v_pat, agg_pat], w_node, b_node, relu=True)
     v_var_new = ad.linear([v_var, agg_var], w_node, b_node, relu=True)
     return v_pat_new, v_var_new, _edge_update(step, v_pat_new, v_var_new, e,
-                                              params[f"sage{layer}.edge_w"],
-                                              params[f"sage{layer}.edge_b"])
+                                              w_edge, b_edge)
+
+
+@functools.cache
+def _layer_names(layer: int) -> tuple[str, ...]:
+    """The parameter names of message passing layer ``layer``."""
+    return tuple(f"sage{layer}.{part}"
+                 for part in ("msg_w", "msg_b", "node_w", "node_b", "edge_w", "edge_b"))
 
 
 def message_pass(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,

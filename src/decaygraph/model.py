@@ -12,6 +12,11 @@ consumes the final patient embedding, the retrieved prototype, and the
 mask-reweighted flattened hidden bank. ``forward`` is
 ``classify(encode(...))``: ``encode`` does everything up to the head's
 input parts, and ``classify`` is the head.
+
+What a forward and a loss need of a batch that no parameter changes is
+built once per batch as a :class:`BatchPlan`: its graph steps, the
+head's count weights and the one-hot labels. Every entry point takes a
+plan or an episode list, which it plans first.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from . import autodiff as ad
 from . import codebook as cb
 from . import graph as gr
 from . import temporal as tp
-from .autodiff import Tensor
+from .autodiff import ContractError, Tensor
 from .data import Dataset, Episode, integral, positive, seed_value
 from .metrics import binary_report, multiclass_report
 from .optim import Adam
@@ -95,6 +100,42 @@ class AblationFlags:
     def retrieval_active(self) -> bool:
         # no codebook, nothing to retrieve from
         return self.use_mcv and self.use_cb
+
+
+class BatchPlan:
+    """What a forward and a loss need of one batch that no parameter changes.
+
+    ``steps`` are the batch's ``GraphStep``s, one per positional step;
+    ``count_weights`` (B, V, 1) is the softmax over each episode's
+    per-variable observation counts that ``head_reweight`` boosts the bank
+    by; ``onehot`` are the labels as ``ad.one_hot`` rows. Building a plan
+    checks everything that depends on the batch alone, in this order: each
+    episode's variable count, the edge values (``graph.build_graph_steps``),
+    the intervals' sign, the bank rows' uniqueness and the label range. A
+    plan holds no episode and no parameter; its caller owns it, and it
+    lives as long as the caller keeps it.
+    """
+
+    def __init__(self, episodes: list[Episode], n_variables: int, n_classes: int):
+        if not episodes:
+            raise ModelConfigError("forward needs a non-empty batch")
+        for ep in episodes:
+            if ep.mask.shape[1] != n_variables:
+                raise ModelConfigError(f"episode {ep.patient_id!r} has "
+                                       f"{ep.mask.shape[1]} variables, model expects "
+                                       f"{n_variables}")
+        self.n_patients = len(episodes)
+        self.n_variables, self.n_classes = n_variables, n_classes
+        self.steps = gr.build_graph_steps(episodes, n_variables)
+        for step in self.steps:
+            if np.any(step.delta_t < 0):
+                raise ContractError(f"delta_t must be non-negative, got min "
+                                    f"{step.delta_t.min()}")
+            if len(np.unique(step.bank_idx)) != step.n_edges:
+                raise ContractError("gated_update requires unique bank indices")
+        self.count_weights = count_weights(np.stack([ep.mask.sum(axis=0)
+                                                     for ep in episodes]))
+        self.onehot = ad.one_hot([ep.label for ep in episodes], n_classes)
 
 
 class DecayGraphClassifier:
@@ -174,38 +215,44 @@ class DecayGraphClassifier:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, episodes: list[Episode],
+    def plan(self, batch: BatchPlan | list[Episode]) -> BatchPlan:
+        """``batch`` as a plan for this model: a plan as it is, an episode
+        list planned, which checks it."""
+        if not isinstance(batch, BatchPlan):
+            return BatchPlan(batch, len(self.variables), self.config.n_classes)
+        if (batch.n_variables, batch.n_classes) != (len(self.variables),
+                                                    self.config.n_classes):
+            raise ModelConfigError(f"batch plan for {batch.n_variables} variables and "
+                                   f"{batch.n_classes} classes, model has "
+                                   f"{len(self.variables)} and {self.config.n_classes}")
+        return batch
+
+    def forward(self, batch: BatchPlan | list[Episode],
                 collect_diagnostics: bool = False) -> tuple[Tensor, dict]:
         """Logits of a batch and its diagnostics: ``classify(encode(...))``."""
-        features, diagnostics = self.encode(episodes, collect_diagnostics)
+        features, diagnostics = self.encode(batch, collect_diagnostics)
         return self.classify(features), diagnostics
 
-    def encode(self, episodes: list[Episode],
+    def encode(self, batch: BatchPlan | list[Episode],
                collect_diagnostics: bool = False) -> tuple[list[Tensor], dict]:
         """The head's input parts for a batch, and the diagnostics.
 
         Walks the batch's graph steps, then retrieves the prototype and
         reweights the hidden bank. Reads no parameter in ``HEAD_BLOCKS``.
         """
-        if not episodes:
-            raise ModelConfigError("forward needs a non-empty batch")
+        plan = self.plan(batch)
         cfg = self.config
         flags = self.flags
         d = cfg.hidden_dim
-        v_count = len(self.variables)
-        batch = len(episodes)
-        for ep in episodes:
-            if ep.mask.shape[1] != v_count:
-                raise ModelConfigError(f"episode {ep.patient_id!r} has "
-                                       f"{ep.mask.shape[1]} variables, model expects {v_count}")
+        batch_size = plan.n_patients
 
-        v_pat = gr.init_patient_states(batch, d)
+        v_pat = gr.init_patient_states(batch_size, d)
         v_var = self.params["node.var_table"]
         book = self.params["codebook"]
         # normalized once, shared by every fusion and the retrieval below
         unit_book = cb.UnitBook(book.data) if flags.use_cb else None
         # every gate writes the (patient, variable) states in place
-        bank = tp.Bank(Tensor(np.zeros((batch * v_count, d))))
+        bank = tp.Bank(Tensor(np.zeros((batch_size * plan.n_variables, d))))
         # per-prototype sum of fusion weights over every fused row, for
         # the utilization diagnostic
         diagnostics: dict = ({"fusion_weight_sum": np.zeros(cfg.codebook_size),
@@ -216,7 +263,7 @@ class DecayGraphClassifier:
                 diagnostics["fusion_rows"] += rows.shape[0]
             return cb.soft_fuse(rows, book, unit_book, diagnostics.get("fusion_weight_sum"))
 
-        for t, step in enumerate(gr.build_graph_steps(episodes, v_count)):
+        for t, step in enumerate(plan.steps):
             if step.n_edges == 0:
                 continue
             if t >= 1:
@@ -232,16 +279,14 @@ class DecayGraphClassifier:
 
             gamma = (tp.decay_factor(e, step.delta_t, cfg.decay_kernel, self.params)
                      if flags.use_tde else None)
-            tp.gated_update(bank, step.patient_idx * v_count + step.variable_idx,
-                            e, self.params, gamma)
+            tp.gated_update(bank, step.bank_idx, e, self.params, gamma)
 
         parts = [v_pat]
         if flags.retrieval_active:
             _, rows = cb.retrieve(v_pat, book, unit_book)
             parts.append(rows)
         if flags.use_hvs:
-            counts = np.stack([ep.mask.sum(axis=0) for ep in episodes])
-            parts.append(head_reweight(bank.tensor, counts, batch, v_count, d))
+            parts.append(head_reweight(bank.tensor, plan.count_weights))
         return parts, diagnostics
 
     # the only parameters ``classify`` reads, and the only ones ``encode`` does not
@@ -253,19 +298,26 @@ class DecayGraphClassifier:
         hidden = ad.linear(features, w1, b1, relu=True)
         return ad.linear([hidden], w2, b2)
 
-    def predict_proba(self, episodes: list[Episode],
+    def predict_proba(self, batch: BatchPlan | list[Episode],
                       collect_diagnostics: bool = False) -> tuple[np.ndarray, dict]:
         """Class probabilities; builds no autodiff graph."""
         with ad.no_grad():
-            logits, diagnostics = self.forward(episodes, collect_diagnostics)
+            logits, diagnostics = self.forward(batch, collect_diagnostics)
             return ad._softmax(logits.data), diagnostics
 
 
-def head_reweight(h_bank: Tensor, counts: np.ndarray, batch: int,
-                  v_count: int, dim: int) -> Tensor:
-    """Boost each variable's state by its softmax-normalized observation
-    count, ``bank * (1 + w)`` as ``bank + bank * w``; one node."""
-    weights = ad._softmax(counts.astype(np.float64)).reshape(batch, v_count, 1)
+def count_weights(counts: np.ndarray) -> np.ndarray:
+    """(B, V, 1) softmax over each row of the (B, V) observation counts:
+    ``head_reweight``'s weights."""
+    return ad._softmax(counts.astype(np.float64)).reshape(*counts.shape, 1)
+
+
+def head_reweight(h_bank: Tensor, weights: np.ndarray) -> Tensor:
+    """Boost each variable's state by its weight, ``bank * (1 + w)`` as
+    ``bank + bank * w``; one node. ``weights`` (B, V, 1) are each episode's
+    ``count_weights``, which a ``BatchPlan`` holds."""
+    batch, v_count, _ = weights.shape
+    dim = h_bank.shape[1]
     bank3 = h_bank.data.reshape(batch, v_count, dim)
 
     def bw(g):
@@ -277,17 +329,18 @@ def head_reweight(h_bank: Tensor, counts: np.ndarray, batch: int,
                     "head_reweight", bw)
 
 
-def batch_loss(model: DecayGraphClassifier, episodes: list[Episode],
+def batch_loss(model: DecayGraphClassifier, batch: BatchPlan | list[Episode],
                features: list[Tensor] | None = None) -> Tensor:
-    """Mean cross-entropy of a batch.
+    """Mean cross-entropy of a batch, a plan or an episode list.
 
-    Given ``features``, the output of ``model.encode(episodes)``, it runs
+    Given ``features``, the output of ``model.encode(batch)``, it runs
     only ``classify`` on them. Those features are valid only for the same
-    ``episodes`` and for unchanged encoder parameters (every parameter
-    outside ``HEAD_BLOCKS``); the caller must guarantee both.
+    batch and for unchanged encoder parameters (every parameter outside
+    ``HEAD_BLOCKS``); the caller must guarantee both.
     """
-    logits = model.forward(episodes)[0] if features is None else model.classify(features)
-    return ad.cross_entropy(logits, [ep.label for ep in episodes])
+    plan = model.plan(batch)
+    logits = model.forward(plan)[0] if features is None else model.classify(features)
+    return ad.cross_entropy(logits, plan.onehot)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -308,8 +361,8 @@ def evaluate(model: DecayGraphClassifier, dataset: Dataset,
     fused_rows = 0
     bs = model.config.batch_size
     for start in range(0, len(dataset.episodes), bs):
-        chunk = dataset.episodes[start:start + bs]
-        probs, diagnostics = model.predict_proba(chunk, collect_diagnostics)
+        plan = model.plan(dataset.episodes[start:start + bs])
+        probs, diagnostics = model.predict_proba(plan, collect_diagnostics)
         probs_chunks.append(probs)
         if collect_diagnostics:
             weight_sum += diagnostics["fusion_weight_sum"]
@@ -359,9 +412,9 @@ def fit(model: DecayGraphClassifier, train: Dataset, val: Dataset) -> dict:
         shuffle_rng.fork(f"epoch:{epoch}").shuffle(order)
         losses = []
         for start in range(0, len(order), cfg.batch_size):
-            chunk = [train.episodes[i] for i in order[start:start + cfg.batch_size]]
+            plan = model.plan([train.episodes[i] for i in order[start:start + cfg.batch_size]])
             ad.zero_grad(model.params.values())
-            loss = batch_loss(model, chunk)
+            loss = batch_loss(model, plan)
             if not np.isfinite(loss.item()):
                 raise NonFiniteLossError(f"loss {loss.item()} at epoch {epoch}, batch "
                                          f"{start // cfg.batch_size + 1}")
@@ -488,21 +541,22 @@ def gradient_check(model: DecayGraphClassifier, episodes: list[Episode],
     A non-finite analytic or numeric derivative makes its block's error
     infinite. Only the analytic pass builds an autodiff graph.
 
-    Every loss is a ``batch_loss`` call, two per coordinate. The batch is
-    encoded once more, under ``no_grad``, and the perturbed losses of the
-    ``HEAD_BLOCKS`` coordinates reuse those features: ``encode`` reads no
-    head parameter, so each of those losses is the same float as a full
-    forward's.
+    Every loss is a ``batch_loss`` call, two per coordinate, over one
+    batch plan. The batch is encoded once more, under ``no_grad``, and the
+    perturbed losses of the ``HEAD_BLOCKS`` coordinates reuse those
+    features: ``encode`` reads no head parameter, so each of those losses
+    is the same float as a full forward's.
     """
     positive(step, "finite-difference step", ModelConfigError)
+    plan = model.plan(episodes)
     ad.zero_grad(model.params.values())
-    ad.backward(batch_loss(model, episodes))
+    ad.backward(batch_loss(model, plan))
     analytic = {name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
                 for name, p in model.params.items()}
 
     errors: dict[str, float] = {}
     with ad.no_grad():
-        features, _ = model.encode(episodes)
+        features, _ = model.encode(plan)
         for name, p in model.params.items():
             reused = features if name in model.HEAD_BLOCKS else None
             worst = 0.0
@@ -510,9 +564,9 @@ def gradient_check(model: DecayGraphClassifier, episodes: list[Episode],
             for i in range(flat.size):
                 original = flat[i]
                 flat[i] = original + step
-                f_plus = batch_loss(model, episodes, reused).item()
+                f_plus = batch_loss(model, plan, reused).item()
                 flat[i] = original - step
-                f_minus = batch_loss(model, episodes, reused).item()
+                f_minus = batch_loss(model, plan, reused).item()
                 flat[i] = original
                 numeric = (f_plus - f_minus) / (2.0 * step)
                 a = analytic[name].reshape(-1)[i]

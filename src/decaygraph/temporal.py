@@ -53,10 +53,10 @@ def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
     kernel softplus of one shared scalar, so every kernel's rate is >= 0.
     exp kernels: exp(-rate * dt); gaussian: exp(-(rate * dt)^2); linear:
     max(1 - rate * dt, 0), the only kernel that can reach exactly zero.
+    Each interval in ``delta_t`` must be non-negative; the model's batch
+    plan checks that once per batch.
     """
     delta_t = np.asarray(delta_t, dtype=np.float64).reshape(-1, 1)
-    if np.any(delta_t < 0):
-        raise ContractError(f"delta_t must be non-negative, got min {delta_t.min()}")
     if kernel not in DECAY_KERNELS:
         raise KernelConfigError(f"decay kernel must be one of {DECAY_KERNELS}, "
                                 f"got {kernel!r}")
@@ -100,12 +100,12 @@ def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
             g_rate = g * decayed * neg_dt
         g_pre = g_rate * _sigmoid(pre)
         if kernel == "exp":
-            ad._accumulate(rate_raw, g_pre.sum(axis=0, keepdims=True))
+            ad._accumulate(rate_raw, g_pre.sum(axis=0, keepdims=True), owned=True)
             return
         # the hidden layer, rebuilt by the forward's expression
         pre1 = first_layer()
         g_pre1 = ad._linear_grads(np.maximum(pre1, 0.0), w2, b2, g_pre) * (pre1 > 0.0)
-        ad._accumulate(e, ad._linear_grads(e.data, w1, b1, g_pre1))
+        ad._accumulate(e, ad._linear_grads(e.data, w1, b1, g_pre1), owned=True)
 
     return ad._make(out, parents, "decay_factor", bw)
 
@@ -149,12 +149,11 @@ def gated_update(bank: Bank, index: np.ndarray, e: Tensor, params: dict[str, Ten
     ``gamma`` is given, merges with the fresh edge feature as
     (1 - r) * h + r * e with r = sigmoid([e; h] @ w + b). The rows are
     written into ``bank.data`` in place; the node's output, which becomes
-    ``bank.tensor``, is that array. Indices must be unique: each bank row is
-    written at most once, so the overwritten rows are the stored states.
+    ``bank.tensor``, is that array. Indices must be unique, as a
+    ``GraphStep``'s ``bank_idx`` is: each bank row is written at most once, so
+    the overwritten rows are the stored states. The model's batch plan checks
+    that once per batch.
     """
-    index = np.asarray(index, dtype=np.int64)
-    if len(np.unique(index)) != len(index):
-        raise ContractError("gated_update requires unique bank indices")
     w, b = params["gate.w"], params["gate.b"]
     h_bank = bank.tensor
 
@@ -178,10 +177,11 @@ def gated_update(bank: Bank, index: np.ndarray, e: Tensor, params: dict[str, Ten
         # the chain's order: the bank's other rows; the gate's (1 - r) * h_hat,
         # 1 - r, r * e, sigmoid and linear; the decay; the gathered rows. The
         # gate is rebuilt from the logged rows, as the forward computed it.
-        # g is this node's own gradient, which backward drops after the rule
+        # g is this node's own gradient, which backward drops after the rule,
+        # so the earlier bank may adopt it
         g_rows = g[index]
         g[index] = 0.0
-        ad._accumulate(h_bank, g)
+        ad._accumulate(h_bank, g, owned=True)
         g = g_rows
         h_hat = decayed(rows)
         x = inputs(h_hat)
@@ -196,7 +196,7 @@ def gated_update(bank: Bank, index: np.ndarray, e: Tensor, params: dict[str, Ten
         if gamma is not None:
             ad._accumulate(gamma, (g_hat * rows).sum(axis=1, keepdims=True))
             g_hat = g_hat * gamma.data
-        ad._accumulate(h_bank, ad._scatter_add(h_bank.shape, index, g_hat))
+        ad._accumulate(h_bank, ad._scatter_add(h_bank.shape, index, g_hat), owned=True)
 
     # backward must reach e before gamma and the bank, as it did through the chain
     parents = (h_bank, e, w, b) if gamma is None else (h_bank, gamma, e, w, b)
@@ -228,15 +228,15 @@ def node_attention(v_pat: Tensor, bank: Bank, w_proj: Tensor) -> Tensor:
         # the chain's order: projection, mixture, softmax, scale, scores; the
         # bank sums its mixture term, then its transposed scores term
         bank.rollback(version)
-        ad._accumulate(w_proj, np.matmul(attended().T, g))
+        ad._accumulate(w_proj, np.matmul(attended().T, g), owned=True)
         g_mix = np.matmul(g, w_proj.data.T).reshape(b, 1, d)
         g_weights = np.matmul(g_mix, np.swapaxes(states, -1, -2))
         g_bank = np.matmul(np.swapaxes(weights, -1, -2), g_mix)
         dot = (g_weights * weights).sum(axis=-1, keepdims=True)
         g_scores = weights * (g_weights - dot) * scale
-        ad._accumulate(v_pat, np.matmul(g_scores, states).reshape(b, d))
+        ad._accumulate(v_pat, np.matmul(g_scores, states).reshape(b, d), owned=True)
         g_bank += np.swapaxes(np.matmul(np.swapaxes(query, -1, -2), g_scores), -1, -2)
-        ad._accumulate(h_bank, g_bank.reshape(h_bank.shape))
+        ad._accumulate(h_bank, g_bank.reshape(h_bank.shape), owned=True)
 
     return ad._make(np.matmul(attended(), w_proj.data), (v_pat, h_bank, w_proj),
                     "attention", bw)

@@ -294,8 +294,9 @@ def bank_node_attention(v_pat, bank, w_proj):
     return node_attention(v_pat, bank.tensor, w_proj)
 
 
-def head_reweight(h_bank, counts, batch, v_count, dim):
-    weights = ad._softmax(counts.astype(np.float64)).reshape(batch, v_count, 1)
+def head_reweight(h_bank, weights):
+    batch, v_count, _ = weights.shape
+    dim = h_bank.shape[1]
     bank3 = reshape(h_bank, (batch, v_count, dim))
     return reshape(add(bank3, mul(bank3, Tensor(weights))), (batch, v_count * dim))
 

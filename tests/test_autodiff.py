@@ -146,25 +146,33 @@ def test_finite_outputs_on_extreme_inputs():
 
 
 def test_cross_entropy_uniform_logits():
-    loss = ad.cross_entropy(Tensor([[0.0, 0.0]]), [0])
+    loss = ad.cross_entropy(Tensor([[0.0, 0.0]]), ad.one_hot([0], 2))
     assert loss.item() == pytest.approx(np.log(2.0), rel=1e-12)
 
 
 def test_cross_entropy_large_margin():
     # analytic: log(1 + exp(-20))
-    loss = ad.cross_entropy(Tensor([[10.0, -10.0]]), [0])
+    loss = ad.cross_entropy(Tensor([[10.0, -10.0]]), ad.one_hot([0], 2))
     assert loss.item() == pytest.approx(np.log1p(np.exp(-20.0)), rel=1e-9)
     assert loss.item() == pytest.approx(2.0611536e-9, rel=1e-6)
 
 
-def test_cross_entropy_label_out_of_range():
-    with pytest.raises(ContractError, match="index 1"):
-        ad.cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+@pytest.mark.parametrize("labels, index", [([0, 3], 1), ([-1, 0], 0)])
+def test_cross_entropy_label_out_of_range(labels, index):
+    with pytest.raises(ContractError, match=f"label {labels[index]} at index {index} "
+                                            rf"outside \[0, 3\)"):
+        ad.one_hot(labels, 3)
+
+
+def test_cross_entropy_refuses_one_hot_rows_of_another_shape():
+    with pytest.raises(ShapeError, match="does not match logits"):
+        ad.cross_entropy(Tensor(np.zeros((2, 3))), ad.one_hot([0, 1], 2))
 
 
 def test_cross_entropy_gradient():
     logits = Tensor(rand((4, 3), seed=5), tracked=True)
-    check_grads(lambda: ad.cross_entropy(logits, [0, 2, 1, 0]), [logits], rtol=1e-6)
+    check_grads(lambda: ad.cross_entropy(logits, ad.one_hot([0, 2, 1, 0], 3)), [logits],
+                rtol=1e-6)
 
 
 def _first_write(grad, like):
@@ -197,7 +205,7 @@ def chain_cross_entropy(x, labels):
 def test_cross_entropy_is_one_node_with_the_chain_bits(n, c, bound, seed):
     x = Tensor(rand((n, c), seed, lo=-bound, hi=bound), tracked=True)
     labels = np.random.default_rng(seed).integers(0, c, n)
-    loss = ad.cross_entropy(x, labels)
+    loss = ad.cross_entropy(x, ad.one_hot(labels, c))
     assert loss._parents == (x,)
     ad.backward(loss)
     expected_loss, expected_grad = chain_cross_entropy(x.data, labels)
@@ -447,7 +455,7 @@ def test_cross_entropy_gradient_matches_central_differences(n, c, bound, seed):
     # 1e6 times the difference's round-off (a loss below 8 over a 2e-5 step)
     logits = Tensor(rand((n, c), seed, lo=-bound, hi=bound, avoid_kink=False), tracked=True)
     labels = np.random.default_rng(seed).integers(0, c, n)
-    check_grads(lambda: ad.cross_entropy(logits, labels), [logits])
+    check_grads(lambda: ad.cross_entropy(logits, ad.one_hot(labels, c)), [logits])
 
 
 def test_scatter_rows_rejects_duplicate_indices():

@@ -126,6 +126,20 @@ def test_synth_refuses_a_real_field_that_is_not_a_number(tmp_path, capsys, key, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("name", ["decay_rates", "means", "noise_scales", "label_coeffs"])
+def test_synth_refuses_a_non_finite_list_entry_by_name(tmp_path, capsys, name, value):
+    section = dict(SMALL_SYNTH["synthetic"], means=[0.0, 0.0, 0.0],
+                   noise_scales=[1.0, 1.0, 1.0])
+    section[name] = list(section[name])
+    section[name][1] = value
+    config = write_config(tmp_path, {"synthetic": section})
+    out = tmp_path / "data"
+    assert run("synth", "--config", config, "--out", str(out)) == 1
+    assert f"{name}[1] must be finite, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 U64 = 2**64
 
 

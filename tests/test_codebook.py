@@ -427,6 +427,43 @@ def test_a_large_codebook_fusion_pins_openblas_to_one_thread(pin_script_output):
     assert pin_script_output[2] == "1"
 
 
+# one K=2048, B=256 fusion forward and backward in a fresh interpreter, which
+# first restricts itself to the one CPU named by its argument, if any; it
+# prints its CPU count, its pool's worker count and a digest of the output
+# and both gradients
+CPU_SCRIPT = """
+import hashlib, os, sys
+if len(sys.argv) > 1:
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+import numpy as np
+from decaygraph import autodiff as ad, codebook as cb
+rng = np.random.default_rng(5)
+g = ad.Tensor(rng.normal(size=(256, 16)), tracked=True)
+book = ad.Tensor(rng.normal(size=(2048, 16)), tracked=True)
+out = cb.soft_fuse(g, book, cb.UnitBook(book.data))
+out._backward(rng.normal(size=out.shape))
+digest = hashlib.sha256(out.data.tobytes() + g.grad.tobytes() + book.grad.tobytes())
+print(len(os.sched_getaffinity(0)), cb._pool()[1], digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="os.sched_setaffinity is not available on this platform")
+def test_a_large_codebook_fusion_has_the_same_bits_on_one_cpu():
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("one usable CPU: nothing to restrict")
+    env = dict(os.environ, PYTHONPATH=str(Path(cb.__file__).resolve().parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-c", CPU_SCRIPT, *argv], env=env,
+                              capture_output=True, text=True, check=True).stdout.split()
+
+    whole, pinned = run(), run(str(min(cpus)))
+    assert int(whole[0]) >= 2 and pinned[:2] == ["1", "1"]
+    assert pinned[2] == whole[2]
+
+
 def test_retrieve_self_match():
     book = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     idx, rows = cb.retrieve(Tensor([[0.0, 2.0, 0.0]]), Tensor(book), cb.UnitBook(book))

@@ -619,6 +619,29 @@ def test_synthetic_lists_and_label_bias_are_refused_by_name(change, message):
     assert message in str(excinfo.value)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+@pytest.mark.parametrize("name", ["decay_rates", "means", "noise_scales", "label_coeffs"])
+def test_synthetic_list_entries_must_be_finite(name, value):
+    lists = dict(decay_rates=[1.0, 1.0], means=[0.0, 0.0], noise_scales=[1.0, 1.0],
+                 label_coeffs=[1.0, 1.0])
+    lists[name] = [lists[name][0], value]
+    with pytest.raises(SyntheticConfigError) as excinfo:
+        synthesize(SyntheticConfig(n_variables=2, n_episodes=5, **lists))
+    assert str(excinfo.value) == f"{name}[1] must be finite, got {value}"
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+def test_multiclass_label_coeff_rows_must_be_finite(value):
+    with pytest.raises(SyntheticConfigError) as excinfo:
+        synthesize(SyntheticConfig(n_variables=2, n_episodes=5, decay_rates=[1.0, 1.0],
+                                   n_classes=3, label_bias=[0.0, 0.0, 0.0],
+                                   label_coeffs=[[1.0, 0.0], [0.0, value], [1.0, 1.0]]))
+    assert str(excinfo.value) == f"label_coeffs[1][1] must be finite, got {value}"
+
+
 def test_multiclass_label_bias_per_class_and_zero_noise_are_accepted():
     cfg = SyntheticConfig(n_variables=2, n_episodes=5, decay_rates=[1.0, 1.0],
                           noise_scales=[0.0, 1.0], n_classes=3,

@@ -5,6 +5,7 @@ import base64
 import importlib.util
 import json
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from decaygraph.data import (Episode, SyntheticConfig, delta_t_from_times,
 from decaygraph.model import (AblationFlags, CompatibilityError,
                               DecayGraphClassifier, ModelConfig,
                               ModelConfigError, NonFiniteLossError,
-                              check_compatibility,
+                              check_compatibility, count_weights,
                               evaluate, fit, gradient_check, head_reweight,
                               load_checkpoint, save_checkpoint)
 
@@ -109,6 +110,163 @@ def test_empty_batch_rejected():
         model.forward([])
 
 
+# -- batch plan -------------------------------------------------------------------
+
+def _set_first_observed(ep, field, value):
+    """``ep`` with ``field`` set to ``value`` at its first observed entry."""
+    array = getattr(ep, field).copy()
+    t, v = np.nonzero(ep.mask)
+    array[t[0], v[0]] = value
+    return replace(ep, **{field: array})
+
+
+# each batch-only refusal, as the forward raised it before batches were planned
+BATCH_REFUSALS = {
+    "empty": (lambda eps: [], ModelConfigError, "forward needs a non-empty batch"),
+    "variables": (lambda eps: [replace(eps[0], mask=eps[0].mask[:, :2])] + eps[1:],
+                  ModelConfigError, "episode 'synth00000' has 2 variables, model expects 3"),
+    "edge": (lambda eps: [eps[0], _set_first_observed(eps[1], "values", np.nan)],
+             gr.GraphDataError,
+             "non-finite value on edge (patient=1, variable={v}, step={t})"),
+    "interval": (lambda eps: [_set_first_observed(eps[0], "delta_t", -0.5)] + eps[1:],
+                 ad.ContractError,
+                 "delta_t must be non-negative, got min -0.5"),
+    "label": (lambda eps: [eps[0], replace(eps[1], label=5)] + eps[2:], ad.ContractError,
+              "label 5 at index 1 outside [0, 2)"),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(BATCH_REFUSALS))
+@pytest.mark.parametrize("entry", ["forward", "batch_loss"])
+def test_a_planned_refusal_still_fires_through_the_entry_points(refusal, entry):
+    ds = synth(n=3, seed=5)
+    model = tiny_model(ds.variables)
+    bad, error, message = BATCH_REFUSALS[refusal]
+    episodes = bad(list(ds.episodes))
+    t, v = np.nonzero(ds.episodes[1].mask)
+    message = message.format(t=t[0], v=v[0])
+    run = model.forward if entry == "forward" else lambda eps: md.batch_loss(model, eps)
+    with pytest.raises(error) as info:
+        run(episodes)
+    assert str(info.value) == message
+
+
+def test_a_step_that_names_a_bank_row_twice_is_refused(monkeypatch):
+    ds = synth(n=3, seed=5)
+    model = tiny_model(ds.variables)
+    true_build = gr.build_graph_steps
+
+    def repeating(episodes, n_variables):
+        # the first observed step's first edge, listed twice
+        steps = true_build(episodes, n_variables)
+        t = next(t for t, step in enumerate(steps) if step.n_edges)
+        s = steps[t]
+        steps[t] = gr.GraphStep(s.n_patients, s.n_variables,
+                                *(np.concatenate([a[:1], a]) for a in (
+                                    s.patient_idx, s.variable_idx, s.values, s.times,
+                                    s.delta_t)))
+        return steps
+
+    monkeypatch.setattr(gr, "build_graph_steps", repeating)
+    for run in (model.forward, lambda eps: md.batch_loss(model, eps)):
+        with pytest.raises(ad.ContractError) as info:
+            run(ds.episodes)
+        assert str(info.value) == "gated_update requires unique bank indices"
+
+
+def test_a_plan_for_another_model_is_refused():
+    ds = synth(n=3, seed=5)
+    plan = tiny_model(ds.variables, n_classes=3).plan(ds.episodes)
+    with pytest.raises(ModelConfigError, match="batch plan for 3 variables and 3 classes"):
+        tiny_model(ds.variables).forward(plan)
+
+
+def _count_plans(monkeypatch):
+    """Every ``BatchPlan`` built from now on, as weak references."""
+    built = []
+    true_init = md.BatchPlan.__init__
+
+    def init(self, *args):
+        built.append(weakref.ref(self))
+        true_init(self, *args)
+
+    monkeypatch.setattr(md.BatchPlan, "__init__", init)
+    return built
+
+
+def test_a_reused_plan_gives_the_bytes_of_a_fresh_one():
+    ds = synth(n=4, seed=9)
+    model = tiny_model(ds.variables)
+    plan = model.plan(ds.episodes)
+
+    def loss_and_grads(batch):
+        ad.zero_grad(model.params.values())
+        loss = md.batch_loss(model, batch)
+        ad.backward(loss)
+        return [loss.data.tobytes()] + [None if p.grad is None else p.grad.tobytes()
+                                        for p in model.params.values()]
+
+    fresh = loss_and_grads(ds.episodes)
+    assert loss_and_grads(plan) == fresh
+    assert loss_and_grads(plan) == fresh
+    with ad.no_grad():
+        assert md.batch_loss(model, plan).data.tobytes() == fresh[0]
+
+
+def test_gradient_check_plans_its_batch_once_and_keeps_no_plan(monkeypatch):
+    ds = synth(n=2, seed=59, v=2, rates=(0.5, 2.0), coeffs=(1.0, -1.0))
+
+    class Batch(list):  # a list that takes weak references
+        pass
+
+    episodes = Batch(truncate_episodes(ds.episodes, 2, 24.0))
+    model = tiny_model(ds.variables, d=4, k=4, layers=1, seed=61)
+    built = _count_plans(monkeypatch)
+    batch = weakref.ref(episodes)
+    gradient_check(model, episodes)
+    del episodes
+    assert len(built) == 1
+    assert batch() is None and built[0]() is None
+
+
+def test_a_fit_epoch_plans_each_training_batch_once(monkeypatch):
+    ds = synth(n=20, seed=3)
+    train, val = replace(ds, episodes=ds.episodes[:13]), replace(ds, episodes=ds.episodes[13:])
+    model = tiny_model(ds.variables, batch_size=4, epochs=1)
+    built = _count_plans(monkeypatch)
+    losses = []
+    true_loss = md.batch_loss
+
+    def loss(model, batch, features=None):
+        losses.append(batch)
+        return true_loss(model, batch, features)
+
+    monkeypatch.setattr(md, "batch_loss", loss)
+    fit(model, train, val)
+    # four training batches of 13 episodes, then two validation chunks of 7
+    assert len(losses) == 4 and all(isinstance(b, md.BatchPlan) for b in losses)
+    assert len({id(b) for b in losses}) == 4
+    assert len(built) == 4 + 2
+    del losses
+    assert all(ref() is None for ref in built)
+
+
+def test_evaluate_keeps_no_plan_or_batch_alive(monkeypatch):
+    ds = synth(n=10, seed=3)
+
+    class Batch(list):
+        pass
+
+    dataset = replace(ds, episodes=Batch(ds.episodes))
+    model = tiny_model(ds.variables, batch_size=4)
+    built = _count_plans(monkeypatch)
+    batch = weakref.ref(dataset.episodes)
+    evaluate(model, dataset, collect_diagnostics=True)
+    del dataset
+    assert len(built) == 3
+    assert batch() is None and all(ref() is None for ref in built)
+
+
 def test_patient_exchangeability():
     ds = synth(n=5, seed=11)
     model = tiny_model(ds.variables)
@@ -157,6 +315,8 @@ def test_no_grad_forward_is_bit_identical_and_untracked(kernel):
     assert untracked.data.tobytes() == tracked.data.tobytes()
     assert tracked.tracked and not untracked.tracked
     assert untracked._parents == () and untracked._backward is None
+    # a no_grad node is a bare Tensor: not even its op name is recorded
+    assert tracked._op == "linear" and untracked._op == ""
 
 
 def test_predict_proba_keeps_no_graph_alive():
@@ -190,7 +350,7 @@ def test_training_peak_does_not_grow_by_a_fusion_array_per_step():
         tracemalloc.start()
         try:
             logits, _ = model.forward(episodes)
-            ad.backward(ad.cross_entropy(logits, [ep.label for ep in episodes]))
+            ad.backward(ad.cross_entropy(logits, model.plan(episodes).onehot))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -315,7 +475,7 @@ def test_head_dimension_shrinks_per_flag():
 
 def test_reweight_single_variable_doubles():
     bank = Tensor(np.arange(8.0).reshape(2, 4))  # B=2, V=1, d=4
-    out = head_reweight(bank, np.array([[5.0], [2.0]]), 2, 1, 4)
+    out = head_reweight(bank, count_weights(np.array([[5.0], [2.0]])))
     np.testing.assert_allclose(out.data, bank.data * 2.0, atol=1e-12)
 
 
@@ -323,7 +483,7 @@ def test_reweight_uniform_counts():
     rng = np.random.default_rng(0)
     bank = Tensor(rng.normal(size=(6, 4)))  # B=2, V=3
     for counts in (np.full((2, 3), 4.0), np.zeros((2, 3))):
-        out = head_reweight(bank, counts, 2, 3, 4)
+        out = head_reweight(bank, count_weights(counts))
         np.testing.assert_allclose(out.data.reshape(2, 3, 4),
                                    bank.data.reshape(2, 3, 4) * (1 + 1 / 3),
                                    atol=1e-12)
@@ -335,12 +495,12 @@ def test_reweight_uniform_counts():
 def test_head_reweight_is_one_node_with_the_chain_bits(batch, v_count, dim, leaf, direct,
                                                        seed):
     rng = np.random.default_rng(seed)
-    counts = rng.integers(0, 5, (batch, v_count)).astype(np.float64)
+    weights = count_weights(rng.integers(0, 5, (batch, v_count)).astype(np.float64))
     arrays = {"h_bank": rng.normal(size=(batch * v_count, dim))}
 
     def runner(reweight):
         def build(h_bank):
-            return reweight(h_bank, counts, batch, v_count, dim)
+            return reweight(h_bank, weights)
         return co.differentiate(build, arrays, leaves=("h_bank",) if leaf else (),
                                 direct=direct, seed=seed)
 
@@ -350,11 +510,12 @@ def test_head_reweight_is_one_node_with_the_chain_bits(batch, v_count, dim, leaf
 # -- loss ---------------------------------------------------------------------------
 
 def test_loss_uniform_logits():
-    assert ad.cross_entropy(Tensor([[0.0, 0.0]]), [0]).item() == pytest.approx(np.log(2))
+    loss = ad.cross_entropy(Tensor([[0.0, 0.0]]), ad.one_hot([0], 2))
+    assert loss.item() == pytest.approx(np.log(2))
 
 
 def test_loss_large_margin_bound():
-    loss = ad.cross_entropy(Tensor([[20.0, 0.0], [0.0, 20.0]]), [0, 1])
+    loss = ad.cross_entropy(Tensor([[20.0, 0.0], [0.0, 20.0]]), ad.one_hot([0, 1], 2))
     assert loss.item() < 1e-8
 
 
@@ -364,9 +525,9 @@ def test_batch_loss_is_mean_of_singles():
     # per-episode forwards differ from the batch forward (shared variable
     # nodes couple the batch), so check the mean law on the loss op itself
     logits, _ = model.forward(ds.episodes)
-    labels = [ep.label for ep in ds.episodes]
-    total = ad.cross_entropy(logits, labels).item()
-    singles = [ad.cross_entropy(Tensor(logits.data[i:i + 1]), labels[i:i + 1]).item()
+    onehot = model.plan(ds.episodes).onehot
+    total = ad.cross_entropy(logits, onehot).item()
+    singles = [ad.cross_entropy(Tensor(logits.data[i:i + 1]), onehot[i:i + 1]).item()
                for i in range(4)]
     assert total == pytest.approx(np.mean(singles), rel=1e-12)
 
@@ -762,7 +923,7 @@ def test_forward_and_gradients_keep_the_chain_bits(monkeypatch, kernel, ablate):
     def run(episodes):
         model = tiny_model(ds.variables, d=4, k=4, seed=7, flags=flags, kernel=kernel)
         logits = model.forward(episodes)[0]
-        ad.backward(ad.cross_entropy(logits, [ep.label for ep in episodes]))
+        ad.backward(ad.cross_entropy(logits, model.plan(episodes).onehot))
         return [logits.data] + [p.grad for p in model.params.values()]
 
     for episodes in (ds.episodes, ds.episodes[:3]):
@@ -775,13 +936,17 @@ def test_forward_and_gradients_keep_the_chain_bits(monkeypatch, kernel, ablate):
             assert a is None or a.tobytes() == b.tobytes()
 
 
-def test_c8_forward_builds_at_most_17_tracked_nodes_per_step(monkeypatch):
-    """One training forward at the C8 config (K=32, batch 64, d=16, 2 layers)."""
+def c8_batch():
+    """One training batch and model at the C8 config (K=32, batch 64, d=16, 2 layers)."""
     cfg = SyntheticConfig(n_variables=6, n_episodes=64, decay_rates=[4.0] * 3 + [0.05] * 3,
                           obs_per_episode=6.0, horizon=48.0, seed=201,
                           label_coeffs=[2.0, -2.0, 2.0, 0.0, 0.0, 0.0])
-    episodes = synthesize(cfg).episodes
     model = tiny_model([f"v{i}" for i in range(6)], d=16, k=32, batch_size=64, seed=10)
+    return synthesize(cfg).episodes, model
+
+
+def test_c8_forward_builds_at_most_17_tracked_nodes_per_step(monkeypatch):
+    episodes, model = c8_batch()
     made = []
     true_make = ad._make
 
@@ -794,3 +959,36 @@ def test_c8_forward_builds_at_most_17_tracked_nodes_per_step(monkeypatch):
     model.forward(episodes)
     steps = sum(step.n_edges > 0 for step in gr.build_graph_steps(episodes, 6))
     assert sum(made) / steps <= 17
+
+
+def test_adopted_gradients_keep_their_bytes_and_share_no_memory(monkeypatch):
+    """A first gradient adopts the array its rule allocated instead of copying
+    it; every parameter gradient of a C8 backward keeps the copied bytes, and
+    no two parameters' ``.grad`` arrays overlap."""
+    episodes, model = c8_batch()
+    true_accumulate = ad._accumulate
+
+    def gradients():
+        ad.zero_grad(model.params.values())
+        ad.backward(md.batch_loss(model, episodes))
+        return {name: p.grad for name, p in model.params.items() if p.grad is not None}
+
+    adopted = []
+
+    def counting(t, grad, owned=False):
+        adopted.append(owned and t.tracked and t.grad is None)
+        true_accumulate(t, grad, owned)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "_accumulate", lambda t, grad, owned=False: true_accumulate(t, grad))
+        copied = gradients()
+    monkeypatch.setattr(ad, "_accumulate", counting)
+    grads = gradients()
+    assert sum(adopted) > 0
+    assert grads.keys() == copied.keys()
+    for name in grads:
+        assert grads[name].tobytes() == copied[name].tobytes(), name
+    names = sorted(grads)
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            assert not np.shares_memory(grads[a], grads[b]), (a, b)

@@ -55,12 +55,6 @@ def test_linear_kernel_clamps_to_zero():
     np.testing.assert_allclose(gamma.data, 0.0, atol=1e-12)
 
 
-def test_negative_gap_rejected():
-    params = params_for()
-    with pytest.raises(ContractError):
-        tp.decay_factor(random_edges(2, 4), np.array([1.0, -0.5]), "mlp_exp", params)
-
-
 def test_unknown_kernel_rejected():
     with pytest.raises(tp.KernelConfigError):
         tp.decay_factor(random_edges(1, 4), np.zeros(1), "cosine", params_for())
@@ -124,13 +118,6 @@ def test_gate_output_is_coordinatewise_convex():
     assert np.all(out[index] <= hi + 1e-12)
     kept = np.setdiff1d(np.arange(12), index)
     assert out[kept].tobytes() == bank.data[kept].tobytes()
-
-
-def test_gate_refuses_repeated_bank_rows():
-    params = params_for()
-    with pytest.raises(ContractError, match="unique"):
-        tp.gated_update(tp.Bank(random_edges(3, 4)), np.array([1, 1]), random_edges(2, 4),
-                        params)
 
 
 # -- attention -----------------------------------------------------------------------
