@@ -37,7 +37,11 @@ next, so a drift in host speed falls on both trees alike:
    (6 variables, 200 episodes, synthetic seed 201) and 12-epoch ``train``
    with K=32 and batch 64. Training amplifies a last-bit change, which a
    3-epoch run can miss; on this seed one grew to a 1.8e-4 loss
-   difference by epoch 12.
+   difference by epoch 12;
+6. a 3-class set: ``synth`` with explicit ``means`` and ``noise_scales``,
+   a per-class ``label_bias`` list and ``label_summary`` ``"last"``, so the
+   generator's non-default paths are compared, then 2-epoch ``train``
+   with K=16 and ``eval`` of its checkpoint on the test split.
 
 The SHA-256 of every output file is printed for both trees. For a JSON
 or CSV file that differs, the largest relative difference over its
@@ -73,6 +77,13 @@ C8_SYNTHETIC = {
     "obs_per_episode": 6.0, "missing_prob": 0.0, "horizon": 48.0,
     "label_coeffs": [2.0, -2.0, 2.0, 0.0, 0.0, 0.0],
     "label_summary": "decay_mean",
+}
+MULTICLASS_SYNTHETIC = {
+    "n_variables": 3, "n_episodes": 90, "n_classes": 3,
+    "decay_rates": [2.0, 0.5, 0.1], "means": [0.2, -0.2, 0.0],
+    "noise_scales": [1.0, 2.0, 0.5], "obs_per_episode": 6.0, "horizon": 24.0,
+    "label_coeffs": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "label_bias": [0.0, 0.1, -0.1], "label_summary": "last",
 }
 
 
@@ -179,6 +190,12 @@ def run_matrix(trees: list[Path], works: list[Path]) -> list[dict[str, dict[str,
     measured("train", *c8_data, "--codebook-size", "32", "--batch-size", "64",
              "--lr", "0.01", "--epochs", "12", "--patience", "12", "--seed", "10",
              "--out", "train_k32")
+
+    mc_data = synth("mc_data", {"synthetic": MULTICLASS_SYNTHETIC}, 5)
+    measured("train", *mc_data, "--codebook-size", "16", "--epochs", "2", "--seed", "0",
+             "--out", "train_multiclass")
+    measured("eval", "--checkpoint", "train_multiclass/checkpoint.json", *mc_data,
+             "--seed", "0", "--out", "eval_multiclass")
     return usages
 
 

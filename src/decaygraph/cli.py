@@ -23,10 +23,10 @@ import numpy as np
 from .analysis import (InsufficientDataError, empirical_autocorr, fit_decay_rate,
                        kruskal_wallis)
 from .data import (DataValidationError, Dataset, DatasetSplits, SyntheticConfig,
-                   apply_normalization, leave_variables_out, load_dataset,
-                   load_split_manifest, normalize_splits, positive, seed_value,
-                   split_by_manifest, split_dataset, synthesize, truncate_episodes,
-                   write_labels_csv, write_observations_csv, write_splits_csv)
+                   apply_normalization, leave_variables_out, load_dataset, load_split_manifest,
+                   normalize_splits, positive, seed_value, split_by_manifest, split_dataset,
+                   synthesize, truncate_episodes, write_json, write_labels_csv, write_lines,
+                   write_observations_csv, write_splits_csv)
 from .model import (AblationFlags, DecayGraphClassifier, ModelConfig,
                     check_compatibility, evaluate, fit, gradient_check,
                     load_checkpoint, save_checkpoint)
@@ -67,12 +67,6 @@ def _section(file_cfg: dict, name: str) -> dict:
     return dict(section)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _model_config(file_cfg: dict, args: argparse.Namespace, n_classes: int) -> ModelConfig:
     section = _section(file_cfg, "model")
     for field in fields(ModelConfig):  # each flag is named after its field
@@ -91,6 +85,7 @@ def _ablation_flags(file_cfg: dict, ablate: list[str]) -> AblationFlags:
 
 
 def _data_paths(file_cfg: dict, args: argparse.Namespace) -> dict:
+    """The data section with the data flags applied; a null ``splits`` is no manifest."""
     section = _section(file_cfg, "data")
     for key in ("observations", "labels", "splits", "t_max"):  # flags named after keys
         if getattr(args, key) is not None:
@@ -98,6 +93,10 @@ def _data_paths(file_cfg: dict, args: argparse.Namespace) -> dict:
     if "observations" not in section or "labels" not in section:
         raise ValueError("observation and label files are required "
                          "(--observations/--labels or the data config section)")
+    for key in ("observations", "labels", "splits"):
+        value = section.get(key)
+        if not isinstance(value, str) and not (key == "splits" and value is None):
+            raise ValueError(f"data {key} must be a file path string, got {json.dumps(value)}")
     return section
 
 
@@ -162,11 +161,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     seed = _seed_of(file_cfg, args)
     data_section = _data_paths(file_cfg, args)
-    _, splits = _load_splits(data_section, seed)
-    n_classes = max(s.n_classes for s in (splits.train, splits.val, splits.test))
+    dataset, splits = _load_splits(data_section, seed)
     splits = normalize_splits(splits)
 
-    config = _model_config(file_cfg, args, n_classes)
+    config = _model_config(file_cfg, args, dataset.n_classes)
     flags = _ablation_flags(file_cfg, args.ablate)
     model = DecayGraphClassifier(config, flags, splits.train.variables)
     training = fit(model, splits.train, splits.val)
@@ -197,7 +195,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "metrics": metrics,
         "codebook_utilization": metrics["val"].get("codebook_utilization"),
     }
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     print(f"checkpoint: {out / 'checkpoint.json'}")
     print(f"report: {out / 'report.json'}")
     _print_usage(start)
@@ -212,8 +210,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.split == "train" and any(reports.values()):
         raise DataValidationError("--leave-out hides variables in the val and test splits "
                                   "only, so it cannot score --split train")
-    model, meta = load_checkpoint(args.checkpoint)
     data_section = _data_paths(file_cfg, args)
+    model, meta = load_checkpoint(args.checkpoint)
     if meta["t_max"] is not None and "t_max" not in data_section:
         data_section["t_max"] = meta["t_max"]
     dataset, splits = _load_splits(data_section, seed, variables=model.variables)
@@ -240,7 +238,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "ablation": asdict(model.flags),
             "metrics": evaluate(model, target, collect_diagnostics=True),
         }
-        _write_json(out / name, report)
+        write_json(out / name, report)
         print(f"report: {out / name}")
     _print_usage(start)
     return 0
@@ -281,14 +279,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except InsufficientDataError:
             lines.append(f"{name},,,0")
             continue
-        per_episode = _per_episode_rates(dataset, v, args.lag_bins, max_lag)
+        per_episode = _per_episode_rates(series, args.lag_bins, max_lag)
         if per_episode:
             groups.append(per_episode)
             group_names.append(name)
     out.mkdir(parents=True, exist_ok=True)
     table_path = out / "decay_rates.csv"
-    with open(table_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(table_path, lines)
     print(f"decay table: {table_path}")
 
     if len(groups) < 2:
@@ -297,9 +294,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         kw = kruskal_wallis(groups)
         kw_path = out / "kw_summary.csv"
-        with open(kw_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("H,df,p\n")
-            fh.write(f"{kw.statistic!r},{kw.df},{kw.p_value!r}\n")
+        write_lines(kw_path, ["H,df,p", f"{kw.statistic!r},{kw.df},{kw.p_value!r}"])
         print(f"kw summary: {kw_path} (groups: {','.join(group_names)})")
     _print_usage(start)
     return 0
@@ -314,15 +309,15 @@ def _variable_series(dataset: Dataset, v: int) -> list[tuple[np.ndarray, np.ndar
     return series
 
 
-def _per_episode_rates(dataset: Dataset, v: int, n_bins: int,
+def _per_episode_rates(series: list[tuple[np.ndarray, np.ndarray]], n_bins: int,
                        max_lag: float) -> list[float]:
+    """The decay rates of the ``series`` episodes with 3+ observations that fit one."""
     rates = []
-    for ep in dataset.episodes:
-        steps = np.flatnonzero(ep.mask[:, v])
-        if len(steps) < 3:
+    for times, values in series:
+        if len(times) < 3:
             continue
         try:
-            estimate = empirical_autocorr([(ep.times[steps], ep.values[steps, v])],
+            estimate = empirical_autocorr([(times, values)],
                                           n_bins=n_bins, max_lag=max_lag, min_pairs=2)
             rates.append(fit_decay_rate(estimate).decay_rate)
         except InsufficientDataError:

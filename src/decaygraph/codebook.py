@@ -281,17 +281,16 @@ def retrieve(g: Tensor, codebook: Tensor, unit_book: UnitBook) -> tuple[np.ndarr
     return indices, ad.gather_rows(codebook, indices)
 
 
-def utilization(weight_sum: np.ndarray, n_rows: int) -> float:
+def utilization(weight_sum: np.ndarray) -> float:
     """Fraction of prototypes whose mean weight exceeds uniform 1/K.
 
-    ``weight_sum`` is the per-prototype sum of ``n_rows`` softmax weight
-    rows, so it must total ``n_rows``.
+    ``weight_sum`` is the per-prototype sum of softmax weight rows, so it
+    totals their row count: a whole number of at least one.
     """
     weight_sum = np.asarray(weight_sum, dtype=np.float64)
-    if weight_sum.ndim != 1 or n_rows < 1:
-        raise ContractError(f"utilization needs a 1-d weight sum over at least one row, "
-                            f"got shape {weight_sum.shape} over {n_rows} rows")
-    if abs(weight_sum.sum() - n_rows) > 1e-6 * n_rows:
-        raise ContractError(f"weight sum totals {weight_sum.sum()}, not {n_rows} "
-                            f"(one per normalized row)")
+    total = float(weight_sum.sum())
+    n_rows = round(total) if np.isfinite(total) else 0
+    if weight_sum.ndim != 1 or n_rows < 1 or abs(total - n_rows) > 1e-6 * n_rows:
+        raise ContractError(f"utilization needs a 1-d weight sum over a whole number of rows, "
+                            f"at least one, got shape {weight_sum.shape} totalling {total}")
     return float((weight_sum / n_rows > 1.0 / len(weight_sum)).mean())

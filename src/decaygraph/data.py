@@ -20,6 +20,7 @@ Duplicate (patient, time, variable) rows resolve last-wins.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -488,7 +489,7 @@ class SyntheticConfig:
     obs_per_episode: float = 20.0     # expected observations per variable
     missing_prob: float = 0.0
     horizon: float = 48.0
-    label_coeffs: list | None = None  # (V,) binary or (C, V) multi-class
+    label_coeffs: list | None = None  # (V,) binary or (C, V) multi-class; None: all 1
     label_bias: float | list = 0.0
     label_summary: str = "mean"       # mean | last | decay_mean
     n_classes: int = 2
@@ -539,7 +540,9 @@ class SyntheticConfig:
                 real(value, f"label_bias[{i}]", SyntheticConfigError)
         else:
             real(self.label_bias, "label_bias", SyntheticConfigError)
-        coeffs = np.asarray(self.effective_coeffs(), dtype=np.float64)
+        if self.label_coeffs is None:
+            self.label_coeffs = [1.0] * self.n_variables
+        coeffs = np.asarray(self.label_coeffs, dtype=np.float64)
         if self.n_classes == 2:
             if coeffs.shape != (self.n_variables,):
                 raise SyntheticConfigError(f"binary label_coeffs must have shape "
@@ -547,21 +550,6 @@ class SyntheticConfig:
         elif coeffs.shape != (self.n_classes, self.n_variables):
             raise SyntheticConfigError(f"multi-class label_coeffs must have shape "
                                        f"({self.n_classes}, {self.n_variables})")
-
-    def effective_coeffs(self):
-        if self.label_coeffs is not None:
-            return self.label_coeffs
-        return [1.0] * self.n_variables
-
-    def effective_means(self) -> np.ndarray:
-        if self.means is None:
-            return np.zeros(self.n_variables)
-        return np.asarray(self.means, dtype=np.float64)
-
-    def effective_noise(self) -> np.ndarray:
-        if self.noise_scales is None:
-            return np.ones(self.n_variables)
-        return np.asarray(self.noise_scales, dtype=np.float64)
 
 
 def ou_stationary_draw(mu: float, sigma: float, rate: float, rng: SplitMix64) -> float:
@@ -604,7 +592,7 @@ def _summary_features(cfg: SyntheticConfig,
 
 
 def _label_from_features(cfg: SyntheticConfig, feats: np.ndarray) -> int:
-    coeffs = np.asarray(cfg.effective_coeffs(), dtype=np.float64)
+    coeffs = np.asarray(cfg.label_coeffs, dtype=np.float64)
     if cfg.n_classes == 2:
         score = float(coeffs @ feats) + float(cfg.label_bias)
         return 1 if score > 0 else 0
@@ -618,8 +606,8 @@ def synthesize(config: SyntheticConfig) -> Dataset:
     """Fully seeded synthetic dataset; bit-reproducible for a fixed seed."""
     config.validate()
     root = SplitMix64(config.seed)
-    mus = config.effective_means()
-    sigmas = config.effective_noise()
+    mus = np.zeros(config.n_variables) if config.means is None else config.means
+    sigmas = np.ones(config.n_variables) if config.noise_scales is None else config.noise_scales
     obs_rate = config.obs_per_episode / config.horizon
 
     labels: list[int] = []
@@ -656,28 +644,30 @@ def synthesize(config: SyntheticConfig) -> Dataset:
 
 # -- writers ---------------------------------------------------------------
 
-def write_observations_csv(dataset: Dataset, path: str) -> None:
-    lines = ["patient_id,time,variable,value"]
-    for ep in dataset.episodes:
-        for step, t in enumerate(ep.times):
-            for v in np.flatnonzero(ep.mask[step]):
-                lines.append(f"{ep.patient_id},{float(t)!r},{dataset.variables[v]},"
-                             f"{float(ep.values[step, v])!r}")
+def write_lines(path, lines: Iterable[str]) -> None:
+    """``lines`` to ``path`` as UTF-8, each ended by ``\\n``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """``payload`` to ``path`` as indented JSON with sorted keys and a final ``\\n``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_observations_csv(dataset: Dataset, path: str) -> None:
+    write_lines(path, ["patient_id,time,variable,value"] + [
+        f"{ep.patient_id},{float(t)!r},{dataset.variables[v]},{float(ep.values[step, v])!r}"
+        for ep in dataset.episodes for step, t in enumerate(ep.times)
+        for v in np.flatnonzero(ep.mask[step])])
 
 
 def write_labels_csv(dataset: Dataset, path: str) -> None:
-    lines = ["patient_id,label"]
-    for ep in dataset.episodes:
-        lines.append(f"{ep.patient_id},{ep.label}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, ["patient_id,label"] + [f"{ep.patient_id},{ep.label}"
+                                              for ep in dataset.episodes])
 
 
 def write_splits_csv(assignment: Iterable[tuple[str, str]], path: str) -> None:
-    lines = ["patient_id,split"]
-    for pid, name in assignment:
-        lines.append(f"{pid},{name}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, ["patient_id,split"] + [f"{pid},{name}" for pid, name in assignment])

@@ -32,7 +32,7 @@ from . import codebook as cb
 from . import graph as gr
 from . import temporal as tp
 from .autodiff import ContractError, Tensor
-from .data import Dataset, Episode, integral, positive, seed_value
+from .data import Dataset, Episode, integral, positive, seed_value, write_json
 from .metrics import binary_report, multiclass_report
 from .optim import Adam
 from .rng import SplitMix64
@@ -111,9 +111,9 @@ class BatchPlan:
     by; ``onehot`` are the labels as ``ad.one_hot`` rows. Building a plan
     checks everything that depends on the batch alone, in this order: each
     episode's variable count, the edge values (``graph.build_graph_steps``),
-    the intervals' sign, the bank rows' uniqueness and the label range. A
-    plan holds no episode and no parameter; its caller owns it, and it
-    lives as long as the caller keeps it.
+    the intervals' sign and the label range (each step lists a bank row at
+    most once by construction). A plan holds no episode and no parameter;
+    its caller owns it, and it lives as long as the caller keeps it.
     """
 
     def __init__(self, episodes: list[Episode], n_variables: int, n_classes: int):
@@ -131,8 +131,6 @@ class BatchPlan:
             if np.any(step.delta_t < 0):
                 raise ContractError(f"delta_t must be non-negative, got min "
                                     f"{step.delta_t.min()}")
-            if len(np.unique(step.bank_idx)) != step.n_edges:
-                raise ContractError("gated_update requires unique bank indices")
         self.count_weights = count_weights(np.stack([ep.mask.sum(axis=0)
                                                      for ep in episodes]))
         self.onehot = ad.one_hot([ep.label for ep in episodes], n_classes)
@@ -228,17 +226,17 @@ class DecayGraphClassifier:
         return batch
 
     def forward(self, batch: BatchPlan | list[Episode],
-                collect_diagnostics: bool = False) -> tuple[Tensor, dict]:
-        """Logits of a batch and its diagnostics: ``classify(encode(...))``."""
-        features, diagnostics = self.encode(batch, collect_diagnostics)
-        return self.classify(features), diagnostics
+                weight_sum: np.ndarray | None = None) -> Tensor:
+        """Logits of a batch: ``classify(encode(...))``."""
+        return self.classify(self.encode(batch, weight_sum))
 
     def encode(self, batch: BatchPlan | list[Episode],
-               collect_diagnostics: bool = False) -> tuple[list[Tensor], dict]:
-        """The head's input parts for a batch, and the diagnostics.
+               weight_sum: np.ndarray | None = None) -> list[Tensor]:
+        """The head's input parts for a batch.
 
         Walks the batch's graph steps, then retrieves the prototype and
         reweights the hidden bank. Reads no parameter in ``HEAD_BLOCKS``.
+        Each codebook fusion adds its weights into ``weight_sum`` if given.
         """
         plan = self.plan(batch)
         cfg = self.config
@@ -253,23 +251,14 @@ class DecayGraphClassifier:
         unit_book = cb.UnitBook(book.data) if flags.use_cb else None
         # every gate writes the (patient, variable) states in place
         bank = tp.Bank(Tensor(np.zeros((batch_size * plan.n_variables, d))))
-        # per-prototype sum of fusion weights over every fused row, for
-        # the utilization diagnostic
-        diagnostics: dict = ({"fusion_weight_sum": np.zeros(cfg.codebook_size),
-                              "fusion_rows": 0} if collect_diagnostics else {})
-
-        def fuse(rows: Tensor) -> Tensor:
-            if collect_diagnostics:
-                diagnostics["fusion_rows"] += rows.shape[0]
-            return cb.soft_fuse(rows, book, unit_book, diagnostics.get("fusion_weight_sum"))
 
         for t, step in enumerate(plan.steps):
             if step.n_edges == 0:
                 continue
             if t >= 1:
                 if flags.use_cb:
-                    v_pat = fuse(v_pat)
-                    v_var = fuse(v_var)
+                    v_pat = cb.soft_fuse(v_pat, book, unit_book, weight_sum)
+                    v_var = cb.soft_fuse(v_var, book, unit_book, weight_sum)
                 if flags.use_sna:
                     v_pat = tp.node_attention(v_pat, bank, self.params["attn.proj"])
 
@@ -287,7 +276,7 @@ class DecayGraphClassifier:
             parts.append(rows)
         if flags.use_hvs:
             parts.append(head_reweight(bank.tensor, plan.count_weights))
-        return parts, diagnostics
+        return parts
 
     # the only parameters ``classify`` reads, and the only ones ``encode`` does not
     HEAD_BLOCKS = ("head.w1", "head.b1", "head.w2", "head.b2")
@@ -299,11 +288,10 @@ class DecayGraphClassifier:
         return ad.linear([hidden], w2, b2)
 
     def predict_proba(self, batch: BatchPlan | list[Episode],
-                      collect_diagnostics: bool = False) -> tuple[np.ndarray, dict]:
+                      weight_sum: np.ndarray | None = None) -> np.ndarray:
         """Class probabilities; builds no autodiff graph."""
         with ad.no_grad():
-            logits, diagnostics = self.forward(batch, collect_diagnostics)
-            return ad._softmax(logits.data), diagnostics
+            return ad._softmax(self.forward(batch, weight_sum).data)
 
 
 def count_weights(counts: np.ndarray) -> np.ndarray:
@@ -339,7 +327,7 @@ def batch_loss(model: DecayGraphClassifier, batch: BatchPlan | list[Episode],
     ``HEAD_BLOCKS``); the caller must guarantee both.
     """
     plan = model.plan(batch)
-    logits = model.forward(plan)[0] if features is None else model.classify(features)
+    logits = model.forward(plan) if features is None else model.classify(features)
     return ad.cross_entropy(logits, plan.onehot)
 
 
@@ -352,30 +340,24 @@ def evaluate(model: DecayGraphClassifier, dataset: Dataset,
     A patient's probability depends on the other episodes in its batch,
     since every step's variable nodes are shared by the whole batch (the
     bipartite design). A score is therefore defined by the model's
-    ``batch_size`` and the order of ``dataset.episodes``.
+    ``batch_size`` and the order of ``dataset.episodes``. With
+    ``collect_diagnostics``, it gives the utilization of any fused rows.
     """
     if not dataset.episodes:
         raise ModelConfigError("evaluate needs a non-empty dataset")
-    probs_chunks = []
-    weight_sum = np.zeros(model.config.codebook_size)
-    fused_rows = 0
+    # per-prototype sum of fusion weights over every fused row
+    weight_sum = np.zeros(model.config.codebook_size) if collect_diagnostics else None
     bs = model.config.batch_size
-    for start in range(0, len(dataset.episodes), bs):
-        plan = model.plan(dataset.episodes[start:start + bs])
-        probs, diagnostics = model.predict_proba(plan, collect_diagnostics)
-        probs_chunks.append(probs)
-        if collect_diagnostics:
-            weight_sum += diagnostics["fusion_weight_sum"]
-            fused_rows += diagnostics["fusion_rows"]
-    probs = np.concatenate(probs_chunks, axis=0)
+    probs = np.concatenate([model.predict_proba(dataset.episodes[start:start + bs], weight_sum)
+                            for start in range(0, len(dataset.episodes), bs)], axis=0)
     labels = np.asarray([ep.label for ep in dataset.episodes])
 
     if model.config.n_classes == 2:
         report = binary_report(probs[:, 1], labels).to_dict()
     else:
         report = multiclass_report(probs, labels)
-    if fused_rows:
-        report["codebook_utilization"] = cb.utilization(weight_sum, fused_rows)
+    if weight_sum is not None and weight_sum.any():  # a fused row adds positive weights
+        report["codebook_utilization"] = cb.utilization(weight_sum)
     return report
 
 
@@ -472,9 +454,7 @@ def save_checkpoint(path: str, model: DecayGraphClassifier,
             for name, p in model.params.items()
         },
     }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_checkpoint(path: str) -> tuple[DecayGraphClassifier, dict]:
@@ -505,13 +485,9 @@ def load_checkpoint(path: str) -> tuple[DecayGraphClassifier, dict]:
         if not np.all(np.isfinite(data)):
             raise CompatibilityError(f"parameter {name!r} has non-finite values")
         model.params[name].data = data.astype(np.float64)
-    meta = {
-        "t_max": payload.get("t_max"),
-        "norm_means": None if payload.get("norm_means") is None
-        else np.asarray(payload["norm_means"], dtype=np.float64),
-        "norm_stds": None if payload.get("norm_stds") is None
-        else np.asarray(payload["norm_stds"], dtype=np.float64),
-    }
+    meta = {"t_max": payload.get("t_max")}
+    for key in ("norm_means", "norm_stds"):
+        meta[key] = None if payload.get(key) is None else np.asarray(payload[key], np.float64)
     return model, meta
 
 
@@ -556,7 +532,7 @@ def gradient_check(model: DecayGraphClassifier, episodes: list[Episode],
 
     errors: dict[str, float] = {}
     with ad.no_grad():
-        features, _ = model.encode(plan)
+        features = model.encode(plan)
         for name, p in model.params.items():
             reused = features if name in model.HEAD_BLOCKS else None
             worst = 0.0

@@ -150,9 +150,9 @@ def gated_update(bank: Bank, index: np.ndarray, e: Tensor, params: dict[str, Ten
     (1 - r) * h + r * e with r = sigmoid([e; h] @ w + b). The rows are
     written into ``bank.data`` in place; the node's output, which becomes
     ``bank.tensor``, is that array. Indices must be unique, as a
-    ``GraphStep``'s ``bank_idx`` is: each bank row is written at most once, so
-    the overwritten rows are the stored states. The model's batch plan checks
-    that once per batch.
+    ``GraphStep``'s ``bank_idx`` is by construction (``graph.build_graph_steps``
+    lists each (patient, variable) pair at most once per step): each bank row
+    is written at most once, so the overwritten rows are the stored states.
     """
     w, b = params["gate.w"], params["gate.b"]
     h_bank = bank.tensor

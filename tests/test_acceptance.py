@@ -198,10 +198,10 @@ def test_c08_ablation_mechanics():
         config = ModelConfig(hidden_dim=8, codebook_size=8, n_layers=2,
                              batch_size=8, seed=0)
         model = DecayGraphClassifier(config, flags, probe.variables)
-        base, _ = model.forward(probe.episodes)
+        base = model.forward(probe.episodes)
         for name in names:
             model.params[name].data += 3.7
-        after, _ = model.forward(probe.episodes)
+        after = model.forward(probe.episodes)
         np.testing.assert_array_equal(after.data, base.data,
                                       err_msg=f"toggle {toggle} leaks")
     # head-input toggles shrink the classifier input instead

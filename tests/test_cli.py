@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import decaygraph
+from decaygraph import cli
 from decaygraph.cli import main
 from decaygraph.data import load_dataset, synthesize, SyntheticConfig
 
@@ -366,6 +367,30 @@ def test_a_refused_synth_writes_nothing(tmp_path, capsys, ratios, message):
     out = tmp_path / "data"
     assert run("synth", "--config", config, "--out", str(out)) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0, 1, True, 1.5, ["obs.csv"]], ids=repr)
+@pytest.mark.parametrize("key", ["observations", "labels", "splits"])
+@pytest.mark.parametrize("command", ["train", "eval", "analyze"])
+def test_a_data_path_that_is_not_a_string_is_refused_by_name(tmp_path, monkeypatch, capsys,
+                                                             command, key, value):
+    """Refused before any data file or checkpoint is read: ``open(0)`` and
+    ``open(1)`` would read stdin and stdout."""
+    def unread(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    for name in ("load_dataset", "load_checkpoint"):
+        monkeypatch.setattr(cli, name, unread)
+    paths = {"observations": "obs.csv", "labels": "labels.csv", "splits": "splits.csv",
+             key: value}
+    argv = [command, "--config", write_config(tmp_path, {"data": paths})]
+    if command == "eval":
+        argv += ["--checkpoint", "checkpoint.json"]
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == 1
+    assert (f"data {key} must be a file path string, got {json.dumps(value)}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -508,17 +508,18 @@ def test_retrieve_gradient_goes_to_selected_row_only():
 def test_utilization_uniform_weights():
     weights = np.full((10, 4), 0.25)
     # strict inequality fails everywhere
-    assert cb.utilization(weights.sum(axis=0), len(weights)) == 0.0
+    assert cb.utilization(weights.sum(axis=0)) == 0.0
 
 
 def test_utilization_single_hot_entry():
     weights = np.zeros((8, 4))
     weights[:, 0] = 1.0
-    assert cb.utilization(weights.sum(axis=0), len(weights)) == 0.25
+    assert cb.utilization(weights.sum(axis=0)) == 0.25
 
 
 def test_utilization_rejects_unnormalized_rows():
-    with pytest.raises(ContractError):
-        cb.utilization(np.full((3, 4), 0.3).sum(axis=0), 3)
-    with pytest.raises(ContractError):
-        cb.utilization(np.zeros(4), 0)
+    for weight_sum in (np.full((3, 4), 0.25),              # 2-d: not summed over rows
+                       np.zeros(4),                        # no row
+                       np.full((3, 4), 0.3).sum(axis=0)):  # 3.6: not a whole row count
+        with pytest.raises(ContractError):
+            cb.utilization(weight_sum)

@@ -155,6 +155,24 @@ def test_build_graph_steps_names_the_first_non_finite_edge():
         gr.build_graph_steps([late, early], 2)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+       st.integers(0, 2**16))
+def test_each_step_names_each_bank_row_at_most_once(v, n_patients, density, seed):
+    """A step's ``bank_idx`` is ``patient_idx * V + variable_idx`` and unique,
+    which ``temporal.gated_update`` relies on; it lists exactly the step's
+    observed (patient, variable) pairs."""
+    rng = np.random.default_rng(seed)
+    episodes = [episode_from_mask(rng.random((rng.integers(1, 6), v)) < density, pid=f"p{i}")
+                for i in range(n_patients)]
+    for t, step in enumerate(gr.build_graph_steps(episodes, v)):
+        np.testing.assert_array_equal(step.bank_idx, step.patient_idx * v + step.variable_idx)
+        assert len(np.unique(step.bank_idx)) == step.n_edges
+        observed = {p * v + n for p, ep in enumerate(episodes) if t < ep.n_steps
+                    for n in np.flatnonzero(ep.mask[t])}
+        assert set(step.bank_idx.tolist()) == observed
+
+
 # -- edge embeddings ------------------------------------------------------------
 
 def test_zero_parameters_give_zero_embedding():

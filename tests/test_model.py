@@ -54,7 +54,7 @@ def tiny_model(variables, d=8, k=8, layers=2, seed=0, flags=None, kernel="mlp_ex
 def test_logits_shape():
     ds = synth(n=2)
     model = tiny_model(ds.variables)
-    logits, _ = model.forward(truncate_episodes(ds.episodes, 4, 24.0))
+    logits = model.forward(truncate_episodes(ds.episodes, 4, 24.0))
     assert logits.shape == (2, 2)
 
 
@@ -62,7 +62,7 @@ def hidden_states(model, episodes):
     """The (B, V, d) hidden bank as the head reads it: ``encode``'s
     ``head_reweight`` part, ``bank * (1 + w)`` with w > 0, which is zero
     exactly where the bank is."""
-    parts, _ = model.encode(episodes)
+    parts = model.encode(episodes)
     return parts[-1].data.reshape(len(episodes), len(model.variables), -1)
 
 
@@ -70,7 +70,7 @@ def test_all_masks_zero_is_degenerate_but_finite():
     empty = Episode("e", np.array([1.0, 2.0]), np.zeros((2, 3)),
                     np.zeros((2, 3)), np.zeros((2, 3)), 0)
     model = tiny_model(["a", "b", "c"])
-    logits, _ = model.forward([empty, empty])
+    logits = model.forward([empty, empty])
     assert np.all(np.isfinite(logits.data))
     np.testing.assert_array_equal(hidden_states(model, [empty, empty]), 0.0)
 
@@ -92,8 +92,8 @@ def test_toggling_decay_changes_outputs():
     ds = synth(n=4, seed=5)
     full = tiny_model(ds.variables, flags=AblationFlags())
     no_tde = tiny_model(ds.variables, flags=AblationFlags(use_tde=False))
-    a, _ = full.forward(ds.episodes)
-    b, _ = no_tde.forward(ds.episodes)
+    a = full.forward(ds.episodes)
+    b = no_tde.forward(ds.episodes)
     assert np.max(np.abs(a.data - b.data)) > 0.0
 
 
@@ -149,29 +149,6 @@ def test_a_planned_refusal_still_fires_through_the_entry_points(refusal, entry):
     with pytest.raises(error) as info:
         run(episodes)
     assert str(info.value) == message
-
-
-def test_a_step_that_names_a_bank_row_twice_is_refused(monkeypatch):
-    ds = synth(n=3, seed=5)
-    model = tiny_model(ds.variables)
-    true_build = gr.build_graph_steps
-
-    def repeating(episodes, n_variables):
-        # the first observed step's first edge, listed twice
-        steps = true_build(episodes, n_variables)
-        t = next(t for t, step in enumerate(steps) if step.n_edges)
-        s = steps[t]
-        steps[t] = gr.GraphStep(s.n_patients, s.n_variables,
-                                *(np.concatenate([a[:1], a]) for a in (
-                                    s.patient_idx, s.variable_idx, s.values, s.times,
-                                    s.delta_t)))
-        return steps
-
-    monkeypatch.setattr(gr, "build_graph_steps", repeating)
-    for run in (model.forward, lambda eps: md.batch_loss(model, eps)):
-        with pytest.raises(ad.ContractError) as info:
-            run(ds.episodes)
-        assert str(info.value) == "gated_update requires unique bank indices"
 
 
 def test_a_plan_for_another_model_is_refused():
@@ -270,30 +247,30 @@ def test_evaluate_keeps_no_plan_or_batch_alive(monkeypatch):
 def test_patient_exchangeability():
     ds = synth(n=5, seed=11)
     model = tiny_model(ds.variables)
-    base, _ = model.forward(ds.episodes)
+    base = model.forward(ds.episodes)
     perm = [3, 0, 4, 1, 2]
-    permuted, _ = model.forward([ds.episodes[i] for i in perm])
+    permuted = model.forward([ds.episodes[i] for i in perm])
     np.testing.assert_allclose(permuted.data, base.data[perm], atol=1e-9)
 
 
 def test_time_shift_invariance_without_time_embedding():
     ds = synth(n=3, seed=13, horizon=24.0)
     model = tiny_model(ds.variables, flags=AblationFlags(use_te=False))
-    base, _ = model.forward(ds.episodes)
+    base = model.forward(ds.episodes)
     shifted = [replace(ep, times=ep.times + 5.0) for ep in ds.episodes]
-    out, _ = model.forward(shifted)
+    out = model.forward(shifted)
     np.testing.assert_allclose(out.data, base.data, atol=1e-9)
     # with the time embedding on, the shift is visible
     model_te = tiny_model(ds.variables, flags=AblationFlags())
-    a, _ = model_te.forward(ds.episodes)
-    b, _ = model_te.forward(shifted)
+    a = model_te.forward(ds.episodes)
+    b = model_te.forward(shifted)
     assert np.max(np.abs(a.data - b.data)) > 1e-6
 
 
 def test_padding_depth_is_invisible():
     ds = synth(n=3, seed=17)
     model = tiny_model(ds.variables)
-    base, _ = model.forward(ds.episodes)
+    base = model.forward(ds.episodes)
     # appending an all-empty trailing step to one episode must change nothing
     ep = ds.episodes[0]
     padded = replace(ep,
@@ -301,7 +278,7 @@ def test_padding_depth_is_invisible():
                      values=np.vstack([ep.values, np.zeros(3)]),
                      mask=np.vstack([ep.mask, np.zeros(3)]),
                      delta_t=np.vstack([ep.delta_t, np.zeros(3)]))
-    out, _ = model.forward([padded] + list(ds.episodes[1:]))
+    out = model.forward([padded] + list(ds.episodes[1:]))
     np.testing.assert_array_equal(out.data, base.data)
 
 
@@ -309,9 +286,9 @@ def test_padding_depth_is_invisible():
 def test_no_grad_forward_is_bit_identical_and_untracked(kernel):
     ds = synth(n=4, seed=7)
     model = tiny_model(ds.variables, kernel=kernel)
-    tracked, _ = model.forward(ds.episodes)
+    tracked = model.forward(ds.episodes)
     with ad.no_grad():
-        untracked, _ = model.forward(ds.episodes)
+        untracked = model.forward(ds.episodes)
     assert untracked.data.tobytes() == tracked.data.tobytes()
     assert tracked.tracked and not untracked.tracked
     assert untracked._parents == () and untracked._backward is None
@@ -349,7 +326,7 @@ def test_training_peak_does_not_grow_by_a_fusion_array_per_step():
         ad.zero_grad(model.params.values())
         tracemalloc.start()
         try:
-            logits, _ = model.forward(episodes)
+            logits = model.forward(episodes)
             ad.backward(ad.cross_entropy(logits, model.plan(episodes).onehot))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -373,7 +350,7 @@ def test_graph_keeps_no_concatenated_inputs_or_float_masks():
     model.forward(ds.episodes)  # first-call allocations stay out of the count
     tracemalloc.start()
     try:
-        logits, _ = model.forward(ds.episodes)
+        logits = model.forward(ds.episodes)
         alive = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -393,7 +370,7 @@ def test_every_bank_tensor_of_a_forward_shares_one_array(monkeypatch):
         return true_gate(bank, *args)
 
     monkeypatch.setattr(tp, "gated_update", recording)
-    logits, _ = model.forward(ds.episodes)
+    logits = model.forward(ds.episodes)
     assert logits.tracked and len(banks) >= 3
     # the first is the forward's zero start, which the bank copies once
     assert not np.shares_memory(banks[0].data, banks[1].data)
@@ -424,10 +401,10 @@ def test_graph_memory_script_bounds_what_a_training_batch_keeps():
 def perturb_and_compare(flags, param_names, seed=19):
     ds = synth(n=4, seed=seed)
     model = tiny_model(ds.variables, flags=flags)
-    base, _ = model.forward(ds.episodes)
+    base = model.forward(ds.episodes)
     for name in param_names:
         model.params[name].data += 3.7
-    out, _ = model.forward(ds.episodes)
+    out = model.forward(ds.episodes)
     np.testing.assert_array_equal(out.data, base.data)
 
 
@@ -453,9 +430,9 @@ def test_disabled_time_embedding_ignores_time_parameters():
 def test_decay_off_is_independent_of_gaps():
     ds = synth(n=4, seed=23)
     model = tiny_model(ds.variables, flags=AblationFlags(use_tde=False))
-    base, _ = model.forward(ds.episodes)
+    base = model.forward(ds.episodes)
     jittered = [replace(ep, delta_t=ep.delta_t * 7.3) for ep in ds.episodes]
-    out, _ = model.forward(jittered)
+    out = model.forward(jittered)
     np.testing.assert_allclose(out.data, base.data, atol=1e-12)
 
 
@@ -524,7 +501,7 @@ def test_batch_loss_is_mean_of_singles():
     model = tiny_model(ds.variables)
     # per-episode forwards differ from the batch forward (shared variable
     # nodes couple the batch), so check the mean law on the loss op itself
-    logits, _ = model.forward(ds.episodes)
+    logits = model.forward(ds.episodes)
     onehot = model.plan(ds.episodes).onehot
     total = ad.cross_entropy(logits, onehot).item()
     singles = [ad.cross_entropy(Tensor(logits.data[i:i + 1]), onehot[i:i + 1]).item()
@@ -619,6 +596,19 @@ def test_evaluate_report_fields():
     assert 0.0 <= report["codebook_utilization"] <= 1.0
 
 
+@pytest.mark.parametrize("case", ["not collected", "no codebook", "one step"])
+def test_evaluate_reports_no_utilization_without_a_fused_row(case):
+    """Fusion runs from each episode's second step on, so one-step episodes
+    fuse no row; nor does a model without the codebook."""
+    ds = synth(n=10, seed=47)
+    if case == "one step":
+        ds = replace(ds, episodes=truncate_episodes(ds.episodes, 1, ds.t_max))
+    model = tiny_model(ds.variables, flags=AblationFlags(use_cb=case != "no codebook"))
+    report = evaluate(model, ds, collect_diagnostics=case != "not collected")
+    assert "codebook_utilization" not in report
+    assert report == evaluate(model, ds)
+
+
 def test_utilization_accumulates_over_steps_and_batches(monkeypatch):
     """The streamed weight sums give the utilization of every fusion row
     of every step and batch, kept and concatenated."""
@@ -667,7 +657,7 @@ def test_multiclass_evaluate():
 def test_checkpoint_round_trip(tmp_path):
     ds = synth(n=4, seed=53)
     model = tiny_model(ds.variables, seed=8)
-    base, _ = model.forward(ds.episodes)
+    base = model.forward(ds.episodes)
     path = str(tmp_path / "ckpt.json")
     save_checkpoint(path, model, norm_means=np.array([0.1, 0.2, 0.3]),
                     norm_stds=np.array([1.0, 2.0, 3.0]), t_max=24.0)
@@ -679,7 +669,7 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(meta["norm_means"], [0.1, 0.2, 0.3])
     for name, p in model.params.items():
         np.testing.assert_array_equal(loaded.params[name].data, p.data)
-    out, _ = loaded.forward(ds.episodes)
+    out = loaded.forward(ds.episodes)
     np.testing.assert_array_equal(out.data, base.data)
 
 
@@ -757,7 +747,7 @@ def test_two_step_forward_matches_numpy_oracle():
     config = ModelConfig(hidden_dim=d, codebook_size=1, n_layers=1,
                          batch_size=1, seed=13)
     model = DecayGraphClassifier(config, AblationFlags(), ["v"])
-    logits, _ = model.forward([ep])
+    logits = model.forward([ep])
 
     P = {k: t.data for k, t in model.params.items()}
     relu = lambda x: np.maximum(x, 0.0)
@@ -922,7 +912,7 @@ def test_forward_and_gradients_keep_the_chain_bits(monkeypatch, kernel, ablate):
 
     def run(episodes):
         model = tiny_model(ds.variables, d=4, k=4, seed=7, flags=flags, kernel=kernel)
-        logits = model.forward(episodes)[0]
+        logits = model.forward(episodes)
         ad.backward(ad.cross_entropy(logits, model.plan(episodes).onehot))
         return [logits.data] + [p.grad for p in model.params.values()]
 
