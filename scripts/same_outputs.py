@@ -14,15 +14,18 @@ next, so a drift in host speed falls on both trees alike:
    same config for 2 epochs with each of ``--ablate mcv`` (fusion without
    retrieval), ``cb`` (no codebook), ``tde`` (no decay), ``te`` (no time
    embedding), ``sna`` (no attention) and ``hvs`` (no hidden variable
-   states in the classifier input), and with each non-default decay
-   kernel (``exp``, ``mlp_gaussian``, ``mlp_linear``), and with
-   ``--batch-size 6``, where a batch has as many patient rows as there
-   are variables, so both fusion calls of a step have one shape and any
-   state one call left for the other would show, and with
-   ``--codebook-size 1500``, above ``codebook.TILE`` but
-   not a multiple of it, so the large-codebook jobs meet a partial last
-   tile; and ``analyze`` of it (``decay_rates.csv`` and
-   ``kw_summary.csv``);
+   states in the classifier input); with ``--ablate hvs --ablate sna``,
+   where no gate reaches the loss and ten gradients stay None, and
+   ``--ablate cb --ablate sna``, where each step's patient state has three
+   consumers, so the encoder's backward runs its layers in an order that
+   interleaves the steps; with ``--n-layers 1`` and ``--n-layers 3``; with
+   each non-default decay kernel (``exp``, ``mlp_gaussian``,
+   ``mlp_linear``); with ``--batch-size 6``, where a batch has as many
+   patient rows as there are variables, so both fusion calls of a step
+   have one shape and any state one call left for the other would show;
+   and with ``--codebook-size 1500``, above ``codebook.TILE`` but not a
+   multiple of it, so the large-codebook jobs meet a partial last tile;
+   and ``analyze`` of it (``decay_rates.csv`` and ``kw_summary.csv``);
 3. the ``eval-k4096`` benchmark config: ``synth`` and 1-epoch ``train`` of
    a 32-episode checkpoint, ``synth`` of a 320-episode set, and ``eval``
    with leave-out rates 0.2 and 0.5; then ``eval --split val`` at rate
@@ -158,6 +161,12 @@ def run_matrix(trees: list[Path], works: list[Path]) -> list[dict[str, dict[str,
     for ablation in ("mcv", "cb", "tde", "te", "sna", "hvs"):
         measured("train", *data, "--epochs", "2", "--seed", "0",
                  "--ablate", ablation, "--out", f"train_no_{ablation}")
+    for first, second in (("hvs", "sna"), ("cb", "sna")):
+        measured("train", *data, "--epochs", "2", "--seed", "0", "--ablate", first,
+                 "--ablate", second, "--out", f"train_no_{first}_{second}")
+    for layers in ("1", "3"):
+        measured("train", *data, "--epochs", "2", "--seed", "0",
+                 "--n-layers", layers, "--out", f"train_layers{layers}")
     for kernel in KERNELS[1:]:
         measured("train", *data, "--epochs", "2", "--seed", "0",
                  "--kernel", kernel, "--out", f"train_{kernel}")

@@ -4,17 +4,18 @@ Every value the model touches lives in a :class:`Tensor`. An operation
 with a tracked input records its inputs and a local gradient rule on the
 produced tensor. Under :func:`no_grad` it records nothing: ``_make``
 returns a bare untracked Tensor without looking at the parents, and a
-fused node skips the arrays only its backward reads (a ReLU's
-``active`` mask, for one). ``backward``
-on a scalar loss walks that record once in reverse topological order,
-accumulates gradients into every tracked leaf reachable from the loss,
-and releases each interior node once its rule has run, so a graph can
-be differentiated only once. Gradients from multiple uses sum; clearing
-them between optimizer steps is the caller's job (see ``zero_grad``).
+node skips the arrays only its backward reads (a ReLU's ``active`` mask,
+for one). ``backward`` on a scalar loss walks that record once in
+reverse topological order, accumulates gradients into every tracked leaf
+reachable from the loss, and releases each interior node once its rule
+has run, so a graph can be differentiated only once. Gradients from
+multiple uses sum; clearing them between optimizer steps is the caller's
+job (see ``zero_grad``).
 
-The public ops are ``linear`` (with an optional ReLU), ``gather_rows``
-and ``cross_entropy``, which reads ``one_hot`` rows; every other model
-layer is a fused node.
+The public ops are ``linear`` (with an optional ReLU) and
+``cross_entropy``, which reads ``one_hot`` rows. The model's encoder is
+one node (``model.DecayGraphClassifier.encode``) over array-level layer
+functions, and the head is two ``linear`` nodes.
 
 Every backward rule follows one idiom. It hands each input its gradient
 through ``_accumulate``, which ignores an untracked input, so a rule
@@ -25,32 +26,24 @@ passes it only for an array it has just allocated and reads no more (a
 matmul result, a ``_scatter_add`` output, a bias sum through
 ``_accumulate_sum``, or the gate's own dropped gradient), so no two
 tensors ever share a ``.grad``. The weight, bias and input gradients of
-``x @ w + b`` go through ``_linear_grads``; row sums by index go through
-``_scatter_add``. ``_softmax`` is the one numpy softmax, for fused nodes
-and for constants.
+``x @ w + b`` go through ``_linear_grads``. Row sums by index go through
+``_scatter_add``: an ``np.bincount`` over the flat ``row·d + column``
+positions that ``_flat_index`` builds, which adds the elements of each
+position in row order onto zero, as ``np.add.at`` did, so it keeps its
+bytes. ``_softmax`` is the one numpy softmax.
 
-The model's layers are fused nodes built on ``_make`` in the modules
-that use them (``graph``, ``temporal``, ``codebook``, ``model``). Each
-replaces a chain of small ops, kept in the tests as its oracle, and
-keeps its bits: the backward rule evaluates the chain's numpy
-expressions and adds each term in the chain's order. A fused node must
-also list its parents so that ``backward``'s depth-first search, which
-explores the last parent first, reaches the non-leaf ones in the order
-the chain reached them. That search fixes the order in which a tensor
-with three or more consumers sums its gradient, so another parent order
-changes the last bits.
+``backward``'s depth-first search, ``_postorder``, explores the last
+parent first. The order it gives fixes the order in which a tensor with
+three or more consumers sums its gradient, so another order changes the
+last bits. The encoder node runs its layers' backward rules in the order
+this same search gives over the per-layer graph those layers describe.
 
 A node keeps alive until backward only what its backward cannot rebuild
-from its parents. ``linear`` and the fused nodes that concatenate their
-inputs keep no copy of that concatenation: the backward evaluates the
-forward's own expression again on the parents' ``.data``, which the
-parents keep anyway, so it gets the same values and the same bits. A
-ReLU mask is kept as the ``bool`` array ``pre > 0.0``, not as the
-float64 pre-activation it came from; ``linear``, whose output is the
-ReLU's, reads the same mask from it as ``out > 0.0``. The one parent
-whose ``.data`` changes after it is made is a hidden-state bank of
-``temporal``: its gates write one array in place and log what they
-overwrite, and a backward rule that reads it rolls it back first.
+from its parents. ``linear`` keeps no copy of the concatenation of its
+inputs: the backward evaluates the forward's own expression again on the
+parents' ``.data``, which the parents keep anyway, so it gets the same
+values and the same bits. Its ReLU mask is read from the output as
+``out > 0.0``, exactly where the pre-activation was positive.
 """
 
 from __future__ import annotations
@@ -150,7 +143,7 @@ def _accumulate(t: Tensor, grad: np.ndarray, owned: bool = False) -> None:
     """
     if not t.tracked:
         return
-    if grad.shape != t.shape:
+    if grad.shape != t.data.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match tensor shape {t.shape}")
     if t.grad is None:
         if owned:
@@ -165,6 +158,9 @@ def _accumulate(t: Tensor, grad: np.ndarray, owned: bool = False) -> None:
 def _accumulate_sum(t: Tensor, grad: np.ndarray) -> None:
     """Add ``grad`` summed down to ``t``'s shape into ``t.grad``; a sum is a
     fresh array, so ``t`` may adopt it, while ``grad`` itself is copied."""
+    if grad.ndim == 2 and t.data.ndim == 1:  # a bias: _unbroadcast's one sum, taken directly
+        _accumulate(t, grad.sum(axis=0), owned=True)
+        return
     summed = _unbroadcast(grad, t.shape)
     _accumulate(t, summed, owned=summed is not grad)
 
@@ -177,11 +173,19 @@ def _linear_grads(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray) -> np.ndar
     return np.matmul(g, w.data.T)
 
 
-def _scatter_add(shape: tuple, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Zeros of ``shape`` with each row of ``rows`` added at its ``index`` row."""
-    out = np.zeros(shape)
-    np.add.at(out, index, rows)
-    return out
+def _flat_index(index: np.ndarray, width: int) -> np.ndarray:
+    """The flat positions ``index * width + column`` of every element of the
+    rows ``index`` names in an (n, width) array, row by row."""
+    return (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+
+
+def _scatter_add(shape: tuple, flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` (n, d) with each row of ``rows`` added at its row;
+    ``flat`` is those rows' ``_flat_index`` at width d."""
+    if not len(flat):  # bincount would return integer zeros
+        return np.zeros(shape)
+    return np.bincount(flat, weights=rows.reshape(-1),
+                       minlength=shape[0] * shape[1]).reshape(shape)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -193,6 +197,34 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 # -- ops -----------------------------------------------------------------
+
+def _linear_forward(xs: Sequence[np.ndarray], w: Tensor, b: Tensor,
+                    relu: bool = False) -> np.ndarray:
+    """``concatenate(xs, axis=1) @ w + b``, then ``max(., 0)`` if ``relu``."""
+    out = np.matmul(np.concatenate(xs, axis=1), w.data) + b.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _linear_backward(g: np.ndarray, parts: Sequence[Tensor], w: Tensor, b: Tensor,
+                     out: np.ndarray, relu: bool = False) -> None:
+    """The rule of ``_linear_forward(parts' data, w, b, relu)``, whose output
+    is ``out``: add the gradients of ``w``, ``b`` and each part, in order."""
+    if relu:
+        # out > 0 exactly where the pre-activation was
+        g = g * (out > 0.0)
+    _accumulate_parts(parts, _linear_grads(np.concatenate([p.data for p in parts], axis=1),
+                                           w, b, g))
+
+
+def _accumulate_parts(parts: Sequence[Tensor], g: np.ndarray) -> None:
+    """Hand each of ``parts``, side by side in ``g``'s columns, its columns."""
+    start = 0
+    for p in parts:
+        _accumulate(p, g[:, start:start + p.shape[1]])
+        start += p.shape[1]
+
 
 def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """``concatenate(parts, axis=1) @ w + b``, then ``max(., 0)`` if ``relu``,
@@ -209,34 +241,9 @@ def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor, relu: bool = False) ->
             or sum(widths) != w.data.shape[0]):
         raise ShapeError(f"linear shapes incompatible: {[p.shape for p in parts]} "
                          f"@ {w.shape}")
-
-    def inputs():
-        return np.concatenate([p.data for p in parts], axis=1)
-
-    def bw(g):
-        if relu:
-            # out > 0 exactly where the pre-activation was
-            g = g * (out > 0.0)
-        gx = _linear_grads(inputs(), w, b, g)
-        start = 0
-        for p, width in zip(parts, widths):
-            _accumulate(p, gx[:, start:start + width])
-            start += width
-
-    out = np.matmul(inputs(), w.data) + b.data
-    if relu:
-        np.maximum(out, 0.0, out=out)
-    return _make(out, (*parts, w, b), "linear", bw)
-
-
-def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
-    """Select rows ``a[index]``; duplicate indices are allowed."""
-    index = np.asarray(index, dtype=np.int64)
-
-    def bw(g):
-        _accumulate(a, _scatter_add(a.shape, index, g), owned=True)
-
-    return _make(a.data[index], (a,), "gather_rows", bw)
+    out = _linear_forward([p.data for p in parts], w, b, relu)
+    return _make(out, (*parts, w, b), "linear",
+                 lambda g: _linear_backward(g, parts, w, b, out, relu))
 
 
 # -- losses --------------------------------------------------------------
@@ -278,6 +285,35 @@ def cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
 
 # -- backward pass -------------------------------------------------------
 
+def _postorder(root, parents: Callable) -> list:
+    """Every node reachable from ``root`` through ``parents(node)``, each after
+    the parents it was reached by: an iterative depth-first search that
+    explores a node's last parent first. Reversed, it is ``backward``'s order."""
+    order: list = []
+    seen: set = set()
+    stack: list = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for parent in parents(node):
+            if parent not in seen:
+                stack.append((parent, False))
+    return order
+
+
+def _tracked_parents(node: Tensor) -> list[Tensor]:
+    if node._op and not node._parents:
+        raise ContractError(f"backward over a released graph: the {node._op!r} node "
+                            f"was freed by an earlier backward")
+    return [p for p in node._parents if p.tracked]
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/dx into ``.grad`` of every tracked leaf, releasing
     each interior node (``grad`` None, no rule, no inputs) once its rule has
@@ -287,27 +323,7 @@ def backward(loss: Tensor) -> None:
     if not loss.tracked:
         raise ContractError("backward needs a loss that depends on a tracked tensor; "
                             "this one is untracked (built from constants or under no_grad)")
-
-    # iterative post-order DFS: inputs appear before consumers in `order`
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._op and not node._parents:
-            raise ContractError(f"backward over a released graph: the {node._op!r} node "
-                                f"was freed by an earlier backward")
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.tracked and id(parent) not in seen:
-                stack.append((parent, False))
-
+    order = _postorder(loss, _tracked_parents)
     _accumulate(loss, np.ones_like(loss.data), owned=True)
     # popping drops this list's reference, so released nodes free their arrays
     while order:

@@ -23,10 +23,10 @@ import numpy as np
 from .analysis import (InsufficientDataError, empirical_autocorr, fit_decay_rate,
                        kruskal_wallis)
 from .data import (DataValidationError, Dataset, DatasetSplits, SyntheticConfig,
-                   apply_normalization, leave_variables_out, load_dataset, load_split_manifest,
-                   normalize_splits, positive, seed_value, split_by_manifest, split_dataset,
-                   synthesize, truncate_episodes, write_json, write_labels_csv, write_lines,
-                   write_observations_csv, write_splits_csv)
+                   SyntheticConfigError, apply_normalization, leave_variables_out,
+                   load_dataset, load_split_manifest, normalize_splits, positive, seed_value,
+                   split_by_manifest, split_dataset, synthesize, truncate_episodes, write_json,
+                   write_labels_csv, write_lines, write_observations_csv, write_splits_csv)
 from .model import (AblationFlags, DecayGraphClassifier, ModelConfig,
                     check_compatibility, evaluate, fit, gradient_check,
                     load_checkpoint, save_checkpoint)
@@ -144,7 +144,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
         section["seed"] = args.seed
     config = SyntheticConfig(**section)
     dataset = synthesize(config)
-    # split before the first write, so a refused split leaves no files
+    counts = np.bincount([ep.label for ep in dataset.episodes], minlength=config.n_classes)
+    if not counts.all():
+        raise SyntheticConfigError(f"synthetic set has no episode of class "
+                                   f"{int(np.argmin(counts))} of n_classes="
+                                   f"{config.n_classes}; episodes per class: "
+                                   f"{counts.tolist()}")
+    # refuse and split before the first write, so a refusal leaves no files
     splits = _split(dataset, _section(file_cfg, "data"), config.seed)
 
     out = Path(args.out)

@@ -9,12 +9,13 @@ but full gradient into the selected row.
 A forward pass builds one :class:`UnitBook` of the codebook and hands it
 to every ``soft_fuse`` and to ``retrieve``. It normalizes the codebook
 once and holds the per-codebook constants of the fusion backward. Each
-call allocates its own arrays. Fusion is one autodiff node that keeps
-only its input's (B, 1) row norms and its (B, d) mixture and, for a
-large codebook, its (B, 1) softmax row sums; the forward's B×K softmax
-weights (B rows, K prototypes) are freed when the call returns, and the
-hand-written backward recomputes the unit rows and the weights, so no
-B×K array lives from forward to backward.
+call allocates its own arrays. ``soft_fuse`` works on arrays and keeps
+for ``soft_fuse_backward`` only its input's (B, 1) row norms, its
+(B, d) mixture and scale terms and, for a large codebook, its (B, 1)
+softmax row sums; the forward's B×K softmax weights (B rows, K
+prototypes) are freed when the call returns, and the backward
+recomputes the unit rows and the weights, so no B×K array lives from
+forward to backward.
 
 The node has two cores, chosen by codebook size; they share the backward's
 prologue (residual scale and the mixture's gradient ``d_q``) and epilogue
@@ -23,8 +24,8 @@ prologue (residual scale and the mixture's gradient ``d_q``) and epilogue
 - K ≤ ``TILE``: the numpy expressions of the node chain it replaces (row
   normalization, cosine matmul, max-shifted softmax, prototype mixture,
   residual scale), each gradient term added in that chain's order. With
-  patient attention on, backward in ``model.forward`` reaches every
-  call's input before the call itself, so values and gradients keep the
+  patient attention on, the encoder's backward reaches every call's
+  input before the call itself, so values and gradients keep the
   chain's bits; with it ablated (``--ablate sna``) the codebook gradient
   sums in another order than the chain's and differs in its last bits.
   A 12-epoch K=32 training run amplifies a last-bit change past the
@@ -147,20 +148,20 @@ class UnitBook:
         self.norm_safe = np.maximum(self.norm, 1e-300)
 
 
-def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
-              weight_sum: np.ndarray | None = None) -> Tensor:
-    """Residual fusion of each row of ``g`` with the prototype mixture.
+def soft_fuse(x: np.ndarray, c: np.ndarray, unit_book: UnitBook,
+              weight_sum: np.ndarray | None = None) -> tuple[np.ndarray, tuple | None]:
+    """Residual fusion of each row of ``x`` with the prototype mixture.
 
-    ``unit_book`` is the forward's ``UnitBook(codebook.data)``. When
-    ``weight_sum`` (K,) is given, the call adds each prototype's softmax
-    weight, summed over the rows of ``g``, into it: the utilization
-    diagnostic.
+    ``c`` is the codebook and ``unit_book`` the forward's ``UnitBook(c)``.
+    When ``weight_sum`` (K,) is given, the call adds each prototype's
+    softmax weight, summed over the rows of ``x``, into it: the utilization
+    diagnostic. Returns the fused rows and, in grad mode, what
+    ``soft_fuse_backward`` reads.
     """
-    x, c = g.data, codebook.data
     g_norm, g_unit = unit_rows(x)
     n_rows, n_protos = x.shape[0], c.shape[0]
-    tiled = n_protos > TILE
-    if tiled:
+    row_sum = None
+    if n_protos > TILE:
         _one_blas_thread()
         weights = np.empty((n_rows, n_protos))
         row_sum, q = np.empty((n_rows, 1)), np.empty((n_rows, c.shape[1]))
@@ -188,8 +189,71 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
     q_norm = np.sqrt((q * q).sum(axis=-1, keepdims=True))
     a_m = g_norm + FUSION_EPS
     scale = q_norm / a_m
+    saved = (g_norm, q, q_norm, a_m, scale, row_sum) if ad._grad_enabled else None
+    return x + scale * q, saved
 
-    def chain_core(d_q, g_unit, d_cunit):
+
+def _tiled_core(d_q, g_unit, d_cunit, mixture, codebook: Tensor, unit_book: UnitBook,
+                q, row_sum) -> np.ndarray:
+    # the weights are exp(S) / l; the division moves onto the (B, d) d_q.
+    # sum_k w_k * d_w_k over a row is d_q . q, so no pass needs all K at once
+    c = codebook.data
+    n_rows, n_protos = g_unit.shape[0], c.shape[0]
+    d_q = d_q / row_sum
+    d_rowterm = (d_q * q).sum(axis=-1, keepdims=True)
+    # one job per pool worker and at most one per tile, or one on the
+    # calling thread for a call under 2 * BLOCK_ROWS rows; each has two
+    # B×TILE tile buffers
+    tiles = [(lo, min(lo + TILE, n_protos)) for lo in range(0, n_protos, TILE)]
+    n_jobs = min(_pool()[1], len(tiles)) if n_rows >= 2 * BLOCK_ROWS else 1
+    tile_buffers = [np.empty(n_rows * TILE) for _ in range(2 * n_jobs)]
+
+    def tile_job(job):
+        # tiles job, job + n_jobs, ...: each job has its own two tile
+        # buffers and writes only its tiles' rows of mixture and d_cunit
+        partials = []
+        e_flat, d_flat = tile_buffers[2 * job:2 * job + 2]
+        for lo, hi in tiles[job::n_jobs]:
+            unit = unit_book.unit[lo:hi]
+            size, shape = n_rows * (hi - lo), (n_rows, hi - lo)
+            e = np.matmul(g_unit, unit.T, out=e_flat[:size].reshape(shape))
+            np.exp(e, out=e)
+            np.matmul(e.T, d_q, out=mixture[lo:hi])
+            d_s = np.matmul(d_q, c[lo:hi].T, out=d_flat[:size].reshape(shape))
+            d_s -= d_rowterm
+            d_s *= e
+            partials.append(np.matmul(d_s, unit))
+            np.matmul(d_s.T, g_unit, out=d_cunit[lo:hi])
+        return partials
+
+    partials = _run(tile_job, list(range(n_jobs)))
+    d_gunit = np.zeros_like(g_unit)
+    for tile in range(len(tiles)):  # in tile order, whatever the job count
+        d_gunit += partials[tile % n_jobs][tile // n_jobs]
+    ad._accumulate(codebook, mixture)
+    return d_gunit
+
+
+def soft_fuse_backward(grad: np.ndarray, saved: tuple, g: Tensor, codebook: Tensor,
+                       unit_book: UnitBook) -> None:
+    """``soft_fuse``'s rule over what it ``saved``; ``g`` is its input. g gets:
+    output, scale norm, unit rows, unit-row norm; the codebook gets: mixture,
+    unit rows, row norms, in the chain's order and, outside the tiled core,
+    by the chain's expressions."""
+    g_norm, q, q_norm, a_m, scale, row_sum = saved
+    x, c = g.data, codebook.data
+    ad._accumulate(g, grad)
+    # (B, 1) sums over each row, as the chain's unbroadcast took them
+    d_scale = (grad * q).sum(axis=1, keepdims=True)
+    d_q = grad * scale
+    d_q += d_scale / a_m * q / np.maximum(q_norm, 1e-300)
+    d_gnorm = -d_scale * q_norm / (a_m * a_m)
+    g_norm_safe = np.maximum(g_norm, 1e-300)
+    ad._accumulate(g, d_gnorm * x / g_norm_safe)
+    a_g = g_norm + COSINE_EPS
+    g_unit = x / a_g  # the forward's unit rows, by its expression
+    term, d_cunit = np.empty(c.shape), np.empty(c.shape)
+    if row_sum is None:
         # the chain's softmax backward; its B×K arrays are freed on return
         w = ad._softmax(np.matmul(g_unit, unit_book.unit.T))  # the forward's weights
         d_w = np.matmul(d_q, c.T)
@@ -198,87 +262,41 @@ def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
         d_w *= w
         # in C order: the epilogue's row sum rounds by memory layout
         np.matmul(d_w.T, g_unit, out=d_cunit)
-        return np.matmul(d_w, unit_book.unit)
-
-    def tiled_core(d_q, g_unit, d_cunit, mixture):
-        # the weights are exp(S) / l; the division moves onto the (B, d) d_q.
-        # sum_k w_k * d_w_k over a row is d_q . q, so no pass needs all K at once
-        d_q = d_q / row_sum
-        d_rowterm = (d_q * q).sum(axis=-1, keepdims=True)
-        # one job per pool worker and at most one per tile, or one on the
-        # calling thread for a call under 2 * BLOCK_ROWS rows; each has two
-        # B×TILE tile buffers
-        tiles = [(lo, min(lo + TILE, n_protos)) for lo in range(0, n_protos, TILE)]
-        n_jobs = min(_pool()[1], len(tiles)) if n_rows >= 2 * BLOCK_ROWS else 1
-        tile_buffers = [np.empty(n_rows * TILE) for _ in range(2 * n_jobs)]
-
-        def tile_job(job):
-            # tiles job, job + n_jobs, ...: each job has its own two tile
-            # buffers and writes only its tiles' rows of mixture and d_cunit
-            partials = []
-            e_flat, d_flat = tile_buffers[2 * job:2 * job + 2]
-            for lo, hi in tiles[job::n_jobs]:
-                unit = unit_book.unit[lo:hi]
-                size, shape = n_rows * (hi - lo), (n_rows, hi - lo)
-                e = np.matmul(g_unit, unit.T, out=e_flat[:size].reshape(shape))
-                np.exp(e, out=e)
-                np.matmul(e.T, d_q, out=mixture[lo:hi])
-                d_s = np.matmul(d_q, c[lo:hi].T, out=d_flat[:size].reshape(shape))
-                d_s -= d_rowterm
-                d_s *= e
-                partials.append(np.matmul(d_s, unit))
-                np.matmul(d_s.T, g_unit, out=d_cunit[lo:hi])
-            return partials
-
-        partials = _run(tile_job, list(range(n_jobs)))
-        d_gunit = np.zeros_like(x)
-        for tile in range(len(tiles)):  # in tile order, whatever the job count
-            d_gunit += partials[tile % n_jobs][tile // n_jobs]
-        ad._accumulate(codebook, mixture)
-        return d_gunit
-
-    def bw(grad):
-        # g gets: output, scale norm, unit rows, unit-row norm; the codebook
-        # gets: mixture, unit rows, row norms, in the chain's order. Outside
-        # the tiled core each term is the chain's expression. The unit rows
-        # are rebuilt by the forward's expression.
-        ad._accumulate(g, grad)
-        d_scale = ad._unbroadcast(grad * q, scale.shape)
-        d_q = grad * scale
-        d_q += d_scale / a_m * q / np.maximum(q_norm, 1e-300)
-        d_gnorm = -d_scale * q_norm / (a_m * a_m)
-        ad._accumulate(g, d_gnorm * x / np.maximum(g_norm, 1e-300))
-        g_unit = unit_rows(x)[1]
-        term, d_cunit = np.empty(c.shape), np.empty(c.shape)
-        d_gunit = (tiled_core(d_q, g_unit, d_cunit, term) if tiled
-                   else chain_core(d_q, g_unit, d_cunit))
-        a_g = g_norm + COSINE_EPS
-        ad._accumulate(g, d_gunit / a_g)
-        d_gnorm = ad._unbroadcast(-d_gunit * x / (a_g * a_g), g_norm.shape)
-        ad._accumulate(g, d_gnorm * x / np.maximum(g_norm, 1e-300))
-        ad._accumulate(codebook, np.divide(d_cunit, unit_book.norm_eps, out=term))
-        np.negative(d_cunit, out=term)
-        term *= c
-        term /= unit_book.norm_eps_sq
-        d_cnorm = ad._unbroadcast(term, unit_book.norm.shape)
-        np.multiply(d_cnorm, c, out=term)
-        ad._accumulate(codebook, np.divide(term, unit_book.norm_safe, out=term))
-
-    return ad._make(x + scale * q, (g, codebook), "soft_fuse", bw)
+        d_gunit = np.matmul(d_w, unit_book.unit)
+        del w, d_w
+    else:
+        d_gunit = _tiled_core(d_q, g_unit, d_cunit, term, codebook, unit_book, q, row_sum)
+    ad._accumulate(g, d_gunit / a_g)
+    d_gnorm = (-d_gunit * x / (a_g * a_g)).sum(axis=1, keepdims=True)
+    ad._accumulate(g, d_gnorm * x / g_norm_safe)
+    ad._accumulate(codebook, np.divide(d_cunit, unit_book.norm_eps, out=term))
+    np.negative(d_cunit, out=term)
+    term *= c
+    term /= unit_book.norm_eps_sq
+    d_cnorm = term.sum(axis=1, keepdims=True)
+    np.multiply(d_cnorm, c, out=term)
+    ad._accumulate(codebook, np.divide(term, unit_book.norm_safe, out=term))
 
 
-def retrieve(g: Tensor, codebook: Tensor, unit_book: UnitBook) -> tuple[np.ndarray, Tensor]:
-    """Most-similar prototype per row by cosine; ties go to the lowest index.
+def retrieve(x: np.ndarray, c: np.ndarray, unit_book: UnitBook) -> tuple[np.ndarray, np.ndarray]:
+    """Most-similar prototype per row of ``x`` by cosine, and its row of the
+    codebook ``c``; ties go to the lowest index.
 
-    ``unit_book`` is the forward's ``UnitBook(codebook.data)``. The argmax
-    is not differentiated; gradients flow only into the selected codebook
-    rows.
+    ``unit_book`` is the forward's ``UnitBook(c)``. The argmax is not
+    differentiated: ``retrieve_backward`` adds gradient only into the
+    selected codebook rows.
     """
-    rows = unit_rows(g.data)[1]
+    rows = unit_rows(x)[1]
     if len(unit_book.unit) > TILE:
         _one_blas_thread()
     indices = np.matmul(rows, unit_book.unit.T).argmax(axis=1)
-    return indices, ad.gather_rows(codebook, indices)
+    return indices, c[indices]
+
+
+def retrieve_backward(g: np.ndarray, codebook: Tensor, indices: np.ndarray) -> None:
+    """``retrieve``'s rule: each selected row's gradient, summed per prototype."""
+    flat = ad._flat_index(indices, codebook.shape[1])
+    ad._accumulate(codebook, ad._scatter_add(codebook.shape, flat, g), owned=True)
 
 
 def utilization(weight_sum: np.ndarray) -> float:

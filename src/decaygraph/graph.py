@@ -6,6 +6,11 @@ Edge features sum a value embedding, a sinusoidal-plus-linear time
 embedding of the absolute timestamp, and a variable type embedding.
 Message passing jointly encodes neighbour states with edge features,
 aggregates by unweighted sum, and residually updates edge states.
+
+The functions work on arrays. Each part of a layer has a named backward
+that adds its terms in the order its node once did; a node update's is
+``autodiff._linear_backward``. Flat scatter indices come last in their
+arguments; ``message_pass`` builds its step's once for all its layers.
 """
 
 from __future__ import annotations
@@ -101,106 +106,105 @@ def _time_masks(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def init_edge_embeddings(step: GraphStep, params: dict[str, Tensor],
-                         use_time_embedding: bool = True) -> Tensor:
+                         use_time_embedding: bool = True) -> np.ndarray:
     """Per-edge features: value projection + time embedding + type embedding.
 
     The time embedding has one linear component plus dim-1 sinusoidal
     ones: component 0 is freq[0] * t + phase[0]; component k >= 1 is
-    sin(freq[k] * t + phase[k]). One autodiff node.
+    sin(freq[k] * t + phase[k]).
     """
-    value_w, value_b = params["edge.value_w"], params["edge.value_b"]
-    freq, phase = params["edge.time_freq"], params["edge.time_phase"]
-    table = params["edge.var_table"]
     x_value = step.values.reshape(-1, 1)
-
-    def time_phase():
-        # the sinusoids' argument; backward rebuilds it rather than keep it
-        return np.matmul(x_time, freq.data) + phase.data
-
-    e = np.matmul(x_value, value_w.data) + value_b.data
+    e = np.matmul(x_value, params["edge.value_w"].data) + params["edge.value_b"].data
     if use_time_embedding:
-        x_time = step.times.reshape(-1, 1)
-        raw = time_phase()
-        linear_mask, sine_mask = _time_masks(freq.shape[1])
+        raw = _time_phase(step, params)
+        linear_mask, sine_mask = _time_masks(raw.shape[1])
         e = e + (raw * linear_mask + np.sin(raw) * sine_mask)
-
-    def bw(g):
-        ad._accumulate(value_w, np.matmul(x_value.T, g), owned=True)
-        ad._accumulate_sum(value_b, g)
-        if use_time_embedding:
-            g_raw = g * linear_mask + g * sine_mask * np.cos(time_phase())
-            ad._accumulate(freq, np.matmul(x_time.T, g_raw), owned=True)
-            ad._accumulate_sum(phase, g_raw)
-        ad._accumulate(table, ad._scatter_add(table.shape, step.variable_idx, g), owned=True)
-
-    parents = (value_w, value_b, freq, phase, table) if use_time_embedding else \
-        (value_w, value_b, table)
-    return ad._make(e + table.data[step.variable_idx], parents, "edge_init", bw)
+    return e + params["edge.var_table"].data[step.variable_idx]
 
 
-def _message(v_src: Tensor, src_idx: np.ndarray, e: Tensor, dst_idx: np.ndarray,
-             n_dst: int, w: Tensor, b: Tensor) -> Tensor:
+def _time_phase(step: GraphStep, params: dict[str, Tensor]) -> np.ndarray:
+    # the sinusoids' argument; backward rebuilds it rather than keep it
+    return np.matmul(step.times.reshape(-1, 1), params["edge.time_freq"].data) + \
+        params["edge.time_phase"].data
+
+
+def init_edge_embeddings_backward(g: np.ndarray, step: GraphStep, params: dict[str, Tensor],
+                                  use_time_embedding: bool = True) -> None:
+    """``init_edge_embeddings``'s rule: add the gradients of its parameters."""
+    value_w, value_b = params["edge.value_w"], params["edge.value_b"]
+    table = params["edge.var_table"]
+    ad._accumulate(value_w, np.matmul(step.values.reshape(-1, 1).T, g), owned=True)
+    ad._accumulate_sum(value_b, g)
+    if use_time_embedding:
+        freq, phase = params["edge.time_freq"], params["edge.time_phase"]
+        linear_mask, sine_mask = _time_masks(freq.shape[1])
+        g_raw = g * linear_mask + g * sine_mask * np.cos(_time_phase(step, params))
+        ad._accumulate(freq, np.matmul(step.times.reshape(-1, 1).T, g_raw), owned=True)
+        ad._accumulate_sum(phase, g_raw)
+    flat = ad._flat_index(step.variable_idx, table.shape[1])
+    ad._accumulate(table, ad._scatter_add(table.shape, flat, g), owned=True)
+
+
+def _message(v_src: np.ndarray, src_idx: np.ndarray, e: np.ndarray, dst_flat: np.ndarray,
+             n_dst: int, w: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray | None]:
     """Sum over edges of relu([v_src[src]; e] @ w + b) into the ``n_dst``
-    destination rows, as one node; a row no edge names gets zero."""
-    def inputs():
-        return np.concatenate([v_src.data[src_idx], e.data], axis=1)
+    destination rows, whose ``ad._flat_index`` is ``dst_flat``; a row no
+    edge names gets zero. Returns it and, in grad mode, the ReLU mask."""
+    pre = np.matmul(np.concatenate([v_src[src_idx], e], axis=1), w.data) + b.data
+    out = ad._scatter_add((n_dst, pre.shape[1]), dst_flat, np.maximum(pre, 0.0))
+    return out, (pre > 0.0 if ad._grad_enabled else None)
 
-    pre = np.matmul(inputs(), w.data) + b.data
-    active = pre > 0.0 if ad._grad_enabled else None  # read by backward only
+
+def message_backward(g: np.ndarray, v_src: Tensor, src_idx: np.ndarray, e: Tensor,
+                     dst_idx: np.ndarray, w: Tensor, b: Tensor, active: np.ndarray,
+                     src_flat: np.ndarray) -> None:
+    """``_message``'s rule, ``src_flat`` being ``src_idx``'s flat index: add
+    the gradients of ``w``, ``b``, ``e`` and ``v_src``, in that order."""
+    g_x = ad._linear_grads(np.concatenate([v_src.data[src_idx], e.data], axis=1), w, b,
+                           g[dst_idx] * active)
     width = v_src.shape[1]
-
-    def bw(g):
-        g_x = ad._linear_grads(inputs(), w, b, g[dst_idx] * active)
-        ad._accumulate(e, g_x[:, width:])
-        ad._accumulate(v_src, ad._scatter_add(v_src.shape, src_idx, g_x[:, :width]),
-                       owned=True)
-
-    out = ad._scatter_add((n_dst, pre.shape[1]), dst_idx, np.maximum(pre, 0.0))
-    return ad._make(out, (v_src, e, w, b), "message", bw)
+    ad._accumulate(e, g_x[:, width:])
+    ad._accumulate(v_src, ad._scatter_add(v_src.shape, src_flat, g_x[:, :width]), owned=True)
 
 
-def _edge_update(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
-                 w: Tensor, b: Tensor) -> Tensor:
-    """e + relu([v_pat[p]; v_var[n]; e] @ w + b) per edge (p, n), as one node."""
-    def inputs():
-        return np.concatenate([v_pat.data[step.patient_idx], v_var.data[step.variable_idx],
-                               e.data], axis=1)
+def _edge_update(step: GraphStep, v_pat: np.ndarray, v_var: np.ndarray, e: np.ndarray,
+                 w: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray | None]:
+    """e + relu([v_pat[p]; v_var[n]; e] @ w + b) per edge (p, n), and in grad
+    mode the ReLU mask."""
+    pre = np.matmul(np.concatenate([v_pat[step.patient_idx], v_var[step.variable_idx], e],
+                                   axis=1), w.data) + b.data
+    return e + np.maximum(pre, 0.0), (pre > 0.0 if ad._grad_enabled else None)
 
-    pre = np.matmul(inputs(), w.data) + b.data
-    active = pre > 0.0 if ad._grad_enabled else None  # read by backward only
+
+def edge_update_backward(g: np.ndarray, step: GraphStep, v_pat: Tensor, v_var: Tensor,
+                         e: Tensor, w: Tensor, b: Tensor, active: np.ndarray,
+                         pat_flat: np.ndarray, var_flat: np.ndarray) -> None:
+    """``_edge_update``'s rule, ``pat_flat`` and ``var_flat`` being the step's
+    flat patient and variable indices: add the gradients of ``e`` (the
+    residual), ``w``, ``b``, ``e`` (the input), ``v_pat`` and ``v_var``."""
+    ad._accumulate(e, g)
+    x = np.concatenate([v_pat.data[step.patient_idx], v_var.data[step.variable_idx], e.data],
+                       axis=1)
+    g_x = ad._linear_grads(x, w, b, g * active)
     d_pat, d_var = v_pat.shape[1], v_var.shape[1]
-
-    def bw(g):
-        ad._accumulate(e, g)
-        g_x = ad._linear_grads(inputs(), w, b, g * active)
-        ad._accumulate(e, g_x[:, d_pat + d_var:])
-        ad._accumulate(v_pat, ad._scatter_add(v_pat.shape, step.patient_idx,
-                                              g_x[:, :d_pat]), owned=True)
-        ad._accumulate(v_var, ad._scatter_add(v_var.shape, step.variable_idx,
-                                              g_x[:, d_pat:d_pat + d_var]), owned=True)
-
-    return ad._make(e.data + np.maximum(pre, 0.0), (v_pat, v_var, e, w, b),
-                    "edge_update", bw)
+    ad._accumulate(e, g_x[:, d_pat + d_var:])
+    ad._accumulate(v_pat, ad._scatter_add(v_pat.shape, pat_flat, g_x[:, :d_pat]), owned=True)
+    ad._accumulate(v_var, ad._scatter_add(v_var.shape, var_flat, g_x[:, d_pat:d_pat + d_var]),
+                   owned=True)
 
 
-def message_pass_layer(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
-                       params: dict[str, Tensor], layer: int) -> tuple[Tensor, Tensor, Tensor]:
-    """One edge-aware layer: message, sum-aggregate, node and edge update.
-
-    Messages flow in both directions of the undirected graph with shared
-    message weights. Nodes with no incident edge aggregate the zero
-    vector. The edge update concatenates patient endpoint first.
-    """
-    w_msg, b_msg, w_node, b_node, w_edge, b_edge = (params[name]
-                                                    for name in _layer_names(layer))
-    agg_pat = _message(v_var, step.variable_idx, e, step.patient_idx, step.n_patients,
-                       w_msg, b_msg)
-    agg_var = _message(v_pat, step.patient_idx, e, step.variable_idx, step.n_variables,
-                       w_msg, b_msg)
-    v_pat_new = ad.linear([v_pat, agg_pat], w_node, b_node, relu=True)
-    v_var_new = ad.linear([v_var, agg_var], w_node, b_node, relu=True)
-    return v_pat_new, v_var_new, _edge_update(step, v_pat_new, v_var_new, e,
-                                              w_edge, b_edge)
+@dataclass
+class LayerArrays:
+    """One layer's two message sums, new states and, in grad mode, the ReLU
+    masks of both message directions and of the edge update."""
+    agg_pat: np.ndarray
+    agg_var: np.ndarray
+    active_pat: np.ndarray | None
+    active_var: np.ndarray | None
+    v_pat_new: np.ndarray
+    v_var_new: np.ndarray
+    e_new: np.ndarray
+    active_edge: np.ndarray | None
 
 
 @functools.cache
@@ -210,11 +214,33 @@ def _layer_names(layer: int) -> tuple[str, ...]:
                  for part in ("msg_w", "msg_b", "node_w", "node_b", "edge_w", "edge_b"))
 
 
-def message_pass(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
-                 params: dict[str, Tensor], n_layers: int) -> tuple[Tensor, Tensor, Tensor]:
-    """Sequential application of distinct (unshared) layers."""
+def message_pass(step: GraphStep, v_pat: np.ndarray, v_var: np.ndarray, e: np.ndarray,
+                 params: dict[str, Tensor], n_layers: int) -> list[LayerArrays]:
+    """Sequential application of distinct (unshared) edge-aware layers.
+
+    Each layer sends messages in both directions of the undirected graph
+    with shared message weights, sums them (a node with no incident edge
+    sums the zero vector), updates each node as relu([state; sum] @ w + b)
+    and residually updates each edge from its patient endpoint, variable
+    endpoint and own state. Returns each layer's ``LayerArrays``; the last
+    one's new states are the output.
+    """
     if n_layers < 1:
         raise GraphConfigError(f"message passing needs >= 1 layer, got {n_layers}")
+    d = e.shape[1]
+    pat_flat = ad._flat_index(step.patient_idx, d)
+    var_flat = ad._flat_index(step.variable_idx, d)
+    layers: list[LayerArrays] = []
     for layer in range(n_layers):
-        v_pat, v_var, e = message_pass_layer(step, v_pat, v_var, e, params, layer)
-    return v_pat, v_var, e
+        w_msg, b_msg, w_node, b_node, w_edge, b_edge = (params[name]
+                                                        for name in _layer_names(layer))
+        agg_pat, active_pat = _message(v_var, step.variable_idx, e, pat_flat,
+                                       step.n_patients, w_msg, b_msg)
+        agg_var, active_var = _message(v_pat, step.patient_idx, e, var_flat,
+                                       step.n_variables, w_msg, b_msg)
+        v_pat = ad._linear_forward([v_pat, agg_pat], w_node, b_node, relu=True)
+        v_var = ad._linear_forward([v_var, agg_var], w_node, b_node, relu=True)
+        e, active_edge = _edge_update(step, v_pat, v_var, e, w_edge, b_edge)
+        layers.append(LayerArrays(agg_pat, agg_var, active_pat, active_var, v_pat, v_var, e,
+                                  active_edge))
+    return layers

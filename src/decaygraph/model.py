@@ -11,7 +11,13 @@ state is decayed and gate-merged with the fresh edge feature. The head
 consumes the final patient embedding, the retrieved prototype, and the
 mask-reweighted flattened hidden bank. ``forward`` is
 ``classify(encode(...))``: ``encode`` does everything up to the head's
-input parts, and ``classify`` is the head.
+input, and ``classify`` is the head.
+
+``encode`` is one autodiff node over the array-level layers of ``graph``,
+``temporal`` and ``codebook``; it keeps what each layer's backward reads
+(nothing under ``no_grad``) and runs those backwards in the order
+``autodiff.backward`` ran the layers as nodes (``_schedule``), leaving out
+a layer that does not reach the loss, so every bit stays.
 
 What a forward and a loss need of a batch that no parameter changes is
 built once per batch as a :class:`BatchPlan`: its graph steps, the
@@ -148,6 +154,8 @@ class DecayGraphClassifier:
         self.flags = flags
         self.variables = list(variables)
         self.params = self._init_params()
+        # the layer order of ``encode``'s backward, by the shape of its layers' graph
+        self._schedules: dict[tuple, tuple] = {}
 
     # -- parameters ------------------------------------------------------
 
@@ -231,60 +239,136 @@ class DecayGraphClassifier:
         return self.classify(self.encode(batch, weight_sum))
 
     def encode(self, batch: BatchPlan | list[Episode],
-               weight_sum: np.ndarray | None = None) -> list[Tensor]:
-        """The head's input parts for a batch.
+               weight_sum: np.ndarray | None = None) -> Tensor:
+        """The head's input for a batch, one (B, ``head_input_dim``) node:
+        the patient embedding, the retrieved prototype and the reweighted
+        hidden bank, side by side.
 
         Walks the batch's graph steps, then retrieves the prototype and
         reweights the hidden bank. Reads no parameter in ``HEAD_BLOCKS``.
         Each codebook fusion adds its weights into ``weight_sum`` if given.
         """
         plan = self.plan(batch)
-        cfg = self.config
-        flags = self.flags
+        cfg, flags, params = self.config, self.flags, self.params
         d = cfg.hidden_dim
-        batch_size = plan.n_patients
+        keep = ad._grad_enabled
+        # per layer: its backward rule, output, rule arguments, step, and which
+        # of the step's flat (patient, variable, bank) indices the rule reads last
+        nodes: list[tuple] = []
 
-        v_pat = gr.init_patient_states(batch_size, d)
-        v_var = self.params["node.var_table"]
-        book = self.params["codebook"]
+        def node(out, rule, *args, flats=()):
+            # the output as a Tensor that gathers its gradient for ``rule``
+            held = Tensor(out, tracked=keep)
+            if keep:
+                nodes.append((rule, held, args, len(steps) - 1, flats))
+            return held
+
+        v_pat = gr.init_patient_states(plan.n_patients, d)
+        v_var = params["node.var_table"]
+        book = params["codebook"]
         # normalized once, shared by every fusion and the retrieval below
         unit_book = cb.UnitBook(book.data) if flags.use_cb else None
         # every gate writes the (patient, variable) states in place
-        bank = tp.Bank(Tensor(np.zeros((batch_size * plan.n_variables, d))))
-
+        bank = tp.Bank(np.zeros((plan.n_patients * plan.n_variables, d)))
+        h_bank = Tensor(bank.data)
+        steps: list[gr.GraphStep] = []
         for t, step in enumerate(plan.steps):
             if step.n_edges == 0:
                 continue
+            steps.append(step)
             if t >= 1:
                 if flags.use_cb:
-                    v_pat = cb.soft_fuse(v_pat, book, unit_book, weight_sum)
-                    v_var = cb.soft_fuse(v_var, book, unit_book, weight_sum)
+                    out, saved = cb.soft_fuse(v_pat.data, book.data, unit_book, weight_sum)
+                    v_pat = node(out, cb.soft_fuse_backward, saved, v_pat, book, unit_book)
+                    out, saved = cb.soft_fuse(v_var.data, book.data, unit_book, weight_sum)
+                    v_var = node(out, cb.soft_fuse_backward, saved, v_var, book, unit_book)
                 if flags.use_sna:
-                    v_pat = tp.node_attention(v_pat, bank, self.params["attn.proj"])
+                    attn = params["attn.proj"]
+                    out, saved = tp.node_attention(v_pat.data, bank, attn)
+                    v_pat = node(out, tp.node_attention_backward, saved, v_pat, h_bank, bank,
+                                 attn)
 
-            e = gr.init_edge_embeddings(step, self.params, use_time_embedding=flags.use_te)
-            v_pat, v_var, e = gr.message_pass(step, v_pat, v_var, e,
-                                              self.params, cfg.n_layers)
+            e = node(gr.init_edge_embeddings(step, params, flags.use_te),
+                     gr.init_edge_embeddings_backward, step, params, flags.use_te)
+            layers = gr.message_pass(step, v_pat.data, v_var.data, e.data, params, cfg.n_layers)
+            for layer, out in enumerate(layers):
+                w_msg, b_msg, w_node, b_node, w_edge, b_edge = (
+                    params[name] for name in gr._layer_names(layer))
+                agg_pat = node(out.agg_pat, gr.message_backward, v_var, step.variable_idx, e,
+                               step.patient_idx, w_msg, b_msg, out.active_pat, flats=(1,))
+                agg_var = node(out.agg_var, gr.message_backward, v_pat, step.patient_idx, e,
+                               step.variable_idx, w_msg, b_msg, out.active_var, flats=(0,))
+                v_pat = node(out.v_pat_new, ad._linear_backward, (v_pat, agg_pat), w_node,
+                             b_node, out.v_pat_new, True)
+                v_var = node(out.v_var_new, ad._linear_backward, (v_var, agg_var), w_node,
+                             b_node, out.v_var_new, True)
+                e = node(out.e_new, gr.edge_update_backward, step, v_pat, v_var, e, w_edge,
+                         b_edge, out.active_edge, flats=(0, 1))
 
-            gamma = (tp.decay_factor(e, step.delta_t, cfg.decay_kernel, self.params)
-                     if flags.use_tde else None)
-            tp.gated_update(bank, step.bank_idx, e, self.params, gamma)
+            gamma = None
+            if flags.use_tde:
+                out, saved = tp.decay_factor(e.data, step.delta_t, cfg.decay_kernel, params)
+                gamma = node(out, tp.decay_factor_backward, saved,
+                             None if cfg.decay_kernel == "exp" else e, cfg.decay_kernel, params)
+            rows = tp.gated_update(bank, step.bank_idx, e.data, params,
+                                   None if gamma is None else gamma.data)
+            h_bank = node(bank.data, tp.gated_update_backward, h_bank, gamma, e, step.bank_idx,
+                          rows, params, flats=(2,))
 
-        parts = [v_pat]
+        features = [v_pat]
         if flags.retrieval_active:
-            _, rows = cb.retrieve(v_pat, book, unit_book)
-            parts.append(rows)
+            indices, rows = cb.retrieve(v_pat.data, book.data, unit_book)
+            features.append(node(rows, cb.retrieve_backward, book, indices))
         if flags.use_hvs:
-            parts.append(head_reweight(bank.tensor, plan.count_weights))
-        return parts
+            features.append(node(head_reweight(bank.data, plan.count_weights),
+                                 head_reweight_backward, h_bank, plan.count_weights))
+        # everything the layers' graph depends on
+        shape = (len(steps), bool(steps) and steps[0] is not plan.steps[0], cfg.n_layers,
+                 cfg.decay_kernel, *asdict(flags).values())
+
+        def bw(g):
+            # the head's input parts first, as its linear node added them
+            ad._accumulate_parts(features, g)
+            flat_step = -1
+            for i in self._schedule(shape, nodes, features):
+                rule, out, args, s, flats = nodes[i]
+                nodes[i] = None
+                if flats:
+                    if s != flat_step:
+                        flat_step, step = s, steps[s]
+                        flat = [ad._flat_index(index, d) for index in
+                                (step.patient_idx, step.variable_idx, step.bank_idx)]
+                    args += tuple(flat[j] for j in flats)
+                rule(out.grad, *args)
+                out.grad = None
+            nodes.clear()
+
+        encoder = tuple(p for name, p in params.items() if name not in self.HEAD_BLOCKS)
+        return ad._make(np.concatenate([f.data for f in features], axis=1), encoder,
+                        "encode", bw)
+
+    def _schedule(self, shape: tuple, nodes: list, features: list[Tensor]) -> tuple:
+        """Indices of the ``nodes`` that reach the head, in the order of
+        ``autodiff.backward`` over them as nodes, once per ``shape``. A layer's
+        parents are the outputs among its rule's arguments; the head's, ``features``."""
+        if shape not in self._schedules:
+            index_of = {id(held): i for i, (_, held, _, _, _) in enumerate(nodes)}
+
+            def parents(i):
+                args = features if i is None else nodes[i][2]
+                tensors = [t for arg in args for t in (arg if isinstance(arg, tuple) else (arg,))]
+                return [index_of[id(t)] for t in tensors if id(t) in index_of]
+
+            self._schedules[shape] = tuple(reversed(ad._postorder(None, parents)[:-1]))
+        return self._schedules[shape]
 
     # the only parameters ``classify`` reads, and the only ones ``encode`` does not
     HEAD_BLOCKS = ("head.w1", "head.b1", "head.w2", "head.b2")
 
-    def classify(self, features: list[Tensor]) -> Tensor:
-        """Logits from the head's input parts: two ``linear`` layers."""
+    def classify(self, features: Tensor) -> Tensor:
+        """Logits from the head's input: two ``linear`` layers."""
         w1, b1, w2, b2 = (self.params[name] for name in self.HEAD_BLOCKS)
-        hidden = ad.linear(features, w1, b1, relu=True)
+        hidden = ad.linear([features], w1, b1, relu=True)
         return ad.linear([hidden], w2, b2)
 
     def predict_proba(self, batch: BatchPlan | list[Episode],
@@ -300,25 +384,24 @@ def count_weights(counts: np.ndarray) -> np.ndarray:
     return ad._softmax(counts.astype(np.float64)).reshape(*counts.shape, 1)
 
 
-def head_reweight(h_bank: Tensor, weights: np.ndarray) -> Tensor:
+def head_reweight(bank: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Boost each variable's state by its weight, ``bank * (1 + w)`` as
-    ``bank + bank * w``; one node. ``weights`` (B, V, 1) are each episode's
+    ``bank + bank * w``. ``weights`` (B, V, 1) are each episode's
     ``count_weights``, which a ``BatchPlan`` holds."""
     batch, v_count, _ = weights.shape
-    dim = h_bank.shape[1]
-    bank3 = h_bank.data.reshape(batch, v_count, dim)
+    bank3 = bank.reshape(batch, v_count, -1)
+    return (bank3 + bank3 * weights).reshape(batch, -1)
 
-    def bw(g):
-        # the chain's order: the sum's bank term, then the product's
-        g3 = g.reshape(batch, v_count, dim)
-        ad._accumulate(h_bank, (g3 + g3 * weights).reshape(h_bank.shape))
 
-    return ad._make((bank3 + bank3 * weights).reshape(batch, v_count * dim), (h_bank,),
-                    "head_reweight", bw)
+def head_reweight_backward(g: np.ndarray, h_bank: Tensor, weights: np.ndarray) -> None:
+    """``head_reweight``'s rule: the sum's bank term, then the product's."""
+    batch, v_count, _ = weights.shape
+    g3 = g.reshape(batch, v_count, -1)
+    ad._accumulate(h_bank, (g3 + g3 * weights).reshape(h_bank.shape))
 
 
 def batch_loss(model: DecayGraphClassifier, batch: BatchPlan | list[Episode],
-               features: list[Tensor] | None = None) -> Tensor:
+               features: Tensor | None = None) -> Tensor:
     """Mean cross-entropy of a batch, a plan or an episode list.
 
     Given ``features``, the output of ``model.encode(batch)``, it runs

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from decaygraph import autodiff as ad
-from decaygraph import graph as gr
-from decaygraph import temporal as tp
 from decaygraph.autodiff import ContractError, ShapeError, Tensor
 
 import chain_ops as co
@@ -342,8 +340,10 @@ def test_backward_leaves_untracked_inputs_without_grad():
     src, dst = np.array([0, 1, 1, 3, 2]), np.array([0, 0, 1, 1, 1])
     nodes = {
         "linear": lambda t: ad.linear([t["a"], t["b"]], t["w"], t["bias"]),
-        "message": lambda t: gr._message(t["v_var"], src, t["e"], dst, 2, t["w"], t["bias"]),
-        "attention": lambda t: tp.node_attention(t["v_pat"], tp.Bank(t["bank"]), t["proj"]),
+        "message": lambda t: co.layer_message(t["v_var"], src, t["e"], dst, 2, t["w"],
+                                              t["bias"]),
+        "attention": lambda t: co.layer_node_attention(t["v_pat"], co.LayerBank(t["bank"]),
+                                                       t["proj"]),
     }
     arrays = {
         "linear": {"a": v_pat, "b": v_pat[:, :1], "w": rng.normal(size=(4, 2)),
@@ -422,7 +422,7 @@ def test_linear_and_indexing_gradients():
     table = Tensor(rand((6, 3), 43), tracked=True)
     idx = np.array([0, 2, 2, 5])
     w2 = Tensor(rand((4, 3), 44))
-    check_grads(lambda: co.tensor_sum(co.mul(ad.gather_rows(table, idx), w2)), [table])
+    check_grads(lambda: co.tensor_sum(co.mul(co.gather_rows(table, idx), w2)), [table])
 
     rows = Tensor(rand((4, 3), 45), tracked=True)
     w3 = Tensor(rand((5, 3), 46))
@@ -436,6 +436,41 @@ def test_linear_and_indexing_gradients():
         co.scatter_rows(base, np.array([1, 4]), new_rows), w4)), [base, new_rows])
 
 
+# signed zeros, infinities, NaN and values whose sums round
+SCATTER_VALUES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25,
+                                            1e-300, 3e300, 0.1]),
+                           st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 6), d=st.integers(1, 4), data=st.data())
+def test_scatter_add_has_the_bytes_of_add_at(n, d, data):
+    """``_scatter_add`` sums rows by ``np.bincount`` over flat positions;
+    ``np.add.at`` on zeros gives its bytes, for indices in any order, repeated
+    or empty. Where two NaNs meet in a sum, IEEE addition leaves the sign
+    and payload of the NaN it returns open, and the two loops differ there
+    (inf - inf, then a NaN row, gives -NaN from one and NaN from the other),
+    so a NaN need only be a NaN."""
+    index = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=9)), dtype=np.int64)
+    rows = np.array(data.draw(st.lists(st.lists(SCATTER_VALUES, min_size=d, max_size=d),
+                                       min_size=len(index), max_size=len(index))),
+                    dtype=np.float64).reshape(len(index), d)
+    got = ad._scatter_add((n, d), ad._flat_index(index, d), rows)
+    want = co.scatter_add((n, d), index, rows)
+    assert got.dtype == np.float64 and got.shape == (n, d)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_scatter_add_of_an_empty_index_is_float_zeros():
+    # np.bincount alone would give integer zeros
+    empty = np.zeros(0, dtype=np.int64)
+    got = ad._scatter_add((3, 2), ad._flat_index(empty, 2), np.zeros((0, 2)))
+    assert got.dtype == np.float64
+    assert got.tobytes() == co.scatter_add((3, 2), empty, np.zeros((0, 2))).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 5), d=st.integers(1, 3), data=st.data(), seed=st.integers(0, 2**16))
 def test_gather_rows_gradient_sums_duplicate_indices(n, d, data, seed):
@@ -443,8 +478,8 @@ def test_gather_rows_gradient_sums_duplicate_indices(n, d, data, seed):
     index.append(index[0])  # at least one row is gathered twice
     table = Tensor(rand((n, d), seed), tracked=True)
     out_w = Tensor(rand((len(index), d), seed + 1))
-    np.testing.assert_array_equal(ad.gather_rows(table, index).data, table.data[index])
-    check_grads(lambda: co.tensor_sum(co.mul(ad.gather_rows(table, index), out_w)), [table])
+    np.testing.assert_array_equal(co.gather_rows(table, index).data, table.data[index])
+    check_grads(lambda: co.tensor_sum(co.mul(co.gather_rows(table, index), out_w)), [table])
 
 
 @settings(max_examples=40, deadline=None)

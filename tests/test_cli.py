@@ -141,6 +141,21 @@ def test_synth_refuses_a_non_finite_list_entry_by_name(tmp_path, capsys, name, v
     assert not out.exists()
 
 
+def test_synth_refuses_a_set_that_misses_a_declared_class(tmp_path, capsys):
+    # these labels fall into classes 0 and 1 only: 48 and 42 of 90 episodes
+    section = {"n_variables": 3, "n_episodes": 90, "n_classes": 3, "seed": 5,
+               "decay_rates": [2.0, 0.5, 0.1], "means": [1.0, -0.5, 0.0],
+               "noise_scales": [0.5, 1.0, 2.0], "obs_per_episode": 6.0, "horizon": 24.0,
+               "label_coeffs": [[1.0, 0.0, -1.0], [0.0, 1.0, 0.5], [-1.0, 0.5, 0.0]],
+               "label_bias": [0.0, 0.2, -0.2], "label_summary": "last"}
+    config = write_config(tmp_path, {"synthetic": section})
+    out = tmp_path / "data"
+    assert run("synth", "--config", config, "--out", str(out)) == 1
+    assert ("synthetic set has no episode of class 2 of n_classes=3; "
+            "episodes per class: [48, 42, 0]") in capsys.readouterr().err
+    assert not out.exists()
+
+
 U64 = 2**64
 
 

@@ -181,7 +181,7 @@ def test_zero_parameters_give_zero_embedding():
                  "edge.time_phase", "edge.var_table"):
         params[name].data[:] = 0.0
     step = one_step([episode_from_mask(np.ones((1, 2)))], 0, 2)
-    e = gr.init_edge_embeddings(step, params)
+    e = co.layer_init_edge_embeddings(step, params)
     np.testing.assert_array_equal(e.data, np.zeros((2, 4)))
 
 
@@ -190,8 +190,8 @@ def test_time_zero_zero_phase_kills_time_component():
     params["edge.time_phase"].data[:] = 0.0
     ep = episode_from_mask(np.ones((1, 2)), times=[0.0])
     step = one_step([ep], 0, 2)
-    with_te = gr.init_edge_embeddings(step, params, use_time_embedding=True)
-    without = gr.init_edge_embeddings(step, params, use_time_embedding=False)
+    with_te = co.layer_init_edge_embeddings(step, params, use_time_embedding=True)
+    without = co.layer_init_edge_embeddings(step, params, use_time_embedding=False)
     np.testing.assert_allclose(with_te.data, without.data, atol=1e-15)
 
 
@@ -202,7 +202,7 @@ def test_embedding_purity():
     ep_a = episode_from_mask(mask, values=mask * 2.5, times=[3.0], pid="a")
     ep_b = episode_from_mask(mask, values=mask * 2.5, times=[3.0], pid="b")
     step = one_step([ep_a, ep_b], 0, 3)
-    e = gr.init_edge_embeddings(step, params)
+    e = co.layer_init_edge_embeddings(step, params)
     np.testing.assert_array_equal(e.data[0], e.data[1])
 
 
@@ -220,9 +220,9 @@ def test_variable_table_receives_gradient():
     table = params["node.var_table"]
     ep = episode_from_mask(np.ones((1, 2)))
     step = one_step([ep], 0, 2)
-    e = gr.init_edge_embeddings(step, params)
+    e = co.layer_init_edge_embeddings(step, params)
     v_pat = gr.init_patient_states(1, 4)
-    _, v_var, _ = gr.message_pass_layer(step, v_pat, table, e, params, 0)
+    _, v_var, _ = co.layer_message_pass_layer(step, v_pat, table, e, params, 0)
     ad.zero_grad(params.values())
     ad.backward(co.tensor_sum(v_var))
     assert table.grad is not None and np.any(table.grad != 0.0)
@@ -240,10 +240,10 @@ def test_one_edge_matches_dense_oracle():
     mask = np.ones((1, 1))
     ep = episode_from_mask(mask, values=np.array([[1.7]]), times=[2.0])
     step = one_step([ep], 0, 1)
-    e = gr.init_edge_embeddings(step, params)
+    e = co.layer_init_edge_embeddings(step, params)
     v_pat = gr.init_patient_states(1, d)
     v_var = params["node.var_table"]
-    out_pat, out_var, out_e = gr.message_pass_layer(step, v_pat, v_var, e, params, 0)
+    out_pat, out_var, out_e = co.layer_message_pass_layer(step, v_pat, v_var, e, params, 0)
 
     # dense re-derivation in plain numpy
     P = params
@@ -269,10 +269,10 @@ def test_isolated_node_uses_empty_sum():
     mask[0, 0] = 1  # variable 1 is isolated
     ep = episode_from_mask(mask)
     step = one_step([ep], 0, 2)
-    e = gr.init_edge_embeddings(step, params)
+    e = co.layer_init_edge_embeddings(step, params)
     v_pat = gr.init_patient_states(1, d)
     v_var = params["node.var_table"]
-    _, out_var, _ = gr.message_pass_layer(step, v_pat, v_var, e, params, 0)
+    _, out_var, _ = co.layer_message_pass_layer(step, v_pat, v_var, e, params, 0)
     isolated = v_var.data[1]
     expected = relu_np(np.concatenate([isolated, np.zeros(d)]) @ params["sage0.node_w"].data
                        + params["sage0.node_b"].data)
@@ -285,10 +285,10 @@ def test_zero_edge_layer_updates_every_node_from_empty_sums(d, v, b, seed):
     params = tiny_params(d=d, v=v, seed=seed)
     step = one_step([episode_from_mask(np.zeros((1, v)))] * b, 0, v)
     assert step.n_edges == 0
-    e = gr.init_edge_embeddings(step, params)
+    e = co.layer_init_edge_embeddings(step, params)
     v_pat = gr.init_patient_states(b, d)
     v_var = params["node.var_table"]
-    out_pat, out_var, out_e = gr.message_pass_layer(step, v_pat, v_var, e, params, 0)
+    out_pat, out_var, out_e = co.layer_message_pass_layer(step, v_pat, v_var, e, params, 0)
     w, bias = params["sage0.node_w"].data, params["sage0.node_b"].data
     for before, after in ((v_pat.data, out_pat.data), (v_var.data, out_var.data)):
         expected = relu_np(np.concatenate([before, np.zeros_like(before)], axis=1) @ w + bias)
@@ -303,17 +303,17 @@ def test_edge_order_does_not_change_outputs():
     eps = [episode_from_mask(mask, values=mask * 1.5, pid="a"),
            episode_from_mask(mask, values=mask * 0.5, pid="b")]
     step = one_step(eps, 0, 3)
-    e = gr.init_edge_embeddings(step, params)
+    e = co.layer_init_edge_embeddings(step, params)
     v_pat = gr.init_patient_states(2, d)
     v_var = params["node.var_table"]
-    base_pat, base_var, base_e = gr.message_pass_layer(step, v_pat, v_var, e, params, 0)
+    base_pat, base_var, base_e = co.layer_message_pass_layer(step, v_pat, v_var, e, params, 0)
 
     perm = np.array([5, 2, 4, 0, 3, 1])
     shuffled = gr.GraphStep(step.n_patients, step.n_variables,
                             step.patient_idx[perm], step.variable_idx[perm],
                             step.values[perm], step.times[perm], step.delta_t[perm])
-    e2 = gr.init_edge_embeddings(shuffled, params)
-    out_pat, out_var, out_e = gr.message_pass_layer(shuffled, v_pat, v_var, e2, params, 0)
+    e2 = co.layer_init_edge_embeddings(shuffled, params)
+    out_pat, out_var, out_e = co.layer_message_pass_layer(shuffled, v_pat, v_var, e2, params, 0)
     np.testing.assert_allclose(out_pat.data, base_pat.data, atol=1e-9)
     np.testing.assert_allclose(out_var.data, base_var.data, atol=1e-9)
     np.testing.assert_allclose(out_e.data, base_e.data[perm], atol=1e-9)
@@ -329,14 +329,14 @@ def test_node_update_depends_only_on_neighbourhood():
     step = one_step(eps, 0, 2)
     v_pat = gr.init_patient_states(2, d)
     v_var = params["node.var_table"]
-    e = gr.init_edge_embeddings(step, params)
-    base_pat, _, _ = gr.message_pass_layer(step, v_pat, v_var, e, params, 0)
+    e = co.layer_init_edge_embeddings(step, params)
+    base_pat, _, _ = co.layer_message_pass_layer(step, v_pat, v_var, e, params, 0)
 
     # zero the edge that is not adjacent to patient 0
     e_mod = Tensor(e.data.copy())
     non_adjacent = int(np.flatnonzero(step.patient_idx == 1)[0])
     e_mod.data[non_adjacent] = 0.0
-    mod_pat, _, _ = gr.message_pass_layer(step, v_pat, v_var, e_mod, params, 0)
+    mod_pat, _, _ = co.layer_message_pass_layer(step, v_pat, v_var, e_mod, params, 0)
     np.testing.assert_allclose(mod_pat.data[0], base_pat.data[0], atol=1e-9)
     assert not np.allclose(mod_pat.data[1], base_pat.data[1])
 
@@ -346,13 +346,13 @@ def test_stacked_layers_match_manual_composition():
     params = tiny_params(d=d, v=2, seed=9, layers=2)
     ep = episode_from_mask(np.ones((1, 2)))
     step = one_step([ep], 0, 2)
-    e = gr.init_edge_embeddings(step, params)
+    e = co.layer_init_edge_embeddings(step, params)
     v_pat = gr.init_patient_states(1, d)
     v_var = params["node.var_table"]
 
-    p1, v1, e1 = gr.message_pass_layer(step, v_pat, v_var, e, params, 0)
-    p2, v2, e2 = gr.message_pass_layer(step, p1, v1, e1, params, 1)
-    out_p, out_v, out_e = gr.message_pass(step, v_pat, v_var, e, params, 2)
+    p1, v1, e1 = co.layer_message_pass_layer(step, v_pat, v_var, e, params, 0)
+    p2, v2, e2 = co.layer_message_pass_layer(step, p1, v1, e1, params, 1)
+    out_p, out_v, out_e = co.layer_message_pass(step, v_pat, v_var, e, params, 2)
     np.testing.assert_array_equal(out_p.data, p2.data)
     np.testing.assert_array_equal(out_v.data, v2.data)
     np.testing.assert_array_equal(out_e.data, e2.data)
@@ -363,9 +363,9 @@ def test_message_pass_rejects_zero_layers():
     params = tiny_params(d=4, v=2)
     ep = episode_from_mask(np.ones((1, 2)))
     step = one_step([ep], 0, 2)
-    e = gr.init_edge_embeddings(step, params)
+    e = co.layer_init_edge_embeddings(step, params)
     with pytest.raises(gr.GraphConfigError):
-        gr.message_pass(step, gr.init_patient_states(1, 4),
+        co.layer_message_pass(step, gr.init_patient_states(1, 4),
                         params["node.var_table"], e, params, 0)
 
 
@@ -376,9 +376,9 @@ def test_gradients_reach_every_graph_parameter():
                           label_coeffs=[1.0, -1.0, 0.5])
     ds = synthesize(cfg)
     step = one_step(ds.episodes, 0, 3)
-    e = gr.init_edge_embeddings(step, params)
+    e = co.layer_init_edge_embeddings(step, params)
     v_pat = gr.init_patient_states(2, 4)
-    out_p, out_v, out_e = gr.message_pass_layer(step, v_pat, params["node.var_table"],
+    out_p, out_v, out_e = co.layer_message_pass_layer(step, v_pat, params["node.var_table"],
                                                 e, params, 0)
     ad.zero_grad(params.values())
     loss = co.add(co.tensor_sum(co.mul(out_p, out_p)),
@@ -424,7 +424,7 @@ def test_edge_init_is_one_node_with_the_chain_bits(d, b, v, data, use_te, direct
                                 arrays, leaves=arrays, untracked=untracked,
                                 direct=direct, seed=seed)
 
-    co.assert_same_bits(runner(gr.init_edge_embeddings), runner(co.init_edge_embeddings))
+    co.assert_same_bits(runner(co.layer_init_edge_embeddings), runner(co.init_edge_embeddings))
 
 
 @settings(max_examples=60, deadline=None)
@@ -450,17 +450,17 @@ def test_message_layer_is_three_nodes_with_the_chain_bits(d, b, v, data, direct,
         return co.differentiate(build, arrays, leaves=PARAM_NAMES["layer"],
                                 untracked=untracked, direct=direct, seed=seed)
 
-    co.assert_same_bits(runner(gr.message_pass_layer), runner(co.message_pass_layer))
+    co.assert_same_bits(runner(co.layer_message_pass_layer), runner(co.message_pass_layer))
 
 
 def test_fused_graph_nodes_record_one_node_each():
     params = tiny_params(d=3, v=2, layers=2)
     step = random_step(np.random.default_rng(0), 2, 2, 3)
-    e = gr.init_edge_embeddings(step, params)
+    e = co.layer_init_edge_embeddings(step, params)
     assert e._op == "edge_init" and e._parents == tuple(
         params[name] for name in PARAM_NAMES["edge"])
     v_pat = Tensor(np.ones((2, 3)), tracked=True)
-    out_pat, out_var, out_e = gr.message_pass_layer(step, v_pat, params["node.var_table"],
+    out_pat, out_var, out_e = co.layer_message_pass_layer(step, v_pat, params["node.var_table"],
                                                     e, params, 1)
     assert out_e._op == "edge_update"
     assert out_e._parents[:3] == (out_pat, out_var, e)
@@ -483,8 +483,8 @@ def test_fused_graph_nodes_match_finite_differences():
     weights = [Tensor(rng.normal(size=shape)) for shape in ((2, 3), (3, 3), (4, 3))]
 
     def loss():
-        e = gr.init_edge_embeddings(step, params)
-        outs = gr.message_pass_layer(step, v_pat, params["node.var_table"], e, params, 0)
+        e = co.layer_init_edge_embeddings(step, params)
+        outs = co.layer_message_pass_layer(step, v_pat, params["node.var_table"], e, params, 0)
         terms = [co.tensor_sum(co.mul(out, w)) for out, w in zip(outs, weights)]
         return co.add(terms[0], co.add(terms[1], terms[2]))
 

@@ -2,6 +2,7 @@
 checkpoints and the finite-difference audit."""
 
 import base64
+import inspect
 import importlib.util
 import json
 import tracemalloc
@@ -27,7 +28,7 @@ from decaygraph.model import (AblationFlags, CompatibilityError,
                               DecayGraphClassifier, ModelConfig,
                               ModelConfigError, NonFiniteLossError,
                               check_compatibility, count_weights,
-                              evaluate, fit, gradient_check, head_reweight,
+                              evaluate, fit, gradient_check,
                               load_checkpoint, save_checkpoint)
 
 import chain_ops as co
@@ -59,11 +60,12 @@ def test_logits_shape():
 
 
 def hidden_states(model, episodes):
-    """The (B, V, d) hidden bank as the head reads it: ``encode``'s
-    ``head_reweight`` part, ``bank * (1 + w)`` with w > 0, which is zero
-    exactly where the bank is."""
-    parts = model.encode(episodes)
-    return parts[-1].data.reshape(len(episodes), len(model.variables), -1)
+    """The (B, V, d) hidden bank as the head reads it: the ``head_reweight``
+    columns of ``encode``'s output, ``bank * (1 + w)`` with w > 0, which is
+    zero exactly where the bank is."""
+    width = len(model.variables) * model.config.hidden_dim
+    features = model.encode(episodes).data
+    return features[:, -width:].reshape(len(episodes), len(model.variables), -1)
 
 
 def test_all_masks_zero_is_degenerate_but_finite():
@@ -366,15 +368,13 @@ def test_every_bank_tensor_of_a_forward_shares_one_array(monkeypatch):
     true_gate = tp.gated_update
 
     def recording(bank, *args):
-        banks.append(bank.tensor)
+        banks.append(bank.data)
         return true_gate(bank, *args)
 
     monkeypatch.setattr(tp, "gated_update", recording)
     logits = model.forward(ds.episodes)
     assert logits.tracked and len(banks) >= 3
-    # the first is the forward's zero start, which the bank copies once
-    assert not np.shares_memory(banks[0].data, banks[1].data)
-    assert all(np.shares_memory(banks[1].data, bank.data) for bank in banks[2:])
+    assert all(bank is banks[0] for bank in banks[1:])
 
 
 GRAPH_MEMORY = Path(__file__).resolve().parents[1] / "scripts" / "graph_memory.py"
@@ -452,7 +452,7 @@ def test_head_dimension_shrinks_per_flag():
 
 def test_reweight_single_variable_doubles():
     bank = Tensor(np.arange(8.0).reshape(2, 4))  # B=2, V=1, d=4
-    out = head_reweight(bank, count_weights(np.array([[5.0], [2.0]])))
+    out = co.layer_head_reweight(bank, count_weights(np.array([[5.0], [2.0]])))
     np.testing.assert_allclose(out.data, bank.data * 2.0, atol=1e-12)
 
 
@@ -460,7 +460,7 @@ def test_reweight_uniform_counts():
     rng = np.random.default_rng(0)
     bank = Tensor(rng.normal(size=(6, 4)))  # B=2, V=3
     for counts in (np.full((2, 3), 4.0), np.zeros((2, 3))):
-        out = head_reweight(bank, count_weights(counts))
+        out = co.layer_head_reweight(bank, count_weights(counts))
         np.testing.assert_allclose(out.data.reshape(2, 3, 4),
                                    bank.data.reshape(2, 3, 4) * (1 + 1 / 3),
                                    atol=1e-12)
@@ -481,7 +481,7 @@ def test_head_reweight_is_one_node_with_the_chain_bits(batch, v_count, dim, leaf
         return co.differentiate(build, arrays, leaves=("h_bank",) if leaf else (),
                                 direct=direct, seed=seed)
 
-    co.assert_same_bits(runner(head_reweight), runner(co.head_reweight))
+    co.assert_same_bits(runner(co.layer_head_reweight), runner(co.head_reweight))
 
 
 # -- loss ---------------------------------------------------------------------------
@@ -616,9 +616,9 @@ def test_utilization_accumulates_over_steps_and_batches(monkeypatch):
     kept = []
     true_fuse = cb.soft_fuse
 
-    def keeping_fuse(g, book, unit_book, weight_sum=None):
-        kept.append(ad._softmax(np.matmul(cb.unit_rows(g.data)[1], unit_book.unit.T)))
-        return true_fuse(g, book, unit_book, weight_sum)
+    def keeping_fuse(x, book, unit_book, weight_sum=None):
+        kept.append(ad._softmax(np.matmul(cb.unit_rows(x)[1], unit_book.unit.T)))
+        return true_fuse(x, book, unit_book, weight_sum)
 
     monkeypatch.setattr(cb, "soft_fuse", keeping_fuse)
     for batch_size in (1, 3, 10):
@@ -982,3 +982,113 @@ def test_adopted_gradients_keep_their_bytes_and_share_no_memory(monkeypatch):
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             assert not np.shares_memory(grads[a], grads[b]), (a, b)
+
+
+# -- the one-node encoder against the per-node one -----------------------------------
+
+FLAG_NAMES = ("tde", "sna", "hvs", "cb", "mcv", "te")
+EVERY_ABLATION = [tuple(name for bit, name in enumerate(FLAG_NAMES) if mask >> bit & 1)
+                  for mask in range(2 ** len(FLAG_NAMES))]
+
+
+def encoder_bits(forward, episodes, variables, ablate=(), **kwargs):
+    """Logits and every parameter gradient of one batch through ``forward``."""
+    flags = AblationFlags(**{f"use_{name}": False for name in ablate})
+    model = tiny_model(variables, d=4, seed=7, flags=flags, **kwargs)
+    logits = forward(model, episodes)
+    ad.backward(ad.cross_entropy(logits, model.plan(episodes).onehot))
+    return logits.data, {name: p.grad for name, p in model.params.items()}
+
+
+def assert_per_node_bits(episodes, variables, **kwargs):
+    """The one-node encoder gives the per-node encoder's logits and gradients,
+    byte for byte, and leaves the same parameters without a gradient: the
+    layers it runs, and the order each gradient sums its terms in."""
+    logits, grads = encoder_bits(lambda model, batch: model.forward(batch), episodes,
+                                 variables, **kwargs)
+    want_logits, want = encoder_bits(co.per_node_forward, episodes, variables, **kwargs)
+    assert logits.tobytes() == want_logits.tobytes()
+    assert ({name for name, g in grads.items() if g is None}
+            == {name for name, g in want.items() if g is None})
+    for name, grad in grads.items():
+        assert grad is None or grad.tobytes() == want[name].tobytes(), name
+
+
+def oracle_batch():
+    ds = synth(n=6, seed=83, obs=4.0)
+    return ds.episodes, ds.variables
+
+
+@pytest.mark.parametrize("ablate", EVERY_ABLATION, ids=lambda a: "-".join(a) or "none")
+def test_one_node_encoder_has_the_per_node_bits_under_every_ablation(ablate):
+    episodes, variables = oracle_batch()
+    assert_per_node_bits(episodes, variables, ablate=ablate, k=4)
+
+
+@pytest.mark.parametrize("kernel", ["mlp_exp", "exp", "mlp_gaussian", "mlp_linear"])
+def test_one_node_encoder_has_the_per_node_bits_for_every_kernel(kernel):
+    episodes, variables = oracle_batch()
+    assert_per_node_bits(episodes, variables, kernel=kernel, k=4)
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("k", [4, 1030], ids=["chain-core", "tiled-core"])
+def test_one_node_encoder_has_the_per_node_bits_for_both_cores_and_depths(k, layers):
+    assert k <= cb.TILE or k > cb.TILE
+    episodes, variables = oracle_batch()
+    for ablate in ((), ("sna",), ("hvs", "sna")):
+        assert_per_node_bits(episodes, variables, ablate=ablate, k=k, layers=layers)
+
+
+@pytest.mark.parametrize("ablate", [(), ("cb",), ("sna",), ("cb", "sna")],
+                         ids=lambda a: "-".join(a) or "none")
+def test_one_node_encoder_has_the_per_node_bits_when_the_first_step_has_no_edge(ablate):
+    # the first observed step then fuses and attends: the variable table
+    # reaches its fusion directly
+    episodes, variables = oracle_batch()
+    emptied = [replace(ep, mask=np.vstack([np.zeros((1, ep.mask.shape[1])), ep.mask[1:]]))
+               for ep in episodes]
+    steps = gr.build_graph_steps(emptied, len(variables))
+    assert steps[0].n_edges == 0 and steps[1].n_edges > 0
+    assert_per_node_bits(emptied, variables, ablate=ablate, k=4)
+
+
+def test_no_flat_index_lives_from_forward_to_backward():
+    """The scatter sums' flat indices (E·d int64 entries each) are built in
+    the forward and again in backward, but none is kept in between."""
+    episodes, model = c8_batch()
+    model.forward(episodes)  # first-call allocations stay out
+    source, first = inspect.getsourcelines(ad._flat_index)
+    line = first + next(i for i, text in enumerate(source) if "np.arange" in text)
+
+    def built_and_alive():
+        return sum(stat.size for stat in tracemalloc.take_snapshot().statistics("lineno")
+                   if (stat.traceback[0].filename, stat.traceback[0].lineno)
+                   == (ad.__file__, line))
+
+    tracemalloc.start()
+    try:
+        control = ad._flat_index(np.arange(5), 16)  # one that does live
+        before = built_and_alive()
+        logits = model.forward(episodes)
+        after = built_and_alive()
+    finally:
+        tracemalloc.stop()
+    assert logits.tracked and control.nbytes <= before
+    assert after == before
+
+
+def test_a_forward_is_three_tracked_nodes(monkeypatch):
+    # the encoder, then the head's two linear layers
+    episodes, model = c8_batch()
+    made = []
+    true_make = ad._make
+
+    def recording_make(data, parents, op, rule):
+        out = true_make(data, parents, op, rule)
+        made.append(op)
+        return out
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    assert model.forward(episodes).tracked
+    assert made == ["encode", "linear", "linear"]

@@ -30,7 +30,7 @@ def test_all_kernels_are_one_at_zero_gap():
     params = params_for()
     e = random_edges(5, 4)
     for kernel in tp.DECAY_KERNELS:
-        gamma = tp.decay_factor(e, np.zeros(5), kernel, params)
+        gamma = co.layer_decay_factor(e, np.zeros(5), kernel, params)
         np.testing.assert_allclose(gamma.data, 1.0, atol=1e-12)
 
 
@@ -38,7 +38,7 @@ def test_fixed_rate_half_life():
     # softplus(0) = ln 2, so the shared-rate kernel at dt=1 dies to exactly 1/2
     params = params_for()
     params["decay.rate_raw"].data[:] = 0.0
-    gamma = tp.decay_factor(random_edges(3, 4), np.ones(3), "exp", params)
+    gamma = co.layer_decay_factor(random_edges(3, 4), np.ones(3), "exp", params)
     np.testing.assert_allclose(gamma.data, 0.5, atol=1e-12)
 
 
@@ -51,13 +51,13 @@ def test_linear_kernel_clamps_to_zero():
     for name in ("decay.w1", "decay.b1", "decay.w2"):
         params[name].data[:] = 0.0
     params["decay.b2"].data[:] = 0.0
-    gamma = tp.decay_factor(random_edges(3, 4), dt, "mlp_linear", params)
+    gamma = co.layer_decay_factor(random_edges(3, 4), dt, "mlp_linear", params)
     np.testing.assert_allclose(gamma.data, 0.0, atol=1e-12)
 
 
 def test_unknown_kernel_rejected():
     with pytest.raises(tp.KernelConfigError):
-        tp.decay_factor(random_edges(1, 4), np.zeros(1), "cosine", params_for())
+        co.layer_decay_factor(random_edges(1, 4), np.zeros(1), "cosine", params_for())
 
 
 def test_kernels_monotone_non_increasing():
@@ -66,7 +66,7 @@ def test_kernels_monotone_non_increasing():
         params = params_for(seed=seed)
         e = random_edges(1, 4, seed=seed)
         for kernel in tp.DECAY_KERNELS:
-            values = [tp.decay_factor(e, np.array([dt]), kernel, params).item()
+            values = [co.layer_decay_factor(e, np.array([dt]), kernel, params).item()
                       for dt in grid]
             diffs = np.diff(values)
             assert np.all(diffs <= 1e-15), f"{kernel} not monotone"
@@ -76,12 +76,12 @@ def test_exp_and_gaussian_strictly_positive_at_huge_gap():
     params = params_for(seed=1)
     e = random_edges(4, 4, seed=2)
     for kernel in ("mlp_exp", "exp", "mlp_gaussian"):
-        gamma = tp.decay_factor(e, np.full(4, 1e3), kernel, params)
+        gamma = co.layer_decay_factor(e, np.full(4, 1e3), kernel, params)
         assert np.all(np.isfinite(gamma.data))
         assert np.all(gamma.data >= 0.0)
         assert np.all(gamma.data <= 1.0)
     # the pure exp kernel cannot underflow to a negative or non-finite value
-    gamma = tp.decay_factor(e, np.full(4, 1e3), "mlp_linear", params)
+    gamma = co.layer_decay_factor(e, np.full(4, 1e3), "mlp_linear", params)
     assert np.all(gamma.data >= 0.0) and np.all(np.isfinite(gamma.data))
 
 
@@ -95,12 +95,12 @@ def test_gate_endpoints():
     index = np.array([3, 0, 2])
 
     params["gate.b"].data[:] = -80.0  # sigmoid -> 0: keep the stored state
-    np.testing.assert_allclose(tp.gated_update(tp.Bank(bank), index, e, params).data,
+    np.testing.assert_allclose(co.layer_gated_update(co.LayerBank(bank), index, e, params).data,
                                bank.data, atol=1e-12)
     params["gate.b"].data[:] = 80.0  # sigmoid -> 1: take the new feature
     expected = bank.data.copy()
     expected[index] = e.data
-    np.testing.assert_allclose(tp.gated_update(tp.Bank(bank), index, e, params).data,
+    np.testing.assert_allclose(co.layer_gated_update(co.LayerBank(bank), index, e, params).data,
                                expected, atol=1e-12)
 
 
@@ -110,7 +110,7 @@ def test_gate_output_is_coordinatewise_convex():
     bank = random_edges(12, 4, seed=8)
     index = np.random.default_rng(9).permutation(12)[:10]
     gamma = Tensor(np.random.default_rng(10).uniform(0.0, 1.0, (10, 1)))
-    out = tp.gated_update(tp.Bank(bank), index, e, params, gamma).data
+    out = co.layer_gated_update(co.LayerBank(bank), index, e, params, gamma).data
     h_hat = bank.data[index] * gamma.data
     lo = np.minimum(e.data, h_hat)
     hi = np.maximum(e.data, h_hat)
@@ -126,7 +126,7 @@ def test_single_variable_attention_projects_its_state():
     params = params_for()
     h = np.random.default_rng(1).normal(size=(2, 1, 4))
     v_pat = random_edges(2, 4, seed=9)
-    out = tp.node_attention(v_pat, tp.Bank(Tensor(h)), params["attn.proj"])
+    out = co.layer_node_attention(v_pat, co.LayerBank(Tensor(h)), params["attn.proj"])
     expected = h[:, 0, :] @ params["attn.proj"].data
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -136,7 +136,7 @@ def test_identical_states_dominate_any_query():
     u = np.array([0.3, -1.2, 0.5, 2.0])
     h = np.tile(u, (2, 5, 1))
     v_pat = random_edges(2, 4, seed=10)
-    out = tp.node_attention(v_pat, tp.Bank(Tensor(h)), params["attn.proj"])
+    out = co.layer_node_attention(v_pat, co.LayerBank(Tensor(h)), params["attn.proj"])
     expected = np.tile(u @ params["attn.proj"].data, (2, 1))
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -151,7 +151,7 @@ def test_attention_weights_sum_to_one():
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
     # the module's output equals the weighted mixture under the projection
     params = params_for()
-    out = tp.node_attention(Tensor(v_pat), tp.Bank(Tensor(h)), params["attn.proj"])
+    out = co.layer_node_attention(Tensor(v_pat), co.LayerBank(Tensor(h)), params["attn.proj"])
     expected = np.einsum("bv,bvd->bd", weights, h) @ params["attn.proj"].data
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -163,8 +163,8 @@ def test_gradients_flow_through_decay_and_gate():
         ad.zero_grad(params.values())
         e = Tensor(e_data, tracked=False)
         h = Tensor(np.random.default_rng(14).normal(size=(6, 4)))
-        gamma = tp.decay_factor(e, np.full(6, 0.5), kernel, params)
-        out = tp.gated_update(tp.Bank(h), np.arange(6), e, params, gamma)
+        gamma = co.layer_decay_factor(e, np.full(6, 0.5), kernel, params)
+        out = co.layer_gated_update(co.LayerBank(h), np.arange(6), e, params, gamma)
         ad.backward(co.tensor_sum(co.mul(out, out)))
         touched = [name for name, p in params.items()
                    if p.grad is not None and np.any(p.grad != 0.0)]
@@ -202,7 +202,7 @@ def test_decay_factor_is_one_node_with_the_chain_bits(d, n, kernel, data, direct
         return co.differentiate(build, arrays, leaves=names, untracked=untracked,
                                 direct=direct, seed=seed)
 
-    co.assert_same_bits(runner(tp.decay_factor), runner(co.decay_factor))
+    co.assert_same_bits(runner(co.layer_decay_factor), runner(co.decay_factor))
 
 
 @settings(max_examples=120, deadline=None)
@@ -231,7 +231,7 @@ def test_gated_update_is_one_node_with_the_chain_bits(d, n, spare, gamma, data, 
                                 direct=direct, seed=seed)
 
     def fused(h_bank, *args):
-        return tp.gated_update(tp.Bank(h_bank), *args)
+        return co.layer_gated_update(co.LayerBank(h_bank), *args)
 
     co.assert_same_bits(runner(fused), runner(co.gated_update))
 
@@ -250,7 +250,7 @@ def test_node_attention_is_one_node_with_the_chain_bits(d, b, v, data, direct, s
                                 untracked=untracked, direct=direct, seed=seed)
 
     def fused(v_pat, h_bank, w_proj):
-        return tp.node_attention(v_pat, tp.Bank(h_bank), w_proj)
+        return co.layer_node_attention(v_pat, co.LayerBank(h_bank), w_proj)
 
     co.assert_same_bits(runner(fused), runner(co.node_attention))
 
@@ -260,7 +260,7 @@ def test_fused_temporal_nodes_record_one_node_each():
     e = Tensor(np.ones((3, 4)), tracked=True)
     bank = Tensor(np.ones((3, 4)), tracked=True)
     for kernel in tp.DECAY_KERNELS:
-        gamma = tp.decay_factor(e, np.ones(3), kernel, params)
+        gamma = co.layer_decay_factor(e, np.ones(3), kernel, params)
         names = DECAY_PARAMS["exp" if kernel == "exp" else "mlp"]
         assert gamma._op == "decay_factor"
         assert gamma._parents == (() if kernel == "exp" else (e,)) + tuple(
@@ -268,12 +268,12 @@ def test_fused_temporal_nodes_record_one_node_each():
     # the last kernel's gamma; backward must reach e before gamma and the
     # bank, as the chain's did
     gate = (params["gate.w"], params["gate.b"])
-    out = tp.gated_update(tp.Bank(bank), np.arange(3), e, params, gamma)
+    out = co.layer_gated_update(co.LayerBank(bank), np.arange(3), e, params, gamma)
     assert out._op == "gate" and out._parents == (bank, gamma, e, *gate)
-    out = tp.gated_update(tp.Bank(bank), np.arange(3), e, params)
+    out = co.layer_gated_update(co.LayerBank(bank), np.arange(3), e, params)
     assert out._op == "gate" and out._parents == (bank, e, *gate)
     v_pat, bank = Tensor(np.ones((2, 4)), tracked=True), Tensor(np.ones((4, 4)), tracked=True)
-    out = tp.node_attention(v_pat, tp.Bank(bank), params["attn.proj"])
+    out = co.layer_node_attention(v_pat, co.LayerBank(bank), params["attn.proj"])
     assert out._op == "attention" and out._parents == (v_pat, bank, params["attn.proj"])
 
 
@@ -290,11 +290,11 @@ def test_fused_temporal_nodes_match_finite_differences(kernel, use_tde):
     w = Tensor(rng.normal(size=(2, 4)))
 
     def loss():
-        gamma = tp.decay_factor(e, dt, kernel, params) if use_tde else None
+        gamma = co.layer_decay_factor(e, dt, kernel, params) if use_tde else None
         # rows 2 and 5 are kept: their gradient passes the gate untouched
-        bank = tp.Bank(h)
-        tp.gated_update(bank, np.array([4, 0, 3, 1]), e, params, gamma)
-        return co.tensor_sum(co.mul(tp.node_attention(v_pat, bank, params["attn.proj"]), w))
+        bank = co.LayerBank(h)
+        co.layer_gated_update(bank, np.array([4, 0, 3, 1]), e, params, gamma)
+        return co.tensor_sum(co.mul(co.layer_node_attention(v_pat, bank, params["attn.proj"]), w))
 
     names = ["gate.w", "gate.b", "attn.proj"]
     if use_tde:
@@ -341,9 +341,9 @@ def test_backward_that_never_reaches_the_last_gate_keeps_the_chain_bits(seed):
         params, t, (w_bank, w_att), (index1, index2) = bank_inputs(seed)
         proj = params["attn.proj"]
         if fused:
-            bank = tp.Bank(t["h0"])
-            first = tp.gated_update(bank, index1, t["e1"], params, t["gamma"])
-            attended = tp.node_attention(t["v_pat"], bank, proj)
+            bank = co.LayerBank(t["h0"])
+            first = co.layer_gated_update(bank, index1, t["e1"], params, t["gamma"])
+            attended = co.layer_node_attention(t["v_pat"], bank, proj)
         else:
             first = co.gated_update(t["h0"], index1, t["e1"], params, t["gamma"])
             attended = co.node_attention(t["v_pat"], first, proj)
@@ -351,7 +351,7 @@ def test_backward_that_never_reaches_the_last_gate_keeps_the_chain_bits(seed):
                       co.tensor_sum(co.mul(attended, w_att)))
         values = [loss.data, first.data.copy(), attended.data]
         if fused:
-            tp.gated_update(bank, index2, t["e2"], params)
+            co.layer_gated_update(bank, index2, t["e2"], params)
         else:
             co.gated_update(first, index2, t["e2"], params)
         ad.backward(loss)
@@ -369,14 +369,14 @@ def test_attention_reads_its_bank_back_after_two_later_writes(seed):
         params, t, (w_bank, w_att), (index1, index2) = bank_inputs(seed)
         proj, v = params["attn.proj"], 4
         if fused:
-            bank = tp.Bank(t["h0"])
-            attended = tp.node_attention(t["v_pat"], bank, proj)
-            e1 = co.add(ad.gather_rows(attended, index1 // v), t["e1"])
-            tp.gated_update(bank, index1, e1, params, t["gamma"])
-            last = tp.gated_update(bank, index2, t["e2"], params)
+            bank = co.LayerBank(t["h0"])
+            attended = co.layer_node_attention(t["v_pat"], bank, proj)
+            e1 = co.add(co.gather_rows(attended, index1 // v), t["e1"])
+            co.layer_gated_update(bank, index1, e1, params, t["gamma"])
+            last = co.layer_gated_update(bank, index2, t["e2"], params)
         else:
             attended = co.node_attention(t["v_pat"], t["h0"], proj)
-            e1 = co.add(ad.gather_rows(attended, index1 // v), t["e1"])
+            e1 = co.add(co.gather_rows(attended, index1 // v), t["e1"])
             first = co.gated_update(t["h0"], index1, e1, params, t["gamma"])
             last = co.gated_update(first, index2, t["e2"], params)
         loss = co.add(co.tensor_sum(co.mul(last, w_bank)),
@@ -389,13 +389,14 @@ def test_attention_reads_its_bank_back_after_two_later_writes(seed):
 
 
 def test_a_bank_version_that_was_rolled_past_is_refused():
-    bank = tp.Bank(random_edges(4, 3))
+    start = random_edges(4, 3).data
+    bank = tp.Bank(start.copy())
     params = params_for(d=3)
     for index in ([0, 2], [1, 2]):
-        tp.gated_update(bank, np.array(index), random_edges(2, 3, seed=5), params)
+        tp.gated_update(bank, np.array(index), random_edges(2, 3, seed=5).data, params)
     first = bank.data.copy()
     bank.rollback(0)
-    assert bank.data.tobytes() == random_edges(4, 3).data.tobytes()
+    assert bank.data.tobytes() == start.tobytes()
     with pytest.raises(ContractError, match="rolled back"):
         bank.rollback(1)
     assert not np.array_equal(first, bank.data)
