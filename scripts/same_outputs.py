@@ -1,7 +1,7 @@
 """Check that two decaygraph source trees write byte-identical outputs.
 
 Usage: python3 scripts/same_outputs.py A B
-       python3 scripts/same_outputs.py --audit KERNEL OUT.json
+       python3 scripts/same_outputs.py --audit KERNEL OUT.json [--ablate NAME ...]
 
 A and B are checkouts (each with a ``src/`` directory). Both run the same
 fixed matrix of commands, each tree importing its own ``src/``. They run
@@ -30,12 +30,16 @@ next, so a drift in host speed falls on both trees alike:
    a 32-episode checkpoint, ``synth`` of a 320-episode set, and ``eval``
    with leave-out rates 0.2 and 0.5; then ``eval --split val`` at rate
    0.5, so leave-out is also compared on a split other than test;
-4. ``gradcheck`` for each decay kernel: its stdout, whose errors have
-   only 4 significant digits, and the errors dict its audit returned,
-   every float at full precision (``repr``), as a JSON file. The second
-   usage line runs one such ``gradcheck`` with one tree's ``src/`` on
-   the path: it wraps the ``gradient_check`` that ``decaygraph.cli``
-   calls, which every tree has, so it runs on both trees alike;
+4. ``gradcheck`` for each decay kernel, and at the default kernel with
+   ``--ablate hvs --ablate sna`` (layers that never reach the loss),
+   ``--ablate cb --ablate sna`` (a backward that interleaves the steps)
+   and ``--ablate tde`` (a gate with no decay): its stdout, whose errors
+   have only 4 significant digits, and the errors dict its audit
+   returned, every float at full precision (``repr``), as a JSON file.
+   The second usage line runs one such ``gradcheck`` with one tree's
+   ``src/`` on the path, passing each ``--ablate NAME`` on: it wraps the
+   ``gradient_check`` that ``decaygraph.cli`` calls, which every tree
+   has, so it runs on both trees alike;
 5. the ``train-k32`` benchmark config at seed 10: ``synth`` of the C8 set
    (6 variables, 200 episodes, synthetic seed 201) and 12-epoch ``train``
    with K=32 and batch 64. Training amplifies a last-bit change, which a
@@ -73,6 +77,8 @@ import tempfile
 from pathlib import Path
 
 KERNELS = ("mlp_exp", "exp", "mlp_gaussian", "mlp_linear")
+# ablation sets audited at the default kernel
+AUDITED_ABLATIONS = (("hvs", "sna"), ("cb", "sna"), ("tde",))
 T_MAX = "48"
 C8_SYNTHETIC = {
     "n_variables": 6, "n_episodes": 200,
@@ -188,11 +194,15 @@ def run_matrix(trees: list[Path], works: list[Path]) -> list[dict[str, dict[str,
 
     for work in works:
         (work / "gradcheck").mkdir()
-    for kernel in KERNELS:
-        stdouts = each("--audit", kernel, f"gradcheck/{kernel}.json",
+    audits = [(kernel, ()) for kernel in KERNELS]
+    audits += [(KERNELS[0], ablation) for ablation in AUDITED_ABLATIONS]
+    for kernel, ablation in audits:
+        name = "_no_".join((kernel, *ablation)) if ablation else kernel
+        stdouts = each("--audit", kernel, f"gradcheck/{name}.json",
+                       *(arg for flag in ablation for arg in ("--ablate", flag)),
                        entry=(str(Path(__file__).resolve()),))
         for work, out in zip(works, stdouts):
-            (work / "gradcheck" / f"{kernel}.txt").write_text(out, encoding="utf-8")
+            (work / "gradcheck" / f"{name}.txt").write_text(out, encoding="utf-8")
 
     c8_data = synth("c8_data", {"synthetic": C8_SYNTHETIC,
                                 "data": {"split_ratios": [0.7, 0.15, 0.15]}}, 201)
@@ -276,10 +286,11 @@ def peak_lines(a: dict[str, float | None], b: dict[str, float | None],
             for name in names]
 
 
-def audit(kernel: str, path: str) -> int:
-    """Run ``decaygraph gradcheck --kernel KERNEL`` in this process and write
-    the errors dict its audit returned to ``path`` as JSON, whose floats are
-    their ``repr``. Returns the command's exit status."""
+def audit(kernel: str, path: str, ablate: tuple[str, ...] = ()) -> int:
+    """Run ``decaygraph gradcheck --kernel KERNEL``, with ``--ablate NAME``
+    for each name in ``ablate``, in this process and write the errors dict
+    its audit returned to ``path`` as JSON, whose floats are their ``repr``.
+    Returns the command's exit status."""
     import decaygraph.cli as cli
 
     audit_fn = cli.gradient_check
@@ -292,7 +303,8 @@ def audit(kernel: str, path: str) -> int:
 
     cli.gradient_check = recorded
     try:
-        status = cli.main(["gradcheck", "--kernel", kernel])
+        status = cli.main(["gradcheck", "--kernel", kernel,
+                           *(arg for name in ablate for arg in ("--ablate", name))])
     finally:
         cli.gradient_check = audit_fn
     errors = {name: float(err) for name, err in returned.items()}
@@ -302,8 +314,10 @@ def audit(kernel: str, path: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 3 and argv[0] == "--audit":
-        return audit(argv[1], argv[2])
+    if len(argv) >= 3 and argv[0] == "--audit":
+        flags, names = argv[3::2], argv[4::2]
+        if len(flags) == len(names) and set(flags) <= {"--ablate"}:
+            return audit(argv[1], argv[2], tuple(names))
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 1

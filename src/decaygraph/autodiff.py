@@ -13,9 +13,10 @@ multiple uses sum; clearing them between optimizer steps is the caller's
 job (see ``zero_grad``).
 
 The public ops are ``linear`` (with an optional ReLU) and
-``cross_entropy``, which reads ``one_hot`` rows. The model's encoder is
-one node (``model.DecayGraphClassifier.encode``) over array-level layer
-functions, and the head is two ``linear`` nodes.
+``cross_entropy``, which reads ``one_hot`` rows. The model's encoder
+(``model.DecayGraphClassifier.encode``) makes one node per layer, each
+over an array-level layer function whose named backward is its rule, and
+the head is two ``linear`` nodes.
 
 Every backward rule follows one idiom. It hands each input its gradient
 through ``_accumulate``, which ignores an untracked input, so a rule
@@ -28,15 +29,15 @@ matmul result, a ``_scatter_add`` output, a bias sum through
 tensors ever share a ``.grad``. The weight, bias and input gradients of
 ``x @ w + b`` go through ``_linear_grads``. Row sums by index go through
 ``_scatter_add``: an ``np.bincount`` over the flat ``row·d + column``
-positions that ``_flat_index`` builds, which adds the elements of each
-position in row order onto zero, as ``np.add.at`` did, so it keeps its
-bytes. ``_softmax`` is the one numpy softmax.
+positions that ``_flat_index`` builds for that call, which adds the
+elements of each position in row order onto zero, as ``np.add.at`` did,
+so it keeps its bytes. ``_softmax`` is the one numpy softmax.
 
-``backward``'s depth-first search, ``_postorder``, explores the last
+``backward`` is the one reverse-mode walk, for the encoder's layers as
+for the head and the loss. Its depth-first search explores a node's last
 parent first. The order it gives fixes the order in which a tensor with
 three or more consumers sums its gradient, so another order changes the
-last bits. The encoder node runs its layers' backward rules in the order
-this same search gives over the per-layer graph those layers describe.
+last bits.
 
 A node keeps alive until backward only what its backward cannot rebuild
 from its parents. ``linear`` keeps no copy of the concatenation of its
@@ -130,8 +131,10 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], op: str, rule: Callable) 
     if not _grad_enabled:
         return out
     out._op = op
-    if any(p.tracked for p in parents):
-        out.tracked, out._parents, out._backward = True, tuple(parents), rule
+    for p in parents:
+        if p.tracked:
+            out.tracked, out._parents, out._backward = True, tuple(parents), rule
+            break
     return out
 
 
@@ -179,12 +182,12 @@ def _flat_index(index: np.ndarray, width: int) -> np.ndarray:
     return (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
 
 
-def _scatter_add(shape: tuple, flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Zeros of ``shape`` (n, d) with each row of ``rows`` added at its row;
-    ``flat`` is those rows' ``_flat_index`` at width d."""
-    if not len(flat):  # bincount would return integer zeros
+def _scatter_add(shape: tuple, index: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Zeros of ``shape`` (n, d) with each row of ``rows`` added at the row
+    ``index`` names for it."""
+    if not len(index):  # bincount would return integer zeros
         return np.zeros(shape)
-    return np.bincount(flat, weights=rows.reshape(-1),
+    return np.bincount(_flat_index(index, shape[1]), weights=rows.reshape(-1),
                        minlength=shape[0] * shape[1]).reshape(shape)
 
 
@@ -285,28 +288,6 @@ def cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
 
 # -- backward pass -------------------------------------------------------
 
-def _postorder(root, parents: Callable) -> list:
-    """Every node reachable from ``root`` through ``parents(node)``, each after
-    the parents it was reached by: an iterative depth-first search that
-    explores a node's last parent first. Reversed, it is ``backward``'s order."""
-    order: list = []
-    seen: set = set()
-    stack: list = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for parent in parents(node):
-            if parent not in seen:
-                stack.append((parent, False))
-    return order
-
-
 def _tracked_parents(node: Tensor) -> list[Tensor]:
     if node._op and not node._parents:
         raise ContractError(f"backward over a released graph: the {node._op!r} node "
@@ -317,13 +298,32 @@ def _tracked_parents(node: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/dx into ``.grad`` of every tracked leaf, releasing
     each interior node (``grad`` None, no rule, no inputs) once its rule has
-    run. An untracked loss or an already released graph is refused."""
+    run. An untracked loss or an already released graph is refused.
+
+    The rules run in the reverse of a depth-first post-order from the loss
+    that explores a node's last tracked parent first: every node runs after
+    all the nodes that consume it."""
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.tracked:
         raise ContractError("backward needs a loss that depends on a tracked tensor; "
                             "this one is untracked (built from constants or under no_grad)")
-    order = _postorder(loss, _tracked_parents)
+    order: list[Tensor] = []
+    seen: set = set()
+    stack: list = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for parent in _tracked_parents(node):
+            if parent not in seen:
+                stack.append((parent, False))
+    del seen  # ``order`` alone keeps the nodes now
     _accumulate(loss, np.ones_like(loss.data), owned=True)
     # popping drops this list's reference, so released nodes free their arrays
     while order:

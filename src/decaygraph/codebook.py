@@ -295,8 +295,7 @@ def retrieve(x: np.ndarray, c: np.ndarray, unit_book: UnitBook) -> tuple[np.ndar
 
 def retrieve_backward(g: np.ndarray, codebook: Tensor, indices: np.ndarray) -> None:
     """``retrieve``'s rule: each selected row's gradient, summed per prototype."""
-    flat = ad._flat_index(indices, codebook.shape[1])
-    ad._accumulate(codebook, ad._scatter_add(codebook.shape, flat, g), owned=True)
+    ad._accumulate(codebook, ad._scatter_add(codebook.shape, indices, g), owned=True)
 
 
 def utilization(weight_sum: np.ndarray) -> float:

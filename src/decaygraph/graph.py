@@ -8,9 +8,9 @@ Message passing jointly encodes neighbour states with edge features,
 aggregates by unweighted sum, and residually updates edge states.
 
 The functions work on arrays. Each part of a layer has a named backward
-that adds its terms in the order its node once did; a node update's is
-``autodiff._linear_backward``. Flat scatter indices come last in their
-arguments; ``message_pass`` builds its step's once for all its layers.
+that adds its terms in the order of the op chain it replaced; a node
+update's is ``autodiff._linear_backward``. The model's encoder makes each
+part one autodiff node whose rule is that backward.
 """
 
 from __future__ import annotations
@@ -141,30 +141,28 @@ def init_edge_embeddings_backward(g: np.ndarray, step: GraphStep, params: dict[s
         g_raw = g * linear_mask + g * sine_mask * np.cos(_time_phase(step, params))
         ad._accumulate(freq, np.matmul(step.times.reshape(-1, 1).T, g_raw), owned=True)
         ad._accumulate_sum(phase, g_raw)
-    flat = ad._flat_index(step.variable_idx, table.shape[1])
-    ad._accumulate(table, ad._scatter_add(table.shape, flat, g), owned=True)
+    ad._accumulate(table, ad._scatter_add(table.shape, step.variable_idx, g), owned=True)
 
 
-def _message(v_src: np.ndarray, src_idx: np.ndarray, e: np.ndarray, dst_flat: np.ndarray,
+def _message(v_src: np.ndarray, src_idx: np.ndarray, e: np.ndarray, dst_idx: np.ndarray,
              n_dst: int, w: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray | None]:
     """Sum over edges of relu([v_src[src]; e] @ w + b) into the ``n_dst``
-    destination rows, whose ``ad._flat_index`` is ``dst_flat``; a row no
-    edge names gets zero. Returns it and, in grad mode, the ReLU mask."""
+    destination rows ``dst_idx`` names; a row no edge names gets zero.
+    Returns it and, in grad mode, the ReLU mask."""
     pre = np.matmul(np.concatenate([v_src[src_idx], e], axis=1), w.data) + b.data
-    out = ad._scatter_add((n_dst, pre.shape[1]), dst_flat, np.maximum(pre, 0.0))
+    out = ad._scatter_add((n_dst, pre.shape[1]), dst_idx, np.maximum(pre, 0.0))
     return out, (pre > 0.0 if ad._grad_enabled else None)
 
 
 def message_backward(g: np.ndarray, v_src: Tensor, src_idx: np.ndarray, e: Tensor,
-                     dst_idx: np.ndarray, w: Tensor, b: Tensor, active: np.ndarray,
-                     src_flat: np.ndarray) -> None:
-    """``_message``'s rule, ``src_flat`` being ``src_idx``'s flat index: add
-    the gradients of ``w``, ``b``, ``e`` and ``v_src``, in that order."""
+                     dst_idx: np.ndarray, w: Tensor, b: Tensor, active: np.ndarray) -> None:
+    """``_message``'s rule: add the gradients of ``w``, ``b``, ``e`` and
+    ``v_src``, in that order."""
     g_x = ad._linear_grads(np.concatenate([v_src.data[src_idx], e.data], axis=1), w, b,
                            g[dst_idx] * active)
     width = v_src.shape[1]
     ad._accumulate(e, g_x[:, width:])
-    ad._accumulate(v_src, ad._scatter_add(v_src.shape, src_flat, g_x[:, :width]), owned=True)
+    ad._accumulate(v_src, ad._scatter_add(v_src.shape, src_idx, g_x[:, :width]), owned=True)
 
 
 def _edge_update(step: GraphStep, v_pat: np.ndarray, v_var: np.ndarray, e: np.ndarray,
@@ -177,20 +175,19 @@ def _edge_update(step: GraphStep, v_pat: np.ndarray, v_var: np.ndarray, e: np.nd
 
 
 def edge_update_backward(g: np.ndarray, step: GraphStep, v_pat: Tensor, v_var: Tensor,
-                         e: Tensor, w: Tensor, b: Tensor, active: np.ndarray,
-                         pat_flat: np.ndarray, var_flat: np.ndarray) -> None:
-    """``_edge_update``'s rule, ``pat_flat`` and ``var_flat`` being the step's
-    flat patient and variable indices: add the gradients of ``e`` (the
-    residual), ``w``, ``b``, ``e`` (the input), ``v_pat`` and ``v_var``."""
+                         e: Tensor, w: Tensor, b: Tensor, active: np.ndarray) -> None:
+    """``_edge_update``'s rule: add the gradients of ``e`` (the residual),
+    ``w``, ``b``, ``e`` (the input), ``v_pat`` and ``v_var``."""
     ad._accumulate(e, g)
     x = np.concatenate([v_pat.data[step.patient_idx], v_var.data[step.variable_idx], e.data],
                        axis=1)
     g_x = ad._linear_grads(x, w, b, g * active)
     d_pat, d_var = v_pat.shape[1], v_var.shape[1]
     ad._accumulate(e, g_x[:, d_pat + d_var:])
-    ad._accumulate(v_pat, ad._scatter_add(v_pat.shape, pat_flat, g_x[:, :d_pat]), owned=True)
-    ad._accumulate(v_var, ad._scatter_add(v_var.shape, var_flat, g_x[:, d_pat:d_pat + d_var]),
+    ad._accumulate(v_pat, ad._scatter_add(v_pat.shape, step.patient_idx, g_x[:, :d_pat]),
                    owned=True)
+    ad._accumulate(v_var, ad._scatter_add(v_var.shape, step.variable_idx,
+                                          g_x[:, d_pat:d_pat + d_var]), owned=True)
 
 
 @dataclass
@@ -227,16 +224,13 @@ def message_pass(step: GraphStep, v_pat: np.ndarray, v_var: np.ndarray, e: np.nd
     """
     if n_layers < 1:
         raise GraphConfigError(f"message passing needs >= 1 layer, got {n_layers}")
-    d = e.shape[1]
-    pat_flat = ad._flat_index(step.patient_idx, d)
-    var_flat = ad._flat_index(step.variable_idx, d)
     layers: list[LayerArrays] = []
     for layer in range(n_layers):
         w_msg, b_msg, w_node, b_node, w_edge, b_edge = (params[name]
                                                         for name in _layer_names(layer))
-        agg_pat, active_pat = _message(v_var, step.variable_idx, e, pat_flat,
+        agg_pat, active_pat = _message(v_var, step.variable_idx, e, step.patient_idx,
                                        step.n_patients, w_msg, b_msg)
-        agg_var, active_var = _message(v_pat, step.patient_idx, e, var_flat,
+        agg_var, active_var = _message(v_pat, step.patient_idx, e, step.variable_idx,
                                        step.n_variables, w_msg, b_msg)
         v_pat = ad._linear_forward([v_pat, agg_pat], w_node, b_node, relu=True)
         v_var = ad._linear_forward([v_var, agg_var], w_node, b_node, relu=True)

@@ -13,11 +13,13 @@ mask-reweighted flattened hidden bank. ``forward`` is
 ``classify(encode(...))``: ``encode`` does everything up to the head's
 input, and ``classify`` is the head.
 
-``encode`` is one autodiff node over the array-level layers of ``graph``,
-``temporal`` and ``codebook``; it keeps what each layer's backward reads
-(nothing under ``no_grad``) and runs those backwards in the order
-``autodiff.backward`` ran the layers as nodes (``_schedule``), leaving out
-a layer that does not reach the loss, so every bit stays.
+``encode`` makes each call of an array-level layer of ``graph``,
+``temporal`` and ``codebook`` one autodiff node, whose parents are the
+nodes and parameters the layer reads and whose rule calls the layer's
+named backward with what that backward reads (no node under
+``no_grad``). ``autodiff.backward`` walks those nodes with the head's:
+its order fixes every gradient bit, and a layer that does not reach the
+loss runs no rule.
 
 What a forward and a loss need of a batch that no parameter changes is
 built once per batch as a :class:`BatchPlan`: its graph steps, the
@@ -154,8 +156,6 @@ class DecayGraphClassifier:
         self.flags = flags
         self.variables = list(variables)
         self.params = self._init_params()
-        # the layer order of ``encode``'s backward, by the shape of its layers' graph
-        self._schedules: dict[tuple, tuple] = {}
 
     # -- parameters ------------------------------------------------------
 
@@ -239,136 +239,111 @@ class DecayGraphClassifier:
         return self.classify(self.encode(batch, weight_sum))
 
     def encode(self, batch: BatchPlan | list[Episode],
-               weight_sum: np.ndarray | None = None) -> Tensor:
-        """The head's input for a batch, one (B, ``head_input_dim``) node:
-        the patient embedding, the retrieved prototype and the reweighted
-        hidden bank, side by side.
+               weight_sum: np.ndarray | None = None) -> list[Tensor]:
+        """The head's input parts for a batch, each (B, ·): the patient
+        embedding, then the retrieved prototype and the reweighted hidden
+        bank when their flags are on.
 
         Walks the batch's graph steps, then retrieves the prototype and
-        reweights the hidden bank. Reads no parameter in ``HEAD_BLOCKS``.
-        Each codebook fusion adds its weights into ``weight_sum`` if given.
+        reweights the hidden bank. Each layer's output is one autodiff node
+        whose rule is the layer's named backward. Reads no parameter in
+        ``HEAD_BLOCKS``. Each codebook fusion adds its weights into
+        ``weight_sum`` if given.
         """
         plan = self.plan(batch)
         cfg, flags, params = self.config, self.flags, self.params
-        d = cfg.hidden_dim
-        keep = ad._grad_enabled
-        # per layer: its backward rule, output, rule arguments, step, and which
-        # of the step's flat (patient, variable, bank) indices the rule reads last
-        nodes: list[tuple] = []
 
-        def node(out, rule, *args, flats=()):
-            # the output as a Tensor that gathers its gradient for ``rule``
-            held = Tensor(out, tracked=keep)
-            if keep:
-                nodes.append((rule, held, args, len(steps) - 1, flats))
-            return held
+        def node(out, parents, op, rule, *args):
+            # the layer's output; in grad mode a node whose rule is rule(g, *args)
+            return ad._make(out, parents, op, lambda g: rule(g, *args))
 
-        v_pat = gr.init_patient_states(plan.n_patients, d)
+        v_pat = gr.init_patient_states(plan.n_patients, cfg.hidden_dim)
         v_var = params["node.var_table"]
         book = params["codebook"]
+        # the parameter parents of the edge init, decay and gate nodes
+        edge_params = tuple(params[f"edge.{name}"] for name in
+                            ("value_w", "value_b", "time_freq", "time_phase", "var_table"))
+        decay_params = tuple(params[f"decay.{name}"] for name in
+                             (("rate_raw",) if cfg.decay_kernel == "exp" else
+                              ("w1", "b1", "w2", "b2")))
+        gate_params = (params["gate.w"], params["gate.b"])
         # normalized once, shared by every fusion and the retrieval below
         unit_book = cb.UnitBook(book.data) if flags.use_cb else None
         # every gate writes the (patient, variable) states in place
-        bank = tp.Bank(np.zeros((plan.n_patients * plan.n_variables, d)))
+        bank = tp.Bank(np.zeros((plan.n_patients * plan.n_variables, cfg.hidden_dim)))
         h_bank = Tensor(bank.data)
-        steps: list[gr.GraphStep] = []
         for t, step in enumerate(plan.steps):
             if step.n_edges == 0:
                 continue
-            steps.append(step)
             if t >= 1:
                 if flags.use_cb:
                     out, saved = cb.soft_fuse(v_pat.data, book.data, unit_book, weight_sum)
-                    v_pat = node(out, cb.soft_fuse_backward, saved, v_pat, book, unit_book)
+                    v_pat = node(out, (v_pat, book), "soft_fuse", cb.soft_fuse_backward, saved,
+                                 v_pat, book, unit_book)
                     out, saved = cb.soft_fuse(v_var.data, book.data, unit_book, weight_sum)
-                    v_var = node(out, cb.soft_fuse_backward, saved, v_var, book, unit_book)
+                    v_var = node(out, (v_var, book), "soft_fuse", cb.soft_fuse_backward, saved,
+                                 v_var, book, unit_book)
                 if flags.use_sna:
                     attn = params["attn.proj"]
                     out, saved = tp.node_attention(v_pat.data, bank, attn)
-                    v_pat = node(out, tp.node_attention_backward, saved, v_pat, h_bank, bank,
-                                 attn)
+                    v_pat = node(out, (v_pat, h_bank, attn), "node_attention",
+                                 tp.node_attention_backward, saved, v_pat, h_bank, bank, attn)
 
-            e = node(gr.init_edge_embeddings(step, params, flags.use_te),
-                     gr.init_edge_embeddings_backward, step, params, flags.use_te)
+            e = node(gr.init_edge_embeddings(step, params, flags.use_te), edge_params,
+                     "init_edge_embeddings", gr.init_edge_embeddings_backward, step, params,
+                     flags.use_te)
             layers = gr.message_pass(step, v_pat.data, v_var.data, e.data, params, cfg.n_layers)
             for layer, out in enumerate(layers):
                 w_msg, b_msg, w_node, b_node, w_edge, b_edge = (
                     params[name] for name in gr._layer_names(layer))
-                agg_pat = node(out.agg_pat, gr.message_backward, v_var, step.variable_idx, e,
-                               step.patient_idx, w_msg, b_msg, out.active_pat, flats=(1,))
-                agg_var = node(out.agg_var, gr.message_backward, v_pat, step.patient_idx, e,
-                               step.variable_idx, w_msg, b_msg, out.active_var, flats=(0,))
-                v_pat = node(out.v_pat_new, ad._linear_backward, (v_pat, agg_pat), w_node,
-                             b_node, out.v_pat_new, True)
-                v_var = node(out.v_var_new, ad._linear_backward, (v_var, agg_var), w_node,
-                             b_node, out.v_var_new, True)
-                e = node(out.e_new, gr.edge_update_backward, step, v_pat, v_var, e, w_edge,
-                         b_edge, out.active_edge, flats=(0, 1))
+                agg_pat = node(out.agg_pat, (v_var, e, w_msg, b_msg), "message",
+                               gr.message_backward, v_var, step.variable_idx, e,
+                               step.patient_idx, w_msg, b_msg, out.active_pat)
+                agg_var = node(out.agg_var, (v_pat, e, w_msg, b_msg), "message",
+                               gr.message_backward, v_pat, step.patient_idx, e,
+                               step.variable_idx, w_msg, b_msg, out.active_var)
+                v_pat = node(out.v_pat_new, (v_pat, agg_pat, w_node, b_node), "linear",
+                             ad._linear_backward, (v_pat, agg_pat), w_node, b_node,
+                             out.v_pat_new, True)
+                v_var = node(out.v_var_new, (v_var, agg_var, w_node, b_node), "linear",
+                             ad._linear_backward, (v_var, agg_var), w_node, b_node,
+                             out.v_var_new, True)
+                e = node(out.e_new, (v_pat, v_var, e, w_edge, b_edge), "edge_update",
+                         gr.edge_update_backward, step, v_pat, v_var, e, w_edge, b_edge,
+                         out.active_edge)
 
             gamma = None
             if flags.use_tde:
                 out, saved = tp.decay_factor(e.data, step.delta_t, cfg.decay_kernel, params)
-                gamma = node(out, tp.decay_factor_backward, saved,
-                             None if cfg.decay_kernel == "exp" else e, cfg.decay_kernel, params)
+                # the exp kernel's one shared rate reads no edge feature
+                source = None if cfg.decay_kernel == "exp" else e
+                gamma = node(out, decay_params if source is None else (e, *decay_params),
+                             "decay_factor", tp.decay_factor_backward, saved, source,
+                             cfg.decay_kernel, params)
             rows = tp.gated_update(bank, step.bank_idx, e.data, params,
                                    None if gamma is None else gamma.data)
-            h_bank = node(bank.data, tp.gated_update_backward, h_bank, gamma, e, step.bank_idx,
-                          rows, params, flats=(2,))
+            h_bank = node(bank.data, (h_bank, e, *gate_params) if gamma is None
+                          else (h_bank, gamma, e, *gate_params), "gated_update",
+                          tp.gated_update_backward, h_bank, gamma, e, step.bank_idx, rows, params)
 
-        features = [v_pat]
+        parts = [v_pat]
         if flags.retrieval_active:
             indices, rows = cb.retrieve(v_pat.data, book.data, unit_book)
-            features.append(node(rows, cb.retrieve_backward, book, indices))
+            parts.append(node(rows, (book,), "retrieve", cb.retrieve_backward, book, indices))
         if flags.use_hvs:
-            features.append(node(head_reweight(bank.data, plan.count_weights),
-                                 head_reweight_backward, h_bank, plan.count_weights))
-        # everything the layers' graph depends on
-        shape = (len(steps), bool(steps) and steps[0] is not plan.steps[0], cfg.n_layers,
-                 cfg.decay_kernel, *asdict(flags).values())
-
-        def bw(g):
-            # the head's input parts first, as its linear node added them
-            ad._accumulate_parts(features, g)
-            flat_step = -1
-            for i in self._schedule(shape, nodes, features):
-                rule, out, args, s, flats = nodes[i]
-                nodes[i] = None
-                if flats:
-                    if s != flat_step:
-                        flat_step, step = s, steps[s]
-                        flat = [ad._flat_index(index, d) for index in
-                                (step.patient_idx, step.variable_idx, step.bank_idx)]
-                    args += tuple(flat[j] for j in flats)
-                rule(out.grad, *args)
-                out.grad = None
-            nodes.clear()
-
-        encoder = tuple(p for name, p in params.items() if name not in self.HEAD_BLOCKS)
-        return ad._make(np.concatenate([f.data for f in features], axis=1), encoder,
-                        "encode", bw)
-
-    def _schedule(self, shape: tuple, nodes: list, features: list[Tensor]) -> tuple:
-        """Indices of the ``nodes`` that reach the head, in the order of
-        ``autodiff.backward`` over them as nodes, once per ``shape``. A layer's
-        parents are the outputs among its rule's arguments; the head's, ``features``."""
-        if shape not in self._schedules:
-            index_of = {id(held): i for i, (_, held, _, _, _) in enumerate(nodes)}
-
-            def parents(i):
-                args = features if i is None else nodes[i][2]
-                tensors = [t for arg in args for t in (arg if isinstance(arg, tuple) else (arg,))]
-                return [index_of[id(t)] for t in tensors if id(t) in index_of]
-
-            self._schedules[shape] = tuple(reversed(ad._postorder(None, parents)[:-1]))
-        return self._schedules[shape]
+            parts.append(node(head_reweight(bank.data, plan.count_weights), (h_bank,),
+                              "head_reweight", head_reweight_backward, h_bank,
+                              plan.count_weights))
+        return parts
 
     # the only parameters ``classify`` reads, and the only ones ``encode`` does not
     HEAD_BLOCKS = ("head.w1", "head.b1", "head.w2", "head.b2")
 
-    def classify(self, features: Tensor) -> Tensor:
-        """Logits from the head's input: two ``linear`` layers."""
+    def classify(self, parts: list[Tensor]) -> Tensor:
+        """Logits from the head's input parts: two ``linear`` layers, the
+        first reading the parts side by side."""
         w1, b1, w2, b2 = (self.params[name] for name in self.HEAD_BLOCKS)
-        hidden = ad.linear([features], w1, b1, relu=True)
+        hidden = ad.linear(parts, w1, b1, relu=True)
         return ad.linear([hidden], w2, b2)
 
     def predict_proba(self, batch: BatchPlan | list[Episode],
@@ -401,16 +376,16 @@ def head_reweight_backward(g: np.ndarray, h_bank: Tensor, weights: np.ndarray) -
 
 
 def batch_loss(model: DecayGraphClassifier, batch: BatchPlan | list[Episode],
-               features: Tensor | None = None) -> Tensor:
+               parts: list[Tensor] | None = None) -> Tensor:
     """Mean cross-entropy of a batch, a plan or an episode list.
 
-    Given ``features``, the output of ``model.encode(batch)``, it runs
-    only ``classify`` on them. Those features are valid only for the same
-    batch and for unchanged encoder parameters (every parameter outside
+    Given ``parts``, the output of ``model.encode(batch)``, it runs only
+    ``classify`` on them. Those parts are valid only for the same batch
+    and for unchanged encoder parameters (every parameter outside
     ``HEAD_BLOCKS``); the caller must guarantee both.
     """
     plan = model.plan(batch)
-    logits = model.forward(plan) if features is None else model.classify(features)
+    logits = model.forward(plan) if parts is None else model.classify(parts)
     return ad.cross_entropy(logits, plan.onehot)
 
 
@@ -602,8 +577,8 @@ def gradient_check(model: DecayGraphClassifier, episodes: list[Episode],
 
     Every loss is a ``batch_loss`` call, two per coordinate, over one
     batch plan. The batch is encoded once more, under ``no_grad``, and the
-    perturbed losses of the ``HEAD_BLOCKS`` coordinates reuse those
-    features: ``encode`` reads no head parameter, so each of those losses
+    perturbed losses of the ``HEAD_BLOCKS`` coordinates reuse its
+    parts: ``encode`` reads no head parameter, so each of those losses
     is the same float as a full forward's.
     """
     positive(step, "finite-difference step", ModelConfigError)
@@ -615,9 +590,9 @@ def gradient_check(model: DecayGraphClassifier, episodes: list[Episode],
 
     errors: dict[str, float] = {}
     with ad.no_grad():
-        features = model.encode(plan)
+        parts = model.encode(plan)
         for name, p in model.params.items():
-            reused = features if name in model.HEAD_BLOCKS else None
+            reused = parts if name in model.HEAD_BLOCKS else None
             worst = 0.0
             flat = p.data.reshape(-1)
             for i in range(flat.size):

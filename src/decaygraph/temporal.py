@@ -9,7 +9,9 @@ second step on, the patient embedding can also attend over its stored
 per-variable states before entering the graph network.
 
 Each function works on arrays; in grad mode it returns what its named
-``*_backward`` reads, which adds its terms in the order its node once did.
+``*_backward`` reads, which adds its terms in the order of the op chain
+it replaced. The model's encoder makes each call one autodiff node whose
+rule is that backward.
 The per-variable states of one forward pass live in one :class:`Bank`,
 whose array every ``gated_update`` writes in place, logging in grad mode
 the rows it overwrote; ``node_attention_backward`` first rolls back every
@@ -166,14 +168,12 @@ def _gate(x: np.ndarray, params: dict[str, Tensor]) -> np.ndarray:
 
 
 def gated_update_backward(g: np.ndarray, h_bank: Tensor, gamma: Tensor | None, e: Tensor,
-                          index: np.ndarray, rows: np.ndarray, params: dict[str, Tensor],
-                          flat: np.ndarray) -> None:
+                          index: np.ndarray, rows: np.ndarray, params: dict[str, Tensor]) -> None:
     """``gated_update``'s rule, taking over ``g``, the written bank's gradient:
-    ``h_bank`` is the bank before the write, ``rows`` what it logged and
-    ``flat`` the ``ad._flat_index`` of ``index``. The chain's order: the
-    bank's other rows; the gate's (1 - r) * h_hat, 1 - r, r * e, sigmoid and
-    linear; the decay; the gathered rows. The gate is rebuilt from the
-    logged rows, as the forward computed it."""
+    ``h_bank`` is the bank before the write and ``rows`` what it logged. The
+    chain's order: the bank's other rows; the gate's (1 - r) * h_hat, 1 - r,
+    r * e, sigmoid and linear; the decay; the gathered rows. The gate is
+    rebuilt from the logged rows, as the forward computed it."""
     w, b = params["gate.w"], params["gate.b"]
     # the written bank's gradient is dropped after this rule, so the earlier
     # bank may adopt it
@@ -194,7 +194,7 @@ def gated_update_backward(g: np.ndarray, h_bank: Tensor, gamma: Tensor | None, e
     if gamma is not None:
         ad._accumulate(gamma, (g_hat * rows).sum(axis=1, keepdims=True))
         g_hat = g_hat * gamma.data
-    ad._accumulate(h_bank, ad._scatter_add(h_bank.shape, flat, g_hat), owned=True)
+    ad._accumulate(h_bank, ad._scatter_add(h_bank.shape, index, g_hat), owned=True)
 
 
 def node_attention(v_pat: np.ndarray, bank: Bank, w_proj: Tensor

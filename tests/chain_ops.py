@@ -1,26 +1,25 @@
 """Oracles for the model's layers: the op chains they replace, and the
-per-node encoder that the one-node encoder replaced.
+per-node encoder that was the model's before its layers were array-level.
 
-The model's encoder (``model.DecayGraphClassifier.encode``) is one node
-over array-level layer functions, each a forward with a named backward:
-``graph.init_edge_embeddings``, the message, node update and edge update
-of ``graph.message_pass``, ``temporal.decay_factor``,
-``temporal.gated_update``, ``temporal.node_attention``,
-``codebook.soft_fuse``, ``codebook.retrieve`` and
-``model.head_reweight``. Here, ``as_node`` makes one such pair a node,
-and the ``layer_*`` functions make each layer the node it once was, so
-that a layer can be compared with the chain of small autodiff ops it
-replaced, written here with the ops that only those chains used, built
-on ``autodiff._make``. A layer must give its chain's values and
-gradients bit for bit.
+The model's encoder (``model.DecayGraphClassifier.encode``) makes one
+autodiff node per layer over array-level layer functions, each a forward
+with a named backward: ``graph.init_edge_embeddings``, the message, node
+update and edge update of ``graph.message_pass``,
+``temporal.decay_factor``, ``temporal.gated_update``,
+``temporal.node_attention``, ``codebook.soft_fuse``, ``codebook.retrieve``
+and ``model.head_reweight``. Here, ``as_node`` makes one such pair a node
+as ``encode`` does, and the ``layer_*`` functions make each layer that
+node, so that a layer can be compared with the chain of small autodiff ops
+it replaced, written here with the ops that only those chains used, built
+on ``autodiff._make``. A layer must give its chain's values and gradients
+bit for bit.
 
 The per-node encoder (``per_node_encode`` over the ``fused_*`` nodes),
-which made one autodiff node per layer and summed rows with
-``np.add.at``, is kept as the one-node encoder's oracle: the two give
-the same logits and gradients, byte for byte. The per-step edge loop
-that ``graph.build_graph_steps`` replaced is kept too, and so are
-helpers that compare a node with its chain and that corrupt a layer's
-gradient rule.
+whose nodes kept their inputs' arrays and summed rows with ``np.add.at``,
+is kept as ``encode``'s oracle: the two give the same logits and
+gradients, byte for byte. The per-step edge loop that
+``graph.build_graph_steps`` replaced is kept too, and so are helpers that
+compare a node with its chain and that corrupt a layer's gradient rule.
 """
 
 from __future__ import annotations
@@ -180,18 +179,6 @@ def gather_rows(a, index):
         ad._accumulate(a, scatter_add(a.shape, index, g), owned=True)
 
     return ad._make(a.data[index], (a,), "gather_rows", bw)
-
-
-def concat(parts):
-    """The parts side by side, as one node: the one-node encoder's output
-    from a list of head input parts."""
-    def bw(g):
-        start = 0
-        for p in parts:
-            ad._accumulate(p, g[:, start:start + p.shape[1]])
-            start += p.shape[1]
-
-    return ad._make(np.concatenate([p.data for p in parts], axis=1), parts, "concat", bw)
 
 
 def scatter_add(shape, index, rows):
@@ -366,9 +353,7 @@ def install(monkeypatch):
                          ("fused_node_attention", bank_node_attention)):
         monkeypatch.setattr(module, fused, chain)
     monkeypatch.setattr(ad, "linear", linear)
-    monkeypatch.setattr(md.DecayGraphClassifier, "encode",
-                        lambda model, batch, weight_sum=None:
-                        concat(per_node_encode(model, batch, weight_sum)))
+    monkeypatch.setattr(md.DecayGraphClassifier, "encode", per_node_encode)
 
 
 # -- the per-node encoder ------------------------------------------------------------
@@ -838,7 +823,8 @@ def fused_head_reweight(h_bank: Tensor, weights: np.ndarray) -> Tensor:
 
 
 def per_node_encode(model, batch, weight_sum: np.ndarray | None = None) -> list[Tensor]:
-    """The head's input parts for a batch, as ``encode`` made them one node per layer.
+    """The head's input parts for a batch, one node per layer, as ``encode`` made them
+    before its layers were array-level.
 
     Walks the batch's graph steps, then retrieves the prototype and
     reweights the hidden bank. Reads no parameter in ``HEAD_BLOCKS``.
@@ -918,10 +904,9 @@ def layer_init_edge_embeddings(step, params, use_time_embedding=True):
                    "edge_init")
 
 
-def message_node(out, v_src, src_idx, src_flat, e, dst_idx, w, b, active):
+def message_node(out, v_src, src_idx, e, dst_idx, w, b, active):
     return as_node(out, (v_src, e, w, b),
-                   lambda g: gr.message_backward(g, v_src, src_idx, e, dst_idx, w, b, active,
-                                                 src_flat),
+                   lambda g: gr.message_backward(g, v_src, src_idx, e, dst_idx, w, b, active),
                    "message")
 
 
@@ -930,40 +915,34 @@ def node_update_node(out, v, agg, w, b):
                    lambda g: ad._linear_backward(g, (v, agg), w, b, out, True), "linear")
 
 
-def edge_update_node(out, step, v_pat, v_var, e, w, b, active, pat_flat, var_flat):
+def edge_update_node(out, step, v_pat, v_var, e, w, b, active):
     return as_node(out, (v_pat, v_var, e, w, b),
-                   lambda g: gr.edge_update_backward(g, step, v_pat, v_var, e, w, b, active,
-                                                     pat_flat, var_flat),
+                   lambda g: gr.edge_update_backward(g, step, v_pat, v_var, e, w, b, active),
                    "edge_update")
 
 
 def layer_message(v_src, src_idx, e, dst_idx, n_dst, w, b):
     """``graph._message`` as the node it once was."""
-    out, active = gr._message(v_src.data, src_idx, e.data,
-                              ad._flat_index(dst_idx, w.shape[1]), n_dst, w, b)
-    return message_node(out, v_src, src_idx, ad._flat_index(src_idx, v_src.shape[1]), e,
-                        dst_idx, w, b, active)
+    out, active = gr._message(v_src.data, src_idx, e.data, dst_idx, n_dst, w, b)
+    return message_node(out, v_src, src_idx, e, dst_idx, w, b, active)
 
 
 def layer_message_pass(step, v_pat, v_var, e, params, n_layers):
     """``graph.message_pass`` on the ``.data`` of Tensors, each layer's two
     messages, two node updates and edge update made nodes; returns the last
     layer's patient, variable and edge state nodes."""
-    d = e.shape[1]
-    pat_flat = ad._flat_index(step.patient_idx, d)
-    var_flat = ad._flat_index(step.variable_idx, d)
     for layer, arrays in enumerate(gr.message_pass(step, v_pat.data, v_var.data, e.data,
                                                    params, n_layers)):
         w_msg, b_msg, w_node, b_node, w_edge, b_edge = (params[name]
                                                         for name in gr._layer_names(layer))
-        agg_pat = message_node(arrays.agg_pat, v_var, step.variable_idx, var_flat, e,
+        agg_pat = message_node(arrays.agg_pat, v_var, step.variable_idx, e,
                                step.patient_idx, w_msg, b_msg, arrays.active_pat)
-        agg_var = message_node(arrays.agg_var, v_pat, step.patient_idx, pat_flat, e,
+        agg_var = message_node(arrays.agg_var, v_pat, step.patient_idx, e,
                                step.variable_idx, w_msg, b_msg, arrays.active_var)
         v_pat = node_update_node(arrays.v_pat_new, v_pat, agg_pat, w_node, b_node)
         v_var = node_update_node(arrays.v_var_new, v_var, agg_var, w_node, b_node)
         e = edge_update_node(arrays.e_new, step, v_pat, v_var, e, w_edge, b_edge,
-                             arrays.active_edge, pat_flat, var_flat)
+                             arrays.active_edge)
     return v_pat, v_var, e
 
 
@@ -1002,9 +981,8 @@ def layer_gated_update(bank, index, e, params, gamma=None):
     gate = (params["gate.w"], params["gate.b"])
     parents = (h_bank, e, *gate) if gamma is None else (h_bank, gamma, e, *gate)
     bank.tensor = as_node(bank.bank.data, parents,
-                          lambda g: tp.gated_update_backward(
-                              g, h_bank, gamma, e, index, rows, params,
-                              ad._flat_index(index, h_bank.shape[1])),
+                          lambda g: tp.gated_update_backward(g, h_bank, gamma, e, index, rows,
+                                                             params),
                           "gate")
     return bank.tensor
 

@@ -317,6 +317,70 @@ def test_backward_refuses_untracked_loss_and_released_graph():
         ad.backward(co.tensor_sum(co.sigmoid(shared)))
 
 
+# the chains' ops, by arity, that random graphs are built from
+UNARY_OPS = (co.relu, co.exp, co.sigmoid, co.sin)
+BINARY_OPS = (co.add, co.mul, co.sub)
+
+
+def reference_rule_order(loss):
+    """The nodes whose rules ``backward`` runs, in order: the reverse of a
+    recursive depth-first post-order from ``loss`` over tracked parents that
+    explores a node's last parent first."""
+    order, seen = [], set()
+
+    def visit(node):
+        seen.add(node)
+        for parent in reversed(node._parents):
+            if parent.tracked and parent not in seen:
+                visit(parent)
+        order.append(node)
+
+    visit(loss)
+    return [node for node in reversed(order) if node._backward is not None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_backward_runs_rules_in_reverse_depth_first_post_order(data):
+    """The order fixes how a tensor with three or more consumers sums its
+    gradient, and so every output bit of the model, whose layers are nodes.
+    Random graphs over the chains' ops mix tracked and untracked inputs,
+    and one node gets at least three consumers."""
+    leaves = [Tensor(np.full((2, 3), 0.25 * (i + 1)), tracked=i == 0 or data.draw(st.booleans()))
+              for i in range(data.draw(st.integers(1, 4)))]
+    built = list(leaves)
+
+    def draw_from_built():
+        return data.draw(st.sampled_from(built))
+
+    for _ in range(data.draw(st.integers(0, 20))):
+        if data.draw(st.booleans()):
+            built.append(data.draw(st.sampled_from(UNARY_OPS))(draw_from_built()))
+        else:
+            op = data.draw(st.sampled_from(BINARY_OPS))
+            built.append(op(draw_from_built(), draw_from_built()))
+    hub = draw_from_built()
+    consumed = [hub, hub, hub] + data.draw(st.lists(st.sampled_from(built), max_size=4))
+    built.append(co.add(leaves[0], built[-1]))
+    for node in consumed:
+        built.append(co.add(built[-1], node))
+    loss = co.tensor_sum(built[-1])
+    ran = []
+
+    def recording(node, rule):
+        def rule_and_record(g):
+            ran.append(node)
+            rule(g)
+        return rule_and_record
+
+    for node in built + [loss]:
+        if node._backward is not None:
+            node._backward = recording(node, node._backward)
+    want = reference_rule_order(loss)
+    ad.backward(loss)
+    assert [id(n) for n in ran] == [id(n) for n in want]
+
+
 def test_first_gradient_is_a_fresh_copy_in_the_tensors_layout():
     # a Fortran-order tensor and a C-order gradient with a -0 in it
     t = Tensor(np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]), tracked=True)
@@ -455,7 +519,7 @@ def test_scatter_add_has_the_bytes_of_add_at(n, d, data):
     rows = np.array(data.draw(st.lists(st.lists(SCATTER_VALUES, min_size=d, max_size=d),
                                        min_size=len(index), max_size=len(index))),
                     dtype=np.float64).reshape(len(index), d)
-    got = ad._scatter_add((n, d), ad._flat_index(index, d), rows)
+    got = ad._scatter_add((n, d), index, rows)
     want = co.scatter_add((n, d), index, rows)
     assert got.dtype == np.float64 and got.shape == (n, d)
     nan = np.isnan(want)
@@ -466,7 +530,7 @@ def test_scatter_add_has_the_bytes_of_add_at(n, d, data):
 def test_scatter_add_of_an_empty_index_is_float_zeros():
     # np.bincount alone would give integer zeros
     empty = np.zeros(0, dtype=np.int64)
-    got = ad._scatter_add((3, 2), ad._flat_index(empty, 2), np.zeros((0, 2)))
+    got = ad._scatter_add((3, 2), empty, np.zeros((0, 2)))
     assert got.dtype == np.float64
     assert got.tobytes() == co.scatter_add((3, 2), empty, np.zeros((0, 2))).tobytes()
 

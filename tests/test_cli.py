@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import decaygraph
+from decaygraph import autodiff as ad
 from decaygraph import cli
+from decaygraph import model as md
 from decaygraph.cli import main
 from decaygraph.data import load_dataset, synthesize, SyntheticConfig
 
@@ -643,6 +645,43 @@ def test_gradcheck_passes_without_decay(capsys):
     # the gate's branch without a decay factor, through the full audit
     assert run("gradcheck", "--ablate", "tde") == 0
     assert "gradcheck PASS" in capsys.readouterr().out
+
+
+def test_gradcheck_without_time_embedding_reads_a_relu_kink(monkeypatch):
+    """``gradcheck --ablate te`` reads 8.883e-04 on ``sage0.node_b``, above
+    its 1e-4 tolerance, at coordinate 7. A ReLU kink lies within the audit's
+    1e-5 step of that coordinate: the error is as large at step 1e-4 and
+    falls below 1e-7 at step 1e-6, where the difference no longer crosses
+    the kink. Round-off would grow as the step shrinks instead."""
+    audited = {}
+
+    def capture(model, episodes, step):
+        audited.update(model=model, episodes=episodes)
+        return {"sage0.node_b": 0.0}
+
+    monkeypatch.setattr(cli, "gradient_check", capture)
+    assert run("gradcheck", "--ablate", "te") == 0
+    model = audited["model"]
+    plan = model.plan(audited["episodes"])
+    ad.backward(md.batch_loss(model, plan))
+    analytic = model.params["sage0.node_b"].grad.copy()
+    bias = model.params["sage0.node_b"].data
+
+    def error(i, step):
+        losses = []
+        for sign in (1.0, -1.0):
+            original = bias[i]
+            bias[i] = original + sign * step
+            with ad.no_grad():
+                losses.append(md.batch_loss(model, plan).item())
+            bias[i] = original
+        numeric = (losses[0] - losses[1]) / (2.0 * step)
+        return abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric))
+
+    errors = [error(i, 1e-5) for i in range(bias.size)]
+    assert f"{max(errors):.3e}" == "8.883e-04" and int(np.argmax(errors)) == 7
+    assert error(7, 1e-4) > 1e-3
+    assert error(7, 1e-6) < 1e-7
 
 
 @pytest.mark.parametrize("node", sorted(co.FUSED_NODES))

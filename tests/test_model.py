@@ -60,12 +60,13 @@ def test_logits_shape():
 
 
 def hidden_states(model, episodes):
-    """The (B, V, d) hidden bank as the head reads it: the ``head_reweight``
-    columns of ``encode``'s output, ``bank * (1 + w)`` with w > 0, which is
-    zero exactly where the bank is."""
+    """The (B, V, d) hidden bank as the head reads it: ``encode``'s last
+    part, ``head_reweight``'s ``bank * (1 + w)`` with w > 0, which is zero
+    exactly where the bank is."""
     width = len(model.variables) * model.config.hidden_dim
-    features = model.encode(episodes).data
-    return features[:, -width:].reshape(len(episodes), len(model.variables), -1)
+    reweighted = model.encode(episodes)[-1].data
+    assert reweighted.shape[1] == width
+    return reweighted.reshape(len(episodes), len(model.variables), -1)
 
 
 def test_all_masks_zero_is_degenerate_but_finite():
@@ -216,9 +217,9 @@ def test_a_fit_epoch_plans_each_training_batch_once(monkeypatch):
     losses = []
     true_loss = md.batch_loss
 
-    def loss(model, batch, features=None):
+    def loss(model, batch, parts=None):
         losses.append(batch)
-        return true_loss(model, batch, features)
+        return true_loss(model, batch, parts)
 
     monkeypatch.setattr(md, "batch_loss", loss)
     fit(model, train, val)
@@ -984,7 +985,7 @@ def test_adopted_gradients_keep_their_bytes_and_share_no_memory(monkeypatch):
             assert not np.shares_memory(grads[a], grads[b]), (a, b)
 
 
-# -- the one-node encoder against the per-node one -----------------------------------
+# -- the encoder's layer nodes against the per-node oracle ------------------------
 
 FLAG_NAMES = ("tde", "sna", "hvs", "cb", "mcv", "te")
 EVERY_ABLATION = [tuple(name for bit, name in enumerate(FLAG_NAMES) if mask >> bit & 1)
@@ -1001,9 +1002,10 @@ def encoder_bits(forward, episodes, variables, ablate=(), **kwargs):
 
 
 def assert_per_node_bits(episodes, variables, **kwargs):
-    """The one-node encoder gives the per-node encoder's logits and gradients,
-    byte for byte, and leaves the same parameters without a gradient: the
-    layers it runs, and the order each gradient sums its terms in."""
+    """``encode``'s layer nodes give the per-node encoder's logits and
+    gradients, byte for byte, and leave the same parameters without a
+    gradient: the layers backward runs, and the order each gradient sums
+    its terms in."""
     logits, grads = encoder_bits(lambda model, batch: model.forward(batch), episodes,
                                  variables, **kwargs)
     want_logits, want = encoder_bits(co.per_node_forward, episodes, variables, **kwargs)
@@ -1020,20 +1022,20 @@ def oracle_batch():
 
 
 @pytest.mark.parametrize("ablate", EVERY_ABLATION, ids=lambda a: "-".join(a) or "none")
-def test_one_node_encoder_has_the_per_node_bits_under_every_ablation(ablate):
+def test_layer_node_encoder_has_the_per_node_bits_under_every_ablation(ablate):
     episodes, variables = oracle_batch()
     assert_per_node_bits(episodes, variables, ablate=ablate, k=4)
 
 
 @pytest.mark.parametrize("kernel", ["mlp_exp", "exp", "mlp_gaussian", "mlp_linear"])
-def test_one_node_encoder_has_the_per_node_bits_for_every_kernel(kernel):
+def test_layer_node_encoder_has_the_per_node_bits_for_every_kernel(kernel):
     episodes, variables = oracle_batch()
     assert_per_node_bits(episodes, variables, kernel=kernel, k=4)
 
 
 @pytest.mark.parametrize("layers", [1, 3])
 @pytest.mark.parametrize("k", [4, 1030], ids=["chain-core", "tiled-core"])
-def test_one_node_encoder_has_the_per_node_bits_for_both_cores_and_depths(k, layers):
+def test_layer_node_encoder_has_the_per_node_bits_for_both_cores_and_depths(k, layers):
     assert k <= cb.TILE or k > cb.TILE
     episodes, variables = oracle_batch()
     for ablate in ((), ("sna",), ("hvs", "sna")):
@@ -1042,7 +1044,7 @@ def test_one_node_encoder_has_the_per_node_bits_for_both_cores_and_depths(k, lay
 
 @pytest.mark.parametrize("ablate", [(), ("cb",), ("sna",), ("cb", "sna")],
                          ids=lambda a: "-".join(a) or "none")
-def test_one_node_encoder_has_the_per_node_bits_when_the_first_step_has_no_edge(ablate):
+def test_layer_node_encoder_has_the_per_node_bits_when_the_first_step_has_no_edge(ablate):
     # the first observed step then fuses and attends: the variable table
     # reaches its fusion directly
     episodes, variables = oracle_batch()
@@ -1055,14 +1057,21 @@ def test_one_node_encoder_has_the_per_node_bits_when_the_first_step_has_no_edge(
 
 def test_no_flat_index_lives_from_forward_to_backward():
     """The scatter sums' flat indices (E·d int64 entries each) are built in
-    the forward and again in backward, but none is kept in between."""
+    the forward and again in backward, but none is kept in between.
+
+    Only array data counts, which numpy traces in its own domain: numpy
+    recycles the small blocks that hold array shapes, and a recycled block
+    keeps the line that first allocated it, so an array the graph keeps may
+    own a shape block first allocated for a flat index."""
     episodes, model = c8_batch()
     model.forward(episodes)  # first-call allocations stay out
     source, first = inspect.getsourcelines(ad._flat_index)
     line = first + next(i for i, text in enumerate(source) if "np.arange" in text)
+    array_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
 
     def built_and_alive():
-        return sum(stat.size for stat in tracemalloc.take_snapshot().statistics("lineno")
+        snapshot = tracemalloc.take_snapshot().filter_traces([array_data])
+        return sum(stat.size for stat in snapshot.statistics("lineno")
                    if (stat.traceback[0].filename, stat.traceback[0].lineno)
                    == (ad.__file__, line))
 
@@ -1078,17 +1087,24 @@ def test_no_flat_index_lives_from_forward_to_backward():
     assert after == before
 
 
-def test_a_forward_is_three_tracked_nodes(monkeypatch):
-    # the encoder, then the head's two linear layers
+def test_a_c8_forward_is_one_tracked_node_per_layer(monkeypatch):
+    # 13 layers on the first observed step (edge init, two layers of two
+    # messages, two node updates and an edge update, decay, gate), 16 on each
+    # later one (two fusions and the attention too), then the retrieval, the
+    # reweighted bank and the head's two linear layers
     episodes, model = c8_batch()
     made = []
     true_make = ad._make
 
     def recording_make(data, parents, op, rule):
         out = true_make(data, parents, op, rule)
-        made.append(op)
+        made.append((op, out.tracked))
         return out
 
     monkeypatch.setattr(ad, "_make", recording_make)
     assert model.forward(episodes).tracked
-    assert made == ["encode", "linear", "linear"]
+    steps = sum(step.n_edges > 0 for step in gr.build_graph_steps(episodes, 6))
+    assert steps == 49
+    assert all(tracked for _, tracked in made)
+    assert len(made) == 13 + 16 * (steps - 1) + 4 == 785
+    assert [op for op, _ in made[-4:]] == ["retrieve", "head_reweight", "linear", "linear"]

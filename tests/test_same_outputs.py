@@ -86,6 +86,26 @@ def test_audit_dumps_the_errors_dict_at_full_precision(tmp_path, monkeypatch, ca
     assert "head.w1: max_rel_err=3.000e-01" in capsys.readouterr().out
 
 
+def test_audit_passes_each_ablation_on_to_gradcheck(tmp_path, monkeypatch):
+    audited = []
+
+    def fake_gradient_check(model, episodes, step):
+        audited.append(model.flags)
+        return {"head.w1": 0.0}
+
+    monkeypatch.setattr(cli, "gradient_check", fake_gradient_check)
+    out = tmp_path / "audit.json"
+    assert so.main(["--audit", "mlp_exp", str(out), "--ablate", "hvs", "--ablate", "sna"]) == 0
+    assert so.main(["--audit", "exp", str(out)]) == 0
+    (ablated, whole) = audited
+    assert (ablated.use_hvs, ablated.use_sna, ablated.use_cb, ablated.use_tde) == (
+        False, False, True, True)
+    assert whole.use_hvs and whole.use_sna
+    # a flag without its name is refused with the usage
+    assert so.main(["--audit", "mlp_exp", str(out), "--ablate"]) == 1
+    assert len(audited) == 2
+
+
 def test_the_two_trees_run_command_by_command_with_the_first_alternating(tmp_path,
                                                                          monkeypatch):
     calls = []
@@ -108,3 +128,6 @@ def test_the_two_trees_run_command_by_command_with_the_first_alternating(tmp_pat
     # each tree's figures come from its own stdout
     assert usages[0]["peak_rss_mb"]["train"] != usages[1]["peak_rss_mb"]["train"]
     assert (works[1] / "gradcheck" / "exp.txt").is_file()
+    assert (works[0] / "gradcheck" / "mlp_exp_no_hvs_no_sna.txt").is_file()
+    assert ("--audit", "mlp_exp", "gradcheck/mlp_exp_no_cb_no_sna.json", "--ablate", "cb",
+            "--ablate", "sna") in [argv for _, argv in calls]
