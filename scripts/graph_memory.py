@@ -9,10 +9,15 @@ model (K=4096, batch 256, d=16, 2 layers) and takes the first training
 batch of epoch 1 in ``fit``'s order: 160 episodes. After one untimed
 forward and backward, which make the process's one-time allocations, it
 runs the batch's forward and loss under ``tracemalloc`` and prints the
-bytes still allocated then, which the graph keeps until backward, in
-total and by allocating line (the ``N`` largest). Then it runs backward
-and prints backward's peak above those bytes. The numbers are Python
-heap bytes, not RSS: they do not depend on the allocator or the host.
+bytes still allocated then, which the graph keeps until backward: in
+total, then the array data, which numpy traces in its own domain
+(``np.lib.tracemalloc_domain``), by allocating line (the ``N`` largest),
+then the interpreter's objects (Tensors, closures, array headers and
+shape blocks) as one total. numpy recycles its small shape blocks, and a
+recycled block keeps the line that first allocated it, so only the
+array data can be charged to lines. Then it runs backward and prints
+backward's peak above those bytes. The numbers are Python heap bytes,
+not RSS: they do not depend on the allocator or the host.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import os
 import sys
 import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -39,10 +46,12 @@ def graph_memory(synthetic: dict, model: dict, seed: int = 0) -> dict:
     ``synthetic`` holds ``SyntheticConfig`` fields and ``model`` holds
     ``ModelConfig`` fields other than ``seed``; ``seed`` seeds the split,
     the model and the batch order, as ``train --seed`` does. Returns
-    ``kept`` (bytes allocated by the forward and loss and still alive),
-    ``lines`` (``(file:line, bytes, blocks)`` for each allocating line of
-    those bytes, largest first), ``backward_peak`` (backward's peak above
-    ``kept``) and ``episodes`` (the batch size).
+    ``kept`` (bytes allocated by the forward and loss and still alive, in
+    every domain), ``lines`` (``(file:line, bytes, blocks)`` for each line
+    that allocated array data among those bytes, largest first),
+    ``interpreter`` (those bytes outside numpy's array-data domain),
+    ``backward_peak`` (backward's peak above ``kept``) and ``episodes``
+    (the batch size).
     """
     dataset = synthesize(SyntheticConfig(**synthetic))
     splits = normalize_splits(split_dataset(dataset, seed=seed))
@@ -67,14 +76,18 @@ def graph_memory(synthetic: dict, model: dict, seed: int = 0) -> dict:
     finally:
         tracemalloc.stop()
     lines = []
-    for stat in snapshot.statistics("lineno"):
+    array_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    for stat in snapshot.filter_traces([array_data]).statistics("lineno"):
         frame = stat.traceback[0]
         name = frame.filename
         if name.startswith(str(ROOT) + os.sep):
             name = os.path.relpath(name, ROOT)
         lines.append((f"{name}:{frame.lineno}", stat.size, stat.count))
-    return {"kept": kept, "lines": lines, "backward_peak": backward_peak,
-            "episodes": len(episodes)}
+    objects = tracemalloc.DomainFilter(False, np.lib.tracemalloc_domain)
+    interpreter = sum(stat.size for stat in
+                      snapshot.filter_traces([objects]).statistics("filename"))
+    return {"kept": kept, "lines": lines, "interpreter": interpreter,
+            "backward_peak": backward_peak, "episodes": len(episodes)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -88,8 +101,12 @@ def main(argv: list[str] | None = None) -> int:
     mb = 1e6
     print(f"first training batch of the default config: {result['episodes']} episodes")
     print(f"kept until backward: {result['kept'] / mb:.1f} MB (tracemalloc)")
+    print(f"  array data: {sum(size for _, size, _ in result['lines']) / mb:.1f} MB, "
+          f"by allocating line:")
     for line, size, count in result["lines"][:args.top]:
         print(f"  {size / mb:7.2f} MB  {count:6d} blocks  {line}")
+    print(f"  interpreter objects (Tensors, closures, array headers): "
+          f"{result['interpreter'] / mb:.1f} MB")
     print(f"backward's peak above that: {result['backward_peak'] / mb:.1f} MB")
     return 0
 

@@ -13,10 +13,10 @@ multiple uses sum; clearing them between optimizer steps is the caller's
 job (see ``zero_grad``).
 
 The public ops are ``linear`` (with an optional ReLU) and
-``cross_entropy``, which reads ``one_hot`` rows. The model's encoder
-(``model.DecayGraphClassifier.encode``) makes one node per layer, each
-over an array-level layer function whose named backward is its rule, and
-the head is two ``linear`` nodes.
+``cross_entropy``, which reads ``one_hot`` rows. Each of the encoder's
+layer functions (in ``graph``, ``temporal``, ``codebook`` and ``model``)
+takes Tensors and makes its own node through ``_make``, whose rule calls
+the layer's named backward; the head is two ``linear`` nodes.
 
 Every backward rule follows one idiom. It hands each input its gradient
 through ``_accumulate``, which ignores an untracked input, so a rule
@@ -65,20 +65,6 @@ class ContractError(ValueError):
 
 def _as_array(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting): ``grad``
-    itself when it has that shape, else a new array."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Tensor:
@@ -159,13 +145,9 @@ def _accumulate(t: Tensor, grad: np.ndarray, owned: bool = False) -> None:
 
 
 def _accumulate_sum(t: Tensor, grad: np.ndarray) -> None:
-    """Add ``grad`` summed down to ``t``'s shape into ``t.grad``; a sum is a
-    fresh array, so ``t`` may adopt it, while ``grad`` itself is copied."""
-    if grad.ndim == 2 and t.data.ndim == 1:  # a bias: _unbroadcast's one sum, taken directly
-        _accumulate(t, grad.sum(axis=0), owned=True)
-        return
-    summed = _unbroadcast(grad, t.shape)
-    _accumulate(t, summed, owned=summed is not grad)
+    """Add the column sums of the (n, d) ``grad`` into the (d,) bias ``t``'s
+    ``.grad``; the sum is a fresh array, so ``t`` adopts it."""
+    _accumulate(t, grad.sum(axis=0), owned=True)
 
 
 def _linear_grads(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray) -> np.ndarray:
@@ -241,9 +223,9 @@ def linear(parts: Sequence[Tensor], w: Tensor, b: Tensor, relu: bool = False) ->
             break
         widths.append(shape[1])
     if (not parts or len(widths) != len(parts) or w.data.ndim != 2
-            or sum(widths) != w.data.shape[0]):
+            or sum(widths) != w.data.shape[0] or b.data.shape != w.data.shape[1:]):
         raise ShapeError(f"linear shapes incompatible: {[p.shape for p in parts]} "
-                         f"@ {w.shape}")
+                         f"@ {w.shape} + {b.shape}")
     out = _linear_forward([p.data for p in parts], w, b, relu)
     return _make(out, (*parts, w, b), "linear",
                  lambda g: _linear_backward(g, parts, w, b, out, relu))

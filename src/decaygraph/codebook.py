@@ -9,13 +9,13 @@ but full gradient into the selected row.
 A forward pass builds one :class:`UnitBook` of the codebook and hands it
 to every ``soft_fuse`` and to ``retrieve``. It normalizes the codebook
 once and holds the per-codebook constants of the fusion backward. Each
-call allocates its own arrays. ``soft_fuse`` works on arrays and keeps
-for ``soft_fuse_backward`` only its input's (B, 1) row norms, its
-(B, d) mixture and scale terms and, for a large codebook, its (B, 1)
-softmax row sums; the forward's B×K softmax weights (B rows, K
-prototypes) are freed when the call returns, and the backward
-recomputes the unit rows and the weights, so no B×K array lives from
-forward to backward.
+call allocates its own arrays and returns its own autodiff node, whose
+rule calls ``soft_fuse_backward`` or ``retrieve_backward``. A fusion
+node keeps only its input's (B, 1) row norms, its (B, d) mixture and
+scale terms and, for a large codebook, its (B, 1) softmax row sums; the
+forward's B×K softmax weights (B rows, K prototypes) are freed when the
+call returns, and the backward recomputes the unit rows and the
+weights, so no B×K array lives from forward to backward.
 
 The node has two cores, chosen by codebook size; they share the backward's
 prologue (residual scale and the mixture's gradient ``d_q``) and epilogue
@@ -148,16 +148,16 @@ class UnitBook:
         self.norm_safe = np.maximum(self.norm, 1e-300)
 
 
-def soft_fuse(x: np.ndarray, c: np.ndarray, unit_book: UnitBook,
-              weight_sum: np.ndarray | None = None) -> tuple[np.ndarray, tuple | None]:
-    """Residual fusion of each row of ``x`` with the prototype mixture.
+def soft_fuse(g: Tensor, codebook: Tensor, unit_book: UnitBook,
+              weight_sum: np.ndarray | None = None) -> Tensor:
+    """Residual fusion of each row of ``g`` with the prototype mixture.
 
-    ``c`` is the codebook and ``unit_book`` the forward's ``UnitBook(c)``.
-    When ``weight_sum`` (K,) is given, the call adds each prototype's
-    softmax weight, summed over the rows of ``x``, into it: the utilization
-    diagnostic. Returns the fused rows and, in grad mode, what
-    ``soft_fuse_backward`` reads.
+    ``unit_book`` is the forward's ``UnitBook(codebook.data)``. When
+    ``weight_sum`` (K,) is given, the call adds each prototype's softmax
+    weight, summed over the rows of ``g``, into it: the utilization
+    diagnostic.
     """
+    x, c = g.data, codebook.data
     g_norm, g_unit = unit_rows(x)
     n_rows, n_protos = x.shape[0], c.shape[0]
     row_sum = None
@@ -190,7 +190,8 @@ def soft_fuse(x: np.ndarray, c: np.ndarray, unit_book: UnitBook,
     a_m = g_norm + FUSION_EPS
     scale = q_norm / a_m
     saved = (g_norm, q, q_norm, a_m, scale, row_sum) if ad._grad_enabled else None
-    return x + scale * q, saved
+    return ad._make(x + scale * q, (g, codebook), "soft_fuse",
+                    lambda grad: soft_fuse_backward(grad, saved, g, codebook, unit_book))
 
 
 def _tiled_core(d_q, g_unit, d_cunit, mixture, codebook: Tensor, unit_book: UnitBook,
@@ -278,19 +279,20 @@ def soft_fuse_backward(grad: np.ndarray, saved: tuple, g: Tensor, codebook: Tens
     ad._accumulate(codebook, np.divide(term, unit_book.norm_safe, out=term))
 
 
-def retrieve(x: np.ndarray, c: np.ndarray, unit_book: UnitBook) -> tuple[np.ndarray, np.ndarray]:
-    """Most-similar prototype per row of ``x`` by cosine, and its row of the
-    codebook ``c``; ties go to the lowest index.
+def retrieve(g: Tensor, codebook: Tensor, unit_book: UnitBook) -> Tensor:
+    """The codebook row of the most-similar prototype, by cosine, for each
+    row of ``g``; ties go to the lowest index.
 
-    ``unit_book`` is the forward's ``UnitBook(c)``. The argmax is not
-    differentiated: ``retrieve_backward`` adds gradient only into the
-    selected codebook rows.
+    ``unit_book`` is the forward's ``UnitBook(codebook.data)``. The argmax
+    is not differentiated, so ``g`` is no parent: ``retrieve_backward``
+    adds gradient only into the selected codebook rows.
     """
-    rows = unit_rows(x)[1]
+    rows = unit_rows(g.data)[1]
     if len(unit_book.unit) > TILE:
         _one_blas_thread()
     indices = np.matmul(rows, unit_book.unit.T).argmax(axis=1)
-    return indices, c[indices]
+    return ad._make(codebook.data[indices], (codebook,), "retrieve",
+                    lambda grad: retrieve_backward(grad, codebook, indices))
 
 
 def retrieve_backward(g: np.ndarray, codebook: Tensor, indices: np.ndarray) -> None:

@@ -7,10 +7,10 @@ embedding of the absolute timestamp, and a variable type embedding.
 Message passing jointly encodes neighbour states with edge features,
 aggregates by unweighted sum, and residually updates edge states.
 
-The functions work on arrays. Each part of a layer has a named backward
-that adds its terms in the order of the op chain it replaced; a node
-update's is ``autodiff._linear_backward``. The model's encoder makes each
-part one autodiff node whose rule is that backward.
+Each part of a layer takes Tensors and returns its own autodiff node,
+whose rule calls the part's named backward; that backward adds its terms
+in the order of the op chain it replaced. A node update's is
+``autodiff._linear_backward``.
 """
 
 from __future__ import annotations
@@ -106,20 +106,28 @@ def _time_masks(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def init_edge_embeddings(step: GraphStep, params: dict[str, Tensor],
-                         use_time_embedding: bool = True) -> np.ndarray:
+                         use_time_embedding: bool = True) -> Tensor:
     """Per-edge features: value projection + time embedding + type embedding.
 
     The time embedding has one linear component plus dim-1 sinusoidal
     ones: component 0 is freq[0] * t + phase[0]; component k >= 1 is
-    sin(freq[k] * t + phase[k]).
+    sin(freq[k] * t + phase[k]). The node's parents are the parameters it
+    reads: without the time embedding, not ``edge.time_freq`` and
+    ``edge.time_phase``.
     """
-    x_value = step.values.reshape(-1, 1)
-    e = np.matmul(x_value, params["edge.value_w"].data) + params["edge.value_b"].data
+    value_w, value_b = params["edge.value_w"], params["edge.value_b"]
+    table = params["edge.var_table"]
+    e = np.matmul(step.values.reshape(-1, 1), value_w.data) + value_b.data
+    parents = (value_w, value_b, table)
     if use_time_embedding:
         raw = _time_phase(step, params)
         linear_mask, sine_mask = _time_masks(raw.shape[1])
         e = e + (raw * linear_mask + np.sin(raw) * sine_mask)
-    return e + params["edge.var_table"].data[step.variable_idx]
+        parents = (value_w, value_b, params["edge.time_freq"], params["edge.time_phase"],
+                   table)
+    return ad._make(e + table.data[step.variable_idx], parents, "init_edge_embeddings",
+                    lambda g: init_edge_embeddings_backward(g, step, params,
+                                                            use_time_embedding))
 
 
 def _time_phase(step: GraphStep, params: dict[str, Tensor]) -> np.ndarray:
@@ -144,14 +152,16 @@ def init_edge_embeddings_backward(g: np.ndarray, step: GraphStep, params: dict[s
     ad._accumulate(table, ad._scatter_add(table.shape, step.variable_idx, g), owned=True)
 
 
-def _message(v_src: np.ndarray, src_idx: np.ndarray, e: np.ndarray, dst_idx: np.ndarray,
-             n_dst: int, w: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray | None]:
+def _message(v_src: Tensor, src_idx: np.ndarray, e: Tensor, dst_idx: np.ndarray,
+             n_dst: int, w: Tensor, b: Tensor) -> Tensor:
     """Sum over edges of relu([v_src[src]; e] @ w + b) into the ``n_dst``
     destination rows ``dst_idx`` names; a row no edge names gets zero.
-    Returns it and, in grad mode, the ReLU mask."""
-    pre = np.matmul(np.concatenate([v_src[src_idx], e], axis=1), w.data) + b.data
+    In grad mode the node keeps the ReLU mask."""
+    pre = np.matmul(np.concatenate([v_src.data[src_idx], e.data], axis=1), w.data) + b.data
     out = ad._scatter_add((n_dst, pre.shape[1]), dst_idx, np.maximum(pre, 0.0))
-    return out, (pre > 0.0 if ad._grad_enabled else None)
+    active = pre > 0.0 if ad._grad_enabled else None
+    return ad._make(out, (v_src, e, w, b), "message",
+                    lambda g: message_backward(g, v_src, src_idx, e, dst_idx, w, b, active))
 
 
 def message_backward(g: np.ndarray, v_src: Tensor, src_idx: np.ndarray, e: Tensor,
@@ -165,13 +175,24 @@ def message_backward(g: np.ndarray, v_src: Tensor, src_idx: np.ndarray, e: Tenso
     ad._accumulate(v_src, ad._scatter_add(v_src.shape, src_idx, g_x[:, :width]), owned=True)
 
 
-def _edge_update(step: GraphStep, v_pat: np.ndarray, v_var: np.ndarray, e: np.ndarray,
-                 w: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray | None]:
-    """e + relu([v_pat[p]; v_var[n]; e] @ w + b) per edge (p, n), and in grad
-    mode the ReLU mask."""
-    pre = np.matmul(np.concatenate([v_pat[step.patient_idx], v_var[step.variable_idx], e],
-                                   axis=1), w.data) + b.data
-    return e + np.maximum(pre, 0.0), (pre > 0.0 if ad._grad_enabled else None)
+def _node_update(v: Tensor, agg: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """relu([v; agg] @ w + b), one ``linear`` node that reads its ReLU mask
+    from its output."""
+    out = ad._linear_forward([v.data, agg.data], w, b, relu=True)
+    return ad._make(out, (v, agg, w, b), "linear",
+                    lambda g: ad._linear_backward(g, (v, agg), w, b, out, True))
+
+
+def _edge_update(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
+                 w: Tensor, b: Tensor) -> Tensor:
+    """e + relu([v_pat[p]; v_var[n]; e] @ w + b) per edge (p, n); in grad
+    mode the node keeps the ReLU mask."""
+    pre = np.matmul(np.concatenate([v_pat.data[step.patient_idx],
+                                    v_var.data[step.variable_idx], e.data], axis=1),
+                    w.data) + b.data
+    active = pre > 0.0 if ad._grad_enabled else None
+    return ad._make(e.data + np.maximum(pre, 0.0), (v_pat, v_var, e, w, b), "edge_update",
+                    lambda g: edge_update_backward(g, step, v_pat, v_var, e, w, b, active))
 
 
 def edge_update_backward(g: np.ndarray, step: GraphStep, v_pat: Tensor, v_var: Tensor,
@@ -190,20 +211,6 @@ def edge_update_backward(g: np.ndarray, step: GraphStep, v_pat: Tensor, v_var: T
                                           g_x[:, d_pat:d_pat + d_var]), owned=True)
 
 
-@dataclass
-class LayerArrays:
-    """One layer's two message sums, new states and, in grad mode, the ReLU
-    masks of both message directions and of the edge update."""
-    agg_pat: np.ndarray
-    agg_var: np.ndarray
-    active_pat: np.ndarray | None
-    active_var: np.ndarray | None
-    v_pat_new: np.ndarray
-    v_var_new: np.ndarray
-    e_new: np.ndarray
-    active_edge: np.ndarray | None
-
-
 @functools.cache
 def _layer_names(layer: int) -> tuple[str, ...]:
     """The parameter names of message passing layer ``layer``."""
@@ -211,30 +218,27 @@ def _layer_names(layer: int) -> tuple[str, ...]:
                  for part in ("msg_w", "msg_b", "node_w", "node_b", "edge_w", "edge_b"))
 
 
-def message_pass(step: GraphStep, v_pat: np.ndarray, v_var: np.ndarray, e: np.ndarray,
-                 params: dict[str, Tensor], n_layers: int) -> list[LayerArrays]:
+def message_pass(step: GraphStep, v_pat: Tensor, v_var: Tensor, e: Tensor,
+                 params: dict[str, Tensor], n_layers: int) -> tuple[Tensor, Tensor, Tensor]:
     """Sequential application of distinct (unshared) edge-aware layers.
 
     Each layer sends messages in both directions of the undirected graph
     with shared message weights, sums them (a node with no incident edge
     sums the zero vector), updates each node as relu([state; sum] @ w + b)
     and residually updates each edge from its patient endpoint, variable
-    endpoint and own state. Returns each layer's ``LayerArrays``; the last
-    one's new states are the output.
+    endpoint and own state. Returns the last layer's patient, variable and
+    edge states.
     """
     if n_layers < 1:
         raise GraphConfigError(f"message passing needs >= 1 layer, got {n_layers}")
-    layers: list[LayerArrays] = []
     for layer in range(n_layers):
         w_msg, b_msg, w_node, b_node, w_edge, b_edge = (params[name]
                                                         for name in _layer_names(layer))
-        agg_pat, active_pat = _message(v_var, step.variable_idx, e, step.patient_idx,
-                                       step.n_patients, w_msg, b_msg)
-        agg_var, active_var = _message(v_pat, step.patient_idx, e, step.variable_idx,
-                                       step.n_variables, w_msg, b_msg)
-        v_pat = ad._linear_forward([v_pat, agg_pat], w_node, b_node, relu=True)
-        v_var = ad._linear_forward([v_var, agg_var], w_node, b_node, relu=True)
-        e, active_edge = _edge_update(step, v_pat, v_var, e, w_edge, b_edge)
-        layers.append(LayerArrays(agg_pat, agg_var, active_pat, active_var, v_pat, v_var, e,
-                                  active_edge))
-    return layers
+        agg_pat = _message(v_var, step.variable_idx, e, step.patient_idx, step.n_patients,
+                           w_msg, b_msg)
+        agg_var = _message(v_pat, step.patient_idx, e, step.variable_idx, step.n_variables,
+                           w_msg, b_msg)
+        v_pat = _node_update(v_pat, agg_pat, w_node, b_node)
+        v_var = _node_update(v_var, agg_var, w_node, b_node)
+        e = _edge_update(step, v_pat, v_var, e, w_edge, b_edge)
+    return v_pat, v_var, e

@@ -13,13 +13,12 @@ mask-reweighted flattened hidden bank. ``forward`` is
 ``classify(encode(...))``: ``encode`` does everything up to the head's
 input, and ``classify`` is the head.
 
-``encode`` makes each call of an array-level layer of ``graph``,
-``temporal`` and ``codebook`` one autodiff node, whose parents are the
-nodes and parameters the layer reads and whose rule calls the layer's
-named backward with what that backward reads (no node under
-``no_grad``). ``autodiff.backward`` walks those nodes with the head's:
-its order fixes every gradient bit, and a layer that does not reach the
-loss runs no rule.
+Each layer call in ``encode`` (of ``graph``, ``temporal``, ``codebook``
+and ``head_reweight``) returns its own autodiff node, whose parents are
+the nodes and parameters the layer reads and whose rule calls the
+layer's named backward (no node under ``no_grad``). ``autodiff.backward``
+walks those nodes with the head's: its order fixes every gradient bit,
+and a layer that does not reach the loss runs no rule.
 
 What a forward and a loss need of a batch that no parameter changes is
 built once per batch as a :class:`BatchPlan`: its graph steps, the
@@ -245,95 +244,39 @@ class DecayGraphClassifier:
         bank when their flags are on.
 
         Walks the batch's graph steps, then retrieves the prototype and
-        reweights the hidden bank. Each layer's output is one autodiff node
-        whose rule is the layer's named backward. Reads no parameter in
-        ``HEAD_BLOCKS``. Each codebook fusion adds its weights into
-        ``weight_sum`` if given.
+        reweights the hidden bank; each layer call is one autodiff node.
+        Reads no parameter in ``HEAD_BLOCKS``. Each codebook fusion adds its
+        weights into ``weight_sum`` if given.
         """
         plan = self.plan(batch)
         cfg, flags, params = self.config, self.flags, self.params
-
-        def node(out, parents, op, rule, *args):
-            # the layer's output; in grad mode a node whose rule is rule(g, *args)
-            return ad._make(out, parents, op, lambda g: rule(g, *args))
-
         v_pat = gr.init_patient_states(plan.n_patients, cfg.hidden_dim)
         v_var = params["node.var_table"]
         book = params["codebook"]
-        # the parameter parents of the edge init, decay and gate nodes
-        edge_params = tuple(params[f"edge.{name}"] for name in
-                            ("value_w", "value_b", "time_freq", "time_phase", "var_table"))
-        decay_params = tuple(params[f"decay.{name}"] for name in
-                             (("rate_raw",) if cfg.decay_kernel == "exp" else
-                              ("w1", "b1", "w2", "b2")))
-        gate_params = (params["gate.w"], params["gate.b"])
         # normalized once, shared by every fusion and the retrieval below
         unit_book = cb.UnitBook(book.data) if flags.use_cb else None
         # every gate writes the (patient, variable) states in place
-        bank = tp.Bank(np.zeros((plan.n_patients * plan.n_variables, cfg.hidden_dim)))
-        h_bank = Tensor(bank.data)
+        bank = tp.Bank(Tensor(np.zeros((plan.n_patients * plan.n_variables, cfg.hidden_dim))))
         for t, step in enumerate(plan.steps):
             if step.n_edges == 0:
                 continue
             if t >= 1:
                 if flags.use_cb:
-                    out, saved = cb.soft_fuse(v_pat.data, book.data, unit_book, weight_sum)
-                    v_pat = node(out, (v_pat, book), "soft_fuse", cb.soft_fuse_backward, saved,
-                                 v_pat, book, unit_book)
-                    out, saved = cb.soft_fuse(v_var.data, book.data, unit_book, weight_sum)
-                    v_var = node(out, (v_var, book), "soft_fuse", cb.soft_fuse_backward, saved,
-                                 v_var, book, unit_book)
+                    v_pat = cb.soft_fuse(v_pat, book, unit_book, weight_sum)
+                    v_var = cb.soft_fuse(v_var, book, unit_book, weight_sum)
                 if flags.use_sna:
-                    attn = params["attn.proj"]
-                    out, saved = tp.node_attention(v_pat.data, bank, attn)
-                    v_pat = node(out, (v_pat, h_bank, attn), "node_attention",
-                                 tp.node_attention_backward, saved, v_pat, h_bank, bank, attn)
-
-            e = node(gr.init_edge_embeddings(step, params, flags.use_te), edge_params,
-                     "init_edge_embeddings", gr.init_edge_embeddings_backward, step, params,
-                     flags.use_te)
-            layers = gr.message_pass(step, v_pat.data, v_var.data, e.data, params, cfg.n_layers)
-            for layer, out in enumerate(layers):
-                w_msg, b_msg, w_node, b_node, w_edge, b_edge = (
-                    params[name] for name in gr._layer_names(layer))
-                agg_pat = node(out.agg_pat, (v_var, e, w_msg, b_msg), "message",
-                               gr.message_backward, v_var, step.variable_idx, e,
-                               step.patient_idx, w_msg, b_msg, out.active_pat)
-                agg_var = node(out.agg_var, (v_pat, e, w_msg, b_msg), "message",
-                               gr.message_backward, v_pat, step.patient_idx, e,
-                               step.variable_idx, w_msg, b_msg, out.active_var)
-                v_pat = node(out.v_pat_new, (v_pat, agg_pat, w_node, b_node), "linear",
-                             ad._linear_backward, (v_pat, agg_pat), w_node, b_node,
-                             out.v_pat_new, True)
-                v_var = node(out.v_var_new, (v_var, agg_var, w_node, b_node), "linear",
-                             ad._linear_backward, (v_var, agg_var), w_node, b_node,
-                             out.v_var_new, True)
-                e = node(out.e_new, (v_pat, v_var, e, w_edge, b_edge), "edge_update",
-                         gr.edge_update_backward, step, v_pat, v_var, e, w_edge, b_edge,
-                         out.active_edge)
-
-            gamma = None
-            if flags.use_tde:
-                out, saved = tp.decay_factor(e.data, step.delta_t, cfg.decay_kernel, params)
-                # the exp kernel's one shared rate reads no edge feature
-                source = None if cfg.decay_kernel == "exp" else e
-                gamma = node(out, decay_params if source is None else (e, *decay_params),
-                             "decay_factor", tp.decay_factor_backward, saved, source,
-                             cfg.decay_kernel, params)
-            rows = tp.gated_update(bank, step.bank_idx, e.data, params,
-                                   None if gamma is None else gamma.data)
-            h_bank = node(bank.data, (h_bank, e, *gate_params) if gamma is None
-                          else (h_bank, gamma, e, *gate_params), "gated_update",
-                          tp.gated_update_backward, h_bank, gamma, e, step.bank_idx, rows, params)
+                    v_pat = tp.node_attention(v_pat, bank, params["attn.proj"])
+            e = gr.init_edge_embeddings(step, params, flags.use_te)
+            v_pat, v_var, e = gr.message_pass(step, v_pat, v_var, e, params, cfg.n_layers)
+            gamma = (tp.decay_factor(e, step.delta_t, cfg.decay_kernel, params)
+                     if flags.use_tde else None)
+            tp.gated_update(bank, step.bank_idx, e, params, gamma)
 
         parts = [v_pat]
         if flags.retrieval_active:
-            indices, rows = cb.retrieve(v_pat.data, book.data, unit_book)
-            parts.append(node(rows, (book,), "retrieve", cb.retrieve_backward, book, indices))
+            parts.append(cb.retrieve(v_pat, book, unit_book))
         if flags.use_hvs:
-            parts.append(node(head_reweight(bank.data, plan.count_weights), (h_bank,),
-                              "head_reweight", head_reweight_backward, h_bank,
-                              plan.count_weights))
+            parts.append(head_reweight(bank.tensor, plan.count_weights))
         return parts
 
     # the only parameters ``classify`` reads, and the only ones ``encode`` does not
@@ -359,13 +302,14 @@ def count_weights(counts: np.ndarray) -> np.ndarray:
     return ad._softmax(counts.astype(np.float64)).reshape(*counts.shape, 1)
 
 
-def head_reweight(bank: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def head_reweight(h_bank: Tensor, weights: np.ndarray) -> Tensor:
     """Boost each variable's state by its weight, ``bank * (1 + w)`` as
-    ``bank + bank * w``. ``weights`` (B, V, 1) are each episode's
-    ``count_weights``, which a ``BatchPlan`` holds."""
+    ``bank + bank * w``, as one node. ``weights`` (B, V, 1) are each
+    episode's ``count_weights``, which a ``BatchPlan`` holds."""
     batch, v_count, _ = weights.shape
-    bank3 = bank.reshape(batch, v_count, -1)
-    return (bank3 + bank3 * weights).reshape(batch, -1)
+    bank3 = h_bank.data.reshape(batch, v_count, -1)
+    return ad._make((bank3 + bank3 * weights).reshape(batch, -1), (h_bank,), "head_reweight",
+                    lambda g: head_reweight_backward(g, h_bank, weights))
 
 
 def head_reweight_backward(g: np.ndarray, h_bank: Tensor, weights: np.ndarray) -> None:

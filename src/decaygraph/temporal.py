@@ -8,10 +8,9 @@ merged with the fresh edge feature through a sigmoid gate. From the
 second step on, the patient embedding can also attend over its stored
 per-variable states before entering the graph network.
 
-Each function works on arrays; in grad mode it returns what its named
-``*_backward`` reads, which adds its terms in the order of the op chain
-it replaced. The model's encoder makes each call one autodiff node whose
-rule is that backward.
+Each function takes Tensors and returns its own autodiff node, whose
+rule calls the function's named ``*_backward``; that backward adds its
+terms in the order of the op chain it replaced.
 The per-variable states of one forward pass live in one :class:`Bank`,
 whose array every ``gated_update`` writes in place, logging in grad mode
 the rows it overwrote; ``node_attention_backward`` first rolls back every
@@ -45,8 +44,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / one_plus, z / one_plus)
 
 
-def decay_factor(e: np.ndarray, delta_t: np.ndarray, kernel: str,
-                 params: dict[str, Tensor]) -> tuple[np.ndarray, tuple | None]:
+def decay_factor(e: Tensor, delta_t: np.ndarray, kernel: str,
+                 params: dict[str, Tensor]) -> Tensor:
     """Discount in [0, 1] per edge for the elapsed interval.
 
     The rate is softplus(relu(e @ w1 + b1) @ w2 + b2), or for the ``exp``
@@ -54,17 +53,20 @@ def decay_factor(e: np.ndarray, delta_t: np.ndarray, kernel: str,
     exp kernels: exp(-rate * dt); gaussian: exp(-(rate * dt)^2); linear:
     max(1 - rate * dt, 0), the only kernel that can reach exactly zero.
     Each interval in ``delta_t`` must be non-negative; the model's batch
-    plan checks that once per batch. Returns the discount and, in grad
-    mode, what ``decay_factor_backward`` reads.
+    plan checks that once per batch. The ``exp`` kernel's node reads no
+    ``e``, so ``e`` is not among its parents.
     """
     delta_t = np.asarray(delta_t, dtype=np.float64).reshape(-1, 1)
     if kernel not in DECAY_KERNELS:
         raise KernelConfigError(f"decay kernel must be one of {DECAY_KERNELS}, "
                                 f"got {kernel!r}")
     if kernel == "exp":
-        pre = np.repeat(params["decay.rate_raw"].data, e.shape[0], axis=0)
+        parents = (params["decay.rate_raw"],)
+        pre = np.repeat(parents[0].data, e.shape[0], axis=0)
     else:
-        hidden = np.maximum(_first_layer(e, params), 0.0)
+        parents = (e, params["decay.w1"], params["decay.b1"], params["decay.w2"],
+                   params["decay.b2"])
+        hidden = np.maximum(_first_layer(e.data, params), 0.0)
         pre = np.matmul(hidden, params["decay.w2"].data) + params["decay.b2"].data
     # softplus: ln(1 + e^x) without overflow, x + log1p(e^-x) when positive
     tail = np.log1p(np.exp(-np.abs(pre)))
@@ -82,18 +84,20 @@ def decay_factor(e: np.ndarray, delta_t: np.ndarray, kernel: str,
             arg = neg_scaled * scaled
         kept = np.exp(arg)  # the decayed value
         out = kept + UNDERFLOW_FLOOR
-    return out, ((delta_t, pre, kept, scaled, neg_scaled) if ad._grad_enabled else None)
+    saved = (delta_t, pre, kept, scaled, neg_scaled) if ad._grad_enabled else None
+    return ad._make(out, parents, "decay_factor",
+                    lambda g: decay_factor_backward(g, saved, e, kernel, params))
 
 
 def _first_layer(e: np.ndarray, params: dict[str, Tensor]) -> np.ndarray:
     return np.matmul(e, params["decay.w1"].data) + params["decay.b1"].data
 
 
-def decay_factor_backward(g: np.ndarray, saved: tuple, e: Tensor | None, kernel: str,
+def decay_factor_backward(g: np.ndarray, saved: tuple, e: Tensor, kernel: str,
                           params: dict[str, Tensor]) -> None:
     """``decay_factor``'s rule over what it ``saved``: add the gradient of
-    ``decay.rate_raw`` for the ``exp`` kernel, which reads no ``e`` (it may
-    be None), else of ``decay.w2``, ``decay.b2``, ``decay.w1``, ``decay.b1``, ``e``."""
+    ``decay.rate_raw`` for the ``exp`` kernel, which reads no ``e``, else of
+    ``decay.w2``, ``decay.b2``, ``decay.w1``, ``decay.b1``, ``e``."""
     delta_t, pre, kept, scaled, neg_scaled = saved
     neg_dt = -delta_t
     if kernel == "mlp_linear":
@@ -119,14 +123,16 @@ class Bank:
     """The per-variable hidden states of one forward pass, (B·V, d).
 
     ``data`` is the one array that every ``gated_update`` writes in place;
-    it starts as ``initial``. While grad mode is on, each write logs its
-    index and the rows it overwrote, so ``rollback`` can restore an earlier
-    version; under ``no_grad`` no backward can read the bank, so nothing is
-    logged.
+    it starts as a copy of ``initial``'s. ``tensor`` is the node of the
+    latest write, ``initial`` before the first. While grad mode is on, each
+    write logs its index and the rows it overwrote, so ``rollback`` can
+    restore an earlier version; under ``no_grad`` no backward can read the
+    bank, so nothing is logged.
     """
 
-    def __init__(self, initial: np.ndarray):
-        self.data = initial
+    def __init__(self, initial: Tensor):
+        self.data = initial.data.copy()
+        self.tensor = initial
         self._undo: list[tuple[np.ndarray, np.ndarray]] = []
 
     def rollback(self, version: int) -> None:
@@ -140,8 +146,8 @@ class Bank:
             self.data[index] = rows
 
 
-def gated_update(bank: Bank, index: np.ndarray, e: np.ndarray, params: dict[str, Tensor],
-                 gamma: np.ndarray | None = None) -> np.ndarray | None:
+def gated_update(bank: Bank, index: np.ndarray, e: Tensor, params: dict[str, Tensor],
+                 gamma: Tensor | None = None) -> Tensor:
     """Replace each ``index`` row of ``bank`` by its gated update, in place.
 
     The stored state h = bank.data[index], decayed to h * gamma when
@@ -150,17 +156,24 @@ def gated_update(bank: Bank, index: np.ndarray, e: np.ndarray, params: dict[str,
     unique, as a ``GraphStep``'s ``bank_idx`` is by construction
     (``graph.build_graph_steps`` lists each (patient, variable) pair at
     most once per step): each bank row is written at most once, so the
-    overwritten rows are the stored states. In grad mode it logs and
-    returns those rows, which ``gated_update_backward`` reads.
+    overwritten rows are the stored states. In grad mode it logs those
+    rows, which ``gated_update_backward`` reads. The node, whose data is
+    ``bank.data``, becomes ``bank.tensor``. Its parents list ``e`` after the
+    bank and ``gamma``, so backward, which explores the last parent first,
+    reaches ``e`` before them, as the chain did.
     """
+    h_bank, w, b = bank.tensor, params["gate.w"], params["gate.b"]
     rows = bank.data[index]  # a copy: the undo log's entry and the backward's input
-    h_hat = rows if gamma is None else rows * gamma
-    r = _gate(np.concatenate([e, h_hat], axis=1), params)
-    bank.data[index] = (1.0 - r) * h_hat + r * e
-    if not ad._grad_enabled:
-        return None
-    bank._undo.append((index, rows))
-    return rows
+    h_hat = rows if gamma is None else rows * gamma.data
+    r = _gate(np.concatenate([e.data, h_hat], axis=1), params)
+    bank.data[index] = (1.0 - r) * h_hat + r * e.data
+    if ad._grad_enabled:
+        bank._undo.append((index, rows))
+    bank.tensor = ad._make(bank.data, (h_bank, e, w, b) if gamma is None
+                           else (h_bank, gamma, e, w, b), "gated_update",
+                           lambda g: gated_update_backward(g, h_bank, gamma, e, index, rows,
+                                                           params))
+    return bank.tensor
 
 
 def _gate(x: np.ndarray, params: dict[str, Tensor]) -> np.ndarray:
@@ -197,22 +210,26 @@ def gated_update_backward(g: np.ndarray, h_bank: Tensor, gamma: Tensor | None, e
     ad._accumulate(h_bank, ad._scatter_add(h_bank.shape, index, g_hat), owned=True)
 
 
-def node_attention(v_pat: np.ndarray, bank: Bank, w_proj: Tensor
-                   ) -> tuple[np.ndarray, tuple | None]:
+def node_attention(v_pat: Tensor, bank: Bank, w_proj: Tensor) -> Tensor:
     """Patient embedding attends over its previous per-variable states.
 
     ``bank`` holds each patient's V per-variable states, patient-major, as
-    (B·V, d) rows or as (B, V, d). Scores are scaled dot products, softmax
-    over the V variable positions, and the attended vector replaces the
-    patient state after projection. Returns it and, in grad mode, the attention weights
-    and the bank's version, which ``node_attention_backward`` reads.
+    (B·V, d) rows or as (B, V, d); the node reads its latest version,
+    ``bank.tensor``. Scores are scaled dot products, softmax over the V
+    variable positions, and the attended vector replaces the patient state
+    after projection. In grad mode the node keeps the attention weights and
+    the bank's version, which ``node_attention_backward`` reads.
     """
+    h_bank = bank.tensor
     b, d = v_pat.shape
     states = bank.data.reshape(b, -1, d)
-    scores = np.matmul(v_pat.reshape(b, 1, d), np.swapaxes(states, -1, -2)) * (1.0 / np.sqrt(d))
+    scores = np.matmul(v_pat.data.reshape(b, 1, d),
+                       np.swapaxes(states, -1, -2)) * (1.0 / np.sqrt(d))
     weights = ad._softmax(scores)
     out = np.matmul(np.matmul(weights, states).reshape(b, d), w_proj.data)
-    return out, ((weights, len(bank._undo)) if ad._grad_enabled else None)
+    saved = (weights, len(bank._undo)) if ad._grad_enabled else None
+    return ad._make(out, (v_pat, h_bank, w_proj), "node_attention",
+                    lambda g: node_attention_backward(g, saved, v_pat, h_bank, bank, w_proj))
 
 
 def node_attention_backward(g: np.ndarray, saved: tuple, v_pat: Tensor, h_bank: Tensor,

@@ -1,18 +1,16 @@
 """Oracles for the model's layers: the op chains they replace, and the
-per-node encoder that was the model's before its layers were array-level.
+per-node encoder that was the model's before its layers had named
+backwards.
 
-The model's encoder (``model.DecayGraphClassifier.encode``) makes one
-autodiff node per layer over array-level layer functions, each a forward
-with a named backward: ``graph.init_edge_embeddings``, the message, node
-update and edge update of ``graph.message_pass``,
+Each of the model's layer functions makes its own autodiff node whose
+rule calls the layer's named backward: ``graph.init_edge_embeddings``,
+the message, node update and edge update of ``graph.message_pass``,
 ``temporal.decay_factor``, ``temporal.gated_update``,
 ``temporal.node_attention``, ``codebook.soft_fuse``, ``codebook.retrieve``
-and ``model.head_reweight``. Here, ``as_node`` makes one such pair a node
-as ``encode`` does, and the ``layer_*`` functions make each layer that
-node, so that a layer can be compared with the chain of small autodiff ops
-it replaced, written here with the ops that only those chains used, built
-on ``autodiff._make``. A layer must give its chain's values and gradients
-bit for bit.
+and ``model.head_reweight``. The tests call them directly and compare
+each with the chain of small autodiff ops it replaced, written here with
+the ops that only those chains used, built on ``autodiff._make``. A layer
+must give its chain's values and gradients bit for bit.
 
 The per-node encoder (``per_node_encode`` over the ``fused_*`` nodes),
 whose nodes kept their inputs' arrays and summed rows with ``np.add.at``,
@@ -38,18 +36,32 @@ from decaygraph.autodiff import ShapeError, Tensor
 # -- ops the chains used -------------------------------------------------------
 
 
+def unbroadcast(grad, shape):
+    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting): ``grad``
+    itself when it has that shape, else a new array."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
 def add(a, b):
     def bw(g):
-        ad._accumulate(a, ad._unbroadcast(g, a.shape))
-        ad._accumulate(b, ad._unbroadcast(g, b.shape))
+        ad._accumulate(a, unbroadcast(g, a.shape))
+        ad._accumulate(b, unbroadcast(g, b.shape))
 
     return ad._make(a.data + b.data, (a, b), "add", bw)
 
 
 def mul(a, b):
     def bw(g):
-        ad._accumulate(a, ad._unbroadcast(g * b.data, a.shape))
-        ad._accumulate(b, ad._unbroadcast(g * a.data, b.shape))
+        ad._accumulate(a, unbroadcast(g * b.data, a.shape))
+        ad._accumulate(b, unbroadcast(g * a.data, b.shape))
 
     return ad._make(a.data * b.data, (a, b), "mul", bw)
 
@@ -88,8 +100,8 @@ def scatter_rows(base, index, rows):
 
 def sub(a, b):
     def bw(g):
-        ad._accumulate(a, ad._unbroadcast(g, a.shape))
-        ad._accumulate(b, ad._unbroadcast(-g, b.shape))
+        ad._accumulate(a, unbroadcast(g, a.shape))
+        ad._accumulate(b, unbroadcast(-g, b.shape))
 
     return ad._make(a.data - b.data, (a, b), "sub", bw)
 
@@ -99,8 +111,8 @@ def matmul(a, b):
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
 
     def bw(g):
-        ad._accumulate(a, ad._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        ad._accumulate(b, ad._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        ad._accumulate(a, unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
+        ad._accumulate(b, unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
     return ad._make(np.matmul(a.data, b.data), (a, b), "matmul", bw)
 
@@ -357,8 +369,8 @@ def install(monkeypatch):
 
 
 # -- the per-node encoder ------------------------------------------------------------
-# ``model.DecayGraphClassifier.encode`` as it was when each layer was its own
-# autodiff node, with those nodes; row sums go through ``np.add.at``.
+# ``model.DecayGraphClassifier.encode`` as it was before its layers had named
+# backwards, with those layers' nodes; row sums go through ``np.add.at``.
 
 def fused_init_edge_embeddings(step: gr.GraphStep, params: dict[str, Tensor],
                          use_time_embedding: bool = True) -> Tensor:
@@ -766,7 +778,7 @@ def fused_soft_fuse(g: Tensor, codebook: Tensor, unit_book: cb.UnitBook,
         # the tiled core each term is the chain's expression. The unit rows
         # are rebuilt by the forward's expression.
         ad._accumulate(g, grad)
-        d_scale = ad._unbroadcast(grad * q, scale.shape)
+        d_scale = unbroadcast(grad * q, scale.shape)
         d_q = grad * scale
         d_q += d_scale / a_m * q / np.maximum(q_norm, 1e-300)
         d_gnorm = -d_scale * q_norm / (a_m * a_m)
@@ -777,13 +789,13 @@ def fused_soft_fuse(g: Tensor, codebook: Tensor, unit_book: cb.UnitBook,
                    else chain_core(d_q, g_unit, d_cunit))
         a_g = g_norm + cb.COSINE_EPS
         ad._accumulate(g, d_gunit / a_g)
-        d_gnorm = ad._unbroadcast(-d_gunit * x / (a_g * a_g), g_norm.shape)
+        d_gnorm = unbroadcast(-d_gunit * x / (a_g * a_g), g_norm.shape)
         ad._accumulate(g, d_gnorm * x / np.maximum(g_norm, 1e-300))
         ad._accumulate(codebook, np.divide(d_cunit, unit_book.norm_eps, out=term))
         np.negative(d_cunit, out=term)
         term *= c
         term /= unit_book.norm_eps_sq
-        d_cnorm = ad._unbroadcast(term, unit_book.norm.shape)
+        d_cnorm = unbroadcast(term, unit_book.norm.shape)
         np.multiply(d_cnorm, c, out=term)
         ad._accumulate(codebook, np.divide(term, unit_book.norm_safe, out=term))
 
@@ -824,7 +836,7 @@ def fused_head_reweight(h_bank: Tensor, weights: np.ndarray) -> Tensor:
 
 def per_node_encode(model, batch, weight_sum: np.ndarray | None = None) -> list[Tensor]:
     """The head's input parts for a batch, one node per layer, as ``encode`` made them
-    before its layers were array-level.
+    before its layers had named backwards.
 
     Walks the batch's graph steps, then retrieves the prototype and
     reweights the hidden bank. Reads no parameter in ``HEAD_BLOCKS``.
@@ -877,143 +889,6 @@ def per_node_forward(model, batch, weight_sum=None):
     w1, b1, w2, b2 = (model.params[name] for name in model.HEAD_BLOCKS)
     hidden = ad.linear(per_node_encode(model, batch, weight_sum), w1, b1, relu=True)
     return ad.linear([hidden], w2, b2)
-
-
-# -- the array-level layers as nodes ------------------------------------------------
-
-
-def as_node(out, parents, rule, op="layer"):
-    """An array-level layer's output as one autodiff node over ``parents``,
-    whose gradient rule calls the layer's backward: ``rule(g)``. Under
-    ``no_grad`` a bare Tensor, as ``autodiff._make`` gives."""
-    return ad._make(out, parents, op, rule)
-
-
-def edge_parents(params, use_time_embedding=True):
-    names = ("edge.value_w", "edge.value_b", "edge.time_freq", "edge.time_phase",
-             "edge.var_table")
-    return tuple(params[name] for name in names
-                 if use_time_embedding or name not in ("edge.time_freq", "edge.time_phase"))
-
-
-def layer_init_edge_embeddings(step, params, use_time_embedding=True):
-    return as_node(gr.init_edge_embeddings(step, params, use_time_embedding),
-                   edge_parents(params, use_time_embedding),
-                   lambda g: gr.init_edge_embeddings_backward(g, step, params,
-                                                              use_time_embedding),
-                   "edge_init")
-
-
-def message_node(out, v_src, src_idx, e, dst_idx, w, b, active):
-    return as_node(out, (v_src, e, w, b),
-                   lambda g: gr.message_backward(g, v_src, src_idx, e, dst_idx, w, b, active),
-                   "message")
-
-
-def node_update_node(out, v, agg, w, b):
-    return as_node(out, (v, agg, w, b),
-                   lambda g: ad._linear_backward(g, (v, agg), w, b, out, True), "linear")
-
-
-def edge_update_node(out, step, v_pat, v_var, e, w, b, active):
-    return as_node(out, (v_pat, v_var, e, w, b),
-                   lambda g: gr.edge_update_backward(g, step, v_pat, v_var, e, w, b, active),
-                   "edge_update")
-
-
-def layer_message(v_src, src_idx, e, dst_idx, n_dst, w, b):
-    """``graph._message`` as the node it once was."""
-    out, active = gr._message(v_src.data, src_idx, e.data, dst_idx, n_dst, w, b)
-    return message_node(out, v_src, src_idx, e, dst_idx, w, b, active)
-
-
-def layer_message_pass(step, v_pat, v_var, e, params, n_layers):
-    """``graph.message_pass`` on the ``.data`` of Tensors, each layer's two
-    messages, two node updates and edge update made nodes; returns the last
-    layer's patient, variable and edge state nodes."""
-    for layer, arrays in enumerate(gr.message_pass(step, v_pat.data, v_var.data, e.data,
-                                                   params, n_layers)):
-        w_msg, b_msg, w_node, b_node, w_edge, b_edge = (params[name]
-                                                        for name in gr._layer_names(layer))
-        agg_pat = message_node(arrays.agg_pat, v_var, step.variable_idx, e,
-                               step.patient_idx, w_msg, b_msg, arrays.active_pat)
-        agg_var = message_node(arrays.agg_var, v_pat, step.patient_idx, e,
-                               step.variable_idx, w_msg, b_msg, arrays.active_var)
-        v_pat = node_update_node(arrays.v_pat_new, v_pat, agg_pat, w_node, b_node)
-        v_var = node_update_node(arrays.v_var_new, v_var, agg_var, w_node, b_node)
-        e = edge_update_node(arrays.e_new, step, v_pat, v_var, e, w_edge, b_edge,
-                             arrays.active_edge)
-    return v_pat, v_var, e
-
-
-def layer_message_pass_layer(step, v_pat, v_var, e, params, layer):
-    """One layer of ``layer_message_pass``, whose parameters are those of
-    layer ``layer``: ``graph.message_pass`` reads layer 0's names."""
-    if layer:
-        params = {**params, **{name: params[name.replace("sage0.", f"sage{layer}.")]
-                               for name in gr._layer_names(0)}}
-    return layer_message_pass(step, v_pat, v_var, e, params, 1)
-
-
-def layer_decay_factor(e, delta_t, kernel, params):
-    out, saved = tp.decay_factor(e.data, delta_t, kernel, params)
-    names = (("decay.rate_raw",) if kernel == "exp" else
-             ("decay.w1", "decay.b1", "decay.w2", "decay.b2"))
-    parents = tuple(params[name] for name in names)
-    return as_node(out, parents if kernel == "exp" else (e, *parents),
-                   lambda g: tp.decay_factor_backward(g, saved, e, kernel, params),
-                   "decay_factor")
-
-
-class LayerBank:
-    """A ``temporal.Bank`` of ``initial``'s data and its latest version's node."""
-
-    def __init__(self, initial):
-        self.bank = tp.Bank(initial.data.copy())
-        self.tensor = initial
-
-
-def layer_gated_update(bank, index, e, params, gamma=None):
-    """``temporal.gated_update`` on a ``LayerBank``, whose node it replaces."""
-    h_bank = bank.tensor
-    rows = tp.gated_update(bank.bank, index, e.data, params,
-                           None if gamma is None else gamma.data)
-    gate = (params["gate.w"], params["gate.b"])
-    parents = (h_bank, e, *gate) if gamma is None else (h_bank, gamma, e, *gate)
-    bank.tensor = as_node(bank.bank.data, parents,
-                          lambda g: tp.gated_update_backward(g, h_bank, gamma, e, index, rows,
-                                                             params),
-                          "gate")
-    return bank.tensor
-
-
-def layer_node_attention(v_pat, bank, w_proj):
-    """``temporal.node_attention`` on a ``LayerBank``'s latest version."""
-    h_bank = bank.tensor
-    out, saved = tp.node_attention(v_pat.data, bank.bank, w_proj)
-    return as_node(out, (v_pat, h_bank, w_proj),
-                   lambda g: tp.node_attention_backward(g, saved, v_pat, h_bank, bank.bank,
-                                                        w_proj),
-                   "attention")
-
-
-def layer_soft_fuse(g, codebook, unit_book, weight_sum=None):
-    out, saved = cb.soft_fuse(g.data, codebook.data, unit_book, weight_sum)
-    return as_node(out, (g, codebook),
-                   lambda grad: cb.soft_fuse_backward(grad, saved, g, codebook, unit_book),
-                   "soft_fuse")
-
-
-def layer_retrieve(g, codebook, unit_book):
-    indices, rows = cb.retrieve(g.data, codebook.data, unit_book)
-    return indices, as_node(rows, (codebook,),
-                            lambda grad: cb.retrieve_backward(grad, codebook, indices),
-                            "retrieve")
-
-
-def layer_head_reweight(h_bank, weights):
-    return as_node(md.head_reweight(h_bank.data, weights), (h_bank,),
-                   lambda g: md.head_reweight_backward(g, h_bank, weights), "head_reweight")
 
 
 # -- a harness that compares a node with its chain -------------------------------

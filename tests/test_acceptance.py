@@ -12,6 +12,7 @@ import pytest
 
 from decaygraph import metrics as mx
 from decaygraph import temporal as tp
+from decaygraph.autodiff import Tensor
 from decaygraph.analysis import empirical_autocorr, fit_decay_rate, kruskal_wallis
 from decaygraph.cli import main as cli_main
 from decaygraph.data import (DatasetSplits, SyntheticConfig, delta_t_from_times,
@@ -80,7 +81,7 @@ def test_c03_kernel_invariants():
     grid = np.linspace(0.0, 100.0, 50)
 
     def decay(dt, kernel):
-        return tp.decay_factor(e, dt, kernel, model.params)[0]
+        return tp.decay_factor(Tensor(e), dt, kernel, model.params).data
 
     for kernel in tp.DECAY_KERNELS:
         np.testing.assert_allclose(decay(np.zeros(3), kernel), 1.0, atol=1e-12)

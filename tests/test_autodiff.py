@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from decaygraph import autodiff as ad
+from decaygraph import graph as gr
+from decaygraph import temporal as tp
 from decaygraph.autodiff import ContractError, ShapeError, Tensor
 
 import chain_ops as co
@@ -132,6 +134,9 @@ def test_linear_shape_error():
         ad.linear([Tensor(np.zeros(7))], w, b)
     with pytest.raises(ShapeError):
         ad.linear([], w, b)
+    # a bias is a 1-d row of the output width, not a (1, width) array
+    with pytest.raises(ShapeError, match=r"\+ \(1, 2\)"):
+        ad.linear([Tensor(np.zeros((2, 7)))], w, Tensor(np.zeros((1, 2))))
 
 
 def test_finite_outputs_on_extreme_inputs():
@@ -404,10 +409,8 @@ def test_backward_leaves_untracked_inputs_without_grad():
     src, dst = np.array([0, 1, 1, 3, 2]), np.array([0, 0, 1, 1, 1])
     nodes = {
         "linear": lambda t: ad.linear([t["a"], t["b"]], t["w"], t["bias"]),
-        "message": lambda t: co.layer_message(t["v_var"], src, t["e"], dst, 2, t["w"],
-                                              t["bias"]),
-        "attention": lambda t: co.layer_node_attention(t["v_pat"], co.LayerBank(t["bank"]),
-                                                       t["proj"]),
+        "message": lambda t: gr._message(t["v_var"], src, t["e"], dst, 2, t["w"], t["bias"]),
+        "attention": lambda t: tp.node_attention(t["v_pat"], tp.Bank(t["bank"]), t["proj"]),
     }
     arrays = {
         "linear": {"a": v_pat, "b": v_pat[:, :1], "w": rng.normal(size=(4, 2)),
@@ -478,7 +481,7 @@ def test_linear_and_indexing_gradients():
     a = Tensor(rand((3, 4), 40), tracked=True)
     b = Tensor(rand((3, 2), 41), tracked=True)
     w = Tensor(rand((6, 5), 42), tracked=True)
-    bias = Tensor(rand((1, 5), 39), tracked=True)
+    bias = Tensor(rand((5,), 39), tracked=True)
     out_w = Tensor(rand((3, 5), 38))
     check_grads(lambda: co.tensor_sum(co.mul(ad.linear([a, b], w, bias), out_w)),
                 [a, b, w, bias])

@@ -38,7 +38,7 @@ def fuse_with_weights(g, book):
     """Fused rows of one call and its per-prototype weight sums; for one
     row of ``g``, the sums are that row's weights."""
     weights = np.zeros(len(book))
-    fused = co.layer_soft_fuse(Tensor(g), Tensor(book), cb.UnitBook(book), weights)
+    fused = cb.soft_fuse(Tensor(g), Tensor(book), cb.UnitBook(book), weights)
     return fused, weights
 
 
@@ -106,8 +106,8 @@ def test_fusion_equivariant_under_rotation():
     g = rng.normal(size=(3, 3))
     book = rng.normal(size=(6, 3))
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    base = co.layer_soft_fuse(Tensor(g), Tensor(book), cb.UnitBook(book))
-    rotated = co.layer_soft_fuse(Tensor(g @ q), Tensor(book @ q), cb.UnitBook(book @ q))
+    base = cb.soft_fuse(Tensor(g), Tensor(book), cb.UnitBook(book))
+    rotated = cb.soft_fuse(Tensor(g @ q), Tensor(book @ q), cb.UnitBook(book @ q))
     np.testing.assert_allclose(rotated.data, base.data @ q, atol=1e-9)
 
 
@@ -117,9 +117,9 @@ def test_fusion_equivariant_under_rotation():
 def div(a, b):
     def bw(g):
         if a.tracked:
-            ad._accumulate(a, ad._unbroadcast(g / b.data, a.shape))
+            ad._accumulate(a, co.unbroadcast(g / b.data, a.shape))
         if b.tracked:
-            ad._accumulate(b, ad._unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            ad._accumulate(b, co.unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return ad._make(a.data / b.data, (a, b), "div", bw)
 
@@ -150,7 +150,7 @@ def fused_soft_fuse(book):
 
     def fuse(g, codebook):
         weight_sum = np.zeros(len(codebook.data))
-        return co.layer_soft_fuse(g, codebook, unit_book, weight_sum), weight_sum
+        return cb.soft_fuse(g, codebook, unit_book, weight_sum), weight_sum
     return fuse
 
 
@@ -255,7 +255,7 @@ def test_soft_fuse_matches_the_chain_at_model_size():
 def test_soft_fuse_records_one_node():
     g = Tensor(np.ones((2, 3)), tracked=True)
     book = Tensor(np.eye(3), tracked=True)
-    fused = co.layer_soft_fuse(g, book, cb.UnitBook(book.data))
+    fused = cb.soft_fuse(g, book, cb.UnitBook(book.data))
     assert fused._op == "soft_fuse" and fused._parents == (g, book)
 
 
@@ -266,11 +266,11 @@ def test_no_b_by_k_array_outlives_a_fusion_forward(k):
     rng = np.random.default_rng(3)
     g = Tensor(rng.normal(size=(128, 16)), tracked=True)
     book = Tensor(rng.normal(size=(k, 16)), tracked=True)
-    co.layer_soft_fuse(g, book, cb.UnitBook(book.data))  # the pool and one-time buffers
+    cb.soft_fuse(g, book, cb.UnitBook(book.data))  # the pool and one-time buffers
     unit_book = cb.UnitBook(book.data)
     tracemalloc.start()
     try:
-        fused = co.layer_soft_fuse(g, book, unit_book)
+        fused = cb.soft_fuse(g, book, unit_book)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -296,12 +296,12 @@ def two_fusions(fuse, k, seed=5):
 
 
 def test_soft_fuse_gradients_match_finite_differences():
-    check_grads(*two_fusions(co.layer_soft_fuse, 5), rtol=1e-5)
+    check_grads(*two_fusions(cb.soft_fuse, 5), rtol=1e-5)
 
 
 def test_tiled_soft_fuse_gradients_match_finite_differences(monkeypatch):
     monkeypatch.setattr(cb, "TILE", 4)  # K=10: tiles of 4, 4 and 2 prototypes
-    check_grads(*two_fusions(co.layer_soft_fuse, 10), rtol=1e-5)
+    check_grads(*two_fusions(cb.soft_fuse, 10), rtol=1e-5)
 
 
 def tiled_core_from_source(source):
@@ -318,11 +318,11 @@ def test_check_grads_catches_a_tiled_rule_without_its_row_term(monkeypatch):
     row_term = "d_s -= d_rowterm\n"
     assert source.count(row_term) == 1
     monkeypatch.setattr(cb, "_tiled_core", tiled_core_from_source(source))
-    check_grads(*two_fusions(co.layer_soft_fuse, 10), rtol=1e-5)
+    check_grads(*two_fusions(cb.soft_fuse, 10), rtol=1e-5)
     monkeypatch.setattr(cb, "_tiled_core",
                         tiled_core_from_source(source.replace(row_term, "\n")))
     with pytest.raises(AssertionError, match="gradient mismatch"):
-        check_grads(*two_fusions(co.layer_soft_fuse, 10), rtol=1e-5)
+        check_grads(*two_fusions(cb.soft_fuse, 10), rtol=1e-5)
 
 
 def loop_jobs(job, items):
@@ -331,14 +331,14 @@ def loop_jobs(job, items):
 
 def fuse_and_retrieve(g0, book0, r):
     """One fusion, a retrieval from its output and backward through the
-    fusion: the output, weight sums, both gradients and the indices."""
+    fusion: the output, weight sums, both gradients and the retrieved rows."""
     g, book = Tensor(g0.copy(), tracked=True), Tensor(book0.copy(), tracked=True)
     unit_book = cb.UnitBook(book.data)
     weight_sum = np.zeros(len(book0))
-    out = co.layer_soft_fuse(g, book, unit_book, weight_sum)
-    indices, _ = co.layer_retrieve(out, book, unit_book)
+    out = cb.soft_fuse(g, book, unit_book, weight_sum)
+    rows = cb.retrieve(out, book, unit_book)
     ad.backward(co.tensor_sum(co.mul(out, Tensor(r))))
-    return out.data, weight_sum, g.grad, book.grad, indices
+    return out.data, weight_sum, g.grad, book.grad, rows.data
 
 
 POOL_ROWS = 2 * cb.BLOCK_ROWS  # the fewest rows that take the pool
@@ -406,7 +406,7 @@ Adam(model.params).step()
 print("concurrent.futures" in sys.modules, _blas_threads() == start)
 rows = np.random.default_rng(0).normal(size=(2 * cb.BLOCK_ROWS, 8))
 book = np.random.default_rng(1).normal(size=(cb.TILE + 1, 8))
-cb.soft_fuse(rows, book, cb.UnitBook(book))
+cb.soft_fuse(ad.Tensor(rows), ad.Tensor(book), cb.UnitBook(book))
 print(_blas_threads())
 """
 
@@ -443,10 +443,9 @@ from decaygraph import autodiff as ad, codebook as cb
 rng = np.random.default_rng(5)
 g = ad.Tensor(rng.normal(size=(256, 16)), tracked=True)
 book = ad.Tensor(rng.normal(size=(2048, 16)), tracked=True)
-unit_book = cb.UnitBook(book.data)
-out, saved = cb.soft_fuse(g.data, book.data, unit_book)
-cb.soft_fuse_backward(rng.normal(size=out.shape), saved, g, book, unit_book)
-digest = hashlib.sha256(out.tobytes() + g.grad.tobytes() + book.grad.tobytes())
+out = cb.soft_fuse(g, book, cb.UnitBook(book.data))
+out._backward(rng.normal(size=out.shape))  # the node's rule, given its gradient
+digest = hashlib.sha256(out.data.tobytes() + g.grad.tobytes() + book.grad.tobytes())
 print(len(os.sched_getaffinity(0)), cb._pool()[1], digest.hexdigest())
 """
 
@@ -468,44 +467,48 @@ def test_a_large_codebook_fusion_has_the_same_bits_on_one_cpu():
     assert pinned[2] == whole[2]
 
 
+def retrieved_index(row, book):
+    """The index of the prototype ``retrieve`` picks for one row: the one
+    codebook row its gradient reaches, whose data it returned."""
+    book = Tensor(np.asarray(book, dtype=np.float64), tracked=True)
+    rows = cb.retrieve(Tensor([row]), book, cb.UnitBook(book.data))
+    ad.backward(co.tensor_sum(rows))
+    (index,) = np.flatnonzero(book.grad.any(axis=1))
+    np.testing.assert_array_equal(rows.data[0], book.data[index])
+    return int(index)
+
+
 def test_retrieve_self_match():
     book = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    idx, rows = co.layer_retrieve(Tensor([[0.0, 2.0, 0.0]]), Tensor(book), cb.UnitBook(book))
-    assert list(idx) == [1]
-    np.testing.assert_array_equal(rows.data, [[0.0, 1.0, 0.0]])
+    assert retrieved_index([0.0, 2.0, 0.0], book) == 1
 
 
 def test_retrieve_tie_breaks_low_index():
     book = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # identical best rows
-    idx, _ = co.layer_retrieve(Tensor([[3.0, 0.0]]), Tensor(book), cb.UnitBook(book))
-    assert list(idx) == [0]
+    assert retrieved_index([3.0, 0.0], book) == 0
 
 
 def test_retrieve_antisymmetric_under_negation():
     u = np.array([0.6, -0.8])
-    book = Tensor(np.stack([u, -u]))
-    idx_pos, _ = co.layer_retrieve(Tensor(u[None, :]), book, cb.UnitBook(book.data))
-    idx_neg, _ = co.layer_retrieve(Tensor(-u[None, :]), book, cb.UnitBook(book.data))
-    assert list(idx_pos) == [0]
-    assert list(idx_neg) == [1]
+    book = np.stack([u, -u])
+    assert retrieved_index(u, book) == 0
+    assert retrieved_index(-u, book) == 1
 
 
 def test_retrieve_scale_invariant():
     rng = np.random.default_rng(3)
     g = rng.normal(size=(5, 4))
-    book = Tensor(rng.normal(size=(9, 4)))
-    base, _ = co.layer_retrieve(Tensor(g), book, cb.UnitBook(book.data))
+    book = rng.normal(size=(9, 4))
+    base = [retrieved_index(row, book) for row in g]
     for scale in (0.01, 3.0, 1e4):
-        scaled, _ = co.layer_retrieve(Tensor(scale * g), book, cb.UnitBook(book.data))
-        np.testing.assert_array_equal(scaled, base)
+        assert [retrieved_index(scale * row, book) for row in g] == base
 
 
 def test_retrieve_gradient_goes_to_selected_row_only():
-    from decaygraph import autodiff as ad
     book = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]), tracked=True)
-    idx, rows = co.layer_retrieve(Tensor([[2.0, 0.1]]), book, cb.UnitBook(book.data))
+    rows = cb.retrieve(Tensor([[2.0, 0.1]]), book, cb.UnitBook(book.data))
+    assert rows._op == "retrieve" and rows._parents == (book,)
     ad.backward(co.tensor_sum(rows))
-    assert list(idx) == [0]
     np.testing.assert_array_equal(book.grad, [[1.0, 1.0], [0.0, 0.0]])
 
 

@@ -378,6 +378,80 @@ def test_every_bank_tensor_of_a_forward_shares_one_array(monkeypatch):
     assert all(bank is banks[0] for bank in banks[1:])
 
 
+def test_a_no_grad_forward_logs_no_bank_write(monkeypatch):
+    # no backward can read a bank built under no_grad, so its gates log nothing
+    ds = synth(n=4, seed=5)
+    model = tiny_model(ds.variables)
+    banks = []
+    true_bank = tp.Bank
+
+    def recording(initial):
+        banks.append(true_bank(initial))
+        return banks[-1]
+
+    monkeypatch.setattr(tp, "Bank", recording)
+    model.forward(ds.episodes)
+    with ad.no_grad():
+        model.forward(ds.episodes)
+    assert len(banks) == 2
+    assert banks[0]._undo and banks[1]._undo == []
+
+
+def test_every_layer_function_under_no_grad_returns_a_bare_tensor():
+    ds = synth(n=4, seed=5)
+    model = tiny_model(ds.variables, d=4, k=4)
+    params, book = model.params, model.params["codebook"]
+    step = next(s for s in gr.build_graph_steps(ds.episodes, 3) if s.n_edges)
+    rng = np.random.default_rng(0)
+
+    def tracked(*shape):
+        return Tensor(rng.normal(size=shape), tracked=True)
+
+    v_pat, e = tracked(step.n_patients, 4), tracked(step.n_edges, 4)
+    gamma = tracked(step.n_edges, 1)
+    unit_book = cb.UnitBook(book.data)
+    with ad.no_grad():
+        bank = tp.Bank(tracked(step.n_patients * 3, 4))
+        outs = [gr.init_edge_embeddings(step, params),
+                gr._message(v_pat, step.patient_idx, e, step.variable_idx, 3,
+                            params["sage0.msg_w"], params["sage0.msg_b"]),
+                *gr.message_pass(step, v_pat, params["node.var_table"], e, params, 2),
+                *(tp.decay_factor(e, step.delta_t, kernel, params)
+                  for kernel in tp.DECAY_KERNELS),
+                tp.gated_update(bank, step.bank_idx, e, params, gamma),
+                tp.node_attention(v_pat, bank, params["attn.proj"]),
+                cb.soft_fuse(v_pat, book, unit_book),
+                cb.retrieve(v_pat, book, unit_book),
+                md.head_reweight(tracked(step.n_patients * 3, 4),
+                                 count_weights(np.ones((step.n_patients, 3))))]
+    assert bank._undo == [] and bank.tensor is outs[-5]
+    for out in outs:
+        assert isinstance(out, Tensor)
+        assert (out.tracked, out._parents, out._backward, out._op) == (False, (), None, "")
+
+
+def test_without_the_time_embedding_its_parameters_are_no_parents(monkeypatch):
+    # with --ablate te the edge initialization reads neither time parameter,
+    # so neither is a parent of its node and both keep .grad None
+    ds = synth(n=4, seed=5)
+    model = tiny_model(ds.variables, flags=AblationFlags(use_te=False))
+    time_params = [model.params["edge.time_freq"], model.params["edge.time_phase"]]
+    edge_parents = []
+    true_make = ad._make
+
+    def recording_make(data, parents, op, rule):
+        if op == "init_edge_embeddings":
+            edge_parents.append(parents)
+        return true_make(data, parents, op, rule)
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    ad.backward(md.batch_loss(model, ds.episodes))
+    assert edge_parents
+    assert not any(p is t for parents in edge_parents for p in parents for t in time_params)
+    assert [t.grad for t in time_params] == [None, None]
+    assert model.params["edge.value_w"].grad is not None
+
+
 GRAPH_MEMORY = Path(__file__).resolve().parents[1] / "scripts" / "graph_memory.py"
 
 
@@ -453,7 +527,7 @@ def test_head_dimension_shrinks_per_flag():
 
 def test_reweight_single_variable_doubles():
     bank = Tensor(np.arange(8.0).reshape(2, 4))  # B=2, V=1, d=4
-    out = co.layer_head_reweight(bank, count_weights(np.array([[5.0], [2.0]])))
+    out = md.head_reweight(bank, count_weights(np.array([[5.0], [2.0]])))
     np.testing.assert_allclose(out.data, bank.data * 2.0, atol=1e-12)
 
 
@@ -461,7 +535,7 @@ def test_reweight_uniform_counts():
     rng = np.random.default_rng(0)
     bank = Tensor(rng.normal(size=(6, 4)))  # B=2, V=3
     for counts in (np.full((2, 3), 4.0), np.zeros((2, 3))):
-        out = co.layer_head_reweight(bank, count_weights(counts))
+        out = md.head_reweight(bank, count_weights(counts))
         np.testing.assert_allclose(out.data.reshape(2, 3, 4),
                                    bank.data.reshape(2, 3, 4) * (1 + 1 / 3),
                                    atol=1e-12)
@@ -482,7 +556,7 @@ def test_head_reweight_is_one_node_with_the_chain_bits(batch, v_count, dim, leaf
         return co.differentiate(build, arrays, leaves=("h_bank",) if leaf else (),
                                 direct=direct, seed=seed)
 
-    co.assert_same_bits(runner(co.layer_head_reweight), runner(co.head_reweight))
+    co.assert_same_bits(runner(md.head_reweight), runner(co.head_reweight))
 
 
 # -- loss ---------------------------------------------------------------------------
@@ -617,9 +691,9 @@ def test_utilization_accumulates_over_steps_and_batches(monkeypatch):
     kept = []
     true_fuse = cb.soft_fuse
 
-    def keeping_fuse(x, book, unit_book, weight_sum=None):
-        kept.append(ad._softmax(np.matmul(cb.unit_rows(x)[1], unit_book.unit.T)))
-        return true_fuse(x, book, unit_book, weight_sum)
+    def keeping_fuse(g, book, unit_book, weight_sum=None):
+        kept.append(ad._softmax(np.matmul(cb.unit_rows(g.data)[1], unit_book.unit.T)))
+        return true_fuse(g, book, unit_book, weight_sum)
 
     monkeypatch.setattr(cb, "soft_fuse", keeping_fuse)
     for batch_size in (1, 3, 10):
